@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from random import Random
@@ -65,8 +65,13 @@ def colex_subsets(k: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=128)
-def colex_rank_table(k: int, n: int) -> dict[tuple[int, ...], int]:
-    return {s: i for i, s in enumerate(colex_subsets(k, n))}
+def mask_ranks(k: int, n: int) -> dict[int, int]:
+    """Vertex mask (bit v set for vertex v) -> colex rank, for every k-subset of [n].
+
+    The one index from edges to colour bits: colour lookup, relabelling and
+    the searches all read it.
+    """
+    return {sum(1 << v for v in s): r for r, s in enumerate(colex_subsets(k, n))}
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +110,6 @@ class Hypergraph:
 
     def edge_set(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(e) for e in self.edges)
-
-    def has_edge(self, vertices: Iterable[int]) -> bool:
-        return tuple(sorted(vertices)) in set(self.edges)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -293,8 +295,20 @@ class TwoColoring:
     def num_edges(self) -> int:
         return comb(self.n, self.k)
 
+    @cached_property
+    def _ranks(self) -> dict[int, int]:
+        return mask_ranks(self.k, self.n)
+
     def rank(self, edge: Iterable[int]) -> int:
-        return colex_rank(tuple(sorted(edge)))
+        """Colex rank of the edge; ValueError unless it is a k-subset of [n]."""
+        mask = count = 0
+        for v in edge:
+            mask |= 1 << v
+            count += 1
+        r = self._ranks.get(mask)
+        if r is None or count != self.k:
+            raise ValueError(f"{edge!r} is not a {self.k}-subset of 0..{self.n - 1}")
+        return r
 
     def is_red(self, edge: Iterable[int]) -> bool:
         return bool(self.red_bits >> self.rank(edge) & 1)
@@ -317,11 +331,11 @@ class TwoColoring:
         return Hypergraph(self.k, self.n, tuple(self.edges_of(colour)))
 
     def relabel(self, perm: Sequence[int]) -> "TwoColoring":
-        table = colex_rank_table(self.k, self.n)
+        ranks = self._ranks
         bits = 0
         for r, s in enumerate(colex_subsets(self.k, self.n)):
             if self.red_bits >> r & 1:
-                bits |= 1 << table[tuple(sorted(perm[v] for v in s))]
+                bits |= 1 << ranks[sum(1 << perm[v] for v in s)]
         return TwoColoring(self.k, self.n, bits)
 
     @classmethod

@@ -441,17 +441,20 @@ def _trim_loose_path(seq: list[int], k: int, n_target: int) -> list[int]:
 
 def _red_path_certificate(col: TwoColoring, seq: list[int], ell: int, params: EngineParams) -> Certificate:
     if params.target_kind == "cycle":
-        assert validate_mono_cycle(col, seq, ell, RED)
+        if not validate_mono_cycle(col, seq, ell, RED):
+            raise AssertionError("engine produced an invalid red cycle")
         return Certificate(kind="red_cycle", witness=list(seq),
                            detail={"ell": ell, "k": col.k, "vertices": len(seq)})
-    assert validate_mono_path(col, seq, ell, RED)
+    if not validate_mono_path(col, seq, ell, RED):
+        raise AssertionError("engine produced an invalid red path")
     return Certificate(kind="red_path", witness=list(seq),
                        detail={"ell": ell, "k": col.k, "vertices": len(seq)})
 
 
 def _blue_block_embedding(col: TwoColoring, target: Hypergraph, block: tuple[int, ...]) -> Certificate:
     mapping = list(block[: target.n])
-    assert validate_embedding(col, target, mapping, BLUE)
+    if not validate_embedding(col, target, mapping, BLUE):
+        raise AssertionError("blue block does not embed the target")
     return Certificate(kind="blue_embedding", witness=mapping,
                        detail={"via": "blue block", "exact": True})
 

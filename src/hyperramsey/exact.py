@@ -1,11 +1,18 @@
 """Exact desk-scale Ramsey quantities by exhaustive enumeration.
 
 ramsey_exact decides, for increasing n, whether a free colouring of the
-complete k-graph exists, by DFS over edge colours in colex-bit order: a branch
-is pruned the moment the edge just coloured completes a red copy of the
-pattern or a blue copy of the target, so every leaf reached is a free
-colouring.  tau_exact enumerates edge families that pairwise intersect in 0 or
->= 2 vertices (the structure forced by having no two-edge loose path).
+complete k-graph exists, by DFS over edge colours in colex-rank order.  The
+DFS state is one int: bit r is set when the edge of rank r is red.  At depth
+r the red class is that int with bit r added and the blue class is its
+complement among ranks <= r, so neither colour keeps a set of edges.  A
+branch is pruned the moment the edge just coloured completes a red copy of
+the pattern or a blue copy of the target, so every leaf reached is a free
+colouring.  Whether it does is asked of a _PatternWatcher, which grows paths
+from that edge or runs the embedding kernel of `search` from one ordered
+target edge per orbit of the target's automorphism group, mapped onto it.
+
+tau_exact enumerates edge families that pairwise intersect in 0 or >= 2
+vertices (the structure forced by having no two-edge loose path).
 directed_ramsey_exact grows tournaments vertex by vertex, pruning as soon as a
 transitive subtournament of the forbidden order appears.
 """
@@ -25,10 +32,13 @@ from .core import (
     Tournament,
     TwoColoring,
     colex_subsets,
+    mask_ranks,
     ramsey_profile,
 )
 from .constructions import tau_lower_construction, _tau_lower_size
 from .search import (
+    EmbeddingPlan,
+    embed,
     find_mono_copy,
     find_transitive_subtournament,
     independence_number,
@@ -37,7 +47,6 @@ from .search import (
     search_pattern,
 )
 
-FULL_ENUM_BITS = 24          # below this many edges, plain DFS is always fine
 MAX_ENUM_BITS = 36           # hard ceiling for the pruned search
 
 
@@ -55,132 +64,98 @@ def pattern_uniformity(spec: str) -> int:
 class _PatternWatcher:
     """Detects whether colouring one more edge completes a copy of the pattern.
 
-    For path patterns this grows the path outward from the anchor edge in both
-    directions; for everything else it tries every way of mapping a target
-    edge onto the anchor and extends by backtracking over the remaining target
-    vertices.
+    A colour class is a bitmask over colex ranks, read through the
+    vertex-mask -> rank table of `core`.  A path pattern is grown outward from
+    the anchor edge in both directions, reading the bitmask.  Any other target
+    goes to the embedding kernel of `search`, started with a target edge
+    already mapped onto the anchor.  Anchoring at every ordered target edge
+    would repeat work: two ordered edges that an automorphism of the target
+    maps onto each other complete the same copies.  So the watcher keeps one
+    ordered edge per orbit of Aut(target), found once by embedding the target
+    into itself with the same kernel.
     """
 
     def __init__(self, pattern: str | Hypergraph, n: int):
-        self.n = n
-        if isinstance(pattern, str):
-            self.name, self.args = parse_pattern(pattern)
-            if self.name == "path":
-                self.k = self.args["k"]
-                self.ell = self.args["ell"]
-                self.target_edges = (self.args["n"] - self.ell) // (self.k - self.ell)
-            else:
-                self.target = pattern_hypergraph(pattern)
-                self.k = self.target.k
+        name, args = parse_pattern(pattern) if isinstance(pattern, str) else ("hypergraph", {})
+        if name == "path":
+            self.k, self.ell = args["k"], args["ell"]
+            self.target_edges = (args["n"] - self.ell) // (self.k - self.ell)
+            self.plans = None
         else:
-            self.name = "hypergraph"
-            self.target = pattern
-            self.k = pattern.k
+            target = pattern_hypergraph(pattern) if isinstance(pattern, str) else pattern
+            self.k = target.k
+            self.plans = _orbit_plans(target)
+            self.allowed = [(1 << n) - 1] * target.n
+        self.n = n
+        self.ranks = mask_ranks(self.k, n)
+        self.kernel_stats = {"nodes": 0, "prunes": 0}  # kept by the kernel, never reported
 
-    def completes(self, edge_set: set[frozenset], new_edge: tuple[int, ...]) -> bool:
-        """True iff `edge_set` (which already contains new_edge) has a copy of
-        the pattern through new_edge."""
-        if self.name == "edge":
-            return True
-        if self.name == "path":
-            return self._path_through(edge_set, new_edge)
-        return self._copy_through(edge_set, new_edge)
+    def completes(self, cls: int, edge: tuple[int, ...]) -> bool:
+        """True iff the colour class `cls` (which already contains edge) has a
+        copy of the pattern through edge."""
+        if self.plans is None:
+            return self._path_through(cls, edge)
+        return any(_anchored(plan, edge, cls, self.ranks, self.allowed, self.kernel_stats)
+                   for plan in self.plans)
 
-    # -- paths -----------------------------------------------------------------
-
-    def _path_through(self, edge_set, anchor) -> bool:
-        k, ell = self.k, self.ell
-        need = self.target_edges
-        if need == 1:
-            return True
-        by_sub: dict[frozenset, list[frozenset]] = {}
-        for e in edge_set:
-            for s in combinations(sorted(e), ell):
-                by_sub.setdefault(frozenset(s), []).append(e)
-
-        def grow_all(boundary, used, steps):
-            """All used-sets reachable by exactly `steps` path extensions."""
-            if steps == 0:
-                yield used
-                return
-            bset = frozenset(boundary)
-            keep = boundary[k - ell:]
-            for e in by_sub.get(bset, ()):
-                if len(e & used) != ell:
-                    continue
-                fresh = sorted(e - used)
-                for pick in permutations(fresh, ell - len(keep)):
-                    yield from grow_all(tuple(keep) + pick, used | e, steps - 1)
-
-        def can_grow(boundary, used, steps):
-            if steps == 0:
-                return True
-            bset = frozenset(boundary)
-            keep = boundary[k - ell:]
-            for e in by_sub.get(bset, ()):
-                if len(e & used) != ell:
-                    continue
-                fresh = sorted(e - used)
-                for pick in permutations(fresh, ell - len(keep)):
-                    if can_grow(tuple(keep) + pick, used | e, steps - 1):
-                        return True
-            return False
-
-        anchor_f = frozenset(anchor)
-        for arrangement in permutations(anchor):
-            head_rev = tuple(reversed(arrangement[:ell]))  # boundary for leftward growth
-            tail = tuple(arrangement[k - ell:])            # boundary for rightward growth
-            for right in range(need):
-                left = need - 1 - right
-                for used_right in grow_all(tail, anchor_f, right):
-                    if can_grow(head_rev, used_right, left):
-                        return True
-        return False
-
-    # -- generic targets ---------------------------------------------------------
-
-    def _copy_through(self, edge_set, anchor) -> bool:
-        target = self.target
-        anchor = tuple(sorted(anchor))
-        for t_edge in target.edges:
-            for img in permutations(anchor):
-                mapping = dict(zip(t_edge, img))
-                if len(mapping) == self.k and self._extend(edge_set, mapping):
+    def _path_through(self, cls: int, anchor: tuple[int, ...]) -> bool:
+        k, ell, need = self.k, self.ell, self.target_edges
+        used = sum(1 << v for v in anchor)
+        # a path read backwards puts the anchor at the mirrored position, so
+        # the anchor need only sit in the first half
+        for arr in permutations(anchor):
+            for right in range((need + 1) // 2):
+                if self._grow(cls, arr[k - ell:], used, right, (arr[ell - 1::-1], need - 1 - right)):
                     return True
         return False
 
-    def _extend(self, edge_set, mapping) -> bool:
-        target = self.target
-        for e in target.edges:
-            if all(v in mapping for v in e):
-                if frozenset(mapping[v] for v in e) not in edge_set:
-                    return False
-        unmapped = [v for v in range(target.n) if v not in mapping]
-        used = set(mapping.values())
-
-        def rec(i):
-            if i == len(unmapped):
-                return True
-            tv = unmapped[i]
-            for hv in range(self.n):
-                if hv in used:
-                    continue
-                mapping[tv] = hv
-                good = True
-                for e in target.edges:
-                    if tv in e and all(v in mapping for v in e):
-                        if frozenset(mapping[v] for v in e) not in edge_set:
-                            good = False
-                            break
-                if good:
-                    used.add(hv)
-                    if rec(i + 1):
+    def _grow(self, cls, boundary, used, steps, then) -> bool:
+        """Extend the path at `boundary` (its last ell vertices, in order) by
+        `steps` edges of the class, then do the same for `then`, if given."""
+        if steps == 0:
+            return then is None or self._grow(cls, then[0], used, then[1], None)
+        k, ell, ranks = self.k, self.ell, self.ranks
+        keep = boundary[k - ell:]
+        bmask = 0
+        for v in boundary:
+            bmask |= 1 << v
+        free = [v for v in range(self.n) if not used >> v & 1]
+        for fresh in combinations(free, k - ell):
+            emask = bmask
+            for v in fresh:
+                emask |= 1 << v
+            if cls >> ranks[emask] & 1:
+                for pick in permutations(fresh, ell - len(keep)):
+                    if self._grow(cls, keep + pick, used | emask, steps - 1, then):
                         return True
-                    used.discard(hv)
-                del mapping[tv]
-            return False
+        return False
 
-        return rec(0)
+
+def _anchored(plan: EmbeddingPlan, anchor: tuple[int, ...], cls: int, ranks: dict[int, int],
+              allowed: list[int], stats: dict) -> bool:
+    """Is there an embedding into `cls` that sends the plan's first vertices
+    onto `anchor`, in order?"""
+    image = [-1] * len(plan.order)
+    for tv, hv in zip(plan.order, anchor):
+        image[tv] = hv
+    return embed(plan, cls, ranks, allowed, image, sum(1 << v for v in anchor), len(anchor), stats)
+
+
+def _orbit_plans(target: Hypergraph) -> list[EmbeddingPlan]:
+    """One embedding plan per orbit of Aut(target) on ordered target edges,
+    each placing its representative edge first.  An ordered edge lies in the
+    orbit of a representative iff the target embeds into itself sending the
+    representative onto it."""
+    ranks = mask_ranks(target.k, target.n)
+    own = sum(1 << ranks[sum(1 << v for v in e)] for e in target.edges)
+    allowed = [(1 << target.n) - 1] * target.n
+    stats = {"nodes": 0, "prunes": 0}
+    plans: list[EmbeddingPlan] = []
+    for e in target.edges:
+        for ordered in permutations(e):
+            if not any(_anchored(plan, ordered, own, ranks, allowed, stats) for plan in plans):
+                plans.append(EmbeddingPlan(target, ordered))
+    return plans
 
 
 def free_coloring_exists(
@@ -205,11 +180,10 @@ def free_coloring_exists(
 
     subsets = colex_subsets(k, n)
     stats = {"nodes": 0, "prunes": 0}
-    red_set: set[frozenset] = set()
-    blue_set: set[frozenset] = set()
     capped = False
 
     def dfs(r: int, bits: int):
+        # bits: the red edges among ranks < r; every other rank < r is blue
         nonlocal capped
         stats["nodes"] += 1
         if node_cap is not None and stats["nodes"] > node_cap:
@@ -218,29 +192,21 @@ def free_coloring_exists(
         if r == nbits:
             return bits
         e = subsets[r]
-        ef = frozenset(e)
-        # red branch
-        red_set.add(ef)
-        if not red_watch.completes(red_set, e):
-            got = dfs(r + 1, bits | (1 << r))
+        red = bits | 1 << r
+        if not red_watch.completes(red, e):
+            got = dfs(r + 1, red)
             if got is not None:
-                red_set.discard(ef)
                 return got
         else:
             stats["prunes"] += 1
-        red_set.discard(ef)
         if capped:
             return None
-        # blue branch
-        blue_set.add(ef)
-        if not blue_watch.completes(blue_set, e):
+        if not blue_watch.completes(bits ^ ((2 << r) - 1), e):
             got = dfs(r + 1, bits)
             if got is not None:
-                blue_set.discard(ef)
                 return got
         else:
             stats["prunes"] += 1
-        blue_set.discard(ef)
         return None
 
     bits = dfs(0, 0)
@@ -542,8 +508,11 @@ def consecutive_gap_check(chi: int, n_cap: int = 9) -> GapCheckReport:
     one dominated vertex, and the back arc between them."""
     if chi < 3:
         raise ValueError("gap check needs chi >= 3")
-    cur = directed_ramsey_exact(chi, n_cap)
-    prev = directed_ramsey_exact(chi - 1, n_cap)
+    return _gap_report(directed_ramsey_exact(chi, n_cap), directed_ramsey_exact(chi - 1, n_cap))
+
+
+def _gap_report(cur: DirectedRamseyResult, prev: DirectedRamseyResult) -> GapCheckReport:
+    """The gap check on R_vec(chi) and R_vec(chi-1), already computed."""
     if not (cur.exact and prev.exact):
         raise GuardExceeded("both directed Ramsey values must be exact")
     base = prev.witness  # TT_{chi-1}-free on prev.value - 1 vertices
@@ -555,9 +524,9 @@ def consecutive_gap_check(chi: int, n_cap: int = 9) -> GapCheckReport:
         arcs.append((u, v2))
     arcs.append((v2, v1))
     augmented = Tournament.from_arcs(m + 2, arcs)
-    cert = find_transitive_subtournament(augmented, chi)
+    cert = find_transitive_subtournament(augmented, cur.chi)
     return GapCheckReport(
-        chi=chi,
+        chi=cur.chi,
         value=cur.value,
         previous=prev.value,
         inequality_holds=cur.value >= prev.value + 2,

@@ -23,6 +23,7 @@ from .core import (
     colex_rank,
     ell_cycle,
     ell_path,
+    mask_ranks,
 )
 
 DEFAULT_NODE_BUDGET = 500_000
@@ -263,11 +264,12 @@ def longest_mono_ell_path(
 # monochromatic copies of an arbitrary hypergraph
 
 
-def _pattern_order(target: Hypergraph) -> list[int]:
-    """Most-constrained-first vertex order: max edges into already-ordered set."""
+def _pattern_order(target: Hypergraph, first: tuple[int, ...] = ()) -> list[int]:
+    """The `first` vertices, then most-constrained-first: max edges into the
+    already-ordered set."""
     deg = target.degrees()
-    order: list[int] = []
-    placed: set[int] = set()
+    order = list(first)
+    placed = set(first)
     while len(order) < target.n:
         def score(v):
             anchored = sum(1 for e in target.edges if v in e and sum(1 for u in e if u in placed) == target.k - 1)
@@ -277,6 +279,58 @@ def _pattern_order(target: Hypergraph) -> list[int]:
         order.append(v)
         placed.add(v)
     return order
+
+
+class EmbeddingPlan:
+    """The order in which `embed` places the vertices of one target, and for
+    each step the target edges that step completes, each given by its
+    vertices placed earlier.  Built once per target (and anchor)."""
+
+    def __init__(self, target: Hypergraph, first: tuple[int, ...] = ()):
+        self.order = _pattern_order(target, first)
+        pos = {v: i for i, v in enumerate(self.order)}
+        self.completed: list[list[tuple[int, ...]]] = [[] for _ in self.order]
+        for e in target.edges:
+            last = max(pos[v] for v in e)
+            self.completed[last].append(tuple(v for v in e if pos[v] != last))
+
+
+def embed(plan: EmbeddingPlan, cls: int, ranks: dict[int, int], allowed: list[int],
+          image: list[int], used: int, i: int, stats: dict, node_budget: int | None = None) -> bool:
+    """Backtracking injective embedding into one colour class.
+
+    `cls` is the class as a bitmask over colex ranks, read through `ranks`
+    (vertex mask -> rank).  The first i vertices of plan.order are already
+    placed in `image` (target vertex -> host vertex), covering the host
+    vertices in mask `used`; step j may only use host vertices in allowed[j].
+    Host vertices are tried in increasing order.  Counts one node per call
+    and one prune per candidate that breaks a completed edge.
+    """
+    stats["nodes"] += 1
+    if node_budget is not None and stats["nodes"] > node_budget:
+        return False
+    if i == len(plan.order):
+        return True
+    tv = plan.order[i]
+    bases = []
+    for others in plan.completed[i]:
+        base = 0
+        for u in others:
+            base |= 1 << image[u]
+        bases.append(base)
+    cand = allowed[i] & ~used
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        for base in bases:
+            if not cls >> ranks[base | bit] & 1:
+                stats["prunes"] += 1
+                break
+        else:
+            image[tv] = bit.bit_length() - 1
+            if embed(plan, cls, ranks, allowed, image, used | bit, i + 1, stats, node_budget):
+                return True
+    return False
 
 
 def find_mono_copy(
@@ -300,56 +354,21 @@ def find_mono_copy(
         return Certificate(kind=f"{colour}_embedding", witness=None, stats=stats,
                            detail={"exact": True, "reason": "target larger than host"})
 
-    order = _pattern_order(target)
-    pos_in_order = {v: i for i, v in enumerate(order)}
-    # edges become checkable at the order-position of their latest vertex
-    edges_at = [[] for _ in range(target.n)]
-    for e in target.edges:
-        last = max(pos_in_order[v] for v in e)
-        edges_at[last].append(e)
-
+    plan = EmbeddingPlan(target)
     tdeg = target.degrees()
     host_deg = [0] * col.n
     for e in col.edges_of(colour):
         for v in e:
             host_deg[v] += 1
-
+    # a host vertex can take a target vertex only if its degree is no smaller
+    allowed = [sum(1 << hv for hv in range(col.n) if hv not in forbidden and host_deg[hv] >= tdeg[tv])
+               for tv in plan.order]
+    cls = col.red_bits if colour == RED else col.red_bits ^ ((1 << col.num_edges) - 1)
     image = [-1] * target.n
-    used: set[int] = set()
-    budget_hit = False
-
-    def rec(i: int) -> bool:
-        nonlocal budget_hit
-        stats["nodes"] += 1
-        if node_budget is not None and stats["nodes"] > node_budget:
-            budget_hit = True
-            return False
-        if i == target.n:
-            return True
-        tv = order[i]
-        for hv in range(col.n):
-            if hv in used or hv in forbidden or host_deg[hv] < tdeg[tv]:
-                continue
-            image[tv] = hv
-            ok = True
-            for e in edges_at[i]:
-                if not col.has_colour([image[u] for u in e], colour):
-                    ok = False
-                    break
-            if ok:
-                used.add(hv)
-                if rec(i + 1):
-                    return True
-                used.discard(hv)
-            else:
-                stats["prunes"] += 1
-        image[tv] = -1
-        return False
-
-    found = rec(0)
-    if found:
-        return Certificate(kind=f"{colour}_embedding", witness=list(image), stats=stats,
+    if embed(plan, cls, mask_ranks(k, col.n), allowed, image, 0, 0, stats, node_budget):
+        return Certificate(kind=f"{colour}_embedding", witness=image, stats=stats,
                            detail={"exact": True, "target_edges": target.num_edges})
+    budget_hit = node_budget is not None and stats["nodes"] > node_budget
     return Certificate(kind=f"{colour}_embedding", witness=None, stats=stats,
                        detail={"exact": not budget_hit})
 

@@ -33,7 +33,7 @@ from .search import (
     verify_free,
 )
 from .exact import (
-    consecutive_gap_check,
+    _gap_report,
     directed_ramsey_exact,
     goodness_gap,
     ramsey_exact,
@@ -60,12 +60,8 @@ def ramsey_rows() -> list[dict]:
         profile = ramsey_profile(target)
         result = ramsey_exact(red, target, n_cap=7)
         report = goodness_gap(red, target, result, profile)
-        witness_free = None
-        if report.burr >= target.k + 1 or True:
-            lower = burr_coloring(target.k, profile.chi, profile.sigma,
-                                  pattern_hypergraph(red).n)
-            cert = verify_free(lower.coloring, red, target)
-            witness_free = cert.kind == "free"
+        lower = burr_coloring(target.k, profile.chi, profile.sigma, pattern_hypergraph(red).n)
+        witness_free = verify_free(lower.coloring, red, target).kind == "free"
         rows.append({
             "row": "ramsey",
             "red": red,
@@ -112,12 +108,12 @@ def tau_rows() -> list[dict]:
 def dramsey_rows() -> list[dict]:
     rows = []
     expected = {2: 2, 3: 4}
-    for chi in (2, 3, 4):
-        r = directed_ramsey_exact(chi)
+    results = {chi: directed_ramsey_exact(chi) for chi in (2, 3, 4)}
+    for chi, r in results.items():
         rows.append({"row": "dramsey", "chi": chi, "value": r.value, "exact": r.exact,
                      "expected": expected.get(chi), "witness_order": r.witness.n})
     for chi in (3, 4):
-        g = consecutive_gap_check(chi)
+        g = _gap_report(results[chi], results[chi - 1])
         rows.append({"row": "gap", "chi": chi, "value": g.value, "previous": g.previous,
                      "inequality_holds": g.inequality_holds,
                      "augmented_witness_ttfree": g.augmented_ttfree})

@@ -35,10 +35,13 @@ def naive_longest_mono_path(col: TwoColoring, ell: int, colour: str) -> int:
     return ell + best_edges * (k - ell)
 
 
-def naive_find_copy(col: TwoColoring, target: Hypergraph, colour: str):
-    """First monochromatic copy of the target over all injective maps."""
+def naive_find_copy(col: TwoColoring, target: Hypergraph, colour: str, through=None):
+    """First monochromatic copy of the target over all injective maps; with
+    `through`, the first one that has that edge among its images."""
+    want = None if through is None else sorted(through)
     for hosts in permutations(range(col.n), target.n):
-        if all(col.has_colour([hosts[v] for v in e], colour) for e in target.edges):
+        images = [sorted(hosts[v] for v in e) for e in target.edges]
+        if (want is None or want in images) and all(col.has_colour(im, colour) for im in images):
             return hosts
     return None
 

@@ -184,6 +184,17 @@ class TestColoring:
         assert not col.is_red((0, 1, 2))
         assert col.count_red() == 1
 
+    @pytest.mark.parametrize("edge", [(0, 0, 4), (0, 1, 5), (0, 1), (0, 1, 2, 3), (0, 0, 1, 2), (-1, 0, 1)])
+    def test_colour_lookup_rejects_non_k_subsets(self, edge):
+        col = TwoColoring.all_red(3, 5)
+        with pytest.raises(ValueError):
+            col.is_red(edge)
+
+    def test_colour_lookup_matches_colex_rank(self):
+        col = TwoColoring.random(3, 9, 0.5, seed=4)
+        for e in combinations(range(9), 3):
+            assert col.is_red(e[::-1]) == bool(col.red_bits >> colex_rank(e) & 1)
+
     def test_json_round_trip(self):
         rng = Random(5)
         for n in (4, 6, 8):

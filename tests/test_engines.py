@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import combinations
 from random import Random
 
@@ -427,3 +429,25 @@ class TestStallBookkeeping:
         system = build_path_system(col, blocks, ell=1, alpha=2, epsilon=0.3)
         assert system.no_two_disjoint_connectors
         assert system.usage is not None and set(system.usage) == {0, 1}
+
+
+def test_witness_checks_run_under_optimize():
+    # `python -O` strips assert statements; the engines' own witness checks
+    # must still run there, and the witness must still re-validate
+    code = """
+from hyperramsey.core import RED, TwoColoring, transitive_tournament_hypergraph
+from hyperramsey.engines import EngineParams, _red_path_certificate, loose_witness_engine
+from hyperramsey.search import validate_mono_path
+assert False, "assert statements must be stripped"
+col = TwoColoring.random(3, 13, 0.95, seed=42)
+rep = loose_witness_engine(col, transitive_tournament_hypergraph(2, 2)[0],
+                           EngineParams(n_target=13, block_size=5))
+print(rep.outcome, validate_mono_path(col, rep.certificate.witness, 1, RED))
+try:
+    _red_path_certificate(TwoColoring.all_blue(3, 5), [0, 1, 2, 3, 4], 1, EngineParams(n_target=5))
+except AssertionError as exc:
+    print("rejected:", exc)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["red_witness True", "rejected: engine produced an invalid red path"]

@@ -1,10 +1,15 @@
+from itertools import permutations
 from math import comb
+from random import Random
 
 import pytest
 
 from hyperramsey.core import (
+    Hypergraph,
     Tournament,
+    TwoColoring,
     burr_bound,
+    colex_subsets,
     complete_hypergraph,
     ramsey_profile,
 )
@@ -16,6 +21,7 @@ from hyperramsey.search import (
     verify_free,
 )
 from hyperramsey.exact import (
+    _PatternWatcher,
     consecutive_gap_check,
     directed_ramsey_exact,
     free_coloring_exists,
@@ -25,7 +31,18 @@ from hyperramsey.exact import (
     tau_exact,
 )
 
-from oracles import naive_free
+from oracles import naive_find_copy, naive_free
+
+# a 3-graph whose only automorphism is the identity, so the watcher must
+# anchor at every one of its 4 * 3! ordered edges
+ASYMMETRIC = Hypergraph(3, 6, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 4, 5)))
+
+
+def test_asymmetric_target_has_trivial_automorphism_group():
+    edges = set(ASYMMETRIC.edges)
+    autos = [p for p in permutations(range(6))
+             if {tuple(sorted(p[v] for v in e)) for e in edges} == edges]
+    assert autos == [tuple(range(6))]
 
 
 class TestFreeColoringSearch:
@@ -35,6 +52,8 @@ class TestFreeColoringSearch:
         ("path:3:1:5", "tth:2:2"),
         ("edge:3", "edge:3"),
         ("path:3:2:4", "tth:2:2"),
+        ("cycle:2:1:4", "clique:2:3"),
+        ("cycle:2:1:4", "cycle:2:1:4"),
     ])
     def test_pruned_matches_bruteforce(self, red, blue):
         for n in (3, 4, 5):
@@ -50,6 +69,48 @@ class TestFreeColoringSearch:
         exists, witness, _ = free_coloring_exists("path:3:1:5", "clique:3:4", 5)
         assert exists
         assert naive_free(witness, red_h, blue_h)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_witness_free_of_asymmetric_target(self, n):
+        # a watcher that missed an anchor would let a blue copy into the witness
+        exists, witness, _ = free_coloring_exists("clique:3:4", ASYMMETRIC, n)
+        assert exists
+        assert naive_free(witness, complete_hypergraph(3, 4), ASYMMETRIC)
+
+    @pytest.mark.parametrize("pattern,n", [
+        ("path:3:2:5", 6),
+        ("path:3:1:5", 6),
+        ("path:2:1:4", 6),
+        ("cycle:2:1:4", 6),
+        ("clique:3:4", 6),
+        ("tth:2:2", 6),
+        (ASYMMETRIC, 7),
+    ])
+    def test_completes_matches_naive_copy_through_edge(self, pattern, n):
+        target = ASYMMETRIC if isinstance(pattern, Hypergraph) else pattern_hypergraph(pattern)
+        k = target.k
+        watcher = _PatternWatcher(pattern, n)
+        subsets = colex_subsets(k, n)
+        rng = Random(11)
+        answers = set()
+        for _ in range(40):
+            r = rng.randrange(len(subsets))
+            density = rng.choice([0.1, 0.2, 0.4, 0.6, 0.8])
+            mask = sum(1 << i for i in range(len(subsets)) if rng.random() < density) | 1 << r
+            got = watcher.completes(mask, subsets[r])
+            naive = naive_find_copy(TwoColoring(k, n, mask), target, "red", through=subsets[r])
+            assert got == (naive is not None), (pattern, mask, subsets[r])
+            answers.add(got)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("red,blue,value,nodes,prunes", [
+        ("clique:2:3", "clique:2:3", 6, 367, 352),
+        ("path:3:2:4", "clique:3:4", 5, 56, 53),
+    ])
+    def test_dfs_counts_pinned(self, red, blue, value, nodes, prunes):
+        # the DFS tree depends only on which branches the watchers prune
+        r = ramsey_exact(red, blue, 7)
+        assert (r.value, r.stats["nodes"], r.stats["prunes"]) == (value, nodes, prunes)
 
 
 class TestRamseyExact:
