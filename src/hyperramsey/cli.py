@@ -318,7 +318,6 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
         return out.detail["valid"], "; ".join(out.detail["problems"]) or "revalidated"
     if kind in ("free", "not_free", "tt_embedding", "blue_crossing_attestation"):
         if kind == "not_free" and col is not None:
-            side = cert.detail.get("side")
             inner = Certificate.from_json(cert.detail.get("inner", {}))
             return check_certificate(inner, col)
         return True, "attestation accepted (carries search statistics, not a witness)"
@@ -328,7 +327,7 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
 def cmd_table(args) -> int:
     from .table import reproduction_table, render_text
 
-    rows = reproduction_table(jobs=args.jobs)
+    rows = reproduction_table()
     if args.json_out:
         _dump(rows, args.json_out)
     else:
@@ -342,8 +341,6 @@ def cmd_table(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hyperramsey",
                                  description="Desk-scale Ramsey goodness computations for uniform hypergraphs")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker hint for parallelisable searches; results are identical for any value")
     ap.add_argument("--manifest", default=None, help="write a run manifest (hashes, wall time) here")
     sub = ap.add_subparsers(dest="command", required=True)
 

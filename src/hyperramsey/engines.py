@@ -337,7 +337,7 @@ def red_density_aab(col: TwoColoring, a: list[int], b: list[int]) -> float:
 
 
 def absorbing_block(col: TwoColoring, block_a: list[int], block_b: list[int],
-                    d: int, eta: float, enforce_sizes: bool = False) -> AbsorbingOutcome:
+                    d: int, eta: float) -> AbsorbingOutcome:
     """A red tight path a1 a2 b1 a3 a4 ... b_d a_{2d+1} a_{2d+2} interleaving
     2d+2 vertices of block_a with d vertices of block_b.
 
@@ -348,12 +348,6 @@ def absorbing_block(col: TwoColoring, block_a: list[int], block_b: list[int],
     """
     if set(block_a) & set(block_b):
         raise ValueError("blocks must be disjoint")
-    if enforce_sizes:
-        import math
-        if len(block_a) < 4 * d * math.e ** d / eta ** d:
-            raise ValueError("block A below the size threshold")
-        if len(block_b) < d / eta:
-            raise ValueError("block B below the size threshold")
     dens = red_density_aab(col, list(block_a), list(block_b))
     if dens < eta:
         return AbsorbingOutcome(False, diagnostic=f"red density {dens:.3f} below eta={eta}")
@@ -517,70 +511,6 @@ class _ChainBuilder:
     def chain(self, flags: tuple[str, ...] = ()) -> CliqueChain:
         return CliqueChain(OPEN, self.k, self.ell, tuple(self.vertices),
                            tuple(self.intervals), flags=flags)
-
-
-def _splice_matching_into_chain(col: TwoColoring, chain: CliqueChain, j: int,
-                                matching: list[tuple[int, ...]]) -> CliqueChain | None:
-    """Insert red matching edges (each with >= 2 vertices in flexible element
-    j's interior) into an open loose chain: element j is replaced by an
-    alternation of in-block linking edges and matching edges, followed by the
-    element's residue as a new flexible element.
-
-    Returns the new chain (validated) or None when the element lacks room.
-    """
-    k, ell = chain.k, chain.ell
-    if ell != 1 or chain.kind != OPEN:
-        raise ValueError("matching splice is for open loose chains")
-    if not matching:
-        return None
-    elem = chain.element_vertices(j)
-    first_elem = j == 0
-    last_elem = j == len(chain.intervals) - 1
-    v0 = None if first_elem else elem[0]
-    v0_prime = None if last_elem else elem[-1]
-    interior = [v for v in elem if v not in (v0, v0_prime)]
-    matched = {v for e in matching for v in e}
-    pool = [v for v in interior if v not in matched]
-
-    segs: list[list[int]] = []  # alternating link edges and matching edges
-    prev_end = v0
-    used_pool = 0
-    for e in matching:
-        ins = sorted(v for v in e if v in interior)
-        if len(ins) < 2:
-            return None
-        enter, leave = ins[0], ins[1]
-        need = k - 2 if prev_end is not None else k - 1
-        fresh = pool[used_pool: used_pool + need]
-        if len(fresh) < need:
-            return None
-        used_pool += need
-        link = ([prev_end] if prev_end is not None else []) + fresh + [enter]
-        segs.append(link)
-        middle = sorted(set(e) - {enter, leave})
-        segs.append([enter] + middle + [leave])
-        prev_end = leave
-    remaining = pool[used_pool:]
-    residue = [prev_end] + remaining + ([v0_prime] if v0_prime is not None else [])
-    while len(residue) >= k and (len(residue) - 1) % (k - 1) != 0:
-        remaining.pop()
-        residue = [prev_end] + remaining + ([v0_prime] if v0_prime is not None else [])
-    if len(residue) < k:
-        return None
-
-    builder = _ChainBuilder(k, ell)
-    for jj in range(len(chain.intervals)):
-        if jj == j:
-            for seg in segs:
-                builder.push(seg)
-            builder.push(residue)
-        else:
-            builder.push(chain.element_vertices(jj))
-    out = builder.chain(flags=chain.flags + (f"matching-splice:element={j},edges={len(matching)}",))
-    cert = validate_chain(out, col)
-    if not cert.detail["valid"]:
-        return None
-    return out
 
 
 def _splice_segments_into_chain(col: TwoColoring, chain: CliqueChain, j: int,

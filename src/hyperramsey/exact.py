@@ -7,9 +7,11 @@ r the red class is that int with bit r added and the blue class is its
 complement among ranks <= r, so neither colour keeps a set of edges.  A
 branch is pruned the moment the edge just coloured completes a red copy of
 the pattern or a blue copy of the target, so every leaf reached is a free
-colouring.  Whether it does is asked of a _PatternWatcher, which grows paths
-from that edge or runs the embedding kernel of `search` from one ordered
-target edge per orbit of the target's automorphism group, mapped onto it.
+colouring.  Whether it does is asked of a _PatternWatcher.  It grows paths
+from that edge with the ell-path step of `search` (`path_steps`, the step
+`longest_mono_ell_path` takes too), or runs the embedding kernel of `search`
+from one ordered target edge per orbit of the target's automorphism group,
+mapped onto it.
 
 tau_exact enumerates edge families that pairwise intersect in 0 or >= 2
 vertices (the structure forced by having no two-edge loose path).
@@ -43,6 +45,7 @@ from .search import (
     find_transitive_subtournament,
     independence_number,
     parse_pattern,
+    path_steps,
     pattern_hypergraph,
     search_pattern,
 )
@@ -66,13 +69,14 @@ class _PatternWatcher:
 
     A colour class is a bitmask over colex ranks, read through the
     vertex-mask -> rank table of `core`.  A path pattern is grown outward from
-    the anchor edge in both directions, reading the bitmask.  Any other target
-    goes to the embedding kernel of `search`, started with a target edge
-    already mapped onto the anchor.  Anchoring at every ordered target edge
-    would repeat work: two ordered edges that an automorphism of the target
-    maps onto each other complete the same copies.  So the watcher keeps one
-    ordered edge per orbit of Aut(target), found once by embedding the target
-    into itself with the same kernel.
+    the anchor edge in both directions; each step takes the class edges that
+    `search.path_steps` yields, the step `longest_mono_ell_path` takes too.
+    Any other target goes to the embedding kernel of `search`, started with a
+    target edge already mapped onto the anchor.  Anchoring at every ordered
+    target edge would repeat work: two ordered edges that an automorphism of
+    the target maps onto each other complete the same copies.  So the watcher
+    keeps one ordered edge per orbit of Aut(target), found once by embedding
+    the target into itself with the same kernel.
     """
 
     def __init__(self, pattern: str | Hypergraph, n: int):
@@ -114,20 +118,12 @@ class _PatternWatcher:
         `steps` edges of the class, then do the same for `then`, if given."""
         if steps == 0:
             return then is None or self._grow(cls, then[0], used, then[1], None)
-        k, ell, ranks = self.k, self.ell, self.ranks
-        keep = boundary[k - ell:]
-        bmask = 0
-        for v in boundary:
-            bmask |= 1 << v
-        free = [v for v in range(self.n) if not used >> v & 1]
-        for fresh in combinations(free, k - ell):
-            emask = bmask
-            for v in fresh:
-                emask |= 1 << v
-            if cls >> ranks[emask] & 1:
-                for pick in permutations(fresh, ell - len(keep)):
-                    if self._grow(cls, keep + pick, used | emask, steps - 1, then):
-                        return True
+        step = self.k - self.ell
+        keep = boundary[step:]
+        for _, emask, fresh in path_steps(cls, self.ranks, self.n, boundary, used, step):
+            for pick in permutations(fresh, self.ell - len(keep)):
+                if self._grow(cls, keep + pick, used | emask, steps - 1, then):
+                    return True
         return False
 
 

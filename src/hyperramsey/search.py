@@ -20,7 +20,7 @@ from .core import (
     RED,
     Tournament,
     TwoColoring,
-    colex_rank,
+    colex_subsets,
     ell_cycle,
     ell_path,
     mask_ranks,
@@ -141,6 +141,28 @@ def _default_path_guard(k: int, ell: int) -> int:
     return _env_guard("HYPERRAMSEY_PATH_GUARD", 16)
 
 
+def path_steps(cls: int, ranks: dict[int, int], n: int, boundary: tuple[int, ...], used: int, width: int):
+    """The edges of one colour class that extend an ell-path at `boundary`.
+
+    `cls` is the class as a bitmask over colex ranks, read through `ranks`
+    (vertex mask -> rank).  Yields (rank, edge mask, fresh) for every class
+    edge made of the boundary vertices plus `width` = k - ell vertices outside
+    the mask `used`; `fresh` is those vertices, sorted, and the edges come in
+    `combinations` order of the free vertices.
+    """
+    bmask = 0
+    for v in boundary:
+        bmask |= 1 << v
+    free = [v for v in range(n) if not used >> v & 1]
+    for fresh in combinations(free, width):
+        emask = bmask
+        for v in fresh:
+            emask |= 1 << v
+        r = ranks[emask]
+        if cls >> r & 1:
+            yield r, emask, fresh
+
+
 def longest_mono_ell_path(
     col: TwoColoring,
     ell: int,
@@ -151,57 +173,32 @@ def longest_mono_ell_path(
     """Exact maximum vertex count of a monochromatic ell-path, with a witness.
 
     Returns (vertices, certificate); a path with q edges has ell + q*(k-ell)
-    vertices, so the no-edge degenerate path counts ell vertices.  DFS over
-    (ordered boundary, used set) states with a transposition table and a
-    remaining-vertices bound; ties are broken toward lowest colex rank so the
-    witness is deterministic.
+    vertices, so the no-edge degenerate path counts ell vertices.  The colour
+    class is a bitmask over colex ranks (red is `red_bits`, blue its
+    complement).  DFS over (ordered boundary, used set) states with a
+    transposition table and a remaining-vertices bound.  Roots are the class
+    edges in increasing rank; at each node the extensions found by
+    `path_steps` are tried in order of (edge rank, interior vertices, new
+    boundary), so the witness is deterministic.
     """
     k = col.k
     if not 1 <= ell <= k - 1:
         raise ValueError("ell out of range")
     if guard is None:
         guard = _default_path_guard(k, ell)
-    exact = True
-    if col.n > guard and node_budget is None:
+    cls = col.red_bits if colour == RED else col.red_bits ^ ((1 << col.num_edges) - 1)
+    exact = True  # an empty class is exact at any size: the path has no edge
+    if cls and col.n > guard and node_budget is None:
         exact = False
         node_budget = DEFAULT_NODE_BUDGET
 
-    mono = [e for e in col.edges_of(colour)]
+    ranks = mask_ranks(k, col.n)
     stats = {"nodes": 0, "prunes": 0}
-    if not mono:
-        cert = Certificate(
-            kind=f"{colour}_path",
-            witness=[],
-            stats=stats,
-            detail={"edges": 0, "vertices": ell, "ell": ell, "k": k, "exact": True},
-        )
-        return ell, cert
-
-    by_boundary: dict[frozenset, list[tuple[int, ...]]] = {}
-    for e in mono:
-        for s in combinations(e, ell):
-            by_boundary.setdefault(frozenset(s), []).append(e)
-
     budget_hit = False
     best = {"edges": 0, "seq": []}
     memo: dict[tuple, int] = {}
-    keep = max(0, 2 * ell - k)  # boundary suffix carried into the next boundary
-    fresh_pick = ell - keep
-
-    def extensions(boundary: tuple[int, ...], used: int):
-        bset = frozenset(boundary)
-        out = []
-        for e in by_boundary.get(bset, ()):  # candidate next edges
-            inter_count = sum(1 for v in e if used >> v & 1)
-            if inter_count != ell:  # e already contains bset, so == ell means exactly bset
-                continue
-            fresh = sorted(v for v in e if not used >> v & 1)
-            for pick in combinations(fresh, fresh_pick):
-                interior = [v for v in fresh if v not in pick]
-                for arr in permutations(pick):
-                    out.append((e, interior, arr))
-        out.sort(key=lambda t: (colex_rank(tuple(sorted(t[0]))), t[1], t[2]))
-        return out
+    step = k - ell
+    fresh_pick = min(ell, step)  # new boundary vertices taken from each edge
 
     def dfs(boundary: tuple[int, ...], used: int, edges_so_far: int, seq: list[int]) -> int:
         nonlocal budget_hit
@@ -213,38 +210,40 @@ def longest_mono_ell_path(
             best["edges"] = edges_so_far
             best["seq"] = list(seq)
         avail = col.n - used.bit_count()
-        if edges_so_far + avail // (k - ell) <= best["edges"]:
+        if edges_so_far + avail // step <= best["edges"]:
             stats["prunes"] += 1
             return 0
         key = (boundary, used)
         cached = memo.get(key)
         if cached is not None and edges_so_far + cached <= best["edges"]:
             return cached
+        exts = []
+        for r, emask, fresh in path_steps(cls, ranks, col.n, boundary, used, step):
+            for pick in combinations(fresh, fresh_pick):
+                interior = [v for v in fresh if v not in pick]
+                for arr in permutations(pick):
+                    exts.append((r, interior, arr, emask))
+        exts.sort()
         best_add = 0
-        for e, interior, arr in extensions(boundary, used):
-            add_used = used
-            for v in e:
-                add_used |= 1 << v
-            newb = tuple(boundary[k - ell:]) + arr
+        for _, interior, arr, emask in exts:
             seq.extend(interior)
             seq.extend(arr)
-            got = 1 + dfs(newb, add_used, edges_so_far + 1, seq)
-            del seq[len(seq) - (len(interior) + len(arr)):]
+            got = 1 + dfs(boundary[step:] + arr, used | emask, edges_so_far + 1, seq)
+            del seq[len(seq) - step:]
             best_add = max(best_add, got)
         if not budget_hit:
             memo[key] = best_add
         return best_add
 
-    for e in sorted(mono, key=lambda e: colex_rank(e)):
-        used = 0
-        for v in e:
-            used |= 1 << v
+    for r, e in enumerate(colex_subsets(k, col.n)):
+        if not cls >> r & 1:
+            continue
+        used = sum(1 << v for v in e)
         for bnd in permutations(e, ell):
             interior = sorted(v for v in e if v not in bnd)
-            seq = interior + list(bnd)
-            dfs(tuple(bnd), used, 1, seq)
+            dfs(bnd, used, 1, interior + list(bnd))
 
-    vertices = ell + best["edges"] * (k - ell)
+    vertices = ell + best["edges"] * step
     cert = Certificate(
         kind=f"{colour}_path",
         witness=list(best["seq"]),

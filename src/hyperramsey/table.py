@@ -5,7 +5,7 @@ Ramsey pairs against the general lower bound, the small tau values with both
 witness properties checked, the directed Ramsey values with the consecutive
 gap inequality, and the freeness of the four lower-bound colourings.  The
 output is a deterministic function of nothing but the code, so repeated runs
-are byte-identical regardless of the worker hint.
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -169,9 +169,7 @@ def suite_rows() -> list[dict]:
     ]
 
 
-def reproduction_table(jobs: int = 1) -> list[dict]:
-    # `jobs` is a worker hint only; every row is a deterministic function of
-    # the code, so the table is identical for any value
+def reproduction_table() -> list[dict]:
     rows = []
     rows.extend(ramsey_rows())
     rows.extend(tau_rows())

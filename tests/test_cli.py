@@ -159,15 +159,15 @@ class TestCheck:
 
 
 class TestTableDeterminism:
-    def test_byte_identical_runs_and_jobs(self, tmp_path):
-        # two invocations, plus --jobs 1 vs --jobs 8, all byte-identical
+    def test_byte_identical_runs(self, tmp_path):
+        # two invocations write byte-identical JSON
         outs = []
-        for i, jobs in enumerate(("1", "1", "8")):
+        for i in range(2):
             out = tmp_path / f"t{i}.json"
-            rc = main(["--jobs", jobs, "table", "--json-out", str(out)])
+            rc = main(["table", "--json-out", str(out)])
             assert rc == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]
 
     def test_text_mode_runs(self, capsys):
         assert main(["table"]) == 0

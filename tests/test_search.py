@@ -57,10 +57,11 @@ class TestLongestPath:
         n = rng.randint(4, 8)
         col = TwoColoring.random(3, n, rng.random(), seed=1000 + seed)
         for ell in (1, 2):
-            got, cert = longest_mono_ell_path(col, ell, RED)
-            assert got == naive_longest_mono_path(col, ell, RED)
-            if cert.detail["edges"]:
-                assert validate_mono_path(col, cert.witness, ell, RED)
+            for colour in (RED, BLUE):
+                got, cert = longest_mono_ell_path(col, ell, colour)
+                assert got == naive_longest_mono_path(col, ell, colour)
+                if cert.detail["edges"]:
+                    assert validate_mono_path(col, cert.witness, ell, colour)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_relabelling_invariance(self, seed):
@@ -74,10 +75,29 @@ class TestLongestPath:
             v2, _ = longest_mono_ell_path(col.relabel(perm), ell, RED)
             assert v1 == v2
 
+    def test_non_transitive_lb_pinned(self):
+        # the table's tight-path row: bound, witness and search counts
+        col = non_transitive_lb(3, 6).coloring
+        vertices, cert = longest_mono_ell_path(col, 2, RED)
+        assert vertices == 10
+        assert cert.witness == [6, 0, 1, 7, 2, 3, 8, 4, 5, 9]
+        assert cert.stats == {"nodes": 93720, "prunes": 0}
+        assert cert.detail["exact"] is True
+        assert validate_mono_path(col, cert.witness, 2, RED)
+
+    def test_loose_path_witness_order_pinned(self):
+        # a loose-path edge brings two fresh vertices, so the order of
+        # extensions (edge rank, interior, new boundary) decides the witness
+        col = TwoColoring.random(3, 7, 0.6, seed=0)
+        _, red = longest_mono_ell_path(col, 1, RED)
+        _, blue = longest_mono_ell_path(col, 1, BLUE)
+        assert (red.witness, red.stats) == ([2, 3, 0, 1, 4, 5, 6], {"nodes": 61, "prunes": 59})
+        assert (blue.witness, blue.stats) == ([1, 2, 0, 5, 3, 4, 6], {"nodes": 62, "prunes": 59})
+
     def test_inexact_flag_beyond_guard(self):
         col = TwoColoring.random(3, 9, 0.5, seed=0)
         _, cert = longest_mono_ell_path(col, 2, RED, guard=8)
-        assert cert.detail["exact"] in (False, True)  # budget may or may not bite
+        assert cert.detail["exact"] is False  # past the guard with no explicit budget
         _, cert_small = longest_mono_ell_path(col, 2, RED, guard=8, node_budget=10)
         assert cert_small.detail["exact"] is False
 
@@ -232,7 +252,7 @@ class TestGuardEnvironment:
         col = TwoColoring.all_red(3, 6)
         vertices, cert = longest_mono_ell_path(col, 2, RED)
         # beyond the guard the search runs budgeted and flags itself
-        assert cert.detail["exact"] in (False, True)
+        assert cert.detail["exact"] is False
         monkeypatch.delenv("HYPERRAMSEY_PATH_GUARD")
 
 
@@ -243,10 +263,11 @@ class TestHigherUniformity:
         n = rng.randint(5, 7)
         col = TwoColoring.random(4, n, rng.random(), seed=seed)
         for ell in (1, 2, 3):
-            got, cert = longest_mono_ell_path(col, ell, RED)
-            assert got == naive_longest_mono_path(col, ell, RED)
-            if cert.detail["edges"]:
-                assert validate_mono_path(col, cert.witness, ell, RED)
+            for colour in (RED, BLUE):
+                got, cert = longest_mono_ell_path(col, ell, colour)
+                assert got == naive_longest_mono_path(col, ell, colour)
+                if cert.detail["edges"]:
+                    assert validate_mono_path(col, cert.witness, ell, colour)
 
     def test_k4_embedding(self):
         col = TwoColoring.all_blue(4, 7)
