@@ -8,6 +8,8 @@ a spanning ell-path (or ell-cycle when the chain is closed).
 
 Intervals are stored as (start, length) pairs over the chain's index space;
 for closed chains the index space is cyclic and intervals may wrap.
+`chain_from_runs` is the one place that lays a chain out from vertex runs;
+every chain built or rebuilt here or in the engines goes through it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import BLUE, RED, TwoColoring
-from .search import Certificate, find_mono_clique
+from .search import Certificate, cycle_edges, find_mono_clique, path_edges
 
 OPEN = "open"
 CLOSED = "closed"
@@ -65,16 +67,63 @@ class CliqueChain:
         return {self.vertices[i] for i in self.junction_positions()}
 
 
+Run = tuple[list[int], bool]  # (vertices, whole)
+
+
+def chain_from_runs(kind: str, k: int, ell: int, runs: list[Run],
+                    flags: tuple[str, ...] = ()) -> CliqueChain:
+    """Lay out a chain from `(vertices, whole)` runs.
+
+    Each run begins with the last ell vertices of the previous run.  A whole
+    run becomes one element; any other run is split into its k-windows, one
+    every k-ell positions.  A closed chain's last run ends with the first
+    run's first ell vertices, which are not repeated in the vertex list.
+    Raises ValueError when a run breaks the boundary or a closed chain does
+    not wrap.
+    """
+    seq: list[int] = []
+    intervals: list[tuple[int, int]] = []
+    for verts, whole in runs:
+        verts = list(verts)
+        start = len(seq) - ell if seq else 0
+        if seq and verts[:ell] != seq[start:]:
+            raise ValueError("run does not begin with the previous run's last ell vertices")
+        if whole:
+            intervals.append((start, len(verts)))
+        else:
+            q = (len(verts) - ell) // (k - ell)
+            intervals.extend((start + i * (k - ell), k) for i in range(q))
+        seq.extend(verts[ell:] if seq else verts)
+    if kind == CLOSED:
+        if seq[len(seq) - ell:] != seq[:ell]:
+            raise ValueError("closed chain's last run does not wrap into its first")
+        del seq[len(seq) - ell:]
+    return CliqueChain(kind, k, ell, tuple(seq), tuple(intervals), flags)
+
+
+def replace_element(chain: CliqueChain, j: int, runs: list[Run], flag: str) -> CliqueChain:
+    """`chain` with element j replaced by the given runs, flagged with `flag`.
+
+    An open chain keeps its element order and its other elements whole.  A
+    closed chain is re-rooted at element j+1 so the replacement sits at the
+    wrap; there an element is kept whole only when flexible (a rigid element
+    is split into its windows).  The result is not validated.
+    """
+    d = len(chain.intervals)
+    if chain.kind == OPEN:
+        kept = [(chain.element_vertices(jj), True) for jj in range(d)]
+        out = kept[:j] + list(runs) + kept[j + 1:]
+    else:
+        order = [(j + step) % d for step in range(1, d)]
+        out = [(chain.element_vertices(jj), chain.is_flexible(jj)) for jj in order] + list(runs)
+    return chain_from_runs(chain.kind, chain.k, chain.ell, out, chain.flags + (flag,))
+
+
 def chain_from_sequence(kind: str, k: int, ell: int, seq: list[int]) -> CliqueChain:
     """The chain whose elements are exactly the edge windows of an ell-path or
     ell-cycle vertex sequence."""
-    p = len(seq)
-    if kind == OPEN:
-        q = (p - ell) // (k - ell)
-    else:
-        q = p // (k - ell)
-    intervals = tuple((i * (k - ell), k) for i in range(q))
-    return CliqueChain(kind, k, ell, tuple(seq), intervals)
+    run = list(seq) + list(seq[:ell]) if kind == CLOSED else list(seq)
+    return chain_from_runs(kind, k, ell, [(run, False)])
 
 
 def validate_chain(chain: CliqueChain, coloring: TwoColoring | None = None) -> Certificate:
@@ -103,29 +152,20 @@ def validate_chain(chain: CliqueChain, coloring: TwoColoring | None = None) -> C
         if length > p:
             problems.append(f"interval {j}: longer than the chain")
     if not problems:
-        # consecutive overlaps of exactly ell, in order, covering everything
-        if chain.kind == OPEN:
-            if chain.intervals[0][0] != 0:
-                problems.append("interval 0 must start at position 0")
-            for j in range(1, d):
-                prev_s, prev_len = chain.intervals[j - 1]
-                if chain.intervals[j][0] != prev_s + prev_len - ell:
-                    problems.append(f"interval {j}: junction overlap is not exactly ell")
-            if not problems:
-                last_s, last_len = chain.intervals[-1]
-                if last_s + last_len != p:
-                    problems.append("intervals do not cover the chain")
-        else:
-            if chain.intervals[0][0] != 0:
-                problems.append("interval 0 must start at position 0")
-            for j in range(1, d):
-                prev_s, prev_len = chain.intervals[j - 1]
-                if chain.intervals[j][0] != prev_s + prev_len - ell:
-                    problems.append(f"interval {j}: junction overlap is not exactly ell")
-            if not problems:
-                last_s, last_len = chain.intervals[-1]
-                if last_s + last_len - ell != p:
-                    problems.append("cyclic closure overlap is not exactly ell")
+        # consecutive overlaps of exactly ell, in order, covering everything;
+        # a closed chain's last interval also overlaps the first in ell
+        if chain.intervals[0][0] != 0:
+            problems.append("interval 0 must start at position 0")
+        for j in range(1, d):
+            prev_s, prev_len = chain.intervals[j - 1]
+            if chain.intervals[j][0] != prev_s + prev_len - ell:
+                problems.append(f"interval {j}: junction overlap is not exactly ell")
+        if not problems:
+            last_s, last_len = chain.intervals[-1]
+            if chain.kind == OPEN and last_s + last_len != p:
+                problems.append("intervals do not cover the chain")
+            if chain.kind == CLOSED and last_s + last_len - ell != p:
+                problems.append("cyclic closure overlap is not exactly ell")
     red_failures = []
     if coloring is not None and not problems:
         for j in range(d):
@@ -161,15 +201,9 @@ def spanning_path(chain: CliqueChain) -> tuple[list[int], list[tuple[int, ...]]]
     cert = validate_chain(chain)
     if not cert.detail["valid"]:
         raise ValueError(f"invalid chain: {cert.detail['problems']}")
-    k, ell, p = chain.k, chain.ell, chain.p
     seq = list(chain.vertices)
-    if chain.kind == OPEN:
-        q = (p - ell) // (k - ell)
-        edges = [tuple(seq[i * (k - ell): i * (k - ell) + k]) for i in range(q)]
-    else:
-        q = p // (k - ell)
-        edges = [tuple(seq[(i * (k - ell) + j) % p] for j in range(k)) for i in range(q)]
-    return seq, edges
+    edges = path_edges if chain.kind == OPEN else cycle_edges
+    return seq, edges(seq, chain.k, chain.ell)
 
 
 def cut_open(chain: CliqueChain) -> CliqueChain:
@@ -181,7 +215,7 @@ def cut_open(chain: CliqueChain) -> CliqueChain:
     """
     if chain.kind == OPEN:
         return chain
-    k, ell, p = chain.k, chain.ell, chain.p
+    k, ell = chain.k, chain.ell
     d = len(chain.intervals)
 
     def min_part() -> int:
@@ -190,10 +224,14 @@ def cut_open(chain: CliqueChain) -> CliqueChain:
             length += 1
         return length
 
+    def others(j: int) -> list[Run]:
+        """Elements j+1, ..., j-1 in cyclic order, each kept whole."""
+        return [(chain.element_vertices((j + step) % d), True) for step in range(1, d)]
+
     base = min_part()
     candidates = sorted(range(d), key=lambda j: -chain.intervals[j][1])
     for j in candidates:
-        s, length = chain.intervals[j]
+        length = chain.intervals[j][1]
         # left part anchored at the element start, right part at its end
         left = (length // 2 - base) // (k - ell) * (k - ell) + base if length // 2 >= base else None
         if left is None:
@@ -203,35 +241,11 @@ def cut_open(chain: CliqueChain) -> CliqueChain:
         if right is None:
             continue
         discard = length - left - right
-        # rotate so the right part opens the chain and the left part ends it
-        cut_start = (s + length - right) % p
-        order = [(cut_start + i) % p for i in range(right)]
-        pos_map = {}
-        new_vertices = []
-        for i in order:
-            pos_map[i] = len(new_vertices)
-            new_vertices.append(chain.vertices[i])
-        intervals = [(0, right)]
-        cursor = right - ell
-        for step in range(1, d):
-            jj = (j + step) % d
-            length_jj = chain.intervals[jj][1]
-            start_jj = chain.intervals[jj][0]
-            for i in range(length_jj):
-                ip = (start_jj + i) % p
-                if ip not in pos_map:
-                    pos_map[ip] = len(new_vertices)
-                    new_vertices.append(chain.vertices[ip])
-            intervals.append((cursor, length_jj))
-            cursor += length_jj - ell
-        for i in range(left):
-            ip = (s + i) % p
-            if ip not in pos_map:
-                pos_map[ip] = len(new_vertices)
-                new_vertices.append(chain.vertices[ip])
-        intervals.append((cursor, left))
-        out = CliqueChain(OPEN, k, ell, tuple(new_vertices), tuple(intervals),
-                          flags=chain.flags + (f"cut-open:element={j},discarded={discard}",))
+        # the right part opens the chain and the left part ends it
+        elem = chain.element_vertices(j)
+        runs = [(elem[length - right:], True)] + others(j) + [(elem[:left], True)]
+        out = chain_from_runs(OPEN, k, ell, runs,
+                              flags=chain.flags + (f"cut-open:element={j},discarded={discard}",))
         cert = validate_chain(out)
         if cert.detail["valid"]:
             return out
@@ -239,22 +253,8 @@ def cut_open(chain: CliqueChain) -> CliqueChain:
     # junction vertices inside the neighbouring elements
     if d >= 2:
         j = min(range(d), key=lambda jj: (chain.intervals[jj][1], jj))
-        new_vertices = []
-        pos_map = {}
-        intervals = []
-        cursor = 0
-        for step in range(1, d):
-            jj = (j + step) % d
-            s_jj, len_jj = chain.intervals[jj]
-            for i in range(len_jj):
-                ip = (s_jj + i) % p
-                if ip not in pos_map:
-                    pos_map[ip] = len(new_vertices)
-                    new_vertices.append(chain.vertices[ip])
-            intervals.append((cursor, len_jj))
-            cursor += len_jj - ell
-        out = CliqueChain(OPEN, k, ell, tuple(new_vertices), tuple(intervals),
-                          flags=chain.flags + (f"cut-open:dropped-element={j}",))
+        out = chain_from_runs(OPEN, k, ell, others(j),
+                              flags=chain.flags + (f"cut-open:dropped-element={j}",))
         cert = validate_chain(out)
         if cert.detail["valid"]:
             return out
@@ -674,9 +674,9 @@ def assemble_chains(col: TwoColoring, blocks: list[tuple[int, ...]],
             if length < k:
                 trivial.append(i)
                 continue
-            verts = tuple(sorted(block)[:length])
-            chains.append(CliqueChain(OPEN, k, ell, verts, ((0, length),),
-                                      flags=(f"trivial-single-block:{i}",)))
+            verts = sorted(block)[:length]
+            chains.append(chain_from_runs(OPEN, k, ell, [(verts, True)],
+                                          flags=(f"trivial-single-block:{i}",)))
             used_global.update(verts)
             trivial.append(i)
             continue
@@ -721,17 +721,13 @@ def assemble_chains(col: TwoColoring, blocks: list[tuple[int, ...]],
         extras: dict[int, list[int]] = {}
         for blk, j in inflate_at.items():
             room = [v for v in blocks[blk] if v not in used]
-            base_len = len(junctions[j])
             add = (len(room) // (k - ell)) * (k - ell)
-            target = base_len + add
             take = room[:add]
             extras[j] = take
             used.update(take)
 
-        # build the cyclic vertex sequence, anchored at the first junction
-        # path: every later segment shares its first ell vertices with the
-        # previous segment's tail, and the final connector wraps into the
-        # anchor's first ell vertices
+        # the cyclic run list starts at the first junction path; the final
+        # connector wraps into its first ell vertices
         inflated_js = set(inflate_at.values())
 
         def junction_element(j: int) -> list[int]:
@@ -741,38 +737,16 @@ def assemble_chains(col: TwoColoring, blocks: list[tuple[int, ...]],
                 return list(jp[:ell]) + middle + list(jp[len(jp) - ell:])
             return list(jp)
 
-        segments: list[tuple[list[int], bool]] = []  # (vertex run, is one flexible element)
+        runs: list[Run] = []  # an inflated junction is one flexible element
         for j in range(b):
-            segments.append((junction_element(j), j in inflated_js))
-            segments.append((list(conns[j]), False))
-
-        seq: list[int] = list(segments[0][0])
-        intervals: list[tuple[int, int]] = []
-        if segments[0][1]:
-            intervals.append((0, len(seq)))
-        else:
-            q = (len(seq) - ell) // (k - ell)
-            intervals.extend((i * (k - ell), k) for i in range(q))
-        cursor = len(seq)
-        for idx in range(1, len(segments)):
-            run, flexible = segments[idx]
-            base = cursor - ell
-            if flexible:
-                intervals.append((base, len(run)))
-            else:
-                q = (len(run) - ell) // (k - ell)
-                intervals.extend((base + i * (k - ell), k) for i in range(q))
-            if idx == len(segments) - 1:
-                seq.extend(run[ell: len(run) - ell])  # tail wraps into the anchor
-            else:
-                seq.extend(run[ell:])
-            cursor += len(run) - ell
-        chain = CliqueChain(CLOSED, k, ell, tuple(seq), tuple(intervals))
+            runs.append((junction_element(j), j in inflated_js))
+            runs.append((list(conns[j]), False))
+        chain = chain_from_runs(CLOSED, k, ell, runs)
         cert = validate_chain(chain, col)
         if not cert.detail["valid"]:
             raise AssertionError(f"assembled chain failed validation: {cert.detail['problems']}")
         chains.append(chain)
-        used_global.update(seq)
+        used_global.update(chain.vertices)
 
     all_block_vertices = {v for b in blocks for v in b}
     leftover = tuple(sorted(all_block_vertices - used_global))

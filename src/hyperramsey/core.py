@@ -108,9 +108,6 @@ class Hypergraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def edge_set(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(e) for e in self.edges)
-
     def degrees(self) -> list[int]:
         deg = [0] * self.n
         for e in self.edges:
@@ -179,7 +176,7 @@ def ell_cycle(k: int, ell: int, n: int) -> Hypergraph:
 def fano() -> Hypergraph:
     """The 7-point plane from the cyclic difference set {0,1,3} mod 7.
 
-    The constructor asserts that every pair of points lies in exactly one
+    The constructor checks that every pair of points lies in exactly one
     line, so any correct line set is interchangeable with this one.
     """
     lines = [tuple(sorted(((i + d) % 7 for d in (0, 1, 3)))) for i in range(7)]
@@ -188,7 +185,8 @@ def fano() -> Hypergraph:
     for e in hg.edges:
         for pair in combinations(e, 2):
             cover[pair] += 1
-    assert all(c == 1 for c in cover.values()), "pair coverage violated"
+    if any(c != 1 for c in cover.values()):
+        raise AssertionError("pair coverage violated")
     return hg
 
 
@@ -271,14 +269,6 @@ RED = "red"
 BLUE = "blue"
 
 
-def opposite(colour: str) -> str:
-    if colour == RED:
-        return BLUE
-    if colour == BLUE:
-        return RED
-    raise ValueError(f"unknown colour {colour!r}")
-
-
 @dataclass(frozen=True)
 class TwoColoring:
     """A red/blue colouring of all k-subsets of [n]: bit r set = edge of rank r is red."""
@@ -313,9 +303,6 @@ class TwoColoring:
     def is_red(self, edge: Iterable[int]) -> bool:
         return bool(self.red_bits >> self.rank(edge) & 1)
 
-    def colour_of(self, edge: Iterable[int]) -> str:
-        return RED if self.is_red(edge) else BLUE
-
     def has_colour(self, edge: Iterable[int], colour: str) -> bool:
         return self.is_red(edge) == (colour == RED)
 
@@ -326,9 +313,6 @@ class TwoColoring:
         subs = colex_subsets(self.k, self.n)
         want_red = colour == RED
         return [s for r, s in enumerate(subs) if bool(self.red_bits >> r & 1) == want_red]
-
-    def mono_subgraph(self, colour: str) -> Hypergraph:
-        return Hypergraph(self.k, self.n, tuple(self.edges_of(colour)))
 
     def relabel(self, perm: Sequence[int]) -> "TwoColoring":
         ranks = self._ranks
@@ -426,7 +410,8 @@ def ramsey_profile(hg: Hypergraph, max_vertices: int | None = None) -> RamseyPro
         if next(_proper_colourings(hg, c), None) is not None:
             chi = c
             break
-    assert chi is not None  # colouring every vertex differently is always proper
+    if chi is None:  # colouring every vertex differently is always proper
+        raise AssertionError(f"no proper colouring of {hg.n} vertices found")
     best_sigma = None
     best_witness = None
     for assignment in _proper_colourings(hg, chi):

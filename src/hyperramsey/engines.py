@@ -8,6 +8,10 @@ dichotomy).  The quantitative thresholds that make these moves always succeed
 at asymptotic scale are configuration parameters here; the engines are judged
 on soundness: every emitted witness re-validates, and a stall report saying
 which dichotomy failed is a legitimate outcome at desk scale.
+
+Every move that changes a chain (segment splice, endpoint extension,
+shrinking, absorption) rebuilds it with `chains.replace_element` and
+validates the result itself.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ from .chains import (
     CLOSED,
     OPEN,
     CliqueChain,
+    Run,
     clique_partition,
     cut_open,
     build_path_system,
     assemble_chains,
+    replace_element,
     spanning_path,
     validate_chain,
 )
@@ -486,38 +492,14 @@ def _flexible_interior(chain: CliqueChain, j: int) -> list[int]:
     return [chain.vertices[i] for i in chain.element_positions(j) if i not in spine]
 
 
-class _ChainBuilder:
-    """Rebuilds an open chain element by element; consecutive elements must
-    share their boundary ell vertices."""
-
-    def __init__(self, k: int, ell: int):
-        self.k = k
-        self.ell = ell
-        self.vertices: list[int] = []
-        self.intervals: list[tuple[int, int]] = []
-
-    def push(self, verts: list[int]) -> None:
-        ell = self.ell
-        if self.vertices:
-            if list(verts[:ell]) != self.vertices[-ell:]:
-                raise AssertionError("element does not continue the previous boundary")
-            start = len(self.vertices) - ell
-            self.vertices.extend(verts[ell:])
-        else:
-            start = 0
-            self.vertices.extend(verts)
-        self.intervals.append((start, len(verts)))
-
-    def chain(self, flags: tuple[str, ...] = ()) -> CliqueChain:
-        return CliqueChain(OPEN, self.k, self.ell, tuple(self.vertices),
-                           tuple(self.intervals), flags=flags)
-
-
 def _splice_segments_into_chain(col: TwoColoring, chain: CliqueChain, j: int,
                                 segments: list[list[int]]) -> CliqueChain | None:
     """Insert red loose-path segments (each with both endpoints in flexible
     element j's interior, otherwise disjoint from the chain) into an open
-    loose chain, linked through the element by fresh in-block edges."""
+    loose chain, linked through the element by fresh in-block edges.
+
+    Element j becomes one whole run per link, each segment split into its
+    edges, and a whole residue run; None when the result is not valid."""
     k, ell = chain.k, chain.ell
     if ell != 1 or chain.kind != OPEN:
         raise ValueError("segment splice is for open loose chains")
@@ -532,7 +514,7 @@ def _splice_segments_into_chain(col: TwoColoring, chain: CliqueChain, j: int,
     seg_vertices = {v for seg in segments for v in seg}
     pool = [v for v in interior if v not in seg_vertices]
 
-    runs: list[list[int]] = []
+    runs: list[Run] = []
     prev_end = v0
     used_pool = 0
     for seg in segments:
@@ -544,9 +526,8 @@ def _splice_segments_into_chain(col: TwoColoring, chain: CliqueChain, j: int,
         if len(fresh) < need:
             return None
         used_pool += need
-        runs.append(([prev_end] if prev_end is not None else []) + fresh + [enter])
-        for i in range((len(seg) - 1) // (k - 1)):
-            runs.append(list(seg[i * (k - 1): i * (k - 1) + k]))
+        runs.append((([prev_end] if prev_end is not None else []) + fresh + [enter], True))
+        runs.append((list(seg), False))
         prev_end = leave
     remaining = pool[used_pool:]
     residue = [prev_end] + remaining + ([v0_prime] if v0_prime is not None else [])
@@ -556,15 +537,8 @@ def _splice_segments_into_chain(col: TwoColoring, chain: CliqueChain, j: int,
     if len(residue) < k:
         return None
 
-    builder = _ChainBuilder(k, ell)
-    for jj in range(len(chain.intervals)):
-        if jj == j:
-            for run in runs:
-                builder.push(run)
-            builder.push(residue)
-        else:
-            builder.push(chain.element_vertices(jj))
-    out = builder.chain(flags=chain.flags + (f"segment-splice:element={j},segments={len(segments)}",))
+    out = replace_element(chain, j, runs + [(residue, True)],
+                          f"segment-splice:element={j},segments={len(segments)}")
     cert = validate_chain(out, col)
     if not cert.detail["valid"]:
         return None
@@ -575,12 +549,11 @@ def _prepend_edge_to_chain(col: TwoColoring, chain: CliqueChain, edge: tuple[int
                            at_start: bool) -> CliqueChain | None:
     """Extend an open loose chain by one red edge sharing exactly one vertex
     with the flexible end element; the end element is reordered so the shared
-    vertex sits at its boundary."""
-    k, ell = chain.k, chain.ell
-    if ell != 1 or chain.kind != OPEN:
+    vertex sits at its boundary, and the edge becomes a new end element.
+    None when the result is not valid."""
+    if chain.ell != 1 or chain.kind != OPEN:
         raise ValueError("edge extension is for open loose chains")
-    d = len(chain.intervals)
-    j = 0 if at_start else d - 1
+    j = 0 if at_start else len(chain.intervals) - 1
     elem = chain.element_vertices(j)
     inner_junction = elem[-1] if at_start else elem[0]
     outer = [v for v in elem if v != inner_junction]
@@ -591,72 +564,19 @@ def _prepend_edge_to_chain(col: TwoColoring, chain: CliqueChain, edge: tuple[int
     rest = sorted(v for v in edge if v != s)
     reordered = [s] + [v for v in outer if v != s] + [inner_junction] if at_start \
         else [inner_junction] + [v for v in outer if v != s] + [s]
-    builder = _ChainBuilder(k, ell)
-    if at_start:
-        builder.push(rest + [s])
-        builder.push(reordered)
-        for jj in range(1, d):
-            builder.push(chain.element_vertices(jj))
-    else:
-        for jj in range(d - 1):
-            builder.push(chain.element_vertices(jj))
-        builder.push(reordered)
-        builder.push([s] + rest)
-    out = builder.chain(flags=chain.flags + (f"end-extension:{'start' if at_start else 'end'}",))
+    runs = [(rest + [s], True), (reordered, True)] if at_start \
+        else [(reordered, True), ([s] + rest, True)]
+    out = replace_element(chain, j, runs, f"end-extension:{'start' if at_start else 'end'}")
     cert = validate_chain(out, col)
     if not cert.detail["valid"]:
         return None
     return out
 
 
-def _build_closed(col: TwoColoring, k: int, ell: int,
-                  runs: list[tuple[list[int], bool]], flags: tuple[str, ...] = ()) -> CliqueChain:
-    """Assemble a closed chain from cyclically overlapping element runs; each
-    run shares its first ell vertices with the previous run's tail and the
-    last run's tail wraps into the first run's head."""
-    seq: list[int] = list(runs[0][0])
-    intervals: list[tuple[int, int]] = [(0, len(seq))] if runs[0][1] else []
-    if not runs[0][1]:
-        q = (len(seq) - ell) // (k - ell)
-        intervals.extend((i * (k - ell), k) for i in range(q))
-    cursor = len(seq)
-    for idx in range(1, len(runs)):
-        run, flexible = runs[idx]
-        base = cursor - ell
-        if flexible:
-            intervals.append((base, len(run)))
-        else:
-            q = (len(run) - ell) // (k - ell)
-            intervals.extend((base + i * (k - ell), k) for i in range(q))
-        if idx == len(runs) - 1:
-            seq.extend(run[ell: len(run) - ell])
-        else:
-            seq.extend(run[ell:])
-        cursor += len(run) - ell
-    chain = CliqueChain(CLOSED, k, ell, tuple(seq), tuple(intervals), flags=flags)
-    cert = validate_chain(chain, col)
-    if not cert.detail["valid"]:
-        raise AssertionError(f"closed rebuild failed: {cert.detail['problems']}")
-    return chain
-
-
-def _replace_element_closed(col: TwoColoring, chain: CliqueChain, j: int,
-                            replacement: list[tuple[list[int], bool]],
-                            flag: str) -> CliqueChain:
-    """Replace element j of a closed chain by the given runs (cyclic rebuild
-    rooted at element j+1 so the replacement sits at the wrap)."""
-    d = len(chain.intervals)
-    runs: list[tuple[list[int], bool]] = []
-    for step in range(1, d):
-        jj = (j + step) % d
-        runs.append((chain.element_vertices(jj), chain.is_flexible(jj)))
-    runs.extend(replacement)
-    return _build_closed(col, chain.k, chain.ell, runs, flags=chain.flags + (flag,))
-
-
 def _shrink_closed_chain(col: TwoColoring, chain: CliqueChain, target: int) -> CliqueChain | None:
     """Remove interior vertices of flexible elements, (k-ell) at a time, until
-    the chain has exactly `target` vertices."""
+    the chain has exactly `target` vertices.  Each step re-roots the closed
+    chain at the next element (see `replace_element`) and must validate."""
     k, ell = chain.k, chain.ell
     cur = chain
     while cur.p > target:
@@ -669,8 +589,11 @@ def _shrink_closed_chain(col: TwoColoring, chain: CliqueChain, target: int) -> C
         if len(elem) - (k - ell) < k:
             return None
         new_elem = [v for v in elem if v not in drop]
-        cur = _replace_element_closed(col, cur, j, [(new_elem, len(new_elem) > max(k, 2 * ell))],
-                                      f"shrink:element={j}")
+        cur = replace_element(cur, j, [(new_elem, len(new_elem) > max(k, 2 * ell))],
+                              f"shrink:element={j}")
+        cert = validate_chain(cur, col)
+        if not cert.detail["valid"]:
+            raise AssertionError(f"closed rebuild failed: {cert.detail['problems']}")
     return cur if cur.p == target else None
 
 
@@ -1095,7 +1018,6 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
         flex = sorted(work.flexible_elements(), key=lambda j: -work.intervals[j][1])
         absorbed = False
         for j in flex:
-            d_elems = len(work.intervals)
             elem = work.element_vertices(j)
             x_pair, y_pair = elem[:2], elem[-2:]
             interior = elem[2:-2]
@@ -1156,22 +1078,10 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
             tail = [v for v in interior if v not in path]
             full = path + tail
             run = list(x_pair) + full + list(y_pair)
-            windows = [(run[i: i + 3], False) for i in range(len(run) - 2)]
-            if work.kind == CLOSED:
-                new_work = _replace_element_closed(col, work, j, windows,
-                                                   f"absorb:element={j}")
-            else:
-                builder = _ChainBuilder(3, 2)
-                for jj in range(d_elems):
-                    if jj == j:
-                        for w, _ in windows:
-                            builder.push(list(w))
-                    else:
-                        builder.push(work.element_vertices(jj))
-                new_work = builder.chain(flags=work.flags + (f"absorb:element={j}",))
-                cert = validate_chain(new_work, col)
-                if not cert.detail["valid"]:
-                    raise AssertionError(f"open absorption rebuild failed: {cert.detail['problems']}")
+            new_work = replace_element(work, j, [(run, False)], f"absorb:element={j}")
+            cert = validate_chain(new_work, col)
+            if not cert.detail["valid"]:
+                raise AssertionError(f"absorption rebuild failed: {cert.detail['problems']}")
             log.append(f"round {round_no}: absorbed {len(full) - len(interior)} vertices "
                        f"at element {j} (chain {work.p} -> {new_work.p})")
             work = new_work

@@ -399,7 +399,6 @@ def _contains_tt_through_last(arcs_out: list[int], n: int, chi: int) -> bool:
     so the search intersects out-neighbourhood masks.
     """
     last = n - 1
-    out_mask = arcs_out
     found = False
 
     def rec(order_len: int, candidates: int, contains_last: bool):
@@ -419,7 +418,7 @@ def _contains_tt_through_last(arcs_out: list[int], n: int, chi: int) -> bool:
             low = c & -c
             v = low.bit_length() - 1
             c ^= low
-            rec(order_len + 1, candidates & out_mask[v], contains_last or v == last)
+            rec(order_len + 1, candidates & arcs_out[v], contains_last or v == last)
 
     rec(0, (1 << n) - 1, False)
     return found
@@ -448,9 +447,7 @@ def _ttfree_tournament_exists(chi: int, order: int, stats: dict) -> Tournament |
             # bit u of pattern set = arc v -> u
             arcs_out[v] = pattern
             for u in range(v):
-                if pattern >> u & 1:
-                    pass
-                else:
+                if not pattern >> u & 1:
                     arcs_out[u] |= 1 << v
             if not _contains_tt_through_last(arcs_out, v + 1, chi):
                 if rec(v + 1):

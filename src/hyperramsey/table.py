@@ -120,6 +120,11 @@ def dramsey_rows() -> list[dict]:
     return rows
 
 
+def _exact(*certs) -> bool:
+    """A certificate without an exact flag carries a found witness, which is exact."""
+    return all(c.detail.get("exact", True) for c in certs)
+
+
 def freeness_rows() -> list[dict]:
     rows = []
 
@@ -127,29 +132,29 @@ def freeness_rows() -> list[dict]:
     cert = verify_free(inst.coloring, "path:3:2:8", complete_hypergraph(3, 4))
     rows.append({"row": "freeness", "instance": "ell_path_lb(3,2,8,2)", "n": inst.n,
                  "red_pattern": "path:3:2:8", "blue_target": "clique:3:4",
-                 "free": cert.kind == "free"})
+                 "free": cert.kind == "free", "exact": _exact(cert)})
 
     inst = non_transitive_lb(3, 6)
-    vmax, _ = longest_mono_ell_path(inst.coloring, 2, "red")
+    vmax, path = longest_mono_ell_path(inst.coloring, 2, "red")
     target, _ = tournament_hypergraph(Tournament.cyclic_triangle(), 3)
     blue = find_mono_copy(inst.coloring, target, "blue")
     rows.append({"row": "freeness", "instance": "non_transitive_lb(3,6)", "n": inst.n,
                  "longest_red_tight_path": vmax, "bound": 10,
                  "red_ok": vmax <= 10, "blue_target": "H(C3,3)",
-                 "free": vmax <= 10 and not blue.found})
+                 "free": vmax <= 10 and not blue.found, "exact": _exact(path, blue)})
 
     aux = tau_lower_construction(2, 3)
     inst = loose_path_lb(3, 2, 11, 3, aux)
     cert = verify_free(inst.coloring, "path:3:1:11", inst.blue_target)
     rows.append({"row": "freeness", "instance": "loose_path_lb(3,2,11,3)", "n": inst.n,
                  "red_pattern": "path:3:1:11", "blue_target": "split(6,3)",
-                 "free": cert.kind == "free"})
+                 "free": cert.kind == "free", "exact": _exact(cert)})
 
     inst = loose_cycle_lb(3, 2, 6, 2, "pencil", q=2)
     cert = verify_free(inst.coloring, "cycle:3:1:6", inst.blue_target)
     rows.append({"row": "freeness", "instance": "loose_cycle_lb(3,2,6,2,pencil,q=2)", "n": inst.n,
                  "red_pattern": "cycle:3:1:6", "blue_target": "split(4,2)",
-                 "free": cert.kind == "free"})
+                 "free": cert.kind == "free", "exact": _exact(cert)})
     return rows
 
 
@@ -211,5 +216,6 @@ def render_text(rows: list[dict]) -> str:
             case = row["instance"]
             result = "free" if row["free"] else "NOT"
             ok = row["free"]
-        lines.append(f"{kind:10} {case:42} {result:>8}  {'pass' if ok else 'FAIL'}")
+        status = "INEXACT" if row.get("exact") is False else "pass" if ok else "FAIL"
+        lines.append(f"{kind:10} {case:42} {result:>8}  {status}")
     return "\n".join(lines)

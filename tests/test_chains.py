@@ -15,10 +15,12 @@ from hyperramsey.chains import (
     CliqueChain,
     assemble_chains,
     build_path_system,
+    chain_from_runs,
     chain_from_sequence,
     clique_partition,
     cut_open,
     double_tree_walk,
+    replace_element,
     spanning_path,
     validate_chain,
 )
@@ -159,6 +161,71 @@ class TestCutOpen:
         assert opened.kind == OPEN
         assert validate_chain(opened, col).detail["valid"]
         assert opened.p < chain.p  # the dropped element's interior is lost
+
+
+class TestChainFromRuns:
+    def test_whole_and_windowed_runs(self):
+        chain = chain_from_runs(OPEN, 3, 1, [([0, 1, 2, 3, 4], True), ([4, 5, 6, 7, 8], False)])
+        assert chain.vertices == tuple(range(9))
+        assert chain.intervals == ((0, 5), (4, 3), (6, 3))
+
+    def test_closed_drops_the_wrap(self):
+        chain = chain_from_runs(CLOSED, 3, 2, [([0, 1, 2, 3], True), ([2, 3, 0, 1], True)])
+        assert chain.vertices == (0, 1, 2, 3)
+        assert chain.intervals == ((0, 4), (2, 4))
+        assert validate_chain(chain, TwoColoring.all_red(3, 4)).detail["valid"]
+
+    def test_rejects_broken_boundary(self):
+        with pytest.raises(ValueError):
+            chain_from_runs(OPEN, 3, 1, [([0, 1, 2], True), ([3, 4, 5], True)])
+
+    def test_rejects_closed_without_wrap(self):
+        with pytest.raises(ValueError):
+            chain_from_runs(CLOSED, 3, 1, [([0, 1, 2], True), ([2, 3, 4], True)])
+
+    def test_replace_element_reroots_a_closed_chain(self):
+        chain = CliqueChain(CLOSED, 3, 1, tuple(range(10)), ((0, 3), (2, 5), (6, 5)))
+        out = replace_element(chain, 1, [([2, 3, 6], True)], "test")
+        # rooted at element 2, then element 0 (rigid, so windowed), then the run
+        assert out.vertices == (6, 7, 8, 9, 0, 1, 2, 3)
+        assert out.intervals == ((0, 5), (4, 3), (6, 3))
+        assert out.flags == ("test",)
+
+
+# chains assembled from seeded colourings (k = 3, red blocks from
+# clique_partition(col, block, 6), path system with alpha = 2), and their
+# cut_open results, as laid out before chain_from_runs existed
+PINNED_LAYOUTS = [
+    # ell = 1, cut_open has no splittable element and drops element 0
+    ((13, 0.95, 6, 668083020), 1,
+     ((0, 3, 1, 5, 7, 9, 10, 11, 4, 2), ((0, 3), (2, 3), (4, 5), (8, 3))),
+     ((1, 5, 7, 9, 10, 11, 4, 2, 0), ((0, 3), (2, 5), (6, 3)), "cut-open:dropped-element=0")),
+    # ell = 2, cut_open splits element 0
+    ((13, 0.95, 6, 668083020), 2,
+     ((1, 0, 5, 8, 2, 3, 7, 10, 11, 12, 4, 9),
+      ((0, 6), (4, 3), (5, 3), (6, 6), (10, 3), (11, 3))),
+     ((8, 2, 3, 7, 10, 11, 12, 4, 9, 1, 0, 5),
+      ((0, 3), (1, 3), (2, 3), (3, 6), (7, 3), (8, 3), (9, 3)),
+      "cut-open:element=0,discarded=0")),
+    # ell = 1, cut_open splits element 2 and discards one vertex
+    ((15, 0.95, 7, 3575666330), 1,
+     ((0, 5, 7, 9, 1, 3, 6, 8, 10, 12, 13, 14, 4, 2), ((0, 5), (4, 3), (6, 7), (12, 3))),
+     ((13, 14, 4, 2, 0, 5, 7, 9, 1, 3, 6, 8, 10), ((0, 3), (2, 3), (4, 5), (8, 3), (10, 3)),
+      "cut-open:element=2,discarded=1")),
+]
+
+
+@pytest.mark.parametrize("instance, ell, closed, opened", PINNED_LAYOUTS)
+def test_assembly_and_cut_open_layouts_pinned(instance, ell, closed, opened):
+    n, density, block, seed = instance
+    col = TwoColoring.random(3, n, density, seed=seed)
+    blocks = clique_partition(col, block, 6).red_blocks()
+    system = build_path_system(col, blocks, ell=ell, alpha=2, epsilon=0.25)
+    report = assemble_chains(col, blocks, system)
+    assert [(c.kind, c.vertices, c.intervals) for c in report.chains] == [(CLOSED, *closed)]
+    cut = cut_open(report.chains[0])
+    assert (cut.kind, cut.vertices, cut.intervals, cut.flags) == (OPEN, *opened[:2], (opened[2],))
+    assert validate_chain(cut, col).detail["valid"]
 
 
 class TestCliquePartition:

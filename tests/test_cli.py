@@ -175,6 +175,17 @@ class TestTableDeterminism:
         assert "pass" in text and "FAIL" not in text
 
 
+    def test_guarded_freeness_rows_are_inexact(self, monkeypatch):
+        # past the path guard two freeness searches are budgeted: their rows
+        # must say so rather than print a plain pass
+        from hyperramsey.table import freeness_rows, render_text
+        monkeypatch.setenv("HYPERRAMSEY_PATH_GUARD", "4")
+        rows = freeness_rows()
+        assert [r["exact"] for r in rows] == [False, False, True, True]
+        status = [line.split()[-1] for line in render_text(rows).splitlines()[2:]]
+        assert status == ["INEXACT", "INEXACT", "pass", "pass"]
+
+
 class TestGuardExit:
     def test_enumeration_ceiling_exit_2(self, capsys):
         # the pair resolves past the enumeration ceiling: n = 8 needs

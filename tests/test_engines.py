@@ -409,6 +409,48 @@ class TestTightEngineDichotomies:
             assert validate_mono_path(col, rep.certificate.witness, 2, RED)
 
 
+class TestClosedChainRebuilds:
+    # closed-chain absorption used to append the element's last-but-one
+    # boundary vertex twice and die on "vertex list has repeats"
+    @pytest.mark.parametrize("n, density, seed, n_target", [
+        (24, 0.9, 3368424626, 20),
+        (22, 0.95, 4258021881, 18),
+    ])
+    def test_closed_absorption_returns_a_report(self, n, density, seed, n_target):
+        col = TwoColoring.random(3, n, density, seed=seed)
+        rep = tight_witness_engine(col, 2, 2, EngineParams(n_target=n_target, block_size=8))
+        assert any("absorbed" in line for line in rep.log)
+        assert rep.outcome in ("red_witness", "blue_witness", "stall")
+        if rep.outcome == "red_witness":
+            assert validate_mono_path(col, rep.certificate.witness, 2, RED)
+
+    def test_loose_cycle_report_pinned(self):
+        # the auxiliary-path splice and the endpoint extension both fire
+        col = TwoColoring.random(3, 12, 0.95, seed=1371953212)
+        rep = loose_witness_engine(col, transitive_tournament_hypergraph(2, 2)[0],
+                                   EngineParams(n_target=9, block_size=8, target_kind="cycle"))
+        assert (rep.outcome, rep.certificate) == ("stall", None)
+        assert rep.stall == {"reason": "no extension move applies", "round": 2, "chain_sizes": [11],
+                             "target_order": 9, "deficits": [0], "budget_c": 1, "sigma": 1,
+                             "leftover": 1}
+        assert rep.log == ["partition: 1 red blocks, 0 blue blocks, leftover 4",
+                           "assembled 1 chains, sizes [7], leftover 1",
+                           "round 0: two-edge auxiliary path spliced into chain 0",
+                           "round 1: endpoint extension on chain 0"]
+
+    def test_tight_cycle_report_pinned(self):
+        # the assembled closed chain has 10 vertices and is shrunk to 9
+        col = TwoColoring.random(3, 13, 0.95, seed=960071336)
+        rep = tight_witness_engine(col, 2, 2, EngineParams(n_target=9, block_size=5,
+                                                           target_kind="cycle"))
+        assert (rep.outcome, rep.stall) == ("red_witness", None)
+        assert rep.certificate.kind == "red_cycle"
+        assert rep.certificate.witness == [2, 3, 7, 8, 10, 6, 4, 1, 0]
+        assert rep.log == ["partition: 2 red blocks, 0 blue blocks, leftover 3",
+                           "assembled 1 chains, sizes [10]"]
+        assert validate_mono_cycle(col, rep.certificate.witness, 2, RED)
+
+
 class TestStallBookkeeping:
     def test_loose_stall_reports_the_budget(self):
         from hyperramsey.constructions import loose_path_lb, tau_lower_construction
