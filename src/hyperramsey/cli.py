@@ -9,6 +9,7 @@ Exit codes: 0 ok, 1 invalid input, 2 guard exceeded, 3 certificate invalid.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -241,8 +242,10 @@ def cmd_engine(args) -> int:
     params = EngineParams(n_target=args.target, block_size=args.block_size,
                           seed=args.seed, target_kind=args.target_kind)
     if args.params:
-        overrides = _load_json(args.params)
-        for key, value in overrides.items():
+        known = {f.name for f in dataclasses.fields(EngineParams)}
+        for key, value in _load_json(args.params).items():
+            if key not in known:
+                raise ValueError(f"unknown engine parameter {key!r}")
             setattr(params, key, value)
     if args.mode == "loose":
         target = _target_from_args(args.blue_target)
@@ -269,7 +272,11 @@ def cmd_check(args) -> int:
 
 
 def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool, str]:
-    """Re-validate any certificate in one pass against the host colouring."""
+    """Re-validate a certificate in one pass against the host colouring.
+
+    What cannot be re-validated from the certificate and the colouring is
+    refused, except two attestations: an exact `free` search and a blue
+    crossing found by an engine."""
     kind = cert.kind
     if kind in ("red_path", "blue_path"):
         if col is None:
@@ -307,7 +314,9 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
         ok = validate_embedding(col, target, cert.witness, colour)
         return ok, "revalidated" if ok else "embedding misses an edge of the right colour"
     if kind == "independent_set":
-        return cert.witness is not None, "structure check only"
+        return False, "independent-set certificates do not carry their hypergraph"
+    if kind == "tt_embedding":
+        return False, "tt_embedding certificates do not carry their tournament"
     if kind == "chain":
         if col is None:
             return False, "chain certificates need the colouring"
@@ -316,10 +325,13 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
                             tuple(tuple(i) for i in w["intervals"]))
         out = validate_chain(chain, col)
         return out.detail["valid"], "; ".join(out.detail["problems"]) or "revalidated"
-    if kind in ("free", "not_free", "tt_embedding", "blue_crossing_attestation"):
-        if kind == "not_free" and col is not None:
-            inner = Certificate.from_json(cert.detail.get("inner", {}))
-            return check_certificate(inner, col)
+    if kind == "not_free":
+        if col is None:
+            return False, "not_free certificates need the colouring"
+        return check_certificate(Certificate.from_json(cert.detail.get("inner", {})), col)
+    if kind == "free" and cert.detail.get("exact") is not True:
+        return False, "inexact freeness attestation: the search behind it was cut short"
+    if kind in ("free", "blue_crossing_attestation"):
         return True, "attestation accepted (carries search statistics, not a witness)"
     return False, f"unknown certificate kind {kind!r}"
 

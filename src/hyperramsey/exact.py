@@ -15,8 +15,15 @@ mapped onto it.
 
 tau_exact enumerates edge families that pairwise intersect in 0 or >= 2
 vertices (the structure forced by having no two-edge loose path).
-directed_ramsey_exact grows tournaments vertex by vertex, pruning as soon as a
-transitive subtournament of the forbidden order appears.
+directed_ramsey_exact grows labelled tournaments vertex by vertex.  At every
+node the tournament on 0..v-1 is TT_chi-free, so the new vertex v completes a
+TT_chi exactly when, for some transitive (chi-1)-set X, the vertices of X that
+v points to form a suffix of X's source-to-sink order (the empty suffix and X
+itself included).  A node lists those orders once and rejects every
+completing one of v's 2^v out-arc patterns in one bitset pass, then walks the
+rest in increasing order.  A rejected pattern counts as a prune when the walk
+passes it, lazily, so the counts are those of a pattern-by-pattern loop: a
+found tournament stops the count at the pattern it was found on.
 """
 
 from __future__ import annotations
@@ -392,36 +399,56 @@ class DirectedRamseyResult:
     stats: dict = field(default_factory=dict)
 
 
-def _contains_tt_through_last(arcs_out: list[int], n: int, chi: int) -> bool:
-    """Does the tournament on 0..n-1 contain a transitive chi-set using n-1?
+def _completing_patterns(arcs_out: list[int], v: int, chi: int) -> int:
+    """The out-arc patterns of a new vertex v that complete a TT_chi (chi >= 2)
+    through v in the tournament on 0..v-1, given by its out-neighbour masks,
+    as one int with bit p set for each such pattern p (bit u of p set = arc
+    v -> u).
 
-    A transitive set is a chain in which each vertex dominates all later ones,
-    so the search intersects out-neighbourhood masks.
+    A TT_chi through v is a transitive (chi-1)-set X with v inserted into X's
+    source-to-sink order: v dominates the vertices after it and is dominated
+    by those before.  So p completes one iff, for some X, the vertices of X
+    that p points to form a suffix of that order, the empty suffix and X
+    itself included.  The orders are chains in which each vertex dominates
+    all later ones, found by intersecting out-neighbourhood masks.
     """
-    last = n - 1
-    found = False
+    full = (1 << (1 << v)) - 1
+    # ones[u]: the patterns with bit u set, in blocks of 2^u clear, 2^u set
+    ones = [((1 << (1 << u)) - 1 << (1 << u)) * (full // ((1 << (2 << u)) - 1))
+            for u in range(v)]
+    last = chi - 2
+    bad = 0
 
-    def rec(order_len: int, candidates: int, contains_last: bool):
-        nonlocal found
-        if found:
-            return
-        if order_len == chi:
-            if contains_last:
-                found = True
-            return
-        if order_len + candidates.bit_count() < chi:
-            return
-        if not contains_last and not (candidates >> last & 1):
+    def rec(candidates: int, depth: int, splits: list[int]) -> None:
+        # splits[i]: the patterns pointing to none of the first i vertices of
+        # the chain so far and to all the others
+        nonlocal bad
+        if depth == last:
+            # a last vertex x joins the suffix of every split and starts one
+            # more, so the union of its splits is
+            # any_split & ones[x] | splits[-1] & ~ones[x]
+            any_split = 0
+            for m in splits:
+                any_split |= m
+            c = candidates
+            while c:
+                low = c & -c
+                c ^= low
+                on = ones[low.bit_length() - 1]
+                bad |= any_split & on | splits[-1] & ~on
             return
         c = candidates
-        while c and not found:
+        while c:
             low = c & -c
-            v = low.bit_length() - 1
             c ^= low
-            rec(order_len + 1, candidates & arcs_out[v], contains_last or v == last)
+            x = low.bit_length() - 1
+            after = candidates & arcs_out[x]
+            if depth + after.bit_count() >= last:
+                on = ones[x]
+                rec(after, depth + 1, [m & on for m in splits] + [splits[-1] & ~on])
 
-    rec(0, (1 << n) - 1, False)
-    return found
+    rec((1 << v) - 1, 0, [full])
+    return bad
 
 
 def _arcs_from_masks(arcs_out: list[int], n: int):
@@ -436,26 +463,42 @@ def _arcs_from_masks(arcs_out: list[int], n: int):
 
 def _ttfree_tournament_exists(chi: int, order: int, stats: dict) -> Tournament | None:
     """DFS over labelled tournaments grown one vertex at a time, pruning as
-    soon as a transitive chi-subtournament appears."""
+    soon as a transitive chi-subtournament appears.
+
+    The tournament on 0..v-1 is fixed at a node and TT_chi-free, so a TT_chi
+    can appear only through v.  The node rejects every completing out-arc
+    pattern of v in one pass (`_completing_patterns`) and walks the others
+    in increasing order.  A rejected pattern counts as one prune when the
+    walk passes it: the ones below a pattern are counted before recursing on
+    it, and the rest when the node returns False, so a found tournament
+    stops the count where a pattern-by-pattern loop would.
+    """
     arcs_out = [0] * order
 
     def rec(v: int) -> bool:
         stats["nodes"] += 1
         if v == order:
             return True
-        for pattern in range(1 << v):
+        bad = _completing_patterns(arcs_out, v, chi)
+        rest = ((1 << (1 << v)) - 1) & ~bad
+        counted = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            below = (bad & (low - 1)).bit_count()
+            stats["prunes"] += below - counted
+            counted = below
+            pattern = low.bit_length() - 1
             # bit u of pattern set = arc v -> u
             arcs_out[v] = pattern
             for u in range(v):
                 if not pattern >> u & 1:
                     arcs_out[u] |= 1 << v
-            if not _contains_tt_through_last(arcs_out, v + 1, chi):
-                if rec(v + 1):
-                    return True
-            else:
-                stats["prunes"] += 1
+            if rec(v + 1):
+                return True
             for u in range(v):
                 arcs_out[u] &= ~(1 << v)
+        stats["prunes"] += bad.bit_count() - counted
         arcs_out[v] = 0
         return False
 
@@ -469,7 +512,7 @@ def directed_ramsey_exact(chi: int, n_cap: int = 9) -> DirectedRamseyResult:
     transitive tournament on chi vertices."""
     if chi < 1:
         raise ValueError("chi must be positive")
-    stats = {"nodes": 0, "prunes": 0}
+    stats = {"nodes": 0, "prunes": 0, "levels": {}}
     if chi == 1:
         return DirectedRamseyResult(1, 1, 1, True, Tournament(0, 0), stats)
     # any tournament on chi-1 vertices is TT_chi-free
@@ -479,6 +522,7 @@ def directed_ramsey_exact(chi: int, n_cap: int = 9) -> DirectedRamseyResult:
         t = _ttfree_tournament_exists(chi, order, level)
         stats["nodes"] += level["nodes"]
         stats["prunes"] += level["prunes"]
+        stats["levels"][order] = level
         if t is None:
             return DirectedRamseyResult(chi, order, order, True, witness, stats)
         witness = t

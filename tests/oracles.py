@@ -7,7 +7,7 @@ shared with the code under test.
 
 from itertools import combinations, permutations
 
-from hyperramsey.core import TwoColoring, Hypergraph
+from hyperramsey.core import Hypergraph, Tournament, TwoColoring
 
 
 def naive_longest_mono_path(col: TwoColoring, ell: int, colour: str) -> int:
@@ -85,3 +85,14 @@ def _assignments(n: int, c: int):
 def naive_free(col: TwoColoring, red_target: Hypergraph, blue_target: Hypergraph) -> bool:
     return naive_find_copy(col, red_target, "red") is None and \
         naive_find_copy(col, blue_target, "blue") is None
+
+
+def naive_has_tt(t: Tournament, chi: int, through: int | None = None) -> bool:
+    """Does the tournament contain a transitive chi-set, by trying every
+    ordered chi-subset; with `through`, one that contains that vertex."""
+    arcs = set(t.arcs())
+    for seq in permutations(range(t.n), chi):
+        if (through is None or through in seq) and \
+                all(pair in arcs for pair in combinations(seq, 2)):
+            return True
+    return False

@@ -157,6 +157,38 @@ class TestCheck:
     def test_missing_file_exit_1(self):
         assert main(["check", "--certificate", "/nonexistent/cert.json"]) == 1
 
+    def check_refused(self, tmp_path, capsys, cert, coloring=None):
+        args = ["check", "--certificate", write_json(tmp_path, "cert.json", cert)]
+        if coloring is not None:
+            args += ["--coloring", write_json(tmp_path, "c.json", coloring_to_json(coloring))]
+        assert main(args) == 3
+        assert json.loads(capsys.readouterr().out)["valid"] is False
+
+    def test_independent_set_without_host_refused(self, tmp_path, capsys):
+        cert = {"kind": "independent_set", "witness": [0, 1, 2], "stats": {},
+                "detail": {"exact": True}}
+        self.check_refused(tmp_path, capsys, cert, TwoColoring.all_red(3, 5))
+
+    def test_tt_embedding_without_tournament_refused(self, tmp_path, capsys):
+        cert = {"kind": "tt_embedding", "witness": [0, 1, 2], "stats": {},
+                "detail": {"exact": True}}
+        self.check_refused(tmp_path, capsys, cert)
+
+    def test_not_free_without_coloring_refused(self, tmp_path, capsys):
+        col = TwoColoring.all_red(3, 5)
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
+        cert_out = tmp_path / "nf.json"
+        assert main(["verify", "--coloring", cpath, "--red-pattern", "path:3:2:4",
+                     "--blue-target", "edge:3", "--out", str(cert_out)]) == 0
+        cert = json.loads(cert_out.read_text())
+        assert cert["kind"] == "not_free"
+        self.check_refused(tmp_path, capsys, cert)
+
+    def test_inexact_free_attestation_refused(self, tmp_path, capsys):
+        cert = {"kind": "free", "witness": None, "stats": {},
+                "detail": {"red_pattern": "path:3:2:8", "blue_pattern": "edge:3", "exact": False}}
+        self.check_refused(tmp_path, capsys, cert, TwoColoring.all_red(3, 4))
+
 
 class TestTableDeterminism:
     def test_byte_identical_runs(self, tmp_path):
@@ -278,3 +310,12 @@ class TestEngineCycleKind:
                    "--tth", "2:2", "--params", ppath, "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["outcome"] == "blue_witness"
+
+    def test_unknown_params_key_exit_1(self, tmp_path, capsys):
+        col = TwoColoring.all_blue(3, 10)
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
+        ppath = write_json(tmp_path, "p.json", {"block_size": 4, "trails": 8})
+        rc = main(["engine", "tight", "--coloring", cpath, "--target", "9",
+                   "--tth", "2:2", "--params", ppath])
+        assert rc == 1
+        assert "trails" in capsys.readouterr().err

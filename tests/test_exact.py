@@ -22,6 +22,7 @@ from hyperramsey.search import (
 )
 from hyperramsey.exact import (
     _PatternWatcher,
+    _completing_patterns,
     consecutive_gap_check,
     directed_ramsey_exact,
     free_coloring_exists,
@@ -31,7 +32,7 @@ from hyperramsey.exact import (
     tau_exact,
 )
 
-from oracles import naive_find_copy, naive_free
+from oracles import naive_find_copy, naive_free, naive_has_tt
 
 # a 3-graph whose only automorphism is the identity, so the watcher must
 # anchor at every one of its 4 * 3! ordered edges
@@ -234,6 +235,54 @@ class TestDirectedRamsey:
             if not find_transitive_subtournament(t, 3).found:
                 free += 1
         assert free == 2
+
+    @pytest.mark.parametrize("chi,cap,value,exact,bits,nodes,prunes", [
+        (2, 9, 2, True, 0, 2, 2),
+        (3, 9, 4, True, 5, 10, 23),
+        (4, 9, 8, True, 1731447, 742, 51999),
+        (5, 9, None, False, 63600195519, 40, 62),
+    ])
+    def test_dfs_counts_pinned(self, chi, cap, value, exact, bits, nodes, prunes):
+        # recorded from the pattern-by-pattern search: a rejected pattern is a
+        # prune only once the walk passes it
+        r = directed_ramsey_exact(chi, cap)
+        assert (r.value, r.exact, r.witness.bits) == (value, exact, bits)
+        assert (r.stats["nodes"], r.stats["prunes"]) == (nodes, prunes)
+
+    @pytest.mark.parametrize("chi,cap", [(2, 9), (3, 9), (4, 9), (5, 9)])
+    def test_levels_sum_to_totals(self, chi, cap):
+        r = directed_ramsey_exact(chi, cap)
+        levels = r.stats["levels"]
+        last = r.value if r.exact else cap
+        assert sorted(levels) == list(range(chi, last + 1))
+        for key in ("nodes", "prunes"):
+            assert sum(level[key] for level in levels.values()) == r.stats[key]
+
+    @staticmethod
+    def assert_rule_matches_oracle(t: Tournament, chi: int):
+        # every out-arc pattern of a new vertex t.n, against a naive search
+        # for a TT_chi through it in the extended tournament
+        n = t.n
+        masks = [sum(1 << u for u in t.out_neighbours(v)) for v in range(n)]
+        bad = _completing_patterns(masks, n, chi)
+        assert bad >> (1 << n) == 0
+        for pattern in range(1 << n):
+            # bit colex_rank((u, n)) set = arc u -> n, i.e. bit u of pattern clear
+            ext = Tournament(n + 1, t.bits | (~pattern & (1 << n) - 1) << comb(n, 2))
+            assert bool(bad >> pattern & 1) == naive_has_tt(ext, chi, through=n), (t, pattern)
+
+    @pytest.mark.parametrize("chi", [3, 4])
+    @pytest.mark.parametrize("n", range(6))
+    def test_rejection_rule_on_every_small_tournament(self, chi, n):
+        for bits in range(1 << comb(n, 2)):
+            self.assert_rule_matches_oracle(Tournament(n, bits), chi)
+
+    @pytest.mark.parametrize("chi", [3, 4])
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_rejection_rule_on_random_tournaments(self, chi, n):
+        rng = Random(1000 * chi + n)
+        for _ in range(3):
+            self.assert_rule_matches_oracle(Tournament.random(n, rng), chi)
 
 
 class TestGoodness:

@@ -25,10 +25,35 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_acceptance_slice_under_optimize():
+    # criteria 3 (directed Ramsey values and gaps) and 4 (lower-bound
+    # freeness) in a `python -O` child; `report` asserts, which -O strips,
+    # so the child's PASS lines are what count
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+assert False, "assert statements must be stripped"
+import test_acceptance
+test_acceptance.test_criterion_3_directed_ramsey_values()
+test_acceptance.test_criterion_4_lower_bound_freeness()
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line] == [
+        "ACCEPTANCE 3 (directed Ramsey values and consecutive gaps): PASS",
+        "ACCEPTANCE 4 (lower-bound colourings verify free at desk scale): PASS",
+    ]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
