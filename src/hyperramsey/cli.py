@@ -50,7 +50,7 @@ from .chains import (
     build_path_system,
     validate_chain,
 )
-from .engines import EngineParams, loose_witness_engine, tight_witness_engine
+from .engines import EngineParams, independence_dichotomy, loose_witness_engine, tight_witness_engine
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -275,8 +275,7 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
     """Re-validate a certificate in one pass against the host colouring.
 
     What cannot be re-validated from the certificate and the colouring is
-    refused, except two attestations: an exact `free` search and a blue
-    crossing found by an engine."""
+    refused, except one attestation: an exact `free` search."""
     kind = cert.kind
     if kind in ("red_path", "blue_path"):
         if col is None:
@@ -329,9 +328,20 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
         if col is None:
             return False, "not_free certificates need the colouring"
         return check_certificate(Certificate.from_json(cert.detail.get("inner", {})), col)
+    if kind == "blue_crossing_attestation":
+        if col is None:
+            return False, "crossing attestations need the colouring"
+        blocks = cert.detail.get("blocks") or []
+        flat = [v for b in blocks for v in b]
+        if not flat or len(set(flat)) != len(flat) or any(not 0 <= v < col.n for v in flat):
+            return False, "crossing attestation needs disjoint blocks of host vertices"
+        outcome, edge = independence_dichotomy(col, [tuple(b) for b in blocks])
+        if outcome == "red":
+            return False, f"crossing edge {list(edge)} is red"
+        return True, "revalidated"
     if kind == "free" and cert.detail.get("exact") is not True:
         return False, "inexact freeness attestation: the search behind it was cut short"
-    if kind in ("free", "blue_crossing_attestation"):
+    if kind == "free":
         return True, "attestation accepted (carries search statistics, not a witness)"
     return False, f"unknown certificate kind {kind!r}"
 

@@ -1,13 +1,22 @@
 """Witness engines: grow a red path/cycle or extract a blue target.
 
 Each engine drives the clique-partition / path-system / chain-assembly
-pipeline and then applies the constructive extension moves (matching
-absorption into flexible elements, the auxiliary-graph move on the leftover,
-endpoint extension, and for tight paths the random-embedding / absorbing-block
-dichotomy).  The quantitative thresholds that make these moves always succeed
-at asymptotic scale are configuration parameters here; the engines are judged
-on soundness: every emitted witness re-validates, and a stall report saying
-which dichotomy failed is a legitimate outcome at desk scale.
+pipeline and then extends its chains.  The loose engine has two extension
+moves: a two-edge path of the auxiliary (k-1)-graph on the leftover, spliced
+into a flexible element, and endpoint extension by one red edge.  The tight
+engine absorbs leftover vertices through the random-embedding /
+absorbing-block dichotomy.  The quantitative thresholds that make these moves
+always succeed at asymptotic scale are configuration parameters here; the
+engines are judged on soundness: every emitted witness re-validates, and a
+stall report saying which dichotomy failed is a legitimate outcome at desk
+scale.
+
+Reachable targets: the loose engine returns a red loose path on
+1 + q(k-1) vertices or a red loose cycle on q(k-1) vertices (any other order
+is a ValueError), or a blue copy of any target hypergraph.  The tight engine
+(3-uniform) returns a red tight path or cycle of any order, or a blue
+transitive tournament hypergraph H(TT_chi, m).  Every blue certificate names
+its target, so `hyperramsey check` can rebuild and re-validate it.
 
 Every move that changes a chain (segment splice, endpoint extension,
 shrinking, absorption) rebuilds it with `chains.replace_element` and
@@ -26,6 +35,7 @@ from .core import (
     RED,
     Tournament,
     TwoColoring,
+    hypergraph_to_json,
     ramsey_profile,
     transitive_tournament_hypergraph,
 )
@@ -33,7 +43,6 @@ from .chains import (
     CLOSED,
     OPEN,
     CliqueChain,
-    Run,
     clique_partition,
     cut_open,
     build_path_system,
@@ -141,7 +150,6 @@ class ButterflyOutcome:
     red_path: tuple[int, ...] | None = None
     blue_embedding: Certificate | None = None
     diagnostic: str | None = None
-    tournament: Tournament | None = None
 
 
 def butterfly_dichotomy(col: TwoColoring, blocks: list[tuple[int, ...]],
@@ -212,7 +220,7 @@ def butterfly_dichotomy(col: TwoColoring, blocks: list[tuple[int, ...]],
     tt = find_transitive_subtournament(aux, chi)
     if not tt.found:
         return ButterflyOutcome(
-            "diagnostic", tournament=aux,
+            "diagnostic",
             diagnostic=f"auxiliary tournament on {big_r} blocks has no transitive {chi}-set",
         )
     target, _ = transitive_tournament_hypergraph(chi, m)
@@ -223,7 +231,7 @@ def butterfly_dichotomy(col: TwoColoring, blocks: list[tuple[int, ...]],
                        detail={"target": "tth", "chi": chi, "m": m, "exact": True})
     if not validate_embedding(col, target, mapping, BLUE):
         raise AssertionError("butterfly blue branch produced an invalid embedding")
-    return ButterflyOutcome("blue", blue_embedding=cert, tournament=aux)
+    return ButterflyOutcome("blue", blue_embedding=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +346,6 @@ def erdos_gallai_path(adj: dict[int, set[int]], length: int) -> list[int] | None
     return None
 
 
-def red_density_aab(col: TwoColoring, a: list[int], b: list[int]) -> float:
-    return 1.0 - blue_density(col, a, a, b)
-
-
 def absorbing_block(col: TwoColoring, block_a: list[int], block_b: list[int],
                     d: int, eta: float) -> AbsorbingOutcome:
     """A red tight path a1 a2 b1 a3 a4 ... b_d a_{2d+1} a_{2d+2} interleaving
@@ -354,7 +358,7 @@ def absorbing_block(col: TwoColoring, block_a: list[int], block_b: list[int],
     """
     if set(block_a) & set(block_b):
         raise ValueError("blocks must be disjoint")
-    dens = red_density_aab(col, list(block_a), list(block_b))
+    dens = 1.0 - blue_density(col, list(block_a), list(block_a), list(block_b))
     if dens < eta:
         return AbsorbingOutcome(False, diagnostic=f"red density {dens:.3f} below eta={eta}")
     if len(block_b) < d:
@@ -433,12 +437,6 @@ class EngineReport:
     log: list[str] = field(default_factory=list)
 
 
-def _trim_loose_path(seq: list[int], k: int, n_target: int) -> list[int]:
-    """A loose path on more vertices contains one on any admissible prefix."""
-    q = (n_target - 1) // (k - 1)
-    return seq[: 1 + q * (k - 1)]
-
-
 def _red_path_certificate(col: TwoColoring, seq: list[int], ell: int, params: EngineParams) -> Certificate:
     if params.target_kind == "cycle":
         if not validate_mono_cycle(col, seq, ell, RED):
@@ -451,36 +449,49 @@ def _red_path_certificate(col: TwoColoring, seq: list[int], ell: int, params: En
                        detail={"ell": ell, "k": col.k, "vertices": len(seq)})
 
 
-def _blue_block_embedding(col: TwoColoring, target: Hypergraph, block: tuple[int, ...]) -> Certificate:
-    mapping = list(block[: target.n])
+def _blue_certificate(col: TwoColoring, target: Hypergraph, mapping: list[int],
+                      spec: dict, via: str) -> Certificate | None:
+    """A blue embedding certificate naming its target through `spec`, or None
+    when the mapping misses a blue edge."""
     if not validate_embedding(col, target, mapping, BLUE):
-        raise AssertionError("blue block does not embed the target")
-    return Certificate(kind="blue_embedding", witness=mapping,
-                       detail={"via": "blue block", "exact": True})
-
-
-def _blue_crossing_embedding(col: TwoColoring, target: Hypergraph,
-                             w_sets: list[list[int]]) -> Certificate | None:
-    """Embed the target into classes with all crossing k-sets blue, using a
-    proper colouring of the target whose classes fit into the w_sets."""
-    profile = ramsey_profile(target)
-    if profile.chi > len(w_sets):
         return None
+    return Certificate(kind="blue_embedding", witness=mapping,
+                       detail={"via": via, **spec, "exact": True})
+
+
+def _blue_block_embedding(col: TwoColoring, target: Hypergraph, block: tuple[int, ...],
+                          spec: dict) -> Certificate:
+    cert = _blue_certificate(col, target, list(block[: target.n]), spec, "blue block")
+    if cert is None:
+        raise AssertionError("blue block does not embed the target")
+    return cert
+
+
+def _place_classes(col: TwoColoring, target: Hypergraph, profile, sets: list[list[int]],
+                   spec: dict, via: str, leftover: list[int] | None = None) -> Certificate | None:
+    """Embed the target blue class by class: the colour classes of the proper
+    colouring `profile.witness` go, largest first, into the vertex sets,
+    largest first.  With a leftover, the smallest class goes there first.
+    None when a class does not fit or the mapping misses a blue edge."""
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(profile.witness):
         classes.setdefault(c, []).append(v)
-    order = sorted(classes, key=lambda c: -len(classes[c]))
-    slots = sorted(range(len(w_sets)), key=lambda i: -len(w_sets[i]))
-    mapping = [-1] * target.n
-    for c, slot in zip(order, slots):
-        if len(classes[c]) > len(w_sets[slot]):
-            return None
-        for v, hv in zip(classes[c], w_sets[slot]):
-            mapping[v] = hv
-    if not validate_embedding(col, target, mapping, BLUE):
+    order = sorted(classes, key=lambda c: len(classes[c]), reverse=True)
+    placement = []
+    if leftover is not None:
+        small = min(classes, key=lambda c: len(classes[c]))
+        order.remove(small)
+        placement.append((small, leftover))
+    if len(order) > len(sets):
         return None
-    return Certificate(kind="blue_embedding", witness=mapping,
-                       detail={"via": "all-blue crossing", "exact": True})
+    placement += zip(order, sorted(sets, key=len, reverse=True))
+    mapping = [-1] * target.n
+    for c, hosts in placement:
+        if len(classes[c]) > len(hosts):
+            return None
+        for v, hv in zip(classes[c], hosts):
+            mapping[v] = hv
+    return _blue_certificate(col, target, mapping, spec, via)
 
 
 # ---------------------------------------------------------------------------
@@ -492,53 +503,34 @@ def _flexible_interior(chain: CliqueChain, j: int) -> list[int]:
     return [chain.vertices[i] for i in chain.element_positions(j) if i not in spine]
 
 
-def _splice_segments_into_chain(col: TwoColoring, chain: CliqueChain, j: int,
-                                segments: list[list[int]]) -> CliqueChain | None:
-    """Insert red loose-path segments (each with both endpoints in flexible
-    element j's interior, otherwise disjoint from the chain) into an open
-    loose chain, linked through the element by fresh in-block edges.
+def _splice_segment_into_chain(col: TwoColoring, chain: CliqueChain, j: int,
+                               segment: list[int]) -> CliqueChain | None:
+    """Insert a red loose-path segment (both endpoints in flexible element j's
+    interior, otherwise disjoint from the chain) into an open loose chain.
 
-    Element j becomes one whole run per link, each segment split into its
-    edges, and a whole residue run; None when the result is not valid."""
-    k, ell = chain.k, chain.ell
-    if ell != 1 or chain.kind != OPEN:
+    Element j becomes a whole link run of fresh interior vertices into the
+    segment, the segment split into its edges, and a whole residue run from
+    the segment's end; None when the result is not valid."""
+    k = chain.k
+    if chain.ell != 1 or chain.kind != OPEN:
         raise ValueError("segment splice is for open loose chains")
-    if not segments:
-        return None
     elem = chain.element_vertices(j)
-    first_elem = j == 0
-    last_elem = j == len(chain.intervals) - 1
-    v0 = None if first_elem else elem[0]
-    v0_prime = None if last_elem else elem[-1]
-    interior = [v for v in elem if v not in (v0, v0_prime)]
-    seg_vertices = {v for seg in segments for v in seg}
-    pool = [v for v in interior if v not in seg_vertices]
-
-    runs: list[Run] = []
-    prev_end = v0
-    used_pool = 0
-    for seg in segments:
-        enter, leave = seg[0], seg[-1]
-        if enter not in interior or leave not in interior:
-            return None
-        need = k - 2 if prev_end is not None else k - 1
-        fresh = pool[used_pool: used_pool + need]
-        if len(fresh) < need:
-            return None
-        used_pool += need
-        runs.append((([prev_end] if prev_end is not None else []) + fresh + [enter], True))
-        runs.append((list(seg), False))
-        prev_end = leave
-    remaining = pool[used_pool:]
-    residue = [prev_end] + remaining + ([v0_prime] if v0_prime is not None else [])
-    while len(residue) >= k and (len(residue) - 1) % (k - 1) != 0:
-        remaining.pop()
-        residue = [prev_end] + remaining + ([v0_prime] if v0_prime is not None else [])
-    if len(residue) < k:
+    head = [] if j == 0 else elem[:1]
+    tail = [] if j == len(chain.intervals) - 1 else elem[-1:]
+    interior = elem[len(head): len(elem) - len(tail)]
+    enter, leave = segment[0], segment[-1]
+    if enter not in interior or leave not in interior:
         return None
-
-    out = replace_element(chain, j, runs + [(residue, True)],
-                          f"segment-splice:element={j},segments={len(segments)}")
+    pool = [v for v in interior if v not in segment]
+    need = k - 1 - len(head)
+    rest = pool[need:]
+    keep = len(rest) + len(tail)
+    keep -= keep % (k - 1)  # the residue run has 1 + q(k-1) vertices, q >= 1
+    if len(pool) < need or keep < k - 1:
+        return None
+    runs = [(head + pool[:need] + [enter], True), (list(segment), False),
+            ([leave] + rest[: keep - len(tail)] + tail, True)]
+    out = replace_element(chain, j, runs, f"segment-splice:element={j}")
     cert = validate_chain(out, col)
     if not cert.detail["valid"]:
         return None
@@ -571,6 +563,29 @@ def _prepend_edge_to_chain(col: TwoColoring, chain: CliqueChain, edge: tuple[int
     if not cert.detail["valid"]:
         return None
     return out
+
+
+def _extend_an_end(col: TwoColoring, chains: list[CliqueChain],
+                   outside: list[int]) -> tuple[int, CliqueChain] | None:
+    """The first open chain, with its extension, whose start or end element
+    takes the first red edge with k-1 leftover vertices and one vertex of the
+    element other than its inner junction."""
+    k = col.k
+    red = col.edges_of(RED)
+    leftover = set(outside)
+    for ci, chain in enumerate(chains):
+        if chain.kind != OPEN:
+            continue
+        for at_start in (True, False):
+            elem = chain.element_vertices(0 if at_start else len(chain.intervals) - 1)
+            outer = set(elem) - {elem[-1] if at_start else elem[0]}
+            edge = next((e for e in red if len(leftover.intersection(e)) == k - 1
+                         and len(outer.intersection(e)) == 1), None)
+            if edge is not None:
+                new_chain = _prepend_edge_to_chain(col, chain, edge, at_start)
+                if new_chain is not None and new_chain.p > chain.p:
+                    return ci, new_chain
+    return None
 
 
 def _shrink_closed_chain(col: TwoColoring, chain: CliqueChain, target: int) -> CliqueChain | None:
@@ -636,11 +651,7 @@ def _extract_red_witness(col: TwoColoring, chains: list[CliqueChain],
                 if prefix >= n_target:
                     seq = cyc[:prefix]
         if seq is not None and len(seq) >= n_target:
-            if ell == 1:
-                seq = _trim_loose_path(seq, k, n_target)
-            else:
-                seq = seq[:n_target]
-            return _red_path_certificate(col, seq, ell, params)
+            return _red_path_certificate(col, seq[:n_target], ell, params)
     return None
 
 
@@ -657,15 +668,21 @@ def _flexible_pick(chain: CliqueChain) -> int | None:
 
 def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EngineParams) -> EngineReport:
     """Find a red loose path/cycle of the target order or a blue copy of the
-    target, by clique partition, path system, chain assembly, and the three
-    extension moves; stalls report which dichotomy failed."""
+    target, by clique partition, path system, chain assembly, and the two
+    extension moves; stalls report which dichotomy failed.
+
+    A k-uniform loose path has 1 + q(k-1) vertices and a loose cycle q(k-1);
+    any other target order raises ValueError."""
     k = col.k
+    offset = 1 if params.target_kind == "path" else 0
+    if (params.n_target - offset) % (k - 1):
+        raise ValueError(f"a {k}-uniform loose {params.target_kind} has {'1 + ' * offset}a multiple "
+                         f"of {k - 1} vertices, not {params.n_target}")
     log: list[str] = []
+    spec = {"target": hypergraph_to_json(target)}
     if target.num_edges == 0:
         if target.n <= col.n:
-            mapping = list(range(target.n))
-            cert = Certificate(kind="blue_embedding", witness=mapping,
-                               detail={"via": "edgeless target", "exact": True})
+            cert = _blue_certificate(col, target, list(range(target.n)), spec, "edgeless target")
             return EngineReport("blue_witness", cert, None, ["target has no edges"])
         return EngineReport("stall", None, {"reason": "edgeless target larger than host"}, log)
     profile = ramsey_profile(target)
@@ -676,7 +693,7 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
                f"{len(partition.blue_blocks())} blue blocks, leftover {len(partition.leftover)}")
     for block in partition.blue_blocks():
         if len(block) >= target.n:
-            cert = _blue_block_embedding(col, target, block)
+            cert = _blue_block_embedding(col, target, block, spec)
             return EngineReport("blue_witness", cert, None, log)
     red_blocks = partition.red_blocks()
     if not red_blocks:
@@ -687,9 +704,9 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
     if system.stalled:
         used = system.used_vertices()
         w_sets = [[v for v in red_blocks[i] if v not in used] for i in system.stall_blocks]
-        outcome, payload = independence_dichotomy(col, [tuple(w) for w in w_sets])
+        outcome, _ = independence_dichotomy(col, [tuple(w) for w in w_sets])
         if outcome == "blue":
-            cert = _blue_crossing_embedding(col, target, w_sets)
+            cert = _place_classes(col, target, profile, w_sets, spec, "all-blue crossing")
             if cert is not None:
                 log.append("path system stalled; crossing sets all blue")
                 return EngineReport("blue_witness", cert, None, log)
@@ -704,15 +721,15 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
     except ValueError as exc:
         return EngineReport("stall", None,
                             {"reason": f"chain assembly infeasible at this scale: {exc}"}, log)
-    chains: list[CliqueChain] = []
-    for ch in report.chains:
-        if ch.kind == CLOSED:
-            try:
-                chains.append(cut_open(ch))
-            except ValueError:
-                chains.append(ch)
-        else:
-            chains.append(ch)
+    chains = list(report.chains)
+    if params.target_kind == "path":
+        # a path target is cut from a closed chain opened once and for all
+        for ci, ch in enumerate(chains):
+            if ch.kind == CLOSED:
+                try:
+                    chains[ci] = cut_open(ch)
+                except ValueError:
+                    pass
     log.append(f"assembled {len(chains)} chains, sizes {[c.p for c in chains]}, "
                f"leftover {report.leftover_count}")
 
@@ -723,82 +740,30 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
             return EngineReport("red_witness", got, None, log)
         in_chains = {v for c in chains for v in c.vertices}
         outside = [v for v in range(col.n) if v not in in_chains]
-        moved = False
 
-        # move 1: vertex-disjoint red matching into one flexible element
-        for ci, chain in enumerate(chains):
-            if chain.kind != OPEN:
-                continue
-            j = _flexible_pick(chain)
-            if j is None:
-                continue
-            interior = set(_flexible_interior(chain, j))
-            taken: set[int] = set()
-            matching: list[tuple[int, ...]] = []
-            for e in col.edges_of(RED):
-                w_part = [v for v in e if v in outside and v not in taken]
-                in_part = [v for v in e if v in interior and v not in taken]
-                if len(w_part) + len(in_part) != k:
-                    continue
-                if not 1 <= len(w_part) <= k - 2:
-                    continue
-                matching.append(e)
-                taken.update(e)
-            if matching:
-                new_chain = _splice_segments_into_chain(col, chain, j,
-                                                        [_segment_order(e, interior) for e in matching])
-                if new_chain is not None and new_chain.p > chain.p:
-                    chains[ci] = new_chain
-                    log.append(f"round {round_no}: matching splice of {len(matching)} edges "
-                               f"into chain {ci} (+{new_chain.p - chain.p} vertices)")
-                    moved = True
-                    break
-        if moved:
-            continue
-
-        # move 2: the auxiliary (k-1)-graph on the leftover
-        aux_pairs = _aux_graph_pair(col, chains, outside)
-        if aux_pairs is not None:
-            ci, j, segment = aux_pairs
-            new_chain = _splice_segments_into_chain(col, chains[ci], j, [segment])
+        # move 1: a two-edge path of the auxiliary (k-1)-graph on the leftover
+        aux_pair = _aux_graph_pair(col, chains, outside)
+        if aux_pair is not None:
+            ci, j, segment = aux_pair
+            new_chain = _splice_segment_into_chain(col, chains[ci], j, segment)
             if new_chain is not None and new_chain.p > chains[ci].p:
                 log.append(f"round {round_no}: two-edge auxiliary path spliced into chain {ci}")
                 chains[ci] = new_chain
-                moved = True
-        if moved:
-            continue
-
-        # move 3: endpoint extension by one red edge with k-1 leftover vertices
-        for ci, chain in enumerate(chains):
-            if chain.kind != OPEN:
                 continue
-            for at_start in (True, False):
-                j = 0 if at_start else len(chain.intervals) - 1
-                elem = chain.element_vertices(j)
-                inner = elem[-1] if at_start else elem[0]
-                got_edge = None
-                for e in col.edges_of(RED):
-                    w_part = [v for v in e if v in outside]
-                    s_part = [v for v in e if v in elem and v != inner]
-                    if len(w_part) == k - 1 and len(s_part) == 1:
-                        got_edge = e
-                        break
-                if got_edge is not None:
-                    new_chain = _prepend_edge_to_chain(col, chain, got_edge, at_start)
-                    if new_chain is not None and new_chain.p > chain.p:
-                        chains[ci] = new_chain
-                        log.append(f"round {round_no}: endpoint extension on chain {ci}")
-                        moved = True
-                        break
-            if moved:
-                break
-        if moved:
+
+        # move 2: endpoint extension by one red edge with k-1 leftover vertices
+        extended = _extend_an_end(col, chains, outside)
+        if extended is not None:
+            ci, new_chain = extended
+            chains[ci] = new_chain
+            log.append(f"round {round_no}: endpoint extension on chain {ci}")
             continue
 
         # no move applies: try the blue split extraction before stalling
-        w_flex = [sorted(_flexible_interior(c, _flexible_pick(c)))
-                  for c in chains if _flexible_pick(c) is not None]
-        cert = _blue_split_embedding(col, target, profile, outside, w_flex)
+        w_flex = [sorted(_flexible_interior(c, j)) for c in chains
+                  if (j := _flexible_pick(c)) is not None]
+        cert = _place_classes(col, target, profile, w_flex, spec,
+                              "split over leftover and flexible interiors", leftover=outside)
         if cert is not None:
             log.append("blue witness via split classes over leftover and flexible interiors")
             return EngineReport("blue_witness", cert, None, log)
@@ -823,13 +788,6 @@ def _loose_budget(k: int, sigma: int) -> int:
 
     tau = tau_exact(k - 1, sigma).value
     return max(tau - 2 * k + 3, sigma)
-
-
-def _segment_order(edge: tuple[int, ...], interior: set[int]) -> list[int]:
-    ins = sorted(v for v in edge if v in interior)
-    enter, leave = ins[0], ins[1]
-    middle = sorted(set(edge) - {enter, leave})
-    return [enter] + middle + [leave]
 
 
 def _aux_graph_pair(col: TwoColoring, chains: list[CliqueChain], outside: list[int]):
@@ -885,35 +843,6 @@ def _aux_graph_pair(col: TwoColoring, chains: list[CliqueChain], outside: list[i
     return ci, j, seg
 
 
-def _blue_split_embedding(col: TwoColoring, target: Hypergraph, profile,
-                          leftover: list[int], w_flex: list[list[int]]) -> Certificate | None:
-    """Direct attempt at a blue embedding with the target's smallest colour
-    class placed in the leftover and the rest in flexible interiors."""
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(profile.witness):
-        classes.setdefault(c, []).append(v)
-    order = sorted(classes, key=lambda c: len(classes[c]))
-    small = order[0]
-    if len(classes[small]) > len(leftover):
-        return None
-    rest = sorted(order[1:], key=lambda c: -len(classes[c]))
-    slots = sorted(range(len(w_flex)), key=lambda i: -len(w_flex[i]))
-    if len(rest) > len(slots):
-        return None
-    mapping = [-1] * target.n
-    for v, hv in zip(classes[small], leftover):
-        mapping[v] = hv
-    for c, slot in zip(rest, slots):
-        if len(classes[c]) > len(w_flex[slot]):
-            return None
-        for v, hv in zip(classes[c], w_flex[slot]):
-            mapping[v] = hv
-    if not validate_embedding(col, target, mapping, BLUE):
-        return None
-    return Certificate(kind="blue_embedding", witness=mapping,
-                       detail={"via": "split over leftover and flexible interiors", "exact": True})
-
-
 # ---------------------------------------------------------------------------
 # the tight engine (3-uniform)
 
@@ -960,10 +889,10 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
     # the proof wants (chi^2 m^3)^-1, far below what desk-sized classes can
     # carry through the 1/gamma size precondition; floor it for usability
     gamma = params.gamma if params.gamma is not None else max(1.0 / (chi * chi * m ** 3), 0.25)
+    spec = {"target": "tth", "chi": chi, "m": m}
     if target.num_edges == 0:
         if target.n <= col.n:
-            cert = Certificate(kind="blue_embedding", witness=list(range(target.n)),
-                               detail={"via": "edgeless target", "exact": True})
+            cert = _blue_certificate(col, target, list(range(target.n)), spec, "edgeless target")
             return EngineReport("blue_witness", cert, None, ["target has no edges"])
         return EngineReport("stall", None, {"reason": "edgeless target larger than host"}, log)
     blue_size = max(chi * m, 3)
@@ -972,7 +901,7 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
                f"{len(partition.blue_blocks())} blue blocks, leftover {len(partition.leftover)}")
     for block in partition.blue_blocks():
         if len(block) >= target.n:
-            cert = _blue_block_embedding(col, target, block)
+            cert = _blue_block_embedding(col, target, block, spec)
             return EngineReport("blue_witness", cert, None, log)
     red_blocks = partition.red_blocks()
     if not red_blocks:

@@ -23,6 +23,7 @@ from .core import (
     colex_subsets,
     ell_cycle,
     ell_path,
+    hypergraph_to_json,
     mask_ranks,
 )
 
@@ -366,7 +367,8 @@ def find_mono_copy(
     image = [-1] * target.n
     if embed(plan, cls, mask_ranks(k, col.n), allowed, image, 0, 0, stats, node_budget):
         return Certificate(kind=f"{colour}_embedding", witness=image, stats=stats,
-                           detail={"exact": True, "target_edges": target.num_edges})
+                           detail={"exact": True, "target_edges": target.num_edges,
+                                   "target": hypergraph_to_json(target)})
     budget_hit = node_budget is not None and stats["nodes"] > node_budget
     return Certificate(kind=f"{colour}_embedding", witness=None, stats=stats,
                        detail={"exact": not budget_hit})

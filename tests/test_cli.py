@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from hyperramsey.core import TwoColoring, coloring_to_json, hypergraph_to_json
 from hyperramsey.constructions import loose_path_lb, tau_lower_construction
@@ -298,8 +299,19 @@ class TestEngineCycleKind:
                    "--block-size", "6", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
-        if payload["outcome"] == "red_witness":
-            assert payload["certificate"]["kind"] == "red_cycle"
+        assert payload["outcome"] == "red_witness"
+        cert = payload["certificate"]
+        assert (cert["kind"], len(cert["witness"])) == ("red_cycle", 10)
+        certpath = write_json(tmp_path, "cert.json", cert)
+        assert main(["check", "--certificate", certpath, "--coloring", cpath]) == 0
+
+    @pytest.mark.parametrize("kind, order", [("path", 8), ("cycle", 9)])
+    def test_order_no_loose_path_or_cycle_has_exit_1(self, tmp_path, capsys, kind, order):
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 12)))
+        rc = main(["engine", "loose", "--coloring", cpath, "--target", str(order),
+                   "--target-kind", kind, "--blue-target", "tth:2:2"])
+        assert rc == 1
+        assert f"loose {kind}" in capsys.readouterr().err
 
     def test_params_file_overrides(self, tmp_path):
         col = TwoColoring.all_blue(3, 10)
@@ -319,3 +331,52 @@ class TestEngineCycleKind:
                    "--tth", "2:2", "--params", ppath])
         assert rc == 1
         assert "trails" in capsys.readouterr().err
+
+
+class TestCertificateRoundTrips:
+    @pytest.mark.parametrize("engine_args", [["loose", "--blue-target", "tth:2:2"],
+                                             ["tight", "--tth", "2:2"]],
+                             ids=["loose", "tight"])
+    def test_engine_blue_certificate_checks(self, tmp_path, engine_args):
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 12)))
+        out = tmp_path / "e.json"
+        assert main(["engine", *engine_args, "--coloring", cpath, "--target", "9",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["outcome"] == "blue_witness"
+        certpath = write_json(tmp_path, "cert.json", payload["certificate"])
+        assert main(["check", "--certificate", certpath, "--coloring", cpath]) == 0
+
+    @pytest.mark.parametrize("blue_target", ["clique:3:4", "file"])
+    def test_not_free_blue_certificate_checks(self, tmp_path, blue_target):
+        from hyperramsey.core import complete_hypergraph
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 6)))
+        if blue_target == "file":
+            blue_target = write_json(tmp_path, "h.json", hypergraph_to_json(complete_hypergraph(3, 4)))
+        cert_out = tmp_path / "cert.json"
+        assert main(["verify", "--coloring", cpath, "--red-pattern", "path:3:2:4",
+                     "--blue-target", blue_target, "--out", str(cert_out)]) == 0
+        cert = json.loads(cert_out.read_text())
+        assert (cert["kind"], cert["detail"]["side"]) == ("not_free", "blue")
+        assert main(["check", "--certificate", str(cert_out), "--coloring", cpath]) == 0
+
+    @pytest.mark.parametrize("coloring, rc", [(TwoColoring.all_blue(3, 8), 0),
+                                              (TwoColoring.all_red(3, 8), 3),
+                                              (None, 3)],
+                             ids=["all-blue", "all-red", "no-colouring"])
+    def test_blue_crossing_attestation_rescanned(self, tmp_path, capsys, coloring, rc):
+        cert = {"kind": "blue_crossing_attestation", "witness": None, "stats": {},
+                "detail": {"blocks": [[0, 1, 2, 3], [4, 5, 6, 7]], "exact": True}}
+        args = ["check", "--certificate", write_json(tmp_path, "cert.json", cert)]
+        if coloring is not None:
+            args += ["--coloring", write_json(tmp_path, "c.json", coloring_to_json(coloring))]
+        assert main(args) == rc
+        assert json.loads(capsys.readouterr().out)["valid"] is (rc == 0)
+
+    def test_blue_crossing_attestation_blocks_must_be_host_vertices(self, tmp_path, capsys):
+        cert = {"kind": "blue_crossing_attestation", "witness": None, "stats": {},
+                "detail": {"blocks": [[0, 1, 2, 3], [3, 8, 9]], "exact": True}}
+        args = ["check", "--certificate", write_json(tmp_path, "cert.json", cert),
+                "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 8)))]
+        assert main(args) == 3
+        assert "disjoint blocks" in json.loads(capsys.readouterr().out)["reason"]

@@ -1,10 +1,12 @@
+import hashlib
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
 
+from hyperramsey.cli import check_certificate
 from hyperramsey.core import (
     BLUE,
     RED,
@@ -288,12 +290,38 @@ class TestLooseEngine:
         assert rep.outcome == "stall"
 
     def test_cycle_target(self):
+        # the assembled closed chain is kept whole for a cycle target
         col = TwoColoring.all_red(3, 12)
         rep = loose_witness_engine(col, self.tth22(),
                                    EngineParams(n_target=10, block_size=6, target_kind="cycle"))
-        if rep.outcome == "red_witness":
-            assert validate_mono_cycle(col, rep.certificate.witness, 1, RED)
-            assert len(rep.certificate.witness) == 10
+        assert (rep.outcome, rep.certificate.kind) == ("red_witness", "red_cycle")
+        assert validate_mono_cycle(col, rep.certificate.witness, 1, RED)
+        assert len(rep.certificate.witness) == 10
+
+    @pytest.mark.parametrize("kind, order", [("path", 8), ("cycle", 9)])
+    def test_order_no_loose_path_or_cycle_has(self, kind, order):
+        # a 3-uniform loose path has an odd order and a loose cycle an even
+        # one; the engine refuses the target instead of stalling or returning
+        # a shorter witness
+        col = TwoColoring.all_red(3, 12)
+        with pytest.raises(ValueError, match=f"loose {kind}"):
+            loose_witness_engine(col, self.tth22(),
+                                 EngineParams(n_target=order, block_size=6, target_kind=kind))
+
+    @pytest.mark.parametrize("col, chi, params, via", [
+        (TwoColoring.all_blue(3, 12), 2, EngineParams(n_target=9), "blue block"),
+        # H(TT_1, 2) is edgeless
+        (TwoColoring.all_blue(3, 12), 1, EngineParams(n_target=9), "edgeless target"),
+        (blocks_with_blue_crossing([4, 4])[0], 2, EngineParams(n_target=5, block_size=4),
+         "all-blue crossing"),
+        (TwoColoring.random(3, 12, 0.6, seed=16), 2,
+         EngineParams(n_target=10, block_size=5, target_kind="cycle"),
+         "split over leftover and flexible interiors"),
+    ], ids=["block", "edgeless", "crossing", "split"])
+    def test_blue_certificates_name_their_target(self, col, chi, params, via):
+        rep = loose_witness_engine(col, transitive_tournament_hypergraph(chi, 2)[0], params)
+        assert (rep.outcome, rep.certificate.detail["via"]) == ("blue_witness", via)
+        assert check_certificate(rep.certificate, col) == (True, "revalidated")
 
     @pytest.mark.parametrize("seed", range(15))
     def test_soundness_random(self, seed):
@@ -333,6 +361,13 @@ class TestTightEngine:
         assert rep.outcome == "blue_witness"
         target, _ = transitive_tournament_hypergraph(2, 2)
         assert validate_embedding(col, target, rep.certificate.witness, BLUE)
+
+    @pytest.mark.parametrize("chi, via", [(2, "blue block"), (1, "edgeless target")])
+    def test_blue_certificates_name_their_target(self, chi, via):
+        col = TwoColoring.all_blue(3, 12)
+        rep = tight_witness_engine(col, chi, 2, EngineParams(n_target=9))
+        assert (rep.outcome, rep.certificate.detail["via"]) == ("blue_witness", via)
+        assert check_certificate(rep.certificate, col) == (True, "revalidated")
 
     def test_absorption_grows_chain(self):
         col = TwoColoring.random(3, 13, 0.97, seed=3)
@@ -428,10 +463,10 @@ class TestClosedChainRebuilds:
         # the auxiliary-path splice and the endpoint extension both fire
         col = TwoColoring.random(3, 12, 0.95, seed=1371953212)
         rep = loose_witness_engine(col, transitive_tournament_hypergraph(2, 2)[0],
-                                   EngineParams(n_target=9, block_size=8, target_kind="cycle"))
+                                   EngineParams(n_target=10, block_size=8, target_kind="cycle"))
         assert (rep.outcome, rep.certificate) == ("stall", None)
         assert rep.stall == {"reason": "no extension move applies", "round": 2, "chain_sizes": [11],
-                             "target_order": 9, "deficits": [0], "budget_c": 1, "sigma": 1,
+                             "target_order": 10, "deficits": [0], "budget_c": 1, "sigma": 1,
                              "leftover": 1}
         assert rep.log == ["partition: 1 red blocks, 0 blue blocks, leftover 4",
                            "assembled 1 chains, sizes [7], leftover 1",
@@ -471,6 +506,39 @@ class TestStallBookkeeping:
         system = build_path_system(col, blocks, ell=1, alpha=2, epsilon=0.3)
         assert system.no_two_disjoint_connectors
         assert system.usage is not None and set(system.usage) == {0, 1}
+
+
+def _workload_path_runs(seed: int, pairs: int):
+    """Loose and tight path runs drawn as the `engines` benchmark workload
+    draws them: a fixed scramble of the (n, density, block size[, chi]) grid,
+    shuffled by the seed, which then draws each colouring and target order."""
+    rng = Random(seed)
+    grid = list(product(range(12, 23), (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95), (4, 5, 6)))
+    Random(0).shuffle(grid)
+    loose = grid[:pairs]
+    tight = [g + (chi,) for g in grid for chi in (2, 3)][:pairs]
+    rng.shuffle(loose)
+    rng.shuffle(tight)
+    for (n, density, block_size), (n2, density2, block_size2, chi) in zip(loose, tight):
+        col = TwoColoring.random(3, n, density, seed=rng.getrandbits(32))
+        yield "loose", col, 2, EngineParams(n_target=rng.choice(range(5, n + 1, 2)), block_size=block_size)
+        col = TwoColoring.random(3, n2, density2, seed=rng.getrandbits(32))
+        yield "tight", col, chi, EngineParams(n_target=rng.randint(5, n2), block_size=block_size2)
+
+
+def test_engine_reports_pinned():
+    # outcome, certificate kind, witness, stall and log of 100 seeded path
+    # runs; any change to what the engines decide shows up in this digest
+    digest = hashlib.sha256()
+    for kind, col, chi, params in _workload_path_runs(0, 50):
+        if kind == "loose":
+            rep = loose_witness_engine(col, transitive_tournament_hypergraph(2, 2)[0], params)
+        else:
+            rep = tight_witness_engine(col, chi, 2, params)
+        cert = rep.certificate
+        line = (kind, rep.outcome, cert and cert.kind, cert and cert.witness, rep.stall, rep.log)
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == "a18de9525e9bc539692b8cd50a996fba5a7afb80f818c8a116b61ff85fd78356"
 
 
 def test_witness_checks_run_under_optimize():
