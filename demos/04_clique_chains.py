@@ -24,7 +24,7 @@ print("leftover:", partition.leftover)
 
 # Step 2: bridge the red blocks by pairs of disjoint short red paths.
 blocks = partition.red_blocks()
-system = build_path_system(col, blocks, ell=1, alpha=2, epsilon=0.5)
+system = build_path_system(col, blocks, ell=1, alpha=2)
 print("\nforest edges:", system.forest_edges)
 for key, (p1, p2) in system.paths.items():
     print(f"  bridge {key}: {p1} and {p2}")
@@ -36,7 +36,7 @@ print("\nwalk of the component tree:", double_tree_walk(system.forest_edges))
 report = assemble_chains(col, blocks, system)
 chain = report.chains[0]
 print(f"\nassembled {chain.kind} chain on {chain.p} vertices, "
-      f"{len(chain.intervals)} elements, leftover {report.leftover_count}")
+      f"{len(chain.intervals)} elements, leftover {len(report.leftover)}")
 cert = validate_chain(chain, col)
 print("valid:", cert.detail["valid"],
       "| flexible elements:", cert.detail["flexible_elements"],

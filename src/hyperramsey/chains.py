@@ -269,8 +269,6 @@ def cut_open(chain: CliqueChain) -> CliqueChain:
 class CliquePartition:
     blocks: list[tuple[str, tuple[int, ...]]]  # (colour, vertices)
     leftover: tuple[int, ...]
-    red_size: int
-    blue_size: int
 
     def red_blocks(self) -> list[tuple[int, ...]]:
         return [b for c, b in self.blocks if c == RED]
@@ -279,8 +277,7 @@ class CliquePartition:
         return [b for c, b in self.blocks if c == BLUE]
 
 
-def clique_partition(col: TwoColoring, red_size: int, blue_size: int,
-                     pool: list[int] | None = None) -> CliquePartition:
+def clique_partition(col: TwoColoring, red_size: int, blue_size: int) -> CliquePartition:
     """Greedy repeated extraction of red or blue cliques of the given orders.
 
     The leftover is directly verified to contain neither clique: the loop only
@@ -288,7 +285,7 @@ def clique_partition(col: TwoColoring, red_size: int, blue_size: int,
     """
     if red_size < col.k or blue_size < col.k:
         raise ValueError("clique orders must be at least k")
-    remaining = sorted(range(col.n)) if pool is None else sorted(pool)
+    remaining = list(range(col.n))
     blocks: list[tuple[str, tuple[int, ...]]] = []
     while True:
         red = find_mono_clique(col, red_size, RED, pool=remaining)
@@ -302,7 +299,7 @@ def clique_partition(col: TwoColoring, red_size: int, blue_size: int,
             remaining = [v for v in remaining if v not in set(blue)]
             continue
         break
-    return CliquePartition(blocks, tuple(remaining), red_size, blue_size)
+    return CliquePartition(blocks, tuple(remaining))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +364,6 @@ class PathSystem:
     diagnostic: str | None = None
     stall_blocks: tuple[int, ...] = ()
     no_two_disjoint_connectors: bool = False  # verified exhaustively on exit
-    usage_ok: bool = True
     usage: dict[int, int] | None = None
 
     def used_vertices(self) -> set[int]:
@@ -458,14 +454,15 @@ def _find_short_connector(col: TwoColoring, k: int, ell: int,
 
 
 def build_path_system(col: TwoColoring, blocks: list[tuple[int, ...]], ell: int,
-                      alpha: int, epsilon: float) -> PathSystem:
+                      alpha: int) -> PathSystem:
     """Iteratively connect red-clique blocks by pairs of short vertex-disjoint
     red ell-paths until fewer than alpha forest components remain, then add
     further forest edges while any two disjoint short connectors exist between
     distinct components.
 
     A stall (no connector while >= alpha components remain) is returned as a
-    first-class outcome; it indicates the blue side of the dichotomy.
+    first-class outcome; it indicates the blue side of the dichotomy.  `usage`
+    counts the vertices of each block the paths use; nothing bounds it.
     """
     k = col.k
     if ell not in (1, k - 1):
@@ -607,8 +604,6 @@ def build_path_system(col: TwoColoring, blocks: list[tuple[int, ...]], ell: int,
     system.no_two_disjoint_connectors = True
     used_final = system.used_vertices()
     system.usage = {i: sum(1 for v in blocks[i] if v in used_final) for i in range(t)}
-    system.usage_ok = all(system.usage[i] <= epsilon * len(blocks[i]) + 4 * alpha * k
-                          for i in range(t))
     return system
 
 
@@ -620,13 +615,9 @@ def build_path_system(col: TwoColoring, blocks: list[tuple[int, ...]], ell: int,
 class AssemblyReport:
     chains: list[CliqueChain]
     leftover: tuple[int, ...]
-    leftover_count: int
-    per_block_connector_use: dict[int, int]
-    trivial_components: list[int]
 
 
-def _reserve_junction_path(col: TwoColoring, k: int, ell: int,
-                           tail: tuple[int, ...], head: tuple[int, ...],
+def _reserve_junction_path(k: int, ell: int, tail: tuple[int, ...], head: tuple[int, ...],
                            block: tuple[int, ...], used: set[int]) -> tuple[int, ...]:
     """An in-block ell-path of length q0 starting with `tail` and ending with
     `head`; fresh interior vertices are the lowest-index unused block vertices.
@@ -639,7 +630,7 @@ def _reserve_junction_path(col: TwoColoring, k: int, ell: int,
 
 
 def assemble_chains(col: TwoColoring, blocks: list[tuple[int, ...]],
-                    system: PathSystem, epsilon: float = 0.25) -> AssemblyReport:
+                    system: PathSystem) -> AssemblyReport:
     """Join each forest component's blocks into one closed clique chain.
 
     The doubled-tree walk of the component is the template: its steps are
@@ -647,21 +638,13 @@ def assemble_chains(col: TwoColoring, blocks: list[tuple[int, ...]],
     in-block junction paths; one junction path per block is then inflated to a
     flexible element of maximal size with the right residue.  Components with
     a single block and no edges become flagged single-element open chains.
+    The report's leftover is the block vertices no chain covers.
     """
     k, ell = system.k, system.ell
     if system.stalled:
         raise ValueError("cannot assemble a stalled path system")
     chains: list[CliqueChain] = []
-    trivial: list[int] = []
     used_global: set[int] = set(system.used_vertices())
-    connector_use = {i: 0 for i in range(len(blocks))}
-    for key in system.paths:
-        for path in system.paths[key]:
-            for v in path:
-                for i, b in enumerate(blocks):
-                    if v in b:
-                        connector_use[i] += 1
-                        break
 
     for comp in system.components():
         comp_edges = [e for e in system.forest_edges if e[0] in comp]
@@ -672,13 +655,11 @@ def assemble_chains(col: TwoColoring, blocks: list[tuple[int, ...]],
             while length >= k and (length - ell) % (k - ell) != 0:
                 length -= 1
             if length < k:
-                trivial.append(i)
                 continue
             verts = sorted(block)[:length]
             chains.append(chain_from_runs(OPEN, k, ell, [(verts, True)],
                                           flags=(f"trivial-single-block:{i}",)))
             used_global.update(verts)
-            trivial.append(i)
             continue
 
         walk = double_tree_walk(comp_edges, root=min(comp))
@@ -708,7 +689,7 @@ def assemble_chains(col: TwoColoring, blocks: list[tuple[int, ...]],
             leaving = conns[j]
             tail = arriving[len(arriving) - ell:]
             head = leaving[:ell]
-            jp = _reserve_junction_path(col, k, ell, tail, head, blocks[walk[j]], used)
+            jp = _reserve_junction_path(k, ell, tail, head, blocks[walk[j]], used)
             used.update(jp)
             junctions.append(jp)
 
@@ -750,4 +731,4 @@ def assemble_chains(col: TwoColoring, blocks: list[tuple[int, ...]],
 
     all_block_vertices = {v for b in blocks for v in b}
     leftover = tuple(sorted(all_block_vertices - used_global))
-    return AssemblyReport(chains, leftover, len(leftover), connector_use, trivial)
+    return AssemblyReport(chains, leftover)

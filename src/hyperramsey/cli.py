@@ -219,11 +219,11 @@ def cmd_dramsey(args) -> int:
 def cmd_chain(args) -> int:
     col = coloring_from_json(_load_json(args.coloring))
     blocks = [tuple(b) for b in _load_json(args.blocks)]
-    system = build_path_system(col, blocks, ell=args.ell, alpha=args.alpha, epsilon=args.epsilon)
+    system = build_path_system(col, blocks, ell=args.ell, alpha=args.alpha)
     if system.stalled:
         _dump({"stalled": True, "diagnostic": system.diagnostic}, args.out)
         return EXIT_OK
-    report = assemble_chains(col, blocks, system, epsilon=args.epsilon)
+    report = assemble_chains(col, blocks, system)
     payload = {
         "stalled": False,
         "chains": [
@@ -271,68 +271,80 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_BAD_CERTIFICATE
 
 
+_NEEDS_COLOURING = ("red_path", "blue_path", "red_cycle", "blue_cycle", "red_embedding",
+                    "blue_embedding", "chain", "not_free", "blue_crossing_attestation")
+
+
+def _int_list(value, what: str) -> list[int]:
+    """A certificate field that must be a list of integers."""
+    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+        raise ValueError(f"certificate {what} must be a list of integers")
+    return value
+
+
 def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool, str]:
     """Re-validate a certificate in one pass against the host colouring.
 
     What cannot be re-validated from the certificate and the colouring is
-    refused, except one attestation: an exact `free` search."""
+    refused, except one attestation: an exact `free` search.  A field of the
+    wrong type is malformed input: ValueError."""
     kind = cert.kind
-    if kind in ("red_path", "blue_path"):
-        if col is None:
-            return False, "path certificates need the colouring"
-        colour = RED if kind.startswith("red") else BLUE
+    if col is None and kind in _NEEDS_COLOURING:
+        return False, f"{kind} certificates need the colouring"
+    colour = RED if kind.startswith("red") else BLUE
+    if kind in ("red_path", "blue_path", "red_cycle", "blue_cycle"):
+        shape = kind.split("_")[1]
+        # a cycle's order lives in detail.sequence; a path's witness is its order
+        seq = cert.detail.get("sequence", cert.witness) if shape == "cycle" else cert.witness
         ell = cert.detail.get("ell")
-        if cert.witness is None or ell is None:
+        if seq is None or ell is None:
             return False, "missing witness or ell"
-        if not cert.witness:
+        if not isinstance(ell, int) or not 1 <= ell < col.k:
+            raise ValueError(f"certificate ell must be an integer in 1..{col.k - 1}")
+        seq = _int_list(seq, f"{shape} witness")
+        if shape == "path" and not seq:
             return True, "empty path is trivially valid"
-        ok = validate_mono_path(col, cert.witness, ell, colour)
-        return ok, "revalidated" if ok else "path windows are not all the right colour"
-    if kind in ("red_cycle", "blue_cycle"):
-        if col is None:
-            return False, "cycle certificates need the colouring"
-        colour = RED if kind.startswith("red") else BLUE
-        seq = cert.detail.get("sequence", cert.witness)
-        ok = validate_mono_cycle(col, seq, cert.detail.get("ell"), colour)
-        return ok, "revalidated" if ok else "cycle windows are not all the right colour"
+        validate = validate_mono_path if shape == "path" else validate_mono_cycle
+        ok = validate(col, seq, ell, colour)
+        return ok, "revalidated" if ok else f"{shape} windows are not all the right colour"
     if kind in ("red_embedding", "blue_embedding"):
-        if col is None:
-            return False, "embedding certificates need the colouring"
-        colour = RED if kind.startswith("red") else BLUE
         target_json = cert.detail.get("target")
         if isinstance(target_json, dict):
             target = hypergraph_from_json(target_json)
         elif target_json == "tth":
-            target, _ = core.transitive_tournament_hypergraph(cert.detail["chi"], cert.detail["m"])
+            target, _ = core.transitive_tournament_hypergraph(
+                *_int_list([cert.detail.get("chi"), cert.detail.get("m")], "tth chi and m"))
         elif isinstance(target_json, str):
             target = pattern_hypergraph(target_json)
         else:
             return False, "embedding certificate lacks its target"
         if cert.witness is None:
             return False, "absence attestations cannot be re-validated in one pass"
-        ok = validate_embedding(col, target, cert.witness, colour)
+        ok = validate_embedding(col, target, _int_list(cert.witness, "embedding witness"), colour)
         return ok, "revalidated" if ok else "embedding misses an edge of the right colour"
     if kind == "independent_set":
         return False, "independent-set certificates do not carry their hypergraph"
     if kind == "tt_embedding":
         return False, "tt_embedding certificates do not carry their tournament"
     if kind == "chain":
-        if col is None:
-            return False, "chain certificates need the colouring"
         w = cert.witness
-        chain = CliqueChain(w["kind"], w["k"], w["ell"], tuple(w["vertices"]),
-                            tuple(tuple(i) for i in w["intervals"]))
+        if not isinstance(w, dict) or w.get("k") != col.k or not isinstance(w.get("ell"), int) \
+                or not 1 <= w["ell"] < col.k:
+            raise ValueError(f"chain witness must be an object with k = {col.k} and ell in 1..{col.k - 1}")
+        intervals = w.get("intervals")
+        if not isinstance(intervals, list) or any(len(_int_list(i, "chain interval")) != 2 for i in intervals):
+            raise ValueError("chain intervals must be [start, length] pairs")
+        chain = CliqueChain(w["kind"], col.k, w["ell"], tuple(_int_list(w.get("vertices"), "chain vertices")),
+                            tuple(tuple(i) for i in intervals))
         out = validate_chain(chain, col)
         return out.detail["valid"], "; ".join(out.detail["problems"]) or "revalidated"
     if kind == "not_free":
-        if col is None:
-            return False, "not_free certificates need the colouring"
         return check_certificate(Certificate.from_json(cert.detail.get("inner", {})), col)
     if kind == "blue_crossing_attestation":
-        if col is None:
-            return False, "crossing attestations need the colouring"
         blocks = cert.detail.get("blocks") or []
-        flat = [v for b in blocks for v in b]
+        if not isinstance(blocks, list):
+            raise ValueError("crossing attestation blocks must be a list")
+        flat = [v for b in blocks for v in _int_list(b, "crossing block")]
         if not flat or len(set(flat)) != len(flat) or any(not 0 <= v < col.n for v in flat):
             return False, "crossing attestation needs disjoint blocks of host vertices"
         outcome, edge = independence_dichotomy(col, [tuple(b) for b in blocks])
@@ -407,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", required=True, help="JSON list of vertex lists")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_chain)
 

@@ -141,13 +141,13 @@ def ell_path_lb(k: int, ell: int, n: int, chi: int) -> LowerBoundInstance:
     )
 
 
-def qualifies_for_ell_path_lb(hg: Hypergraph, ell: int, max_vertices: int = 12) -> bool:
+def qualifies_for_ell_path_lb(hg: Hypergraph, ell: int) -> bool:
     """Check the target-side hypothesis of the ell-path lower bound: every
     proper chi-colouring and every colour class i admit an edge meeting class i
     and every other class in at most ell-1 vertices."""
     from .core import _proper_colourings, ramsey_profile
 
-    profile = ramsey_profile(hg, max_vertices=max_vertices)
+    profile = ramsey_profile(hg, max_vertices=12)
     chi = profile.chi
     for assignment in _proper_colourings(hg, chi):
         for i in range(chi):
@@ -245,7 +245,6 @@ def loose_cycle_lb(
     variant: str,
     q: int | None = None,
     aux: Hypergraph | None = None,
-    tau_value: int | None = None,
 ) -> LowerBoundInstance:
     """Two loose-cycle lower-bound colourings.
 
@@ -321,9 +320,9 @@ def loose_cycle_lb(
             claimed_blue_free=f"split target, pencil variant, t={t}",
             partition=blocks,
             parameters={"k": k, "chi": chi, "n": n, "t": t, "q": q, "variant": variant, "N": big_n},
-            # class sizes need max{tau(k-1,t), q}; the lower-construction size is
-            # exact for k=3 and a caller with the exact tau can override it
-            blue_target=split_target(k, chi, t, max(tau_value if tau_value is not None else _tau_lower_size(k - 1, t), q)),
+            # class sizes need max{tau(k-1,t), q}; the lower-construction size
+            # is exact for k=3
+            blue_target=split_target(k, chi, t, max(_tau_lower_size(k - 1, t), q)),
         )
     raise ValueError(f"unknown variant {variant!r}")
 

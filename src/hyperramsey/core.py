@@ -492,7 +492,13 @@ def hypergraph_to_json(hg: Hypergraph) -> dict:
 
 
 def hypergraph_from_json(obj: dict) -> Hypergraph:
-    return Hypergraph(int(obj["k"]), int(obj["n"]), tuple(tuple(e) for e in obj["edges"]))
+    if not isinstance(obj, dict):
+        raise ValueError("a hypergraph is a JSON object")
+    k, n, edges = obj["k"], obj["n"], obj["edges"]
+    if not (isinstance(k, int) and isinstance(n, int) and isinstance(edges, list)
+            and all(isinstance(e, list) and all(isinstance(v, int) for v in e) for e in edges)):
+        raise ValueError("a hypergraph has integer k and n and edges that are lists of integers")
+    return Hypergraph(k, n, tuple(tuple(e) for e in edges))
 
 
 def coloring_to_json(col: TwoColoring) -> dict:
@@ -507,6 +513,8 @@ def coloring_to_json(col: TwoColoring) -> dict:
 
 
 def coloring_from_json(obj: dict) -> TwoColoring:
+    if not isinstance(obj, dict):
+        raise ValueError("a colouring is a JSON object")
     if obj.get("encoding") != "colex-v1":
         raise ValueError(f"unsupported colouring encoding {obj.get('encoding')!r}")
     k, n = int(obj["k"]), int(obj["n"])

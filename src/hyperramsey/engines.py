@@ -152,8 +152,8 @@ class ButterflyOutcome:
     diagnostic: str | None = None
 
 
-def butterfly_dichotomy(col: TwoColoring, blocks: list[tuple[int, ...]],
-                        w_subsets: list[tuple[int, ...]], chi: int, m: int) -> ButterflyOutcome:
+def butterfly_dichotomy(col: TwoColoring, w_subsets: list[tuple[int, ...]],
+                        chi: int, m: int) -> ButterflyOutcome:
     """Either a red tight 2-path connecting two of the W-sets, or a blue copy
     of the transitive tournament hypergraph extracted through the auxiliary
     pair digraph, iterated bipartite Ramsey shrinking, and a transitive
@@ -244,7 +244,6 @@ class RandomEmbedReport:
     certificate: Certificate | None
     trials_run: int
     failure_bound: float
-    densities: list[float]
 
 
 def blue_density(col: TwoColoring, a: list[int], b: list[int], c: list[int]) -> float:
@@ -276,7 +275,6 @@ def random_embed(col: TwoColoring, first_class: list[int], classes: list[list[in
     """
     all_classes = [list(first_class)] + [list(c) for c in classes]
     chi = len(all_classes)
-    densities = []
     if check_preconditions:
         for cls in all_classes:
             if len(cls) < 1.0 / gamma:
@@ -284,7 +282,6 @@ def random_embed(col: TwoColoring, first_class: list[int], classes: list[list[in
         for i in range(chi):
             for j in range(i + 1, chi):
                 d = blue_density(col, all_classes[i], all_classes[i], all_classes[j])
-                densities.append(d)
                 if d < 1 - gamma:
                     raise ValueError(f"arc ({i},{j}) blue density {d:.3f} below 1-gamma")
     target, _ = transitive_tournament_hypergraph(chi, m)
@@ -308,8 +305,8 @@ def random_embed(col: TwoColoring, first_class: list[int], classes: list[list[in
             cert = Certificate(kind="blue_embedding", witness=flat,
                                stats={"trials": trial},
                                detail={"target": "tth", "chi": chi, "m": m, "seed": seed})
-            return RandomEmbedReport(True, cert, trial, bound, densities)
-    return RandomEmbedReport(False, None, trials, bound, densities)
+            return RandomEmbedReport(True, cert, trial, bound)
+    return RandomEmbedReport(False, None, trials, bound)
 
 
 @dataclass
@@ -419,7 +416,6 @@ def absorbing_block(col: TwoColoring, block_a: list[int], block_b: list[int],
 class EngineParams:
     n_target: int                 # red path/cycle order to reach
     block_size: int = 6           # red clique order extracted by the partition
-    epsilon: float = 0.25
     d: int = 1                    # absorbing-block arity
     gamma: float | None = None    # density threshold; default (chi^2 m^3)^-1, floored
     q: int = 4                    # class size of the recursively found blue structure
@@ -700,7 +696,7 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
         return EngineReport("stall", None,
                             {"reason": f"no red clique of order {params.block_size} found"}, log)
 
-    system = build_path_system(col, red_blocks, ell=1, alpha=chi, epsilon=params.epsilon)
+    system = build_path_system(col, red_blocks, ell=1, alpha=chi)
     if system.stalled:
         used = system.used_vertices()
         w_sets = [[v for v in red_blocks[i] if v not in used] for i in system.stall_blocks]
@@ -717,7 +713,7 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
                             {"reason": "stalled with red crossing edges but no mergeable matching",
                              "diagnostic": system.diagnostic}, log)
     try:
-        report = assemble_chains(col, red_blocks, system, epsilon=params.epsilon)
+        report = assemble_chains(col, red_blocks, system)
     except ValueError as exc:
         return EngineReport("stall", None,
                             {"reason": f"chain assembly infeasible at this scale: {exc}"}, log)
@@ -731,7 +727,7 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
                 except ValueError:
                     pass
     log.append(f"assembled {len(chains)} chains, sizes {[c.p for c in chains]}, "
-               f"leftover {report.leftover_count}")
+               f"leftover {len(report.leftover)}")
 
     for round_no in range(params.max_rounds):
         got = _extract_red_witness(col, chains, params)
@@ -909,11 +905,11 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
                             {"reason": f"no red clique of order {params.block_size} found"}, log)
 
     alpha = _directed_ramsey(chi)
-    system = build_path_system(col, red_blocks, ell=2, alpha=alpha, epsilon=params.epsilon)
+    system = build_path_system(col, red_blocks, ell=2, alpha=alpha)
     if system.stalled:
         used = system.used_vertices()
         w_sets = [tuple(v for v in red_blocks[i] if v not in used) for i in system.stall_blocks]
-        outcome = butterfly_dichotomy(col, red_blocks, list(w_sets), chi, m)
+        outcome = butterfly_dichotomy(col, list(w_sets), chi, m)
         if outcome.branch == "blue":
             log.append("path system stalled; butterfly produced the blue structure")
             return EngineReport("blue_witness", outcome.blue_embedding, None, log)
@@ -923,7 +919,7 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
                                  "connector": outcome.red_path}, log)
         return EngineReport("stall", None, {"reason": outcome.diagnostic}, log)
     try:
-        report = assemble_chains(col, red_blocks, system, epsilon=params.epsilon)
+        report = assemble_chains(col, red_blocks, system)
     except ValueError as exc:
         return EngineReport("stall", None,
                             {"reason": f"chain assembly infeasible at this scale: {exc}"}, log)

@@ -165,13 +165,11 @@ def free_coloring_exists(
     red_pattern: str,
     blue_target: Hypergraph | str,
     n: int,
-    node_cap: int | None = None,
-) -> tuple[bool | None, TwoColoring | None, dict]:
+) -> tuple[bool, TwoColoring | None, dict]:
     """Decide whether a (red_pattern, blue_target)-free colouring of the
     complete k-graph on n vertices exists.
 
-    Returns (exists, witness, stats); exists is None when the node cap was hit
-    before the search space was exhausted.
+    Returns (exists, witness, stats).
     """
     k = pattern_uniformity(red_pattern)
     nbits = comb(n, k)
@@ -183,15 +181,10 @@ def free_coloring_exists(
 
     subsets = colex_subsets(k, n)
     stats = {"nodes": 0, "prunes": 0}
-    capped = False
 
     def dfs(r: int, bits: int):
         # bits: the red edges among ranks < r; every other rank < r is blue
-        nonlocal capped
         stats["nodes"] += 1
-        if node_cap is not None and stats["nodes"] > node_cap:
-            capped = True
-            return None
         if r == nbits:
             return bits
         e = subsets[r]
@@ -202,8 +195,6 @@ def free_coloring_exists(
                 return got
         else:
             stats["prunes"] += 1
-        if capped:
-            return None
         if not blue_watch.completes(bits ^ ((2 << r) - 1), e):
             got = dfs(r + 1, bits)
             if got is not None:
@@ -215,8 +206,6 @@ def free_coloring_exists(
     bits = dfs(0, 0)
     if bits is not None:
         return True, TwoColoring(k, n, bits), stats
-    if capped:
-        return None, None, stats
     return False, None, stats
 
 
@@ -231,18 +220,13 @@ class RamseyResult:
     lower_bound: int
     exact: bool
     lower_witness: TwoColoring | None
-    upper_evidence: dict | None
     stats: dict = field(default_factory=dict)
-
-    def bracket(self) -> tuple[int, int | None]:
-        return (self.lower_bound, self.value if self.exact else None)
 
 
 def ramsey_exact(
     red_pattern: str,
     blue_target: Hypergraph | str,
     n_cap: int,
-    node_cap: int | None = None,
 ) -> RamseyResult:
     """Least n such that no free colouring of the complete k-graph exists,
     searched upward from n = k; a lower-bound-only result past n_cap."""
@@ -250,19 +234,15 @@ def ramsey_exact(
     witness = TwoColoring(k, k - 1, 0)  # empty colouring on k-1 vertices is always free
     total_stats = {"nodes": 0, "prunes": 0, "levels": {}}
     for n in range(k, n_cap + 1):
-        exists, wit, stats = free_coloring_exists(red_pattern, blue_target, n, node_cap=node_cap)
+        exists, wit, stats = free_coloring_exists(red_pattern, blue_target, n)
         total_stats["nodes"] += stats["nodes"]
         total_stats["prunes"] += stats["prunes"]
         total_stats["levels"][n] = dict(stats)
-        if exists is None:
-            return RamseyResult(red_pattern, None, n, False, witness,
-                                None, total_stats)
         if exists:
             witness = wit
             continue
-        return RamseyResult(red_pattern, n, n, True, witness,
-                            {"exhausted_at": n, "nodes": stats["nodes"]}, total_stats)
-    return RamseyResult(red_pattern, None, n_cap + 1, False, witness, None, total_stats)
+        return RamseyResult(red_pattern, n, n, True, witness, total_stats)
+    return RamseyResult(red_pattern, None, n_cap + 1, False, witness, total_stats)
 
 
 def free_colorings_bruteforce(red_pattern: str, blue_target: Hypergraph | str, n: int) -> list[int]:
@@ -304,7 +284,7 @@ class TauResult:
     stats: dict = field(default_factory=dict)
 
 
-def _tau_witness_exists(k: int, alpha: int, n: int, node_cap: int | None, stats: dict) -> Hypergraph | None:
+def _tau_witness_exists(k: int, alpha: int, n: int, stats: dict) -> Hypergraph | None:
     """Search for an n-vertex k-graph with independence < alpha and no
     two-edge loose path, i.e. all pairwise edge intersections in {0} u [2, k].
     """
@@ -322,8 +302,6 @@ def _tau_witness_exists(k: int, alpha: int, n: int, node_cap: int | None, stats:
     # cannot drop below that of the complete k-graph restricted to compatibles
     def rec(start: int) -> list[int] | None:
         stats["nodes"] += 1
-        if node_cap is not None and stats["nodes"] > node_cap:
-            raise GuardExceeded("tau search node cap")
         if alpha_below(chosen):
             return list(chosen)
         # upper bound check: adding all still-compatible edges
@@ -354,9 +332,11 @@ def _tau_witness_exists(k: int, alpha: int, n: int, node_cap: int | None, stats:
     return Hypergraph(k, n, tuple(candidates[i] for i in got))
 
 
-def tau_exact(k: int, alpha: int, n_cap: int | None = None, node_cap: int | None = None) -> TauResult:
+def tau_exact(k: int, alpha: int, n_cap: int | None = None) -> TauResult:
     """Largest n admitting a k-graph with independence < alpha and no two-edge
-    loose path, searched downward from the proven ceiling 2*alpha - 2."""
+    loose path, searched downward from the proven ceiling 2*alpha - 2.  Each
+    order is searched exhaustively; only an `n_cap` below the ceiling leaves
+    the result inexact, with the largest order found as its lower bound."""
     if k < 2 or alpha < 1:
         raise ValueError("need k >= 2, alpha >= 1")
     stats = {"nodes": 0, "prunes": 0}
@@ -371,16 +351,11 @@ def tau_exact(k: int, alpha: int, n_cap: int | None = None, node_cap: int | None
     lower = _tau_lower_size(k, alpha)
     upper = 2 * alpha - 2
     start = upper if n_cap is None else min(upper, n_cap)
-    try:
-        for n in range(start, lower - 1, -1):
-            wit = _tau_witness_exists(k, alpha, n, node_cap, stats)
-            if wit is not None:
-                exact = start == upper
-                return TauResult(k, alpha, n if exact else None, n, upper, exact, wit, stats=stats)
-    except GuardExceeded:
-        wit = tau_lower_construction(k, alpha)
-        return TauResult(k, alpha, None, lower, upper, False, wit,
-                         flags=("budget-exceeded",), stats=stats)
+    for n in range(start, lower - 1, -1):
+        wit = _tau_witness_exists(k, alpha, n, stats)
+        if wit is not None:
+            exact = start == upper
+            return TauResult(k, alpha, n if exact else None, n, upper, exact, wit, stats=stats)
     # cannot happen: the explicit construction exists at `lower`
     raise AssertionError("tau search failed below the constructive lower bound")
 
@@ -531,7 +506,6 @@ def directed_ramsey_exact(chi: int, n_cap: int = 9) -> DirectedRamseyResult:
 
 @dataclass
 class GapCheckReport:
-    chi: int
     value: int
     previous: int
     inequality_holds: bool
@@ -539,13 +513,13 @@ class GapCheckReport:
     augmented_ttfree: bool
 
 
-def consecutive_gap_check(chi: int, n_cap: int = 9) -> GapCheckReport:
+def consecutive_gap_check(chi: int) -> GapCheckReport:
     """Check R_vec(chi) >= R_vec(chi-1) + 2 and re-validate the constructive
     witness: a TT_{chi-1}-free tournament extended by one dominating vertex,
     one dominated vertex, and the back arc between them."""
     if chi < 3:
         raise ValueError("gap check needs chi >= 3")
-    return _gap_report(directed_ramsey_exact(chi, n_cap), directed_ramsey_exact(chi - 1, n_cap))
+    return _gap_report(directed_ramsey_exact(chi), directed_ramsey_exact(chi - 1))
 
 
 def _gap_report(cur: DirectedRamseyResult, prev: DirectedRamseyResult) -> GapCheckReport:
@@ -563,7 +537,6 @@ def _gap_report(cur: DirectedRamseyResult, prev: DirectedRamseyResult) -> GapChe
     augmented = Tournament.from_arcs(m + 2, arcs)
     cert = find_transitive_subtournament(augmented, cur.chi)
     return GapCheckReport(
-        chi=cur.chi,
         value=cur.value,
         previous=prev.value,
         inequality_holds=cur.value >= prev.value + 2,
@@ -578,17 +551,15 @@ def _gap_report(cur: DirectedRamseyResult, prev: DirectedRamseyResult) -> GapChe
 
 @dataclass
 class GoodnessReport:
-    red_pattern: str
     burr: int
-    hypothesis_ok: bool
-    ramsey_lower: int
-    ramsey_value: int | None
     gap: int | None
     verdict: str  # good | not-good | undecided
 
 
 def goodness_gap(red_pattern: str, target: Hypergraph, result: RamseyResult,
                  profile: RamseyProfile | None = None) -> GoodnessReport:
+    """The Burr bound of the red pattern and the verdict of `result` against
+    it; the gap is None unless `result` is exact."""
     from .core import burr_bound
 
     if profile is None:
@@ -599,10 +570,7 @@ def goodness_gap(red_pattern: str, target: Hypergraph, result: RamseyResult,
     if result.exact:
         gap = result.value - bb.value
         verdict = "good" if gap == 0 else "not-good"
-        return GoodnessReport(red_pattern, bb.value, bb.hypothesis_ok,
-                              result.lower_bound, result.value, gap, verdict)
-    if result.lower_bound > bb.value:
-        return GoodnessReport(red_pattern, bb.value, bb.hypothesis_ok,
-                              result.lower_bound, None, None, "not-good")
-    return GoodnessReport(red_pattern, bb.value, bb.hypothesis_ok,
-                          result.lower_bound, None, None, "undecided")
+    else:
+        gap = None
+        verdict = "not-good" if result.lower_bound > bb.value else "undecided"
+    return GoodnessReport(bb.value, gap, verdict)

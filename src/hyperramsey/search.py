@@ -42,7 +42,7 @@ class Certificate:
 
     kind is one of: red_path, blue_path, red_cycle, blue_cycle, red_embedding,
     blue_embedding, free, not_free, independent_set, tt_embedding, chain,
-    mono_biclique.  `witness` is None for exhaustive absence attestations.
+    chain_invalid, blue_crossing_attestation; absence attestations have no witness.
     """
 
     kind: str
@@ -59,6 +59,10 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
+        """Read a certificate back; a ValueError names what is malformed."""
+        if not (isinstance(obj, dict) and isinstance(obj.get("kind"), str)
+                and isinstance(obj.get("stats", {}), dict) and isinstance(obj.get("detail", {}), dict)):
+            raise ValueError("a certificate is an object with a string kind and object stats and detail")
         return cls(obj["kind"], obj.get("witness"), dict(obj.get("stats", {})), dict(obj.get("detail", {})))
 
 
@@ -136,7 +140,7 @@ def validate_tt_embedding(t: Tournament, order) -> bool:
 # longest monochromatic ell-path
 
 
-def _default_path_guard(k: int, ell: int) -> int:
+def _default_path_guard(ell: int) -> int:
     if ell == 1:
         return _env_guard("HYPERRAMSEY_LOOSE_PATH_GUARD", 20)
     return _env_guard("HYPERRAMSEY_PATH_GUARD", 16)
@@ -186,7 +190,7 @@ def longest_mono_ell_path(
     if not 1 <= ell <= k - 1:
         raise ValueError("ell out of range")
     if guard is None:
-        guard = _default_path_guard(k, ell)
+        guard = _default_path_guard(ell)
     cls = col.red_bits if colour == RED else col.red_bits ^ ((1 << col.num_edges) - 1)
     exact = True  # an empty class is exact at any size: the path has no edge
     if cls and col.n > guard and node_budget is None:
@@ -459,14 +463,14 @@ def pattern_hypergraph(spec: str) -> Hypergraph:
     raise AssertionError
 
 
-def search_pattern(col: TwoColoring, spec: str, colour: str, node_budget: int | None = None) -> Certificate:
+def search_pattern(col: TwoColoring, spec: str, colour: str) -> Certificate:
     """Search one colour for the pattern; path patterns use the dedicated
     longest-path search, everything else the generic embedding search."""
     name, a = parse_pattern(spec)
     if name == "path":
         if a["k"] != col.k:
             raise ValueError("uniformity mismatch")
-        vertices, cert = longest_mono_ell_path(col, a["ell"], colour, node_budget=node_budget)
+        vertices, cert = longest_mono_ell_path(col, a["ell"], colour)
         found = vertices >= a["n"]
         witness = None
         if found:
@@ -480,33 +484,34 @@ def search_pattern(col: TwoColoring, spec: str, colour: str, node_budget: int | 
             detail={**cert.detail, "pattern": spec, "max_vertices": vertices},
         )
     target = pattern_hypergraph(spec)
-    cert = find_mono_copy(col, target, colour, node_budget=node_budget)
+    cert = find_mono_copy(col, target, colour)
     cert.detail["pattern"] = spec
     if name == "cycle":
         cert.kind = f"{colour}_cycle"
+        cert.detail["ell"] = a["ell"]
+        cert.detail["k"] = a["k"]
         if cert.found:
             # reconstruct the cyclic vertex sequence from the embedding
             cert.detail["sequence"] = [cert.witness[v] for v in range(target.n)]
     return cert
 
 
-def verify_free(col, red_pattern: str, blue_target: Hypergraph | str,
-                node_budget: int | None = None) -> Certificate:
+def verify_free(col, red_pattern: str, blue_target: Hypergraph | str) -> Certificate:
     """Certify that a colouring has no red copy of the pattern and no blue copy
     of the target (kind "free"), or exhibit the offending witness (kind
     "not_free").  Accepts a colouring or anything carrying one (such as a
     lower-bound instance)."""
     col = getattr(col, "coloring", col)
-    red_cert = search_pattern(col, red_pattern, RED, node_budget=node_budget)
+    red_cert = search_pattern(col, red_pattern, RED)
     if red_cert.found:
         return Certificate(kind="not_free", witness=red_cert.witness,
                            stats=red_cert.stats,
                            detail={"side": RED, "pattern": red_pattern, "inner": red_cert.to_json()})
     if isinstance(blue_target, str):
-        blue_cert = search_pattern(col, blue_target, BLUE, node_budget=node_budget)
+        blue_cert = search_pattern(col, blue_target, BLUE)
         blue_desc = blue_target
     else:
-        blue_cert = find_mono_copy(col, blue_target, BLUE, node_budget=node_budget)
+        blue_cert = find_mono_copy(col, blue_target, BLUE)
         blue_desc = "hypergraph"
     if blue_cert.found:
         return Certificate(kind="not_free", witness=blue_cert.witness,
@@ -525,12 +530,11 @@ def verify_free(col, red_pattern: str, blue_target: Hypergraph | str,
 # independence number
 
 
-def independence_number(hg: Hypergraph, guard: int | None = None,
-                        node_budget: int | None = None) -> tuple[int, Certificate]:
+def independence_number(hg: Hypergraph, guard: int | None = None) -> tuple[int, Certificate]:
     """Exact independence number by branch and bound on vertex inclusion."""
     if guard is None:
         guard = _env_guard("HYPERRAMSEY_INDEPENDENCE_GUARD", 20)
-    if hg.n > guard and node_budget is None:
+    if hg.n > guard:
         raise GuardExceeded(f"{hg.n} vertices exceeds independence guard {guard}")
     stats = {"nodes": 0, "prunes": 0}
     edges = [frozenset(e) for e in hg.edges]

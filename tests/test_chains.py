@@ -220,7 +220,7 @@ def test_assembly_and_cut_open_layouts_pinned(instance, ell, closed, opened):
     n, density, block, seed = instance
     col = TwoColoring.random(3, n, density, seed=seed)
     blocks = clique_partition(col, block, 6).red_blocks()
-    system = build_path_system(col, blocks, ell=ell, alpha=2, epsilon=0.25)
+    system = build_path_system(col, blocks, ell=ell, alpha=2)
     report = assemble_chains(col, blocks, system)
     assert [(c.kind, c.vertices, c.intervals) for c in report.chains] == [(CLOSED, *closed)]
     cut = cut_open(report.chains[0])
@@ -295,7 +295,7 @@ class TestPathSystem:
     def test_two_red_blocks_single_edge(self):
         col = TwoColoring.all_red(3, 14)
         blocks = [tuple(range(7)), tuple(range(7, 14))]
-        system = build_path_system(col, blocks, ell=1, alpha=2, epsilon=0.3)
+        system = build_path_system(col, blocks, ell=1, alpha=2)
         assert not system.stalled
         assert system.forest_edges == [(0, 1)]
         p1, p2 = system.paths[(0, 1)]
@@ -305,14 +305,14 @@ class TestPathSystem:
     def test_stall_on_blue_crossing(self):
         red = [e for e in colex_subsets(3, 8) if e[-1] < 4 or e[0] >= 4]
         col = TwoColoring.from_red_edges(3, 8, red)
-        system = build_path_system(col, [(0, 1, 2, 3), (4, 5, 6, 7)], ell=1, alpha=2, epsilon=0.3)
+        system = build_path_system(col, [(0, 1, 2, 3), (4, 5, 6, 7)], ell=1, alpha=2)
         assert system.stalled
         assert system.stall_blocks == (0, 1)
 
     def test_tight_connectors(self):
         col = TwoColoring.all_red(3, 12)
         blocks = [tuple(range(6)), tuple(range(6, 12))]
-        system = build_path_system(col, blocks, ell=2, alpha=2, epsilon=0.3)
+        system = build_path_system(col, blocks, ell=2, alpha=2)
         assert not system.stalled
         for p1, p2 in system.paths.values():
             for p in (p1, p2):
@@ -322,7 +322,7 @@ class TestPathSystem:
     def test_usage_stays_bounded(self):
         col = TwoColoring.all_red(3, 21)
         blocks = [tuple(range(7 * i, 7 * (i + 1))) for i in range(3)]
-        system = build_path_system(col, blocks, ell=1, alpha=2, epsilon=0.5)
+        system = build_path_system(col, blocks, ell=1, alpha=2)
         used = system.used_vertices()
         for b in blocks:
             assert sum(1 for v in b if v in used) <= 0.5 * len(b) + 4 * 3  # slack for augmentation
@@ -331,7 +331,7 @@ class TestPathSystem:
 class TestAssembleChains:
     def test_single_block_trivial(self):
         col = TwoColoring.all_red(3, 7)
-        system = build_path_system(col, [tuple(range(7))], ell=1, alpha=2, epsilon=0.3)
+        system = build_path_system(col, [tuple(range(7))], ell=1, alpha=2)
         report = assemble_chains(col, [tuple(range(7))], system)
         assert len(report.chains) == 1
         chain = report.chains[0]
@@ -340,7 +340,7 @@ class TestAssembleChains:
     def test_two_blocks_closed_chain(self):
         col = TwoColoring.all_red(3, 14)
         blocks = [tuple(range(7)), tuple(range(7, 14))]
-        system = build_path_system(col, blocks, ell=1, alpha=2, epsilon=0.3)
+        system = build_path_system(col, blocks, ell=1, alpha=2)
         report = assemble_chains(col, blocks, system)
         assert len(report.chains) == 1
         chain = report.chains[0]
@@ -358,7 +358,7 @@ class TestAssembleChains:
         blocks = cp.red_blocks()
         if len(blocks) < 2:
             pytest.skip("partition found fewer than two red blocks")
-        system = build_path_system(col, blocks, ell=1, alpha=2, epsilon=0.5)
+        system = build_path_system(col, blocks, ell=1, alpha=2)
         if system.stalled:
             pytest.skip("no connectors at this seed")
         report = assemble_chains(col, blocks, system)
@@ -381,7 +381,7 @@ class TestAssemblyDisjointness:
         blocks = cp.red_blocks()
         if len(blocks) < 2:
             pytest.skip("not enough red blocks")
-        system = build_path_system(col, blocks, ell=1, alpha=2, epsilon=0.6)
+        system = build_path_system(col, blocks, ell=1, alpha=2)
         if system.stalled:
             pytest.skip("stalled")
         try:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hyperramsey.core import TwoColoring, coloring_to_json, hypergraph_to_json
+from hyperramsey.core import TwoColoring, coloring_to_json, complete_hypergraph, hypergraph_to_json
 from hyperramsey.constructions import loose_path_lb, tau_lower_construction
 from hyperramsey.cli import main
 
@@ -326,11 +326,13 @@ class TestEngineCycleKind:
     def test_unknown_params_key_exit_1(self, tmp_path, capsys):
         col = TwoColoring.all_blue(3, 10)
         cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
-        ppath = write_json(tmp_path, "p.json", {"block_size": 4, "trails": 8})
-        rc = main(["engine", "tight", "--coloring", cpath, "--target", "9",
-                   "--tth", "2:2", "--params", ppath])
-        assert rc == 1
-        assert "trails" in capsys.readouterr().err
+        # a misspelt key, and epsilon, which bounded nothing and is no longer a parameter
+        for key in ("trails", "epsilon"):
+            ppath = write_json(tmp_path, "p.json", {"block_size": 4, key: 8})
+            rc = main(["engine", "tight", "--coloring", cpath, "--target", "9",
+                       "--tth", "2:2", "--params", ppath])
+            assert rc == 1
+            assert f"unknown engine parameter '{key}'" in capsys.readouterr().err
 
 
 class TestCertificateRoundTrips:
@@ -380,3 +382,71 @@ class TestCertificateRoundTrips:
                 "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 8)))]
         assert main(args) == 3
         assert "disjoint blocks" in json.loads(capsys.readouterr().out)["reason"]
+
+    @pytest.mark.parametrize("flip, rc", [(False, 0), (True, 3)], ids=["untouched", "edge-flipped"])
+    def test_red_cycle_not_free_round_trip(self, tmp_path, flip, rc):
+        from hyperramsey.core import colex_rank
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 6)))
+        cert_out = tmp_path / "cert.json"
+        assert main(["verify", "--coloring", cpath, "--red-pattern", "cycle:3:1:6",
+                     "--blue-target", "edge:3", "--out", str(cert_out)]) == 0
+        inner = json.loads(cert_out.read_text())["detail"]["inner"]
+        assert (inner["kind"], inner["detail"]["ell"]) == ("red_cycle", 1)
+        if flip:
+            # the cycle's first window turns blue
+            seq = inner["detail"]["sequence"]
+            bits = TwoColoring.all_red(3, 6).red_bits & ~(1 << colex_rank(tuple(sorted(seq[:3]))))
+            cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring(3, 6, bits)))
+        assert main(["check", "--certificate", str(cert_out), "--coloring", cpath]) == rc
+
+    @pytest.mark.parametrize("sequence", [[], [0, 1, 2]], ids=["empty", "short-red"])
+    def test_path_is_checked_on_its_witness_not_a_sequence(self, tmp_path, sequence):
+        # only {0,1,2} is red, so the sequence is a red path and the witness is not
+        from hyperramsey.core import colex_rank
+        col = TwoColoring(3, 6, 1 << colex_rank((0, 1, 2)))
+        cert = {"kind": "red_path", "witness": [0, 1, 2, 3, 4],
+                "detail": {"ell": 1, "sequence": sequence}}
+        assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
+                     "--coloring", write_json(tmp_path, "c.json", coloring_to_json(col))]) == 3
+
+
+MALFORMED_CERTIFICATES = {
+    "chain-witness-null": {"kind": "chain", "witness": None},
+    "path-witness-string": {"kind": "red_path", "witness": [0, 1, "a"], "detail": {"ell": 1}},
+    "cycle-ell-string": {"kind": "red_cycle", "witness": [0, 1, 2, 3], "detail": {"ell": "x"}},
+    "not-free-inner-null": {"kind": "not_free", "detail": {"inner": None}},
+    "top-level-list": [],
+    "path-ell-k": {"kind": "red_path", "witness": [0, 1, 2], "detail": {"ell": 3}},
+    "chain-interval-string": {"kind": "chain", "witness": {"kind": "open", "k": 3, "ell": 1,
+                                                           "vertices": [0, 1, 2],
+                                                           "intervals": [[0, "3"]]}},
+    "tth-chi-string": {"kind": "blue_embedding", "witness": [0, 1, 2, 3],
+                       "detail": {"target": "tth", "chi": "2", "m": 2}},
+    "target-edge-string": {"kind": "blue_embedding", "witness": [0, 1, 2],
+                           "detail": {"target": {"k": 3, "n": 3, "edges": [[0, 1, "2"]]}}},
+    "crossing-block-int": {"kind": "blue_crossing_attestation", "detail": {"blocks": [0, 1]}},
+}
+
+
+@pytest.mark.parametrize("cert", MALFORMED_CERTIFICATES.values(), ids=MALFORMED_CERTIFICATES.keys())
+def test_malformed_certificate_exit_1(tmp_path, cert):
+    proc = run_cli(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
+                    "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 6)))])
+    assert proc.returncode == 1, proc.stderr
+    assert "invalid input" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("non_object, message", [("coloring", "a colouring is a JSON object"),
+                                                  ("hypergraph", "a hypergraph is a JSON object")],
+                         ids=["coloring", "hypergraph"])
+def test_non_object_json_file_exit_1(tmp_path, non_object, message):
+    files = {"coloring": coloring_to_json(TwoColoring.all_blue(3, 6)),
+             "hypergraph": hypergraph_to_json(complete_hypergraph(3, 4))}
+    files[non_object] = []
+    proc = run_cli(["verify", "--coloring", write_json(tmp_path, "c.json", files["coloring"]),
+                    "--red-pattern", "path:3:2:4",
+                    "--blue-target", write_json(tmp_path, "h.json", files["hypergraph"])])
+    assert proc.returncode == 1, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -107,22 +107,21 @@ class TestMonochromaticBiclique:
 class TestButterfly:
     def test_planted_red_branch(self):
         col = TwoColoring.from_red_edges(3, 8, [(0, 1, 4), (1, 4, 5)])
-        out = butterfly_dichotomy(col, [(0, 1, 2, 3), (4, 5, 6, 7)],
-                                  [(0, 1, 2, 3), (4, 5, 6, 7)], 2, 2)
+        out = butterfly_dichotomy(col, [(0, 1, 2, 3), (4, 5, 6, 7)], 2, 2)
         assert out.branch == "red"
         a1, a2, b1, b2 = out.red_path
         assert col.is_red((a1, a2, b1)) and col.is_red((a2, b1, b2))
 
     def test_blue_branch_three_blocks(self):
         col, blocks = blocks_with_blue_crossing([4, 4, 4])
-        out = butterfly_dichotomy(col, blocks, blocks, 3, 2)
+        out = butterfly_dichotomy(col, blocks, 3, 2)
         assert out.branch == "blue"
         target, _ = transitive_tournament_hypergraph(3, 2)
         assert validate_embedding(col, target, out.blue_embedding.witness, BLUE)
 
     def test_single_block_vacuous(self):
         col = TwoColoring.all_red(3, 4)
-        out = butterfly_dichotomy(col, [(0, 1, 2, 3)], [(0, 1, 2, 3)], 2, 2)
+        out = butterfly_dichotomy(col, [(0, 1, 2, 3)], 2, 2)
         # one block has no crossing pairs: no red 2-path, tournament on 1 vertex
         assert out.branch == "diagnostic"
 
@@ -130,7 +129,7 @@ class TestButterfly:
         # a single red crossing edge rules out one orientation for half the
         # pairs: the 2x2 pair digraph is mixed and no 2x2 block is left
         col = TwoColoring.from_red_edges(3, 4, [(0, 2, 3)])
-        out = butterfly_dichotomy(col, [(0, 1), (2, 3)], [(0, 1), (2, 3)], 2, 2)
+        out = butterfly_dichotomy(col, [(0, 1), (2, 3)], 2, 2)
         assert out.branch == "diagnostic"
         assert "scale too small" in out.diagnostic
 
@@ -503,7 +502,7 @@ class TestStallBookkeeping:
         from hyperramsey.chains import build_path_system
         col = TwoColoring.all_red(3, 14)
         blocks = [tuple(range(7)), tuple(range(7, 14))]
-        system = build_path_system(col, blocks, ell=1, alpha=2, epsilon=0.3)
+        system = build_path_system(col, blocks, ell=1, alpha=2)
         assert system.no_two_disjoint_connectors
         assert system.usage is not None and set(system.usage) == {0, 1}
 

@@ -25,6 +25,23 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_unused_parameters_in_the_package():
+    # a parameter its function never names is a setting that does nothing
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            found.extend(f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p})"
+                         for p in params if p not in ("self", "cls") and p not in named)
+    assert found == []
+
+
 def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
