@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import BLUE, RED, TwoColoring
+from .core import BLUE, RED, TwoColoring, colex_subsets, mask_ranks
 from .search import Certificate, cycle_edges, find_mono_clique, path_edges
 
 OPEN = "open"
@@ -525,19 +525,19 @@ def build_path_system(col: TwoColoring, blocks: list[tuple[int, ...]], ell: int,
         else:
             # ell = 1: a red crossing matching grouped by block signature
             matching: list[tuple[int, ...]] = []
-            local_pool = set(pool)
+            local_pool = sum(1 << v for v in pool)
             block_of = {}
             for i in reps:
                 for v in avail[i]:
                     block_of[v] = i
-            for e in col.edges_of(RED):
-                if not all(v in local_pool for v in e):
+            for (emask, r), e in zip(mask_ranks(k, col.n).items(), colex_subsets(k, col.n)):
+                if emask & ~local_pool or not col.red_bits >> r & 1:
                     continue
-                touched = {block_of[v] for v in e if v in block_of}
+                touched = {block_of[v] for v in e}
                 if len(touched) < 2:
                     continue
                 matching.append(e)
-                local_pool -= set(e)
+                local_pool &= ~emask
             groups: dict[tuple, list[tuple[int, ...]]] = {}
             for e in matching:
                 sig = tuple(sorted(block_of[v] for v in e if v in block_of))

@@ -517,8 +517,10 @@ def coloring_from_json(obj: dict) -> TwoColoring:
         raise ValueError("a colouring is a JSON object")
     if obj.get("encoding") != "colex-v1":
         raise ValueError(f"unsupported colouring encoding {obj.get('encoding')!r}")
-    k, n = int(obj["k"]), int(obj["n"])
-    raw = base64.b64decode(obj["red_bitmap"])
+    k, n, bitmap = obj["k"], obj["n"], obj["red_bitmap"]
+    if not (isinstance(k, int) and isinstance(n, int) and isinstance(bitmap, str)):
+        raise ValueError("a colouring has integer k and n and a string red_bitmap")
+    raw = base64.b64decode(bitmap)
     expected = (comb(n, k) + 7) // 8
     if len(raw) != expected:
         raise ValueError(f"bitmap length {len(raw)} != expected {expected} bytes")
@@ -530,4 +532,12 @@ def tournament_to_json(t: Tournament) -> dict:
 
 
 def tournament_from_json(obj: dict) -> Tournament:
-    return Tournament.from_arcs(int(obj["n"]), [tuple(a) for a in obj["arcs"]])
+    if not isinstance(obj, dict):
+        raise ValueError("a tournament is a JSON object")
+    n, arcs = obj["n"], obj["arcs"]
+    if not (isinstance(n, int) and isinstance(arcs, list)
+            and all(isinstance(a, list) and len(a) == 2
+                    and all(isinstance(v, int) and 0 <= v < n for v in a) and a[0] != a[1]
+                    for a in arcs)):
+        raise ValueError("a tournament has integer n and arcs that are pairs of distinct vertices of 0..n-1")
+    return Tournament.from_arcs(n, [tuple(a) for a in arcs])

@@ -384,36 +384,56 @@ def find_mono_clique(
     colour: str,
     pool: list[int] | None = None,
 ) -> tuple[int, ...] | None:
-    """First (colex-least) `size`-set of `pool` whose k-subsets are all `colour`."""
+    """Lexicographically first `size`-set of `pool` whose k-subsets are all `colour`.
+
+    The colour class is a bitmask over colex ranks (red is `red_bits`, blue
+    its complement), read through `mask_ranks`.  DFS over candidate masks
+    (Carraghan & Pardalos, Oper. Res. Lett. 1990, on k-graphs): a node holds
+    the pool vertices above its last chosen vertex that make a class edge
+    with every (k-1)-subset of the chosen ones.  Taking the lowest candidate
+    v keeps the higher x for which f | v | x is a class edge for every
+    (k-2)-subset f of the chosen vertices; a node whose candidates are fewer
+    than the vertices it still needs is cut.
+    """
     k = col.k
     pool = sorted(range(col.n)) if pool is None else sorted(pool)
     if size < k:
         return tuple(pool[:size]) if len(pool) >= size else None
+    if len(set(pool)) != len(pool) or (pool and not 0 <= pool[0] <= pool[-1] < col.n):
+        raise ValueError(f"pool must hold distinct vertices of 0..{col.n - 1}")
+    cls = col.red_bits if colour == RED else col.red_bits ^ ((1 << col.num_edges) - 1)
+    ranks = mask_ranks(k, col.n)
+    chosen: list[int] = []  # vertex bits
 
-    chosen: list[int] = []
-
-    def rec(start: int) -> tuple[int, ...] | None:
-        if len(chosen) == size:
-            return tuple(chosen)
-        if len(pool) - start < size - len(chosen):
-            return None
-        for idx in range(start, len(pool)):
-            v = pool[idx]
-            ok = True
-            if len(chosen) >= k - 1:
-                for rest in combinations(chosen, k - 1):
-                    if not col.has_colour(rest + (v,), colour):
-                        ok = False
-                        break
-            if ok:
-                chosen.append(v)
-                got = rec(idx + 1)
+    def rec(cand: int) -> tuple[int, ...] | None:
+        need = size - len(chosen)
+        if need == 1:
+            chosen.append(cand & -cand)
+            return tuple(b.bit_length() - 1 for b in chosen)
+        faces = [sum(f) for f in combinations(chosen, k - 2)]
+        while cand.bit_count() >= need:
+            bit = cand & -cand
+            cand ^= bit
+            rest = cand
+            for f in faces:
+                base = f | bit
+                scan = rest
+                while scan:
+                    x = scan & -scan
+                    scan ^= x
+                    if not cls >> ranks[base | x] & 1:
+                        rest ^= x
+                if rest.bit_count() < need - 1:
+                    break
+            if rest.bit_count() >= need - 1:
+                chosen.append(bit)
+                got = rec(rest)
                 if got is not None:
                     return got
                 chosen.pop()
         return None
 
-    return rec(0)
+    return rec(sum(1 << v for v in pool))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +448,10 @@ def parse_pattern(spec: str) -> tuple[str, dict]:
     """
     parts = spec.split(":")
     name = parts[0]
-    args = [int(p) for p in parts[1:]]
+    try:
+        args = [int(p) for p in parts[1:]]
+    except ValueError:
+        raise ValueError(f"cannot parse pattern {spec!r}") from None
     if name == "path" and len(args) == 3:
         return "path", {"k": args[0], "ell": args[1], "n": args[2]}
     if name == "cycle" and len(args) == 3:

@@ -46,6 +46,16 @@ def naive_find_copy(col: TwoColoring, target: Hypergraph, colour: str, through=N
     return None
 
 
+def naive_find_clique(col: TwoColoring, size: int, colour: str, pool=None):
+    """First `size`-set of the pool, in the lexicographic order of
+    `combinations` over the sorted pool, whose k-subsets all have `colour`."""
+    vertices = sorted(range(col.n) if pool is None else pool)
+    for sub in combinations(vertices, size):
+        if all(col.has_colour(e, colour) for e in combinations(sub, col.k)):
+            return sub
+    return None
+
+
 def naive_independence(hg: Hypergraph) -> int:
     for size in range(hg.n, -1, -1):
         for sub in combinations(range(hg.n), size):

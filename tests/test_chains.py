@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -261,6 +262,36 @@ class TestCliquePartition:
             for colour in (RED, BLUE):
                 for four in combinations(leftover, 4):
                     assert not all(col.has_colour(t, colour) for t in combinations(four, 3))
+
+
+def _chain_layer_lines():
+    """`clique_partition` on seeded k = 3 and k = 4 colourings, then
+    `build_path_system(ell=1)` on the red blocks of seeded dense k = 3 ones."""
+    rng = Random(2024)
+    for k, sizes in ((3, range(8, 17)), (4, range(7, 12))):
+        for _ in range(40):
+            n = rng.choice(sizes)
+            col = TwoColoring.random(k, n, rng.random(), seed=rng.getrandbits(32))
+            red_size, blue_size = rng.randint(k, k + 2), rng.randint(k, k + 2)
+            cp = clique_partition(col, red_size, blue_size)
+            yield ("partition", k, n, cp.blocks, cp.leftover)
+    for _ in range(60):
+        n = rng.randint(12, 22)
+        col = TwoColoring.random(3, n, rng.choice((0.55, 0.7, 0.85, 0.95)), seed=rng.getrandbits(32))
+        size = rng.randint(4, 6)
+        blocks = clique_partition(col, size, size).red_blocks()
+        system = build_path_system(col, blocks, ell=1, alpha=2)
+        yield ("paths", n, blocks, system.forest_edges, sorted(system.paths.items()), system.stalled)
+
+
+def test_chain_layer_outputs_pinned():
+    # partition blocks and leftover, and the ell = 1 path system's forest
+    # edges, connector paths and stall flag; the crossing matching is taken
+    # in colex order, so a change to that order shows up here too
+    digest = hashlib.sha256()
+    for line in _chain_layer_lines():
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == "3d8428be037429447b10bebee4ffeee1e49694875190158edfcee6eb90034e57"
 
 
 class TestDoubleTreeWalk:

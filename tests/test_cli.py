@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from hyperramsey.core import TwoColoring, coloring_to_json, complete_hypergraph, hypergraph_to_json
+from hyperramsey.core import (
+    Tournament,
+    TwoColoring,
+    coloring_to_json,
+    complete_hypergraph,
+    hypergraph_to_json,
+    tournament_to_json,
+)
 from hyperramsey.constructions import loose_path_lb, tau_lower_construction
 from hyperramsey.cli import main
 
@@ -450,3 +457,48 @@ def test_non_object_json_file_exit_1(tmp_path, non_object, message):
     assert proc.returncode == 1, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_BITMAP = coloring_to_json(TwoColoring.all_blue(3, 6))["red_bitmap"]
+MALFORMED_INPUT_FILES = {
+    "coloring-k-null": ("coloring", {"k": None, "n": 6, "encoding": "colex-v1", "red_bitmap": _BITMAP}),
+    "coloring-k-n-float": ("coloring", {"k": 3.9, "n": 6.2, "encoding": "colex-v1", "red_bitmap": _BITMAP}),
+    "coloring-bitmap-int": ("coloring", {"k": 3, "n": 6, "encoding": "colex-v1", "red_bitmap": 5}),
+    "tournament-arcs-int": ("tournament", {"n": 3, "arcs": 5}),
+    "tournament-n-float": ("tournament", {"n": 3.5, "arcs": [[0, 1], [1, 2], [2, 0]]}),
+    "tournament-arc-string": ("tournament", {"n": 3, "arcs": [[0, 1], [1, 2], [2, "0"]]}),
+    "tournament-loop": ("tournament", {"n": 2, "arcs": [[1, 1]]}),
+    "tournament-top-level-list": ("tournament", []),
+}
+
+
+@pytest.mark.parametrize("kind, obj", MALFORMED_INPUT_FILES.values(), ids=MALFORMED_INPUT_FILES.keys())
+def test_malformed_input_file_exit_1(tmp_path, kind, obj):
+    path = write_json(tmp_path, f"{kind}.json", obj)
+    if kind == "coloring":
+        args = ["verify", "--coloring", path, "--red-pattern", "path:3:2:4", "--blue-target", "clique:3:4"]
+    else:
+        args = ["construct", "transitive", "--param", f"tournament={path}", "--param", "n=9",
+                "--out", str(tmp_path / "out.json")]
+    proc = run_cli(args)
+    assert proc.returncode == 1, proc.stderr
+    assert "invalid input" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unparsable_pattern_is_named(tmp_path):
+    proc = run_cli(["verify", "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 6))),
+                    "--red-pattern", "path:3:2:4", "--blue-target", "a:b.json"])
+    assert proc.returncode == 1, proc.stderr
+    assert "invalid input: cannot parse pattern 'a:b.json'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_tournament_file_gives_the_same_construction(tmp_path):
+    path = write_json(tmp_path, "t.json", tournament_to_json(Tournament.cyclic_triangle()))
+    outs = []
+    for extra in ([], ["--param", f"tournament={path}"]):
+        out = tmp_path / f"out{len(outs)}.json"
+        assert main(["construct", "transitive", "--param", "n=9", *extra, "--out", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]

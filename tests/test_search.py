@@ -31,7 +31,7 @@ from hyperramsey.search import (
     verify_free,
 )
 
-from oracles import naive_find_copy, naive_independence, naive_longest_mono_path
+from oracles import naive_find_clique, naive_find_copy, naive_independence, naive_longest_mono_path
 
 
 class TestLongestPath:
@@ -149,6 +149,33 @@ class TestFindMonoCopy:
         assert find_mono_clique(col, 4, RED) == (0, 1, 2, 3)
         assert find_mono_clique(col, 4, BLUE) is None
         assert find_mono_clique(col, 3, RED, pool=[2, 4, 5]) == (2, 4, 5)
+
+
+class TestFindMonoClique:
+    def test_lexicographically_first_not_colex_least(self):
+        # (1, 2, 3) has colex rank 3 and (0, 1, 4) rank 4; the search returns
+        # the lexicographically first one
+        col = TwoColoring.from_red_edges(3, 5, [(0, 1, 4), (1, 2, 3)])
+        assert find_mono_clique(col, 3, RED) == (0, 1, 4)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_naive_oracle(self, seed):
+        rng = Random(seed)
+        for k, n in ((2, 10), (3, 9), (4, 8), (5, 8)):
+            col = TwoColoring.random(k, n, rng.choice((0.15, 0.5, 0.85)), seed=rng.getrandbits(32))
+            subset = rng.sample(range(n), n - 2)
+            unsorted = list(range(n))
+            rng.shuffle(unsorted)
+            for colour in (RED, BLUE):
+                for size in (k - 1, k, k + 1, k + 2):
+                    for pool in (None, unsorted, [], subset):
+                        assert find_mono_clique(col, size, colour, pool) == \
+                            naive_find_clique(col, size, colour, pool), (k, n, colour, size, pool)
+
+    @pytest.mark.parametrize("pool", [[0, 0, 1, 2], [0, 1, 6], [-1, 0, 1]])
+    def test_pool_outside_the_host_rejected(self, pool):
+        with pytest.raises(ValueError, match="distinct vertices"):
+            find_mono_clique(TwoColoring.all_red(3, 6), 3, RED, pool)
 
 
 class TestVerifyFree:
