@@ -280,25 +280,19 @@ class CliquePartition:
 def clique_partition(col: TwoColoring, red_size: int, blue_size: int) -> CliquePartition:
     """Greedy repeated extraction of red or blue cliques of the given orders.
 
-    The leftover is directly verified to contain neither clique: the loop only
-    stops when both searches come back empty.
+    Every red clique is extracted before any blue one: a red search that fails
+    on a pool fails on every subset of it, so none is repeated.  The leftover
+    is directly verified to contain neither clique: each colour's loop only
+    stops when its search comes back empty.
     """
     if red_size < col.k or blue_size < col.k:
         raise ValueError("clique orders must be at least k")
     remaining = list(range(col.n))
     blocks: list[tuple[str, tuple[int, ...]]] = []
-    while True:
-        red = find_mono_clique(col, red_size, RED, pool=remaining)
-        if red is not None:
-            blocks.append((RED, red))
-            remaining = [v for v in remaining if v not in set(red)]
-            continue
-        blue = find_mono_clique(col, blue_size, BLUE, pool=remaining)
-        if blue is not None:
-            blocks.append((BLUE, blue))
-            remaining = [v for v in remaining if v not in set(blue)]
-            continue
-        break
+    for colour, size in ((RED, red_size), (BLUE, blue_size)):
+        while (clique := find_mono_clique(col, size, colour, pool=remaining)) is not None:
+            blocks.append((colour, clique))
+            remaining = [v for v in remaining if v not in clique]
     return CliquePartition(blocks, tuple(remaining))
 
 
@@ -363,8 +357,6 @@ class PathSystem:
     stalled: bool = False
     diagnostic: str | None = None
     stall_blocks: tuple[int, ...] = ()
-    no_two_disjoint_connectors: bool = False  # verified exhaustively on exit
-    usage: dict[int, int] | None = None
 
     def used_vertices(self) -> set[int]:
         out: set[int] = set()
@@ -399,8 +391,8 @@ def _path_order(k: int, ell: int, q: int) -> int:
     return q * (k - ell) + ell
 
 
-def _find_connector(col: TwoColoring, k: int, ell: int, q: int,
-                    side_a: list[int], side_b: list[int], pool: set[int]) -> tuple[int, ...] | None:
+def find_connector(col: TwoColoring, k: int, ell: int, q: int,
+                   side_a: list[int], side_b: list[int], pool: set[int]) -> tuple[int, ...] | None:
     """First red ell-path of length q whose first ell vertices lie in side_a,
     last ell in side_b, all vertices drawn from the pool."""
     order = _path_order(k, ell, q)
@@ -447,7 +439,7 @@ def _find_short_connector(col: TwoColoring, k: int, ell: int,
             break
         if q == 1 and 2 * ell > k:
             continue  # the two ends of a single edge overlap, cannot join disjoint sets
-        got = _find_connector(col, k, ell, q, side_a, side_b, pool)
+        got = find_connector(col, k, ell, q, side_a, side_b, pool)
         if got is not None:
             return got
     return None
@@ -461,8 +453,7 @@ def build_path_system(col: TwoColoring, blocks: list[tuple[int, ...]], ell: int,
     distinct components.
 
     A stall (no connector while >= alpha components remain) is returned as a
-    first-class outcome; it indicates the blue side of the dichotomy.  `usage`
-    counts the vertices of each block the paths use; nothing bounds it.
+    first-class outcome; it indicates the blue side of the dichotomy.
     """
     k = col.k
     if ell not in (1, k - 1):
@@ -502,10 +493,10 @@ def build_path_system(col: TwoColoring, blocks: list[tuple[int, ...]], ell: int,
                     for j in sorted(reps):
                         if i == j:
                             continue
-                        p = _find_connector(col, k, ell, qq,
-                                            [v for v in avail[i] if v in local_pool],
-                                            [v for v in avail[j] if v in local_pool],
-                                            local_pool)
+                        p = find_connector(col, k, ell, qq,
+                                           [v for v in avail[i] if v in local_pool],
+                                           [v for v in avail[j] if v in local_pool],
+                                           local_pool)
                         if p is not None:
                             got = (i, j, p)
                             break
@@ -601,9 +592,6 @@ def build_path_system(col: TwoColoring, blocks: list[tuple[int, ...]], ell: int,
     # the augmentation loop exits only when no pair of disjoint short
     # connectors joins two components, which is exactly the guarantee the
     # assembled chains rely on
-    system.no_two_disjoint_connectors = True
-    used_final = system.used_vertices()
-    system.usage = {i: sum(1 for v in blocks[i] if v in used_final) for i in range(t)}
     return system
 
 

@@ -9,7 +9,6 @@ Exit codes: 0 ok, 1 invalid input, 2 guard exceeded, 3 certificate invalid.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -27,11 +26,13 @@ from .core import (
     coloring_to_json,
     hypergraph_from_json,
     hypergraph_to_json,
+    is_int,
     ramsey_profile,
 )
 from . import constructions
 from .search import (
     Certificate,
+    parse_pattern,
     pattern_hypergraph,
     validate_embedding,
     validate_mono_cycle,
@@ -82,7 +83,7 @@ def _write_manifest(path: str | None, args, argv: list[str], started: float) -> 
     the recorded command against matching inputs reproduces the outputs."""
     if not path:
         return
-    input_keys = ("coloring", "blocks", "certificate", "params", "blue_target", "blue")
+    input_keys = ("coloring", "blocks", "certificate", "blue_target", "blue")
     output_keys = ("out", "manifest_out", "json_out")
     inputs = {}
     outputs = {}
@@ -241,18 +242,15 @@ def cmd_engine(args) -> int:
     col = coloring_from_json(_load_json(args.coloring))
     params = EngineParams(n_target=args.target, block_size=args.block_size,
                           seed=args.seed, target_kind=args.target_kind)
-    if args.params:
-        known = {f.name for f in dataclasses.fields(EngineParams)}
-        for key, value in _load_json(args.params).items():
-            if key not in known:
-                raise ValueError(f"unknown engine parameter {key!r}")
-            setattr(params, key, value)
     if args.mode == "loose":
-        target = _target_from_args(args.blue_target)
-        report = loose_witness_engine(col, target, params)
+        if args.blue_target is None:
+            raise ValueError("engine loose needs --blue-target")
+        report = loose_witness_engine(col, _target_from_args(args.blue_target), params)
     else:
-        chi, m = (int(x) for x in args.tth.split(":"))
-        report = tight_witness_engine(col, chi, m, params)
+        if args.tth is None:
+            raise ValueError("engine tight needs --tth chi:m")
+        _, tth = parse_pattern("tth:" + args.tth)
+        report = tight_witness_engine(col, tth["chi"], tth["m"], params)
     payload = {
         "outcome": report.outcome,
         "certificate": report.certificate.to_json() if report.certificate else None,
@@ -277,7 +275,7 @@ _NEEDS_COLOURING = ("red_path", "blue_path", "red_cycle", "blue_cycle", "red_emb
 
 def _int_list(value, what: str) -> list[int]:
     """A certificate field that must be a list of integers."""
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    if not isinstance(value, list) or not all(is_int(v) for v in value):
         raise ValueError(f"certificate {what} must be a list of integers")
     return value
 
@@ -299,7 +297,7 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
         ell = cert.detail.get("ell")
         if seq is None or ell is None:
             return False, "missing witness or ell"
-        if not isinstance(ell, int) or not 1 <= ell < col.k:
+        if not is_int(ell) or not 1 <= ell < col.k:
             raise ValueError(f"certificate ell must be an integer in 1..{col.k - 1}")
         seq = _int_list(seq, f"{shape} witness")
         if shape == "path" and not seq:
@@ -328,8 +326,8 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
         return False, "tt_embedding certificates do not carry their tournament"
     if kind == "chain":
         w = cert.witness
-        if not isinstance(w, dict) or w.get("k") != col.k or not isinstance(w.get("ell"), int) \
-                or not 1 <= w["ell"] < col.k:
+        if not isinstance(w, dict) or not is_int(w.get("k")) or w["k"] != col.k \
+                or not is_int(w.get("ell")) or not 1 <= w["ell"] < col.k:
             raise ValueError(f"chain witness must be an object with k = {col.k} and ell in 1..{col.k - 1}")
         intervals = w.get("intervals")
         if not isinstance(intervals, list) or any(len(_int_list(i, "chain interval")) != 2 for i in intervals):
@@ -430,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blue-target", default=None, help="loose mode: pattern or hypergraph JSON file")
     p.add_argument("--tth", default=None, help="tight mode: chi:m")
     p.add_argument("--block-size", type=int, default=6)
-    p.add_argument("--params", default=None, help="JSON file of EngineParams overrides")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_engine)

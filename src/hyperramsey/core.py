@@ -491,12 +491,18 @@ def hypergraph_to_json(hg: Hypergraph) -> dict:
     return {"k": hg.k, "n": hg.n, "edges": [list(e) for e in hg.edges]}
 
 
+def is_int(value) -> bool:
+    """True for an integer read from JSON; a JSON boolean is not one, though
+    Python's bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def hypergraph_from_json(obj: dict) -> Hypergraph:
     if not isinstance(obj, dict):
         raise ValueError("a hypergraph is a JSON object")
     k, n, edges = obj["k"], obj["n"], obj["edges"]
-    if not (isinstance(k, int) and isinstance(n, int) and isinstance(edges, list)
-            and all(isinstance(e, list) and all(isinstance(v, int) for v in e) for e in edges)):
+    if not (is_int(k) and is_int(n) and isinstance(edges, list)
+            and all(isinstance(e, list) and all(is_int(v) for v in e) for e in edges)):
         raise ValueError("a hypergraph has integer k and n and edges that are lists of integers")
     return Hypergraph(k, n, tuple(tuple(e) for e in edges))
 
@@ -518,7 +524,7 @@ def coloring_from_json(obj: dict) -> TwoColoring:
     if obj.get("encoding") != "colex-v1":
         raise ValueError(f"unsupported colouring encoding {obj.get('encoding')!r}")
     k, n, bitmap = obj["k"], obj["n"], obj["red_bitmap"]
-    if not (isinstance(k, int) and isinstance(n, int) and isinstance(bitmap, str)):
+    if not (is_int(k) and is_int(n) and isinstance(bitmap, str)):
         raise ValueError("a colouring has integer k and n and a string red_bitmap")
     raw = base64.b64decode(bitmap)
     expected = (comb(n, k) + 7) // 8
@@ -535,9 +541,9 @@ def tournament_from_json(obj: dict) -> Tournament:
     if not isinstance(obj, dict):
         raise ValueError("a tournament is a JSON object")
     n, arcs = obj["n"], obj["arcs"]
-    if not (isinstance(n, int) and isinstance(arcs, list)
+    if not (is_int(n) and isinstance(arcs, list)
             and all(isinstance(a, list) and len(a) == 2
-                    and all(isinstance(v, int) and 0 <= v < n for v in a) and a[0] != a[1]
+                    and all(is_int(v) and 0 <= v < n for v in a) and a[0] != a[1]
                     for a in arcs)):
         raise ValueError("a tournament has integer n and arcs that are pairs of distinct vertices of 0..n-1")
     return Tournament.from_arcs(n, [tuple(a) for a in arcs])

@@ -5,11 +5,13 @@ pipeline and then extends its chains.  The loose engine has two extension
 moves: a two-edge path of the auxiliary (k-1)-graph on the leftover, spliced
 into a flexible element, and endpoint extension by one red edge.  The tight
 engine absorbs leftover vertices through the random-embedding /
-absorbing-block dichotomy.  The quantitative thresholds that make these moves
-always succeed at asymptotic scale are configuration parameters here; the
-engines are judged on soundness: every emitted witness re-validates, and a
-stall report saying which dichotomy failed is a legitimate outcome at desk
-scale.
+absorbing-block dichotomy.  Both engines open the same way (`_front_half`):
+an edgeless target, a blue block that embeds the target, or no red block
+ends the run before the path system is built.  The quantitative thresholds
+that make these moves always succeed at asymptotic scale are fixed desk-scale
+constants here; the engines are judged on soundness: every emitted witness
+re-validates, and a stall report saying which dichotomy failed is a
+legitimate outcome at desk scale.
 
 Reachable targets: the loose engine returns a red loose path on
 1 + q(k-1) vertices or a red loose cycle on q(k-1) vertices (any other order
@@ -46,6 +48,7 @@ from .chains import (
     clique_partition,
     cut_open,
     build_path_system,
+    find_connector,
     assemble_chains,
     replace_element,
     spanning_path,
@@ -124,26 +127,6 @@ def monochromatic_biclique(rows: list[int], p: int, q: int, t: int):
     return None
 
 
-def find_red_tight_2path(col: TwoColoring, side_a: list[int], side_b: list[int]):
-    """A red tight path of length two with its first two vertices in side_a and
-    last two in side_b (3-uniform), or None."""
-    for a1 in side_a:
-        for a2 in side_a:
-            if a2 == a1:
-                continue
-            for b1 in side_b:
-                if b1 in (a1, a2):
-                    continue
-                if not col.is_red((a1, a2, b1)):
-                    continue
-                for b2 in side_b:
-                    if b2 in (a1, a2, b1):
-                        continue
-                    if col.is_red((a2, b1, b2)):
-                        return (a1, a2, b1, b2)
-    return None
-
-
 @dataclass
 class ButterflyOutcome:
     branch: str  # "red" | "blue" | "diagnostic"
@@ -167,7 +150,8 @@ def butterfly_dichotomy(col: TwoColoring, w_subsets: list[tuple[int, ...]],
         for j in range(big_r):
             if i == j:
                 continue
-            got = find_red_tight_2path(col, list(w_subsets[i]), list(w_subsets[j]))
+            got = find_connector(col, 3, 2, 2, w_subsets[i], w_subsets[j],
+                                 set(w_subsets[i]) | set(w_subsets[j]))
             if got is not None:
                 return ButterflyOutcome("red", red_path=got)
 
@@ -412,17 +396,22 @@ def absorbing_block(col: TwoColoring, block_a: list[int], block_b: list[int],
 # engine plumbing
 
 
+# The proofs' thresholds, fixed at desk scale.  The tight engine's density
+# threshold gamma is (chi^2 m^3)^-1 in the proof, at most 1/32 for every target
+# with edges, far below what desk-sized classes carry through random_embed's
+# 1/gamma class-size precondition; it is floored at GAMMA.
+D = 1             # absorbing-block arity
+Q = 4             # class size of the recursively found blue structure
+GAMMA = 0.25      # density threshold
+MAX_ROUNDS = 64   # extension rounds (loose) and absorption rounds (tight)
+
+
 @dataclass
 class EngineParams:
     n_target: int                 # red path/cycle order to reach
     block_size: int = 6           # red clique order extracted by the partition
-    d: int = 1                    # absorbing-block arity
-    gamma: float | None = None    # density threshold; default (chi^2 m^3)^-1, floored
-    q: int = 4                    # class size of the recursively found blue structure
-    trials: int = 64
-    seed: int = 0
+    seed: int = 0                 # random embedding seed
     target_kind: str = "path"     # "path" | "cycle"
-    max_rounds: int = 64
 
 
 @dataclass
@@ -434,14 +423,11 @@ class EngineReport:
 
 
 def _red_path_certificate(col: TwoColoring, seq: list[int], ell: int, params: EngineParams) -> Certificate:
-    if params.target_kind == "cycle":
-        if not validate_mono_cycle(col, seq, ell, RED):
-            raise AssertionError("engine produced an invalid red cycle")
-        return Certificate(kind="red_cycle", witness=list(seq),
-                           detail={"ell": ell, "k": col.k, "vertices": len(seq)})
-    if not validate_mono_path(col, seq, ell, RED):
-        raise AssertionError("engine produced an invalid red path")
-    return Certificate(kind="red_path", witness=list(seq),
+    shape, validate = ("cycle", validate_mono_cycle) if params.target_kind == "cycle" \
+        else ("path", validate_mono_path)
+    if not validate(col, seq, ell, RED):
+        raise AssertionError(f"engine produced an invalid red {shape}")
+    return Certificate(kind=f"red_{shape}", witness=list(seq),
                        detail={"ell": ell, "k": col.k, "vertices": len(seq)})
 
 
@@ -455,12 +441,31 @@ def _blue_certificate(col: TwoColoring, target: Hypergraph, mapping: list[int],
                        detail={"via": via, **spec, "exact": True})
 
 
-def _blue_block_embedding(col: TwoColoring, target: Hypergraph, block: tuple[int, ...],
-                          spec: dict) -> Certificate:
-    cert = _blue_certificate(col, target, list(block[: target.n]), spec, "blue block")
-    if cert is None:
-        raise AssertionError("blue block does not embed the target")
-    return cert
+def _front_half(col: TwoColoring, target: Hypergraph, spec: dict, params: EngineParams,
+                log: list[str]) -> EngineReport | list[tuple[int, ...]]:
+    """The opening both engines share: partition the host into red cliques
+    of order block_size and blue cliques of order max(target order, k).
+    Returns the run's report when the target is edgeless, a blue block
+    embeds it (the first one does, if there is one), or no red block was
+    found; otherwise the red blocks to connect."""
+    if target.num_edges == 0:
+        if target.n <= col.n:
+            cert = _blue_certificate(col, target, list(range(target.n)), spec, "edgeless target")
+            return EngineReport("blue_witness", cert, None, ["target has no edges"])
+        return EngineReport("stall", None, {"reason": "edgeless target larger than host"}, log)
+    partition = clique_partition(col, params.block_size, max(target.n, col.k))
+    red_blocks, blue_blocks = partition.red_blocks(), partition.blue_blocks()
+    log.append(f"partition: {len(red_blocks)} red blocks, {len(blue_blocks)} blue blocks, "
+               f"leftover {len(partition.leftover)}")
+    if blue_blocks:
+        cert = _blue_certificate(col, target, list(blue_blocks[0][: target.n]), spec, "blue block")
+        if cert is None:
+            raise AssertionError("blue block does not embed the target")
+        return EngineReport("blue_witness", cert, None, log)
+    if not red_blocks:
+        return EngineReport("stall", None,
+                            {"reason": f"no red clique of order {params.block_size} found"}, log)
+    return red_blocks
 
 
 def _place_classes(col: TwoColoring, target: Hypergraph, profile, sets: list[list[int]],
@@ -676,27 +681,11 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
                          f"of {k - 1} vertices, not {params.n_target}")
     log: list[str] = []
     spec = {"target": hypergraph_to_json(target)}
-    if target.num_edges == 0:
-        if target.n <= col.n:
-            cert = _blue_certificate(col, target, list(range(target.n)), spec, "edgeless target")
-            return EngineReport("blue_witness", cert, None, ["target has no edges"])
-        return EngineReport("stall", None, {"reason": "edgeless target larger than host"}, log)
+    red_blocks = _front_half(col, target, spec, params, log)
+    if isinstance(red_blocks, EngineReport):
+        return red_blocks
     profile = ramsey_profile(target)
-    chi, m = profile.chi, target.n
-    blue_size = max(m, k)
-    partition = clique_partition(col, params.block_size, blue_size)
-    log.append(f"partition: {len(partition.red_blocks())} red blocks, "
-               f"{len(partition.blue_blocks())} blue blocks, leftover {len(partition.leftover)}")
-    for block in partition.blue_blocks():
-        if len(block) >= target.n:
-            cert = _blue_block_embedding(col, target, block, spec)
-            return EngineReport("blue_witness", cert, None, log)
-    red_blocks = partition.red_blocks()
-    if not red_blocks:
-        return EngineReport("stall", None,
-                            {"reason": f"no red clique of order {params.block_size} found"}, log)
-
-    system = build_path_system(col, red_blocks, ell=1, alpha=chi)
+    system = build_path_system(col, red_blocks, ell=1, alpha=profile.chi)
     if system.stalled:
         used = system.used_vertices()
         w_sets = [[v for v in red_blocks[i] if v not in used] for i in system.stall_blocks]
@@ -729,7 +718,7 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
     log.append(f"assembled {len(chains)} chains, sizes {[c.p for c in chains]}, "
                f"leftover {len(report.leftover)}")
 
-    for round_no in range(params.max_rounds):
+    for round_no in range(MAX_ROUNDS):
         got = _extract_red_witness(col, chains, params)
         if got is not None:
             log.append(f"red witness extracted in round {round_no}")
@@ -859,10 +848,9 @@ def _directed_ramsey(chi: int) -> int:
 
 def _find_blue_transitive_structure(col: TwoColoring, chi: int, q: int,
                                     pool: list[int]) -> list[list[int]] | None:
-    """Classes of a blue transitive tournament hypergraph with chi classes of
-    size q inside the pool; for chi = 1 any q pool vertices qualify."""
-    if chi <= 0:
-        return []
+    """Classes of a blue transitive tournament hypergraph with chi >= 1
+    classes of size q inside the pool; for chi = 1 any q pool vertices
+    qualify."""
     if chi == 1:
         if len(pool) < q:
             return None
@@ -882,30 +870,12 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
         raise ValueError("tight engine is 3-uniform")
     log: list[str] = []
     target, _ = transitive_tournament_hypergraph(chi, m)
-    # the proof wants (chi^2 m^3)^-1, far below what desk-sized classes can
-    # carry through the 1/gamma size precondition; floor it for usability
-    gamma = params.gamma if params.gamma is not None else max(1.0 / (chi * chi * m ** 3), 0.25)
     spec = {"target": "tth", "chi": chi, "m": m}
-    if target.num_edges == 0:
-        if target.n <= col.n:
-            cert = _blue_certificate(col, target, list(range(target.n)), spec, "edgeless target")
-            return EngineReport("blue_witness", cert, None, ["target has no edges"])
-        return EngineReport("stall", None, {"reason": "edgeless target larger than host"}, log)
-    blue_size = max(chi * m, 3)
-    partition = clique_partition(col, params.block_size, blue_size)
-    log.append(f"partition: {len(partition.red_blocks())} red blocks, "
-               f"{len(partition.blue_blocks())} blue blocks, leftover {len(partition.leftover)}")
-    for block in partition.blue_blocks():
-        if len(block) >= target.n:
-            cert = _blue_block_embedding(col, target, block, spec)
-            return EngineReport("blue_witness", cert, None, log)
-    red_blocks = partition.red_blocks()
-    if not red_blocks:
-        return EngineReport("stall", None,
-                            {"reason": f"no red clique of order {params.block_size} found"}, log)
-
-    alpha = _directed_ramsey(chi)
-    system = build_path_system(col, red_blocks, ell=2, alpha=alpha)
+    red_blocks = _front_half(col, target, spec, params, log)
+    if isinstance(red_blocks, EngineReport):
+        return red_blocks
+    # H(TT_chi, m) has edges, so chi >= 2 and m >= 2 from here on
+    system = build_path_system(col, red_blocks, ell=2, alpha=_directed_ramsey(chi))
     if system.stalled:
         used = system.used_vertices()
         w_sets = [tuple(v for v in red_blocks[i] if v not in used) for i in system.stall_blocks]
@@ -932,12 +902,10 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
         return EngineReport("red_witness", got, None, log)
 
     # absorption on the largest chain, one flexible element at a time
-    work = chains[0] if chains else None
-    if work is None:
-        return EngineReport("stall", None, {"reason": "no chain to absorb into",
-                                            "chain_sizes": [c.p for c in chains]}, log)
-    d = params.d
-    for round_no in range(params.max_rounds):
+    if not chains:
+        return EngineReport("stall", None, {"reason": "no chain to absorb into", "chain_sizes": []}, log)
+    work = chains[0]
+    for round_no in range(MAX_ROUNDS):
         if work.p >= params.n_target:
             break
         flex = sorted(work.flexible_elements(), key=lambda j: -work.intervals[j][1])
@@ -954,28 +922,22 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
             absorbed_outside = 0
             while True:
                 inside = [v for v in interior if v not in path]
-                if work.p + absorbed_outside >= params.n_target or len(inside) < 2 * d + 2:
+                if work.p + absorbed_outside >= params.n_target or len(inside) < 2 * D + 2:
                     break
                 pool = [v for v in range(col.n)
                         if v not in in_chain and v not in path]
-                classes = _find_blue_transitive_structure(col, chi - 1, params.q, pool)
+                classes = _find_blue_transitive_structure(col, chi - 1, Q, pool)
                 if classes is None:
-                    log.append(f"element {j}: no blue structure with {chi - 1} classes of {params.q} "
+                    log.append(f"element {j}: no blue structure with {chi - 1} classes of {Q} "
                                f"in the {len(pool)}-vertex leftover")
                     break
-                dense_all = True
-                absorb_from = None
-                for cls in classes:
-                    db = blue_density(col, inside, inside, cls)
-                    if db < 1 - gamma:
-                        dense_all = False
-                        if 1 - db >= gamma:
-                            absorb_from = cls
-                        break
-                if dense_all and classes:
+                # the first class the element is not blue-dense toward feeds the
+                # absorbing block; with none, the classes take a random embedding
+                absorb_from = next((cls for cls in classes
+                                    if blue_density(col, inside, inside, cls) < 1 - GAMMA), None)
+                if absorb_from is None:
                     try:
-                        rep = random_embed(col, inside, classes, m, gamma,
-                                           trials=params.trials, seed=params.seed)
+                        rep = random_embed(col, inside, classes, m, GAMMA, seed=params.seed)
                     except ValueError as exc:
                         log.append(f"element {j}: random embedding precondition: {exc}")
                         break
@@ -985,17 +947,12 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
                         return EngineReport("blue_witness", rep.certificate, None, log)
                     log.append(f"element {j}: random embedding failed after {rep.trials_run} trials")
                     break
-                if not classes:
-                    # chi = 1 below: nothing blue to embed, absorb from anywhere
-                    absorb_from = pool
-                if absorb_from is None:
-                    break
-                out = absorbing_block(col, inside, list(absorb_from), d, gamma)
+                out = absorbing_block(col, inside, absorb_from, D, GAMMA)
                 if not out.success:
                     log.append(f"element {j}: absorbing block: {out.diagnostic}")
                     break
                 path.extend(out.path)
-                absorbed_outside += d
+                absorbed_outside += D
                 grew = True
             if not grew:
                 continue
@@ -1014,7 +971,7 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
             break
         if not absorbed:
             break
-    chains = [work] + chains[1:] if work is not None else chains
+    chains[0] = work
     got = _extract_red_witness(col, chains, params)
     if got is not None:
         return EngineReport("red_witness", got, None, log)

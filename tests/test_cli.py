@@ -320,26 +320,17 @@ class TestEngineCycleKind:
         assert rc == 1
         assert f"loose {kind}" in capsys.readouterr().err
 
-    def test_params_file_overrides(self, tmp_path):
-        col = TwoColoring.all_blue(3, 10)
-        cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
-        ppath = write_json(tmp_path, "p.json", {"block_size": 4, "trials": 8})
-        out = tmp_path / "e.json"
-        rc = main(["engine", "tight", "--coloring", cpath, "--target", "9",
-                   "--tth", "2:2", "--params", ppath, "--out", str(out)])
-        assert rc == 0
-        assert json.loads(out.read_text())["outcome"] == "blue_witness"
-
-    def test_unknown_params_key_exit_1(self, tmp_path, capsys):
-        col = TwoColoring.all_blue(3, 10)
-        cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
-        # a misspelt key, and epsilon, which bounded nothing and is no longer a parameter
-        for key in ("trails", "epsilon"):
-            ppath = write_json(tmp_path, "p.json", {"block_size": 4, key: 8})
-            rc = main(["engine", "tight", "--coloring", cpath, "--target", "9",
-                       "--tth", "2:2", "--params", ppath])
-            assert rc == 1
-            assert f"unknown engine parameter '{key}'" in capsys.readouterr().err
+    @pytest.mark.parametrize("mode_args, named", [
+        (["tight"], "--tth"),
+        (["loose"], "--blue-target"),
+        (["tight", "--tth", "2"], "cannot parse pattern 'tth:2'"),
+    ], ids=["tight-no-tth", "loose-no-blue-target", "tth-one-field"])
+    def test_missing_or_bad_target_option_exit_1(self, tmp_path, mode_args, named):
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 10)))
+        proc = run_cli(["engine", *mode_args, "--coloring", cpath, "--target", "9"])
+        assert proc.returncode == 1, proc.stderr
+        assert "invalid input" in proc.stderr and named in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestCertificateRoundTrips:
@@ -432,6 +423,8 @@ MALFORMED_CERTIFICATES = {
     "target-edge-string": {"kind": "blue_embedding", "witness": [0, 1, 2],
                            "detail": {"target": {"k": 3, "n": 3, "edges": [[0, 1, "2"]]}}},
     "crossing-block-int": {"kind": "blue_crossing_attestation", "detail": {"blocks": [0, 1]}},
+    # a JSON boolean is not an integer, though Python's bool is an int
+    "path-witness-and-ell-bool": {"kind": "red_path", "witness": [True, 2, 3], "detail": {"ell": True}},
 }
 
 
@@ -469,6 +462,10 @@ MALFORMED_INPUT_FILES = {
     "tournament-arc-string": ("tournament", {"n": 3, "arcs": [[0, 1], [1, 2], [2, "0"]]}),
     "tournament-loop": ("tournament", {"n": 2, "arcs": [[1, 1]]}),
     "tournament-top-level-list": ("tournament", []),
+    # a JSON boolean is not an integer, though Python's bool is an int
+    "coloring-n-bool": ("coloring", {"k": 3, "n": True, "encoding": "colex-v1", "red_bitmap": ""}),
+    "tournament-n-bool": ("tournament", {"n": True, "arcs": []}),
+    "hypergraph-edge-bool": ("hypergraph", {"k": 3, "n": 4, "edges": [[True, 2, 3]]}),
 }
 
 
@@ -477,6 +474,9 @@ def test_malformed_input_file_exit_1(tmp_path, kind, obj):
     path = write_json(tmp_path, f"{kind}.json", obj)
     if kind == "coloring":
         args = ["verify", "--coloring", path, "--red-pattern", "path:3:2:4", "--blue-target", "clique:3:4"]
+    elif kind == "hypergraph":
+        args = ["verify", "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 6))),
+                "--red-pattern", "path:3:2:4", "--blue-target", path]
     else:
         args = ["construct", "transitive", "--param", f"tournament={path}", "--param", "n=9",
                 "--out", str(tmp_path / "out.json")]

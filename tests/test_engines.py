@@ -14,6 +14,7 @@ from hyperramsey.core import (
     TwoColoring,
     transitive_tournament_hypergraph,
 )
+from hyperramsey.chains import find_connector
 from hyperramsey.constructions import (
     loose_path_lb,
     non_transitive_lb,
@@ -26,7 +27,6 @@ from hyperramsey.engines import (
     blue_density,
     butterfly_dichotomy,
     erdos_gallai_path,
-    find_red_tight_2path,
     independence_dichotomy,
     loose_witness_engine,
     monochromatic_biclique,
@@ -408,14 +408,16 @@ class TestTightEngine:
 
 
 class TestFindRedTight2Path:
+    # the butterfly's red branch: a tight 2-path from W_i into W_j, drawn
+    # from the two W-sets only
     def test_found(self):
         col = TwoColoring.from_red_edges(3, 6, [(0, 1, 3), (1, 3, 4)])
-        got = find_red_tight_2path(col, [0, 1, 2], [3, 4, 5])
+        got = find_connector(col, 3, 2, 2, [0, 1, 2], [3, 4, 5], {0, 1, 2, 3, 4, 5})
         assert got == (0, 1, 3, 4)
 
     def test_absent(self):
         col = TwoColoring.all_blue(3, 6)
-        assert find_red_tight_2path(col, [0, 1, 2], [3, 4, 5]) is None
+        assert find_connector(col, 3, 2, 2, [0, 1, 2], [3, 4, 5], {0, 1, 2, 3, 4, 5}) is None
 
 
 class TestTightEngineDichotomies:
@@ -497,14 +499,6 @@ class TestStallBookkeeping:
             # c = max(tau(2, sigma) - 3, sigma) with sigma = 3: max(1, 3)
             assert rep.stall["budget_c"] == 3
             assert rep.stall["sigma"] == 3
-
-    def test_path_system_postconditions_reported(self):
-        from hyperramsey.chains import build_path_system
-        col = TwoColoring.all_red(3, 14)
-        blocks = [tuple(range(7)), tuple(range(7, 14))]
-        system = build_path_system(col, blocks, ell=1, alpha=2)
-        assert system.no_two_disjoint_connectors
-        assert system.usage is not None and set(system.usage) == {0, 1}
 
 
 def _workload_path_runs(seed: int, pairs: int):

@@ -1,6 +1,8 @@
-"""Whole-repository checks: soundness checks survive `python -O`, and the
-demos run."""
+"""Whole-repository checks: no assert statement, no unused parameter and no
+unread CLI option in the package, soundness checks survive `python -O`, and
+the demos run."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -40,6 +42,28 @@ def test_no_unused_parameters_in_the_package():
             found.extend(f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p})"
                          for p in params if p not in ("self", "cls") and p not in named)
     assert found == []
+
+
+def test_every_cli_option_is_read():
+    # an option whose value nothing reads is a flag that does nothing; a read
+    # is `args.<dest>` in cli.py or a key string _write_manifest looks up
+    from hyperramsey import cli
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    read = {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"}
+    manifest = next(fn for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "_write_manifest")
+    read |= {n.value for n in ast.walk(manifest) if isinstance(n, ast.Constant)}
+    unread = []
+    parsers = [cli.build_parser()]
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif any(o.startswith("--") for o in action.option_strings) \
+                    and not isinstance(action, argparse._HelpAction) and action.dest not in read:
+                unread.append(f"{parser.prog} {'/'.join(action.option_strings)}")
+    assert unread == []
 
 
 def child_env() -> dict:
