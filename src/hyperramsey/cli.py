@@ -219,7 +219,10 @@ def cmd_dramsey(args) -> int:
 
 def cmd_chain(args) -> int:
     col = coloring_from_json(_load_json(args.coloring))
-    blocks = [tuple(b) for b in _load_json(args.blocks)]
+    blocks = _load_json(args.blocks)
+    if not isinstance(blocks, list):
+        raise ValueError("blocks must be a list of vertex lists")
+    blocks = [tuple(_int_list(b, "blocks entry")) for b in blocks]
     system = build_path_system(col, blocks, ell=args.ell, alpha=args.alpha)
     if system.stalled:
         _dump({"stalled": True, "diagnostic": system.diagnostic}, args.out)
@@ -274,9 +277,9 @@ _NEEDS_COLOURING = ("red_path", "blue_path", "red_cycle", "blue_cycle", "red_emb
 
 
 def _int_list(value, what: str) -> list[int]:
-    """A certificate field that must be a list of integers."""
+    """An input field that must be a list of integers."""
     if not isinstance(value, list) or not all(is_int(v) for v in value):
-        raise ValueError(f"certificate {what} must be a list of integers")
+        raise ValueError(f"{what} must be a list of integers")
     return value
 
 
@@ -412,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dramsey)
 
     p = sub.add_parser("chain", help="build a path system over blocks and assemble clique chains")
-    p.add_argument("action", choices=["assemble"])
     p.add_argument("--coloring", required=True)
     p.add_argument("--blocks", required=True, help="JSON list of vertex lists")
     p.add_argument("--ell", type=int, required=True)

@@ -9,6 +9,7 @@ O(k) arithmetic and a whole colouring is a single Python int.
 from __future__ import annotations
 
 import base64
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -19,6 +20,12 @@ from typing import Iterable, Iterator, Sequence
 
 class GuardExceeded(RuntimeError):
     """An exact search was asked to run beyond its configured size guard."""
+
+
+def env_guard(name: str, default: int) -> int:
+    """Guard sizes default from the environment (HYPERRAMSEY_*_GUARD)."""
+    value = os.environ.get(name)
+    return int(value) if value else default
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +405,7 @@ def ramsey_profile(hg: Hypergraph, max_vertices: int | None = None) -> RamseyPro
     default size guard can be overridden via HYPERRAMSEY_PROFILE_GUARD.
     """
     if max_vertices is None:
-        import os
-
-        max_vertices = int(os.environ.get("HYPERRAMSEY_PROFILE_GUARD") or 16)
+        max_vertices = env_guard("HYPERRAMSEY_PROFILE_GUARD", 16)
     if hg.n == 0:
         raise ValueError("empty hypergraph has no chromatic data")
     if hg.n > max_vertices:

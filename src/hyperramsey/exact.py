@@ -7,11 +7,10 @@ r the red class is that int with bit r added and the blue class is its
 complement among ranks <= r, so neither colour keeps a set of edges.  A
 branch is pruned the moment the edge just coloured completes a red copy of
 the pattern or a blue copy of the target, so every leaf reached is a free
-colouring.  Whether it does is asked of a _PatternWatcher.  It grows paths
-from that edge with the ell-path step of `search` (`path_steps`, the step
-`longest_mono_ell_path` takes too), or runs the embedding kernel of `search`
-from one ordered target edge per orbit of the target's automorphism group,
-mapped onto it.
+colouring.  Whether it does is asked of a _PatternWatcher, which runs the
+embedding kernel of `search` from one ordered target edge per orbit of the
+target's automorphism group, mapped onto that edge.  Paths, cycles, cliques
+and every other pattern go through this one kernel.
 
 tau_exact enumerates edge families that pairwise intersect in 0 or >= 2
 vertices (the structure forced by having no two-edge loose path).
@@ -40,6 +39,7 @@ from .core import (
     RamseyProfile,
     Tournament,
     TwoColoring,
+    burr_bound,
     colex_subsets,
     mask_ranks,
     ramsey_profile,
@@ -51,8 +51,6 @@ from .search import (
     find_mono_copy,
     find_transitive_subtournament,
     independence_number,
-    parse_pattern,
-    path_steps,
     pattern_hypergraph,
     search_pattern,
 )
@@ -64,21 +62,12 @@ MAX_ENUM_BITS = 36           # hard ceiling for the pruned search
 # incremental copy detection for the colouring DFS
 
 
-def pattern_uniformity(spec: str) -> int:
-    name, args = parse_pattern(spec)
-    if name in ("fano", "tth"):
-        return 3
-    return args["k"]
-
-
 class _PatternWatcher:
     """Detects whether colouring one more edge completes a copy of the pattern.
 
     A colour class is a bitmask over colex ranks, read through the
-    vertex-mask -> rank table of `core`.  A path pattern is grown outward from
-    the anchor edge in both directions; each step takes the class edges that
-    `search.path_steps` yields, the step `longest_mono_ell_path` takes too.
-    Any other target goes to the embedding kernel of `search`, started with a
+    vertex-mask -> rank table of `core`.  The pattern, a spec string or a
+    hypergraph, goes to the embedding kernel of `search`, started with a
     target edge already mapped onto the anchor.  Anchoring at every ordered
     target edge would repeat work: two ordered edges that an automorphism of
     the target maps onto each other complete the same copies.  So the watcher
@@ -87,51 +76,18 @@ class _PatternWatcher:
     """
 
     def __init__(self, pattern: str | Hypergraph, n: int):
-        name, args = parse_pattern(pattern) if isinstance(pattern, str) else ("hypergraph", {})
-        if name == "path":
-            self.k, self.ell = args["k"], args["ell"]
-            self.target_edges = (args["n"] - self.ell) // (self.k - self.ell)
-            self.plans = None
-        else:
-            target = pattern_hypergraph(pattern) if isinstance(pattern, str) else pattern
-            self.k = target.k
-            self.plans = _orbit_plans(target)
-            self.allowed = [(1 << n) - 1] * target.n
-        self.n = n
+        target = pattern_hypergraph(pattern) if isinstance(pattern, str) else pattern
+        self.k = target.k
+        self.plans = _orbit_plans(target)
+        self.allowed = [(1 << n) - 1] * target.n
         self.ranks = mask_ranks(self.k, n)
         self.kernel_stats = {"nodes": 0, "prunes": 0}  # kept by the kernel, never reported
 
     def completes(self, cls: int, edge: tuple[int, ...]) -> bool:
         """True iff the colour class `cls` (which already contains edge) has a
         copy of the pattern through edge."""
-        if self.plans is None:
-            return self._path_through(cls, edge)
         return any(_anchored(plan, edge, cls, self.ranks, self.allowed, self.kernel_stats)
                    for plan in self.plans)
-
-    def _path_through(self, cls: int, anchor: tuple[int, ...]) -> bool:
-        k, ell, need = self.k, self.ell, self.target_edges
-        used = sum(1 << v for v in anchor)
-        # a path read backwards puts the anchor at the mirrored position, so
-        # the anchor need only sit in the first half
-        for arr in permutations(anchor):
-            for right in range((need + 1) // 2):
-                if self._grow(cls, arr[k - ell:], used, right, (arr[ell - 1::-1], need - 1 - right)):
-                    return True
-        return False
-
-    def _grow(self, cls, boundary, used, steps, then) -> bool:
-        """Extend the path at `boundary` (its last ell vertices, in order) by
-        `steps` edges of the class, then do the same for `then`, if given."""
-        if steps == 0:
-            return then is None or self._grow(cls, then[0], used, then[1], None)
-        step = self.k - self.ell
-        keep = boundary[step:]
-        for _, emask, fresh in path_steps(cls, self.ranks, self.n, boundary, used, step):
-            for pick in permutations(fresh, self.ell - len(keep)):
-                if self._grow(cls, keep + pick, used | emask, steps - 1, then):
-                    return True
-        return False
 
 
 def _anchored(plan: EmbeddingPlan, anchor: tuple[int, ...], cls: int, ranks: dict[int, int],
@@ -171,12 +127,13 @@ def free_coloring_exists(
 
     Returns (exists, witness, stats).
     """
-    k = pattern_uniformity(red_pattern)
+    red = pattern_hypergraph(red_pattern)
+    k = red.k
     nbits = comb(n, k)
     if nbits > MAX_ENUM_BITS:
         raise GuardExceeded(f"C({n},{k}) = {nbits} edges exceeds enumeration ceiling {MAX_ENUM_BITS}")
 
-    red_watch = _PatternWatcher(red_pattern, n)
+    red_watch = _PatternWatcher(red, n)
     blue_watch = _PatternWatcher(blue_target, n)
 
     subsets = colex_subsets(k, n)
@@ -230,7 +187,7 @@ def ramsey_exact(
 ) -> RamseyResult:
     """Least n such that no free colouring of the complete k-graph exists,
     searched upward from n = k; a lower-bound-only result past n_cap."""
-    k = pattern_uniformity(red_pattern)
+    k = pattern_hypergraph(red_pattern).k
     witness = TwoColoring(k, k - 1, 0)  # empty colouring on k-1 vertices is always free
     total_stats = {"nodes": 0, "prunes": 0, "levels": {}}
     for n in range(k, n_cap + 1):
@@ -250,7 +207,7 @@ def free_colorings_bruteforce(red_pattern: str, blue_target: Hypergraph | str, n
 
     Independent of the DFS path; only feasible for C(n,k) <= ~14 bits.
     """
-    k = pattern_uniformity(red_pattern)
+    k = pattern_hypergraph(red_pattern).k
     nbits = comb(n, k)
     out = []
     for bits in range(1 << nbits):
@@ -560,13 +517,9 @@ def goodness_gap(red_pattern: str, target: Hypergraph, result: RamseyResult,
                  profile: RamseyProfile | None = None) -> GoodnessReport:
     """The Burr bound of the red pattern and the verdict of `result` against
     it; the gap is None unless `result` is exact."""
-    from .core import burr_bound
-
     if profile is None:
         profile = ramsey_profile(target)
-    _, args = parse_pattern(red_pattern)
-    v_g = args.get("n", args.get("k"))
-    bb = burr_bound(v_g, profile)
+    bb = burr_bound(pattern_hypergraph(red_pattern).n, profile)
     if result.exact:
         gap = result.value - bb.value
         verdict = "good" if gap == 0 else "not-good"

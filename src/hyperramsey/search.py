@@ -9,7 +9,6 @@ flagged inexact instead of silently approximating.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -23,17 +22,12 @@ from .core import (
     colex_subsets,
     ell_cycle,
     ell_path,
+    env_guard,
     hypergraph_to_json,
     mask_ranks,
 )
 
 DEFAULT_NODE_BUDGET = 500_000
-
-
-def _env_guard(name: str, default: int) -> int:
-    """Guard sizes default from the environment (HYPERRAMSEY_*_GUARD)."""
-    value = os.environ.get(name)
-    return int(value) if value else default
 
 
 @dataclass
@@ -142,30 +136,8 @@ def validate_tt_embedding(t: Tournament, order) -> bool:
 
 def _default_path_guard(ell: int) -> int:
     if ell == 1:
-        return _env_guard("HYPERRAMSEY_LOOSE_PATH_GUARD", 20)
-    return _env_guard("HYPERRAMSEY_PATH_GUARD", 16)
-
-
-def path_steps(cls: int, ranks: dict[int, int], n: int, boundary: tuple[int, ...], used: int, width: int):
-    """The edges of one colour class that extend an ell-path at `boundary`.
-
-    `cls` is the class as a bitmask over colex ranks, read through `ranks`
-    (vertex mask -> rank).  Yields (rank, edge mask, fresh) for every class
-    edge made of the boundary vertices plus `width` = k - ell vertices outside
-    the mask `used`; `fresh` is those vertices, sorted, and the edges come in
-    `combinations` order of the free vertices.
-    """
-    bmask = 0
-    for v in boundary:
-        bmask |= 1 << v
-    free = [v for v in range(n) if not used >> v & 1]
-    for fresh in combinations(free, width):
-        emask = bmask
-        for v in fresh:
-            emask |= 1 << v
-        r = ranks[emask]
-        if cls >> r & 1:
-            yield r, emask, fresh
+        return env_guard("HYPERRAMSEY_LOOSE_PATH_GUARD", 20)
+    return env_guard("HYPERRAMSEY_PATH_GUARD", 16)
 
 
 def longest_mono_ell_path(
@@ -182,9 +154,9 @@ def longest_mono_ell_path(
     class is a bitmask over colex ranks (red is `red_bits`, blue its
     complement).  DFS over (ordered boundary, used set) states with a
     transposition table and a remaining-vertices bound.  Roots are the class
-    edges in increasing rank; at each node the extensions found by
-    `path_steps` are tried in order of (edge rank, interior vertices, new
-    boundary), so the witness is deterministic.
+    edges in increasing rank; at each node the class edges made of the
+    boundary and k - ell unused vertices are tried in order of (edge rank,
+    interior vertices, new boundary), so the witness is deterministic.
     """
     k = col.k
     if not 1 <= ell <= k - 1:
@@ -222,8 +194,18 @@ def longest_mono_ell_path(
         cached = memo.get(key)
         if cached is not None and edges_so_far + cached <= best["edges"]:
             return cached
+        bmask = 0
+        for v in boundary:
+            bmask |= 1 << v
+        free = [v for v in range(col.n) if not used >> v & 1]
         exts = []
-        for r, emask, fresh in path_steps(cls, ranks, col.n, boundary, used, step):
+        for fresh in combinations(free, step):
+            emask = bmask
+            for v in fresh:
+                emask |= 1 << v
+            r = ranks[emask]
+            if not cls >> r & 1:
+                continue
             for pick in combinations(fresh, fresh_pick):
                 interior = [v for v in fresh if v not in pick]
                 for arr in permutations(pick):
@@ -490,23 +472,19 @@ def search_pattern(col: TwoColoring, spec: str, colour: str) -> Certificate:
     """Search one colour for the pattern; path patterns use the dedicated
     longest-path search, everything else the generic embedding search."""
     name, a = parse_pattern(spec)
+    target = pattern_hypergraph(spec)  # a ValueError for an order the shape cannot have
     if name == "path":
         if a["k"] != col.k:
             raise ValueError("uniformity mismatch")
         vertices, cert = longest_mono_ell_path(col, a["ell"], colour)
-        found = vertices >= a["n"]
-        witness = None
-        if found:
-            # a longer path contains the target as a prefix
-            q = (a["n"] - a["ell"]) // (col.k - a["ell"])
-            witness = cert.witness[: a["ell"] + q * (col.k - a["ell"])]
+        # a longer path contains the target as a prefix
+        witness = cert.witness[:target.n] if vertices >= target.n else None
         return Certificate(
             kind=f"{colour}_path",
             witness=witness,
             stats=cert.stats,
             detail={**cert.detail, "pattern": spec, "max_vertices": vertices},
         )
-    target = pattern_hypergraph(spec)
     cert = find_mono_copy(col, target, colour)
     cert.detail["pattern"] = spec
     if name == "cycle":
@@ -556,7 +534,7 @@ def verify_free(col, red_pattern: str, blue_target: Hypergraph | str) -> Certifi
 def independence_number(hg: Hypergraph, guard: int | None = None) -> tuple[int, Certificate]:
     """Exact independence number by branch and bound on vertex inclusion."""
     if guard is None:
-        guard = _env_guard("HYPERRAMSEY_INDEPENDENCE_GUARD", 20)
+        guard = env_guard("HYPERRAMSEY_INDEPENDENCE_GUARD", 20)
     if hg.n > guard:
         raise GuardExceeded(f"{hg.n} vertices exceeds independence guard {guard}")
     stats = {"nodes": 0, "prunes": 0}

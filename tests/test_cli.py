@@ -82,6 +82,21 @@ class TestRamsey:
         assert payload["value"] == 3
         assert payload["lower_witness"]["n"] == 2
 
+    @pytest.mark.parametrize("red, value", [("fano", 7), ("tth:2:2", 4)])
+    def test_red_pattern_without_order_field(self, tmp_path, red, value):
+        # v(G) comes from the pattern's hypergraph, not from an "n" in its spec
+        out = tmp_path / "r.json"
+        assert main(["ramsey", "--red", red, "--blue", "edge:3", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["value"], payload["exact"], payload["burr_bound"]) == (value, True, value)
+
+    def test_impossible_path_order_exit_1(self):
+        # no 3-uniform loose path has 6 vertices
+        proc = run_cli(["ramsey", "--red", "path:3:1:6", "--blue", "edge:3"])
+        assert proc.returncode == 1, proc.stderr
+        assert "invalid input: no such path" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestTauAndDramsey:
     def test_tau(self, tmp_path):
@@ -103,7 +118,7 @@ class TestChainAndEngine:
         cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
         bpath = write_json(tmp_path, "b.json", [list(range(7)), list(range(7, 14))])
         out = tmp_path / "chains.json"
-        rc = main(["chain", "assemble", "--coloring", cpath, "--blocks", bpath,
+        rc = main(["chain", "--coloring", cpath, "--blocks", bpath,
                    "--ell", "1", "--alpha", "2", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
@@ -466,6 +481,8 @@ MALFORMED_INPUT_FILES = {
     "coloring-n-bool": ("coloring", {"k": 3, "n": True, "encoding": "colex-v1", "red_bitmap": ""}),
     "tournament-n-bool": ("tournament", {"n": True, "arcs": []}),
     "hypergraph-edge-bool": ("hypergraph", {"k": 3, "n": 4, "edges": [[True, 2, 3]]}),
+    "blocks-int": ("blocks", 5),
+    "blocks-vertex-string": ("blocks", [[0, 1, "x"], [4, 5, 6, 7]]),
 }
 
 
@@ -477,6 +494,9 @@ def test_malformed_input_file_exit_1(tmp_path, kind, obj):
     elif kind == "hypergraph":
         args = ["verify", "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 6))),
                 "--red-pattern", "path:3:2:4", "--blue-target", path]
+    elif kind == "blocks":
+        args = ["chain", "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 8))),
+                "--blocks", path, "--ell", "1", "--alpha", "2"]
     else:
         args = ["construct", "transitive", "--param", f"tournament={path}", "--param", "n=9",
                 "--out", str(tmp_path / "out.json")]

@@ -82,6 +82,9 @@ class TestFreeColoringSearch:
         ("path:3:2:5", 6),
         ("path:3:1:5", 6),
         ("path:2:1:4", 6),
+        ("path:4:1:7", 7),
+        ("path:4:2:6", 7),
+        ("path:4:3:5", 7),
         ("cycle:2:1:4", 6),
         ("clique:3:4", 6),
         ("tth:2:2", 6),
@@ -107,6 +110,8 @@ class TestFreeColoringSearch:
     @pytest.mark.parametrize("red,blue,value,nodes,prunes", [
         ("clique:2:3", "clique:2:3", 6, 367, 352),
         ("path:3:2:4", "clique:3:4", 5, 56, 53),
+        ("path:3:2:5", "clique:3:4", 7, 2015, 1995),
+        ("path:4:2:6", "clique:4:5", 7, 438, 425),
     ])
     def test_dfs_counts_pinned(self, red, blue, value, nodes, prunes):
         # the DFS tree depends only on which branches the watchers prune

@@ -45,8 +45,9 @@ def test_no_unused_parameters_in_the_package():
 
 
 def test_every_cli_option_is_read():
-    # an option whose value nothing reads is a flag that does nothing; a read
-    # is `args.<dest>` in cli.py or a key string _write_manifest looks up
+    # an option or positional whose value nothing reads is a flag or word
+    # that does nothing; a read is `args.<dest>` in cli.py or a key string
+    # _write_manifest looks up
     from hyperramsey import cli
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     read = {n.attr for n in ast.walk(tree)
@@ -60,9 +61,8 @@ def test_every_cli_option_is_read():
         for action in parser._actions:
             if isinstance(action, argparse._SubParsersAction):
                 parsers.extend(action.choices.values())
-            elif any(o.startswith("--") for o in action.option_strings) \
-                    and not isinstance(action, argparse._HelpAction) and action.dest not in read:
-                unread.append(f"{parser.prog} {'/'.join(action.option_strings)}")
+            elif not isinstance(action, argparse._HelpAction) and action.dest not in read:
+                unread.append(f"{parser.prog} {'/'.join(action.option_strings) or action.dest}")
     assert unread == []
 
 

@@ -200,6 +200,14 @@ class TestVerifyFree:
         cert = search_pattern(col, "cycle:3:1:6", BLUE)
         assert cert.found and cert.kind == "blue_cycle"
 
+    @pytest.mark.parametrize("search", [lambda col, spec: search_pattern(col, spec, RED),
+                                        lambda col, spec: verify_free(col, spec, single_edge(3))],
+                             ids=["search_pattern", "verify_free"])
+    def test_impossible_path_order_rejected(self, search):
+        # no 3-uniform loose path has 6 vertices; a 7-vertex one must not stand in
+        with pytest.raises(ValueError, match="no such path"):
+            search(TwoColoring.all_red(3, 7), "path:3:1:6")
+
 
 class TestIndependence:
     def test_k4(self):
