@@ -82,13 +82,14 @@ class TestFreeColoringSearch:
         ("path:3:2:5", 6),
         ("path:3:1:5", 6),
         ("path:2:1:4", 6),
-        ("path:4:1:7", 7),
-        ("path:4:2:6", 7),
-        ("path:4:3:5", 7),
         ("cycle:2:1:4", 6),
         ("clique:3:4", 6),
         ("tth:2:2", 6),
+        # the hypergraph case keeps the positional id pattern6
         (ASYMMETRIC, 7),
+        ("path:4:1:7", 7),
+        ("path:4:2:6", 7),
+        ("path:4:3:5", 7),
     ])
     def test_completes_matches_naive_copy_through_edge(self, pattern, n):
         target = ASYMMETRIC if isinstance(pattern, Hypergraph) else pattern_hypergraph(pattern)
