@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import BLUE, RED, TwoColoring, colex_subsets, mask_ranks
-from .search import Certificate, cycle_edges, find_mono_clique, path_edges
+from .search import Certificate, cycle_edges, embed, find_mono_clique, path_edges, path_plan
 
 OPEN = "open"
 CLOSED = "closed"
@@ -394,39 +394,29 @@ def _path_order(k: int, ell: int, q: int) -> int:
 def find_connector(col: TwoColoring, k: int, ell: int, q: int,
                    side_a: list[int], side_b: list[int], pool: set[int]) -> tuple[int, ...] | None:
     """First red ell-path of length q whose first ell vertices lie in side_a,
-    last ell in side_b, all vertices drawn from the pool."""
+    last ell in side_b, all vertices drawn from the pool.
+
+    One `embed` call on the sequential path plan: host vertices are tried in
+    increasing order and each position checks the edge ending there, so the
+    answer is the lexicographically first such vertex sequence."""
+    if k != col.k:
+        raise ValueError("uniformity mismatch")
     order = _path_order(k, ell, q)
-    a_set = sorted(v for v in side_a if v in pool)
-    b_set = sorted(v for v in side_b if v in pool)
-    if len(a_set) < ell or len(b_set) < ell:
+    pool_mask = sum(1 << v for v in pool)
+    if pool_mask >> col.n:
+        raise ValueError(f"pool must hold vertices of 0..{col.n - 1}")
+    a_mask = pool_mask & sum(1 << v for v in set(side_a))
+    b_mask = pool_mask & sum(1 << v for v in set(side_b))
+    if a_mask.bit_count() < ell or b_mask.bit_count() < ell:
         return None
-    mid_set = sorted(pool)
-    seq: list[int] = []
-
-    def rec(pos: int) -> bool:
-        if pos == order:
-            return True
-        if pos < ell:
-            domain = a_set
-        elif pos >= order - ell:
-            domain = b_set
-        else:
-            domain = mid_set
-        for v in domain:
-            if v in seq:
-                continue
-            seq.append(v)
-            ok = True
-            # validate the window completed by this position, if any
-            if pos + 1 >= k and (pos + 1 - k) % (k - ell) == 0:
-                ok = col.is_red(seq[pos + 1 - k: pos + 1])
-            if ok and rec(pos + 1):
-                return True
-            seq.pop()
-        return False
-
-    if rec(0):
-        return tuple(seq)
+    # a position among both the first and the last ell (a path too short to
+    # keep its ends apart) must lie in both sides
+    allowed = [(a_mask if i < ell else pool_mask) & (b_mask if i >= order - ell else pool_mask)
+               for i in range(order)]
+    image = [-1] * order
+    if embed(path_plan(k, ell, order), col.red_bits, mask_ranks(k, col.n), allowed, image, 0, 0,
+             {"nodes": 0, "prunes": 0}):
+        return tuple(image)
     return None
 
 

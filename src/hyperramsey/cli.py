@@ -223,6 +223,9 @@ def cmd_chain(args) -> int:
     if not isinstance(blocks, list):
         raise ValueError("blocks must be a list of vertex lists")
     blocks = [tuple(_int_list(b, "blocks entry")) for b in blocks]
+    flat = [v for b in blocks for v in b]
+    if len(set(flat)) != len(flat) or any(not 0 <= v < col.n for v in flat):
+        raise ValueError(f"blocks must be disjoint sets of vertices of 0..{col.n - 1}")
     system = build_path_system(col, blocks, ell=args.ell, alpha=args.alpha)
     if system.stalled:
         _dump({"stalled": True, "diagnostic": system.diagnostic}, args.out)

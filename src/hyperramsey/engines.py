@@ -28,6 +28,7 @@ validates the result itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from random import Random
 
@@ -38,6 +39,7 @@ from .core import (
     Tournament,
     TwoColoring,
     hypergraph_to_json,
+    mask_ranks,
     ramsey_profile,
     transitive_tournament_hypergraph,
 )
@@ -54,11 +56,14 @@ from .chains import (
     spanning_path,
     validate_chain,
 )
+from .exact import directed_ramsey_exact
 from .search import (
     Certificate,
+    embed,
     find_mono_copy,
     find_transitive_subtournament,
     has_two_edge_loose_path,
+    path_plan,
     validate_embedding,
     validate_mono_cycle,
     validate_mono_path,
@@ -71,8 +76,9 @@ from .search import (
 
 def independence_dichotomy(col: TwoColoring, blocks: list[tuple[int, ...]]):
     """Scan all crossing k-sets of the given disjoint blocks: return
-    ("red", edge) for the first red crossing edge in colex order, else
-    ("blue", attestation) that every crossing k-set is blue."""
+    ("red", edge) for the first red crossing edge in lexicographic order
+    (`combinations` of the sorted union), else ("blue", attestation) that
+    every crossing k-set is blue."""
     union = sorted(v for b in blocks for v in b)
     block_of = {}
     for i, b in enumerate(blocks):
@@ -304,26 +310,19 @@ class AbsorbingOutcome:
 
 
 def erdos_gallai_path(adj: dict[int, set[int]], length: int) -> list[int] | None:
-    """A simple path with `length` edges in a graph, by exact DFS, or None."""
-    vertices = sorted(adj)
-
-    def rec(v: int, path: list[int]) -> list[int] | None:
-        if len(path) == length + 1:
-            return list(path)
-        for w in sorted(adj[v]):
-            if w in path:
-                continue
-            path.append(w)
-            got = rec(w, path)
-            if got is not None:
-                return got
-            path.pop()
-        return None
-
-    for v in vertices:
-        got = rec(v, [v])
-        if got is not None:
-            return got
+    """A simple path with `length` >= 1 edges in a graph, or None: the
+    lexicographically first one, by one `embed` call on the graph's edges as
+    a 2-uniform class."""
+    n = 1 + max((v for u in adj for v in (u, *adj[u])), default=0)
+    ranks = mask_ranks(2, n)
+    cls = 0
+    for u in adj:
+        for w in adj[u]:
+            cls |= 1 << ranks[1 << u | 1 << w]
+    image = [-1] * (length + 1)
+    if embed(path_plan(2, 1, length + 1), cls, ranks, [sum(1 << v for v in adj)] * (length + 1),
+             image, 0, 0, {"nodes": 0, "prunes": 0}):
+        return image
     return None
 
 
@@ -832,18 +831,12 @@ def _aux_graph_pair(col: TwoColoring, chains: list[CliqueChain], outside: list[i
 # the tight engine (3-uniform)
 
 
-_DIRECTED_RAMSEY_CACHE = {1: 1, 2: 2}
-
-
+@lru_cache(maxsize=None)
 def _directed_ramsey(chi: int) -> int:
-    if chi not in _DIRECTED_RAMSEY_CACHE:
-        from .exact import directed_ramsey_exact
-
-        res = directed_ramsey_exact(chi)
-        if not res.exact:
-            raise ValueError(f"directed Ramsey number for chi={chi} not computable at desk scale")
-        _DIRECTED_RAMSEY_CACHE[chi] = res.value
-    return _DIRECTED_RAMSEY_CACHE[chi]
+    res = directed_ramsey_exact(chi)
+    if not res.exact:
+        raise ValueError(f"directed Ramsey number for chi={chi} not computable at desk scale")
+    return res.value
 
 
 def _find_blue_transitive_structure(col: TwoColoring, chi: int, q: int,

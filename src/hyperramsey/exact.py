@@ -135,6 +135,8 @@ def free_coloring_exists(
 
     red_watch = _PatternWatcher(red, n)
     blue_watch = _PatternWatcher(blue_target, n)
+    if blue_watch.k != k:
+        raise ValueError("uniformity mismatch")
 
     subsets = colex_subsets(k, n)
     stats = {"nodes": 0, "prunes": 0}
@@ -172,7 +174,6 @@ def free_coloring_exists(
 
 @dataclass
 class RamseyResult:
-    red_pattern: str
     value: int | None            # exact value, or None when only bounded
     lower_bound: int
     exact: bool
@@ -198,8 +199,8 @@ def ramsey_exact(
         if exists:
             witness = wit
             continue
-        return RamseyResult(red_pattern, n, n, True, witness, total_stats)
-    return RamseyResult(red_pattern, None, n_cap + 1, False, witness, total_stats)
+        return RamseyResult(n, n, True, witness, total_stats)
+    return RamseyResult(None, n_cap + 1, False, witness, total_stats)
 
 
 def free_colorings_bruteforce(red_pattern: str, blue_target: Hypergraph | str, n: int) -> list[int]:

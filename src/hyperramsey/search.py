@@ -2,14 +2,16 @@
 
 Every search either returns a witness (a path, an embedding, an independent
 set, ...) that re-validates against the input in a single pass, or attests
-absence after exhausting its search space.  Guards are soft: when an instance
-exceeds its guard the search runs under a node budget and the certificate is
-flagged inexact instead of silently approximating.
+absence after exhausting its search space.  One guard is soft: past its
+vertex guard `longest_mono_ell_path` runs under a node budget and flags its
+certificate inexact instead of silently approximating.  The others are hard:
+`independence_number` (like `core.ramsey_profile`) raises `GuardExceeded`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .core import (
@@ -140,13 +142,7 @@ def _default_path_guard(ell: int) -> int:
     return env_guard("HYPERRAMSEY_PATH_GUARD", 16)
 
 
-def longest_mono_ell_path(
-    col: TwoColoring,
-    ell: int,
-    colour: str,
-    guard: int | None = None,
-    node_budget: int | None = None,
-) -> tuple[int, Certificate]:
+def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int, Certificate]:
     """Exact maximum vertex count of a monochromatic ell-path, with a witness.
 
     Returns (vertices, certificate); a path with q edges has ell + q*(k-ell)
@@ -161,13 +157,11 @@ def longest_mono_ell_path(
     k = col.k
     if not 1 <= ell <= k - 1:
         raise ValueError("ell out of range")
-    if guard is None:
-        guard = _default_path_guard(ell)
     cls = col.red_bits if colour == RED else col.red_bits ^ ((1 << col.num_edges) - 1)
-    exact = True  # an empty class is exact at any size: the path has no edge
-    if cls and col.n > guard and node_budget is None:
-        exact = False
-        node_budget = DEFAULT_NODE_BUDGET
+    # past the guard the search runs under a node budget and is flagged
+    # inexact; an empty class is exact at any size: the path has no edge
+    exact = not cls or col.n <= _default_path_guard(ell)
+    node_budget = None if exact else DEFAULT_NODE_BUDGET
 
     ranks = mask_ranks(k, col.n)
     stats = {"nodes": 0, "prunes": 0}
@@ -279,6 +273,14 @@ class EmbeddingPlan:
         for e in target.edges:
             last = max(pos[v] for v in e)
             self.completed[last].append(tuple(v for v in e if pos[v] != last))
+
+
+@lru_cache(maxsize=128)
+def path_plan(k: int, ell: int, order: int) -> EmbeddingPlan:
+    """The plan that places the vertices of the k-uniform ell-path on `order`
+    vertices in sequence, so step i checks the edge (if any) ending at i.
+    Shared by every caller that asks for the same shape."""
+    return EmbeddingPlan(ell_path(k, ell, order), tuple(range(order)))
 
 
 def embed(plan: EmbeddingPlan, cls: int, ranks: dict[int, int], allowed: list[int],

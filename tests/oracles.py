@@ -56,6 +56,27 @@ def naive_find_clique(col: TwoColoring, size: int, colour: str, pool=None):
     return None
 
 
+def naive_find_connector(col: TwoColoring, k: int, ell: int, q: int, side_a, side_b, pool):
+    """First sequence, among the `permutations` of the sorted pool, of a red
+    k-uniform ell-path with q edges whose first ell vertices lie in side_a
+    and last ell in side_b."""
+    order = ell + q * (k - ell)
+    for seq in permutations(sorted(pool), order):
+        if all(v in side_a for v in seq[:ell]) and all(v in side_b for v in seq[order - ell:]) \
+                and all(col.is_red(seq[i * (k - ell): i * (k - ell) + k]) for i in range(q)):
+            return seq
+    return None
+
+
+def naive_graph_path(adj: dict, length: int):
+    """First sequence, among the `permutations` of the sorted vertex set, of
+    a simple path with `length` edges in the graph."""
+    for seq in permutations(sorted(adj), length + 1):
+        if all(seq[i + 1] in adj[seq[i]] for i in range(length)):
+            return list(seq)
+    return None
+
+
 def naive_independence(hg: Hypergraph) -> int:
     for size in range(hg.n, -1, -1):
         for sub in combinations(range(hg.n), size):

@@ -21,6 +21,7 @@ from hyperramsey.chains import (
     clique_partition,
     cut_open,
     double_tree_walk,
+    find_connector,
     replace_element,
     spanning_path,
     validate_chain,
@@ -29,6 +30,8 @@ from hyperramsey.search import (
     validate_mono_cycle,
     validate_mono_path,
 )
+
+from oracles import naive_find_connector
 
 
 def random_valid_chain(rng: Random, k: int = 3) -> tuple[CliqueChain, TwoColoring]:
@@ -357,6 +360,35 @@ class TestPathSystem:
         used = system.used_vertices()
         for b in blocks:
             assert sum(1 for v in b if v in used) <= 0.5 * len(b) + 4 * 3  # slack for augmentation
+
+
+class TestFindConnector:
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_naive_connector(self, k):
+        rng = Random(k)
+        for ell in range(1, k):
+            for q in range(1, 4):
+                for _ in range(20):
+                    n = rng.randint(k + 1, 8)
+                    col = TwoColoring.random(k, n, rng.choice([0.6, 0.9]), seed=rng.randrange(10 ** 6))
+                    pool = set(rng.sample(range(n), rng.randint(k, n)))
+                    side_a = rng.sample(range(n), rng.randint(ell, n))
+                    side_b = rng.sample(range(n), rng.randint(ell, n))
+                    args = (col, k, ell, q, side_a, side_b, pool)
+                    assert find_connector(*args) == naive_find_connector(*args), (ell, q, n)
+
+    def test_overlapping_ends_lie_in_both_sides(self):
+        # a single tight edge: its middle vertex is among the first two and
+        # the last two, so it must lie in both sides
+        col = TwoColoring.all_red(3, 5)
+        assert find_connector(col, 3, 2, 1, [0, 1, 2], [2, 3, 4], set(range(5))) == (0, 2, 3)
+        assert find_connector(col, 3, 2, 1, [0, 1], [2, 3], set(range(5))) is None
+
+    @pytest.mark.parametrize("k, pool, message", [(4, set(range(6)), "uniformity mismatch"),
+                                                  (3, {0, 1, 2, 3, 9}, "pool must hold vertices")])
+    def test_bad_input_rejected(self, k, pool, message):
+        with pytest.raises(ValueError, match=message):
+            find_connector(TwoColoring.all_red(3, 6), k, 1, 1, [0, 1], [2, 3], pool)
 
 
 class TestAssembleChains:

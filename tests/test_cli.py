@@ -97,6 +97,12 @@ class TestRamsey:
         assert "invalid input: no such path" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_blue_uniformity_mismatch_exit_1(self):
+        proc = run_cli(["ramsey", "--red", "path:3:2:4", "--blue", "clique:4:5"])
+        assert proc.returncode == 1, proc.stderr
+        assert "invalid input: uniformity mismatch" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestTauAndDramsey:
     def test_tau(self, tmp_path):
@@ -483,6 +489,8 @@ MALFORMED_INPUT_FILES = {
     "hypergraph-edge-bool": ("hypergraph", {"k": 3, "n": 4, "edges": [[True, 2, 3]]}),
     "blocks-int": ("blocks", 5),
     "blocks-vertex-string": ("blocks", [[0, 1, "x"], [4, 5, 6, 7]]),
+    "blocks-vertex-outside-host": ("blocks", [[0, 1, 99], [4, 5, 6, 7]]),
+    "blocks-overlapping": ("blocks", [[0, 1, 2, 3], [3, 4, 5, 6]]),
 }
 
 

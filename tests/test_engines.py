@@ -39,6 +39,8 @@ from hyperramsey.search import (
     validate_mono_path,
 )
 
+from oracles import naive_graph_path
+
 
 def blocks_with_blue_crossing(sizes: list[int]) -> tuple[TwoColoring, list[tuple[int, ...]]]:
     """Red inside each block, blue everywhere else."""
@@ -242,6 +244,18 @@ class TestErdosGallai:
         assert erdos_gallai_path(adj, 3) is None
         got = erdos_gallai_path(adj, 2)
         assert got is not None and len(got) == 3
+
+    def test_matches_naive_path(self):
+        rng = Random(7)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            adj = {v: set() for v in rng.sample(range(10), n)}
+            for u, w in combinations(adj, 2):
+                if rng.random() < 0.4:
+                    adj[u].add(w)
+                    adj[w].add(u)
+            length = rng.randint(1, 5)
+            assert erdos_gallai_path(adj, length) == naive_graph_path(adj, length), (adj, length)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_density_guarantee(self, seed):

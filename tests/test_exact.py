@@ -169,6 +169,11 @@ class TestRamseyExact:
         r = ramsey_exact("path:3:1:5", "clique:3:4", 4)
         assert not r.exact and r.lower_bound == 5 and r.value is None
 
+    @pytest.mark.parametrize("blue", ["clique:4:5", complete_hypergraph(2, 3)], ids=["spec", "hypergraph"])
+    def test_blue_uniformity_mismatch(self, blue):
+        with pytest.raises(ValueError, match="uniformity mismatch"):
+            ramsey_exact("path:3:2:4", blue, 7)
+
 
 class TestTauExact:
     @pytest.mark.parametrize("alpha", range(2, 7))
@@ -326,6 +331,6 @@ class TestNotGoodByConstruction:
         profile = ramsey_profile(target)
         bb = burr_bound(11, profile)
         assert inst.n == bb.value == 12  # so R >= 13 strictly beats the bound
-        result = RamseyResult("path:3:2:11", None, inst.n + 1, False, inst.coloring, None)
+        result = RamseyResult(None, inst.n + 1, False, inst.coloring, None)
         report = goodness_gap("path:3:2:11", target, result, profile)
         assert report.verdict == "not-good"

@@ -94,12 +94,11 @@ class TestLongestPath:
         assert (red.witness, red.stats) == ([2, 3, 0, 1, 4, 5, 6], {"nodes": 61, "prunes": 59})
         assert (blue.witness, blue.stats) == ([1, 2, 0, 5, 3, 4, 6], {"nodes": 62, "prunes": 59})
 
-    def test_inexact_flag_beyond_guard(self):
+    def test_inexact_flag_beyond_guard(self, monkeypatch):
+        monkeypatch.setenv("HYPERRAMSEY_PATH_GUARD", "8")
         col = TwoColoring.random(3, 9, 0.5, seed=0)
-        _, cert = longest_mono_ell_path(col, 2, RED, guard=8)
-        assert cert.detail["exact"] is False  # past the guard with no explicit budget
-        _, cert_small = longest_mono_ell_path(col, 2, RED, guard=8, node_budget=10)
-        assert cert_small.detail["exact"] is False
+        _, cert = longest_mono_ell_path(col, 2, RED)
+        assert cert.detail["exact"] is False  # past the guard: run under the node budget
 
 
 class TestFindMonoCopy:
