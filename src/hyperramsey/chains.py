@@ -119,13 +119,6 @@ def replace_element(chain: CliqueChain, j: int, runs: list[Run], flag: str) -> C
     return chain_from_runs(chain.kind, chain.k, chain.ell, out, chain.flags + (flag,))
 
 
-def chain_from_sequence(kind: str, k: int, ell: int, seq: list[int]) -> CliqueChain:
-    """The chain whose elements are exactly the edge windows of an ell-path or
-    ell-cycle vertex sequence."""
-    run = list(seq) + list(seq[:ell]) if kind == CLOSED else list(seq)
-    return chain_from_runs(kind, k, ell, [(run, False)])
-
-
 def validate_chain(chain: CliqueChain, coloring: TwoColoring | None = None) -> Certificate:
     """Check all chain invariants; redness of the elements is checked when a
     colouring is supplied.  Violations are reported per offending interval."""

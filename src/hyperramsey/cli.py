@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -114,10 +115,12 @@ def _write_manifest(path: str | None, args, argv: list[str], started: float) -> 
 
 
 def _target_from_args(value: str) -> Hypergraph:
-    """A blue target is either a pattern string or a hypergraph JSON file."""
-    if ":" in value or value in ("fano",):
-        return pattern_hypergraph(value)
-    return hypergraph_from_json(_load_json(value))
+    """A blue target is a hypergraph JSON file when `value` names an existing
+    file, else a pattern string; a value that cannot be a pattern (no ":" and
+    not "fano") is read as a file, so a missing one is reported as missing."""
+    if os.path.isfile(value) or (":" not in value and value != "fano"):
+        return hypergraph_from_json(_load_json(value))
+    return pattern_hypergraph(value)
 
 
 # ---------------------------------------------------------------------------
@@ -126,31 +129,44 @@ def _target_from_args(value: str) -> Hypergraph:
 
 def cmd_construct(args) -> int:
     params = dict(kv.split("=", 1) for kv in args.param)
-    ival = {key: int(v) for key, v in params.items() if v.lstrip("-").isdigit()}
     name = args.name
+
+    def text(key: str, default: str | None = None) -> str:
+        # each key is consumed as it is read; what is left was never read
+        if key not in params and default is None:
+            raise ValueError(f"construct {name} needs --param {key}=<value>")
+        return params.pop(key, default)
+
+    def num(key: str) -> int:
+        value = text(key)
+        if not value.lstrip("-").isdigit():
+            raise ValueError(f"--param {key}={value} is not an integer")
+        return int(value)
+
     if name == "burr":
-        inst = constructions.burr_coloring(ival["k"], ival["chi"], ival["sigma"], ival["vG"])
+        inst = constructions.burr_coloring(num("k"), num("chi"), num("sigma"), num("vG"))
     elif name == "ell-path":
-        inst = constructions.ell_path_lb(ival["k"], ival["ell"], ival["n"], ival["chi"])
+        inst = constructions.ell_path_lb(num("k"), num("ell"), num("n"), num("chi"))
     elif name == "loose-path":
-        aux = constructions.tau_lower_construction(ival["k"] - 1, ival["t"])
-        inst = constructions.loose_path_lb(ival["k"], ival["chi"], ival["n"], ival["t"], aux)
+        k, t = num("k"), num("t")
+        aux = constructions.tau_lower_construction(k - 1, t)
+        inst = constructions.loose_path_lb(k, num("chi"), num("n"), t, aux)
     elif name == "loose-cycle":
-        variant = params.get("variant", "pencil")
-        aux = None
-        if variant == "tau":
-            aux = constructions.tau_lower_construction(ival["k"] - 1, ival["t"])
-        inst = constructions.loose_cycle_lb(ival["k"], ival["chi"], ival["n"], ival["t"],
-                                            variant, q=ival.get("q"), aux=aux)
+        k, t, variant = num("k"), num("t"), text("variant", "pencil")
+        aux = constructions.tau_lower_construction(k - 1, t) if variant == "tau" else None
+        inst = constructions.loose_cycle_lb(k, num("chi"), num("n"), t, variant,
+                                            q=num("q") if "q" in params else None, aux=aux)
     elif name == "non-transitive":
-        inst = constructions.non_transitive_lb(ival["m"], ival["t"])
+        inst = constructions.non_transitive_lb(num("m"), num("t"))
     elif name == "transitive":
-        t = Tournament.cyclic_triangle() if params.get("tournament", "c3") == "c3" \
-            else tournament_from_file(params["tournament"])
-        inst = constructions.transitive_lb(t, ival["n"])
+        path = text("tournament", "c3")
+        t = Tournament.cyclic_triangle() if path == "c3" else tournament_from_file(path)
+        inst = constructions.transitive_lb(t, num("n"))
     else:
         print(f"unknown construction {name!r}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    if params:
+        raise ValueError(f"construct {name} does not read --param {', '.join(sorted(params))}")
     _dump(coloring_to_json(inst.coloring), args.out)
     if args.manifest_out:
         _dump(inst.manifest(), args.manifest_out)

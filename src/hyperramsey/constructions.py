@@ -4,6 +4,10 @@ Each generator returns a LowerBoundInstance: the colouring itself, the block
 partition it was built from, the parameter record, and descriptors of the red
 pattern and blue target it is claimed to avoid.  Blocks always occupy
 consecutive vertex ranges in index order so the bitmaps are reproducible.
+Every colouring is one rule over one pass, `_block_counts`, which yields each
+k-set in colex order with the number of its vertices in each block; red is
+decided by those counts (and, for the connector and pencil rules, by which
+vertices of the last block the k-set holds).
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Iterable, Iterator
 
 from .core import (
     Hypergraph,
@@ -52,6 +57,8 @@ class LowerBoundInstance:
 
 
 def _blocks(sizes: list[int]) -> tuple[tuple[int, ...], ...]:
+    if min(sizes, default=0) < 0:
+        raise ValueError(f"block sizes {sizes} must be nonnegative")
     out = []
     start = 0
     for s in sizes:
@@ -60,19 +67,24 @@ def _blocks(sizes: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _colour_by_rule(k: int, n: int, red_rule) -> TwoColoring:
+def _block_counts(k: int, blocks) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Every k-set of the blocks' vertices in colex order, with how many of
+    its vertices lie in each block."""
+    owner = [i for i, b in enumerate(blocks) for _ in b]
+    for s in colex_subsets(k, len(owner)):
+        counts = [0] * len(blocks)
+        for v in s:
+            counts[owner[v]] += 1
+        yield s, counts
+
+
+def _colouring(k: int, n: int, reds: Iterable[bool]) -> TwoColoring:
+    """The colouring whose edge of colex rank r is red when the r-th of `reds` is."""
     bits = 0
-    for r, s in enumerate(colex_subsets(k, n)):
-        if red_rule(s):
+    for r, red in enumerate(reds):
+        if red:
             bits |= 1 << r
     return TwoColoring(k, n, bits)
-
-
-def _block_of(blocks, v: int) -> int:
-    for i, b in enumerate(blocks):
-        if b and b[0] <= v <= b[-1]:
-            return i
-    return -1
 
 
 # ---------------------------------------------------------------------------
@@ -85,19 +97,14 @@ def burr_coloring(k: int, chi: int, sigma: int, v_g: int) -> LowerBoundInstance:
     if chi < 1 or sigma < 1 or v_g < sigma:
         raise ValueError("need chi >= 1, sigma >= 1, v_g >= sigma")
     n = (v_g - 1) * (chi - 1) + sigma - 1
-    sizes = [v_g - 1] * (chi - 1) + [sigma - 1]
-    blocks = _blocks(sizes)
-    flags = ()
-    if n < k:
-        flags = ("no-k-sets",)
-    col = _colour_by_rule(k, n, lambda s: _block_of(blocks, s[0]) == _block_of(blocks, s[-1]))
+    blocks = _blocks([v_g - 1] * (chi - 1) + [sigma - 1])
     return LowerBoundInstance(
-        coloring=col,
+        coloring=_colouring(k, n, (max(c) == k for _, c in _block_counts(k, blocks))),
         claimed_red_free=f"any connected k-graph on {v_g} vertices",
         claimed_blue_free=f"any H with chi={chi}, sigma={sigma}",
         partition=blocks,
         parameters={"k": k, "chi": chi, "sigma": sigma, "v_g": v_g, "n": n},
-        flags=flags,
+        flags=("no-k-sets",) if n < k else (),
     )
 
 
@@ -115,53 +122,17 @@ def ell_path_lb(k: int, ell: int, n: int, chi: int) -> LowerBoundInstance:
     if (n - ell) % (k - ell) != 0 or n < k:
         raise ValueError(f"no path on n={n} vertices for k={k}, ell={ell}")
     small = n // k - 1
-    if small < 0:
-        raise ValueError("n too small: last block would be negative")
     big_n = (chi - 1) * (n - 1) + small
     blocks = _blocks([n - 1] * (chi - 1) + [small])
-    last = chi - 1
-
-    def red_rule(s):
-        counts = [0] * chi
-        for v in s:
-            counts[_block_of(blocks, v)] += 1
-        if max(counts) == k:
-            return True
-        if counts[last] >= 1 and all(c <= ell - 1 for c in counts[:last]):
-            return True
-        return False
-
-    col = _colour_by_rule(k, big_n, red_rule)
+    reds = (max(c) == k or (c[-1] >= 1 and max(c[:-1]) <= ell - 1)
+            for _, c in _block_counts(k, blocks))
     return LowerBoundInstance(
-        coloring=col,
+        coloring=_colouring(k, big_n, reds),
         claimed_red_free=f"path:{k}:{ell}:{n}",
         claimed_blue_free="any H whose proper colourings all have a colour-concentrated edge",
         partition=blocks,
         parameters={"k": k, "ell": ell, "n": n, "chi": chi, "N": big_n},
     )
-
-
-def qualifies_for_ell_path_lb(hg: Hypergraph, ell: int) -> bool:
-    """Check the target-side hypothesis of the ell-path lower bound: every
-    proper chi-colouring and every colour class i admit an edge meeting class i
-    and every other class in at most ell-1 vertices."""
-    from .core import _proper_colourings, ramsey_profile
-
-    profile = ramsey_profile(hg, max_vertices=12)
-    chi = profile.chi
-    for assignment in _proper_colourings(hg, chi):
-        for i in range(chi):
-            ok = False
-            for e in hg.edges:
-                cnt = [0] * chi
-                for v in e:
-                    cnt[assignment[v]] += 1
-                if cnt[i] >= 1 and all(cnt[j] <= ell - 1 for j in range(chi) if j != i):
-                    ok = True
-                    break
-            if not ok:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -179,42 +150,36 @@ def _check_aux_graph(aux: Hypergraph, k: int, t: int) -> None:
         raise ValueError(f"auxiliary graph has independence number {alpha} >= {t}")
 
 
+def _connector_colouring(k: int, t: int, aux: Hypergraph, sizes: list[int]) -> tuple[tuple, TwoColoring]:
+    """Blocks of `sizes`, the last one carrying the auxiliary graph.  Red =
+    k-sets inside one block other than the last, plus k-sets with one vertex
+    in the second-last (connector) block whose other k-1 form an aux edge."""
+    _check_aux_graph(aux, k, t)
+    if min(sizes) < 0:
+        raise ValueError("n too small for the connector block")
+    blocks = _blocks(sizes)
+    bridge, last = len(sizes) - 2, len(sizes) - 1
+    aux_edges = {tuple(blocks[last][v] for v in e) for e in aux.edges}
+    # the connector vertex precedes the last block, so s[1:] is the aux part
+    reds = (max(c[:last]) == k or (c[bridge] == 1 and c[last] == k - 1 and s[1:] in aux_edges)
+            for s, c in _block_counts(k, blocks))
+    return blocks, _colouring(k, sum(sizes), reds)
+
+
 def loose_path_lb(k: int, chi: int, n: int, t: int, aux: Hypergraph) -> LowerBoundInstance:
-    """Red = within-block k-sets for the first chi-1 blocks, plus k-sets with
-    one vertex in block chi-1 whose remainder is an edge of the auxiliary graph
-    living on the last block."""
+    """The connector colouring on chi-2 blocks of order n-1, a connector block
+    of order n-2k+1 and the auxiliary graph."""
     if chi < 2:
         raise ValueError("need chi >= 2")
     if (n - 1) % (k - 1) != 0:
         raise ValueError(f"need n = 1 (mod {k - 1})")
-    _check_aux_graph(aux, k, t)
-    sizes = [n - 1] * (chi - 2) + [n - 2 * k + 1, aux.n]
-    if sizes[-2] < 0:
-        raise ValueError("n too small for the connector block")
-    blocks = _blocks(sizes)
-    big_n = sum(sizes)
-    bridge = chi - 2  # block index chi-1 in 1-based terms
-    last = chi - 1
-    aux_edges = {tuple(sorted(blocks[last][v] for v in e)) for e in aux.edges}
-
-    def red_rule(s):
-        counts = [0] * chi
-        for v in s:
-            counts[_block_of(blocks, v)] += 1
-        if max(counts[:last]) == k:
-            return True
-        if counts[bridge] == 1 and counts[last] == k - 1:
-            rest = tuple(v for v in s if _block_of(blocks, v) == last)
-            return rest in aux_edges
-        return False
-
-    col = _colour_by_rule(k, big_n, red_rule)
+    blocks, col = _connector_colouring(k, t, aux, [n - 1] * (chi - 2) + [n - 2 * k + 1, aux.n])
     return LowerBoundInstance(
         coloring=col,
         claimed_red_free=f"path:{k}:1:{n}",
         claimed_blue_free=f"split target, classes {(chi - 1)} x >(chi-1)(k-2)+{aux.n} and {t}",
         partition=blocks,
-        parameters={"k": k, "chi": chi, "n": n, "t": t, "aux_n": aux.n, "N": big_n},
+        parameters={"k": k, "chi": chi, "n": n, "t": t, "aux_n": aux.n, "N": col.n},
         blue_target=split_target(k, chi, t, aux.n),
     )
 
@@ -224,17 +189,9 @@ def split_target(k: int, chi: int, t: int, tau_value: int) -> Hypergraph:
     (chi-1)(k-2)+tau_value+1, one class of size t, edges = all k-sets meeting
     some class in exactly k-1 vertices."""
     big = (chi - 1) * (k - 2) + tau_value + 1
-    sizes = [big] * (chi - 1) + [t]
-    blocks = _blocks(sizes)
-    n = sum(sizes)
-    edges = []
-    for s in combinations(range(n), k):
-        counts = [0] * chi
-        for v in s:
-            counts[_block_of(blocks, v)] += 1
-        if any(c == k - 1 for c in counts):
-            edges.append(s)
-    return Hypergraph(k, n, tuple(edges))
+    blocks = _blocks([big] * (chi - 1) + [t])
+    edges = tuple(s for s, c in _block_counts(k, blocks) if k - 1 in c)
+    return Hypergraph(k, big * (chi - 1) + t, edges)
 
 
 def loose_cycle_lb(
@@ -248,10 +205,10 @@ def loose_cycle_lb(
 ) -> LowerBoundInstance:
     """Two loose-cycle lower-bound colourings.
 
-    "tau" variant: chi-1 full-size blocks plus an auxiliary-graph block, with
-    the connector rule reused from the loose-path construction (the block
-    playing the connector role is the last full-size one); flagged as
-    reconstructed because the source describes it by reference.
+    "tau" variant: the loose-path connector colouring on chi-1 blocks of
+    order n-1 and the auxiliary graph (the connector is the last full-size
+    block); flagged as reconstructed because the source describes it by
+    reference.
     "pencil" variant: last block of size q; the i-th (k-1)-subset of the last
     block extends redly into block i only.
     """
@@ -262,32 +219,13 @@ def loose_cycle_lb(
     if variant == "tau":
         if aux is None:
             raise ValueError("tau variant needs the auxiliary graph")
-        _check_aux_graph(aux, k, t)
-        sizes = [n - 1] * (chi - 1) + [aux.n]
-        blocks = _blocks(sizes)
-        big_n = sum(sizes)
-        bridge = chi - 2
-        last = chi - 1
-        aux_edges = {tuple(sorted(blocks[last][v] for v in e)) for e in aux.edges}
-
-        def red_rule(s):
-            counts = [0] * chi
-            for v in s:
-                counts[_block_of(blocks, v)] += 1
-            if max(counts[:last]) == k:
-                return True
-            if counts[bridge] == 1 and counts[last] == k - 1:
-                rest = tuple(v for v in s if _block_of(blocks, v) == last)
-                return rest in aux_edges
-            return False
-
-        col = _colour_by_rule(k, big_n, red_rule)
+        blocks, col = _connector_colouring(k, t, aux, [n - 1] * (chi - 1) + [aux.n])
         return LowerBoundInstance(
             coloring=col,
             claimed_red_free=f"cycle:{k}:1:{n}",
             claimed_blue_free=f"split target, tau variant, t={t}",
             partition=blocks,
-            parameters={"k": k, "chi": chi, "n": n, "t": t, "variant": variant, "N": big_n},
+            parameters={"k": k, "chi": chi, "n": n, "t": t, "variant": variant, "N": col.n},
             blue_target=split_target(k, chi, t, aux.n),
             flags=("tau-variant-reconstructed",),
         )
@@ -296,33 +234,23 @@ def loose_cycle_lb(
             raise ValueError("pencil variant needs q")
         if chi <= comb(q, k - 1):
             raise ValueError(f"pencil variant needs chi > C({q},{k - 1}) = {comb(q, k - 1)}")
-        sizes = [n - 1] * (chi - 1) + [q]
-        blocks = _blocks(sizes)
-        big_n = sum(sizes)
+        big_n = (n - 1) * (chi - 1) + q
+        blocks = _blocks([n - 1] * (chi - 1) + [q])
         last = chi - 1
-        pencil_sets = [tuple(sorted(s)) for s in combinations(blocks[last], k - 1)]
-
-        def red_rule(s):
-            counts = [0] * chi
-            for v in s:
-                counts[_block_of(blocks, v)] += 1
-            if max(counts[:last]) == k:
-                return True
-            for i, pset in enumerate(pencil_sets):
-                if counts[i] == 1 and set(pset) <= set(s):
-                    return True
-            return False
-
-        col = _colour_by_rule(k, big_n, red_rule)
+        pencil = {p: i for i, p in enumerate(combinations(blocks[last], k - 1))}
+        # with k-1 vertices in the last block, s[1:] is the pencil set and
+        # the one other vertex's block is the first with count 1
+        reds = (max(c[:last]) == k or (c[last] == k - 1 and pencil.get(s[1:]) == c.index(1))
+                for s, c in _block_counts(k, blocks))
         return LowerBoundInstance(
-            coloring=col,
+            coloring=_colouring(k, big_n, reds),
             claimed_red_free=f"cycle:{k}:1:{n}",
             claimed_blue_free=f"split target, pencil variant, t={t}",
             partition=blocks,
             parameters={"k": k, "chi": chi, "n": n, "t": t, "q": q, "variant": variant, "N": big_n},
             # class sizes need max{tau(k-1,t), q}; the lower-construction size
             # is exact for k=3
-            blue_target=split_target(k, chi, t, max(_tau_lower_size(k - 1, t), q)),
+            blue_target=split_target(k, chi, t, max(tau_lower_construction(k - 1, t).n, q)),
         )
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -338,20 +266,9 @@ def non_transitive_lb(m: int, t: int) -> LowerBoundInstance:
         raise ValueError("need m >= 2, t >= 1")
     blocks = _blocks([t] * (m - 1))
     big_n = (m - 1) * t
-
-    def red_rule(s):
-        counts = [0] * (m - 1)
-        for v in s:
-            counts[_block_of(blocks, v)] += 1
-        if 2 in counts:
-            i = counts.index(2)
-            j = counts.index(1)
-            return i <= j
-        return max(counts) == 3
-
-    col = _colour_by_rule(3, big_n, red_rule)
+    reds = (c.index(2) <= c.index(1) if 2 in c else max(c) == 3 for _, c in _block_counts(3, blocks))
     return LowerBoundInstance(
-        coloring=col,
+        coloring=_colouring(3, big_n, reds),
         claimed_red_free=f"tight path on > t+floor(t/2)+1 = {t + t // 2 + 1} vertices",
         claimed_blue_free="any tournament hypergraph of a non-transitive tournament",
         partition=blocks,
@@ -368,22 +285,10 @@ def transitive_lb(t: Tournament, n: int) -> LowerBoundInstance:
     blocks = _blocks([size] * t.n)
     big_n = size * t.n
     arcs = set(t.arcs())
-
-    def red_rule(s):
-        counts = [0] * t.n
-        for v in s:
-            counts[_block_of(blocks, v)] += 1
-        if max(counts) == 3:
-            return True
-        if 2 in counts:
-            i = counts.index(2)
-            j = counts.index(1)
-            return (i, j) in arcs
-        return False
-
-    col = _colour_by_rule(3, big_n, red_rule)
+    reds = ((c.index(2), c.index(1)) in arcs if 2 in c else max(c) == 3
+            for _, c in _block_counts(3, blocks))
     return LowerBoundInstance(
-        coloring=col,
+        coloring=_colouring(3, big_n, reds),
         claimed_red_free=f"path:3:2:{n}",
         claimed_blue_free="tth:chi:m for chi with T TT_chi-free and m >= R_vec(chi)",
         partition=blocks,
@@ -393,12 +298,6 @@ def transitive_lb(t: Tournament, n: int) -> LowerBoundInstance:
 
 # ---------------------------------------------------------------------------
 # extremal graphs for the no-two-edge-loose-path function
-
-
-def _tau_lower_size(k: int, alpha: int) -> int:
-    if alpha < k:
-        return alpha - 1
-    return alpha - 1 + (k - 1) * ((alpha - 1) // (k - 1))
 
 
 def tau_lower_construction(k: int, alpha: int) -> Hypergraph:

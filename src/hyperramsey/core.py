@@ -224,6 +224,8 @@ class Tournament:
         """True iff the arc u -> v is present."""
         if u == v:
             raise ValueError("no loops in a tournament")
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"arc ({u}, {v}) has a vertex outside 0..{self.n - 1}")
         if u < v:
             return bool(self.bits >> self._pair_rank(u, v) & 1)
         return not self.bits >> self._pair_rank(v, u) & 1
@@ -243,6 +245,8 @@ class Tournament:
         seen = {}
         bits = 0
         for u, v in arcs:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"arc ({u}, {v}) is not a pair of distinct vertices of 0..{n - 1}")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise ValueError(f"pair {key} oriented twice")
@@ -339,9 +343,10 @@ class TwoColoring:
 
     @classmethod
     def from_red_edges(cls, k: int, n: int, red_edges: Iterable[Iterable[int]]) -> "TwoColoring":
+        col = cls(k, n, 0)
         bits = 0
         for e in red_edges:
-            bits |= 1 << colex_rank(tuple(sorted(e)))
+            bits |= 1 << col.rank(e)
         return cls(k, n, bits)
 
     @classmethod
@@ -429,21 +434,6 @@ def ramsey_profile(hg: Hypergraph, max_vertices: int | None = None) -> RamseyPro
             best_witness = assignment
     flags = ("edgeless-chi-1",) if chi == 1 else ()
     return RamseyProfile(chi, best_sigma, best_witness, flags)
-
-
-def verify_profile(hg: Hypergraph, profile: RamseyProfile) -> bool:
-    """Independent one-pass check of a profile's witness and class sizes."""
-    witness = profile.witness
-    if len(witness) != hg.n:
-        return False
-    used = sorted(set(witness))
-    if used != list(range(profile.chi)):
-        return False
-    for e in hg.edges:
-        if len({witness[v] for v in e}) == 1:
-            return False
-    sizes = [sum(1 for c in witness if c == i) for i in range(profile.chi)]
-    return min(sizes) == profile.sigma
 
 
 @dataclass(frozen=True)
@@ -547,8 +537,6 @@ def tournament_from_json(obj: dict) -> Tournament:
         raise ValueError("a tournament is a JSON object")
     n, arcs = obj["n"], obj["arcs"]
     if not (is_int(n) and isinstance(arcs, list)
-            and all(isinstance(a, list) and len(a) == 2
-                    and all(is_int(v) and 0 <= v < n for v in a) and a[0] != a[1]
-                    for a in arcs)):
-        raise ValueError("a tournament has integer n and arcs that are pairs of distinct vertices of 0..n-1")
+            and all(isinstance(a, list) and len(a) == 2 and all(is_int(v) for v in a) for a in arcs)):
+        raise ValueError("a tournament has integer n and arcs that are pairs of integers")
     return Tournament.from_arcs(n, [tuple(a) for a in arcs])

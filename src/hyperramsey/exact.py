@@ -32,10 +32,8 @@ from itertools import combinations, permutations
 from math import comb
 
 from .core import (
-    BLUE,
     GuardExceeded,
     Hypergraph,
-    RED,
     RamseyProfile,
     Tournament,
     TwoColoring,
@@ -44,15 +42,13 @@ from .core import (
     mask_ranks,
     ramsey_profile,
 )
-from .constructions import tau_lower_construction, _tau_lower_size
+from .constructions import tau_lower_construction
 from .search import (
     EmbeddingPlan,
     embed,
-    find_mono_copy,
     find_transitive_subtournament,
     independence_number,
     pattern_hypergraph,
-    search_pattern,
 )
 
 MAX_ENUM_BITS = 36           # hard ceiling for the pruned search
@@ -203,28 +199,6 @@ def ramsey_exact(
     return RamseyResult(None, n_cap + 1, False, witness, total_stats)
 
 
-def free_colorings_bruteforce(red_pattern: str, blue_target: Hypergraph | str, n: int) -> list[int]:
-    """All free colourings of K_n by unpruned enumeration of every bitmap.
-
-    Independent of the DFS path; only feasible for C(n,k) <= ~14 bits.
-    """
-    k = pattern_hypergraph(red_pattern).k
-    nbits = comb(n, k)
-    out = []
-    for bits in range(1 << nbits):
-        col = TwoColoring(k, n, bits)
-        red = search_pattern(col, red_pattern, RED)
-        if red.found:
-            continue
-        if isinstance(blue_target, str):
-            blue = search_pattern(col, blue_target, BLUE)
-        else:
-            blue = find_mono_copy(col, blue_target, BLUE)
-        if not blue.found:
-            out.append(bits)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # tau(k, alpha)
 
@@ -306,7 +280,7 @@ def tau_exact(k: int, alpha: int, n_cap: int | None = None) -> TauResult:
         wit = tau_lower_construction(k, alpha)
         return TauResult(k, alpha, alpha - 1, alpha - 1, alpha - 1, True, wit,
                          flags=("trivial-regime",), stats=stats)
-    lower = _tau_lower_size(k, alpha)
+    lower = tau_lower_construction(k, alpha).n
     upper = 2 * alpha - 2
     start = upper if n_cap is None else min(upper, n_cap)
     for n in range(start, lower - 1, -1):

@@ -118,20 +118,6 @@ def validate_embedding(col: TwoColoring, target: Hypergraph, mapping, colour: st
     return all(col.has_colour([mapping[v] for v in e], colour) for e in target.edges)
 
 
-def validate_independent_set(hg: Hypergraph, vertices) -> bool:
-    vs = set(vertices)
-    if len(vs) != len(list(vertices)) or any(not 0 <= v < hg.n for v in vs):
-        return False
-    return all(not set(e) <= vs for e in hg.edges)
-
-
-def validate_tt_embedding(t: Tournament, order) -> bool:
-    order = list(order)
-    if len(set(order)) != len(order):
-        return False
-    return all(t.has_arc(order[i], order[j]) for i in range(len(order)) for j in range(i + 1, len(order)))
-
-
 # ---------------------------------------------------------------------------
 # longest monochromatic ell-path
 

@@ -6,8 +6,10 @@ shared with the code under test.
 """
 
 from itertools import combinations, permutations
+from math import comb
 
 from hyperramsey.core import Hypergraph, Tournament, TwoColoring
+from hyperramsey.search import pattern_hypergraph
 
 
 def naive_longest_mono_path(col: TwoColoring, ell: int, colour: str) -> int:
@@ -116,6 +118,15 @@ def _assignments(n: int, c: int):
 def naive_free(col: TwoColoring, red_target: Hypergraph, blue_target: Hypergraph) -> bool:
     return naive_find_copy(col, red_target, "red") is None and \
         naive_find_copy(col, blue_target, "blue") is None
+
+
+def free_colorings_bruteforce(red_pattern: str, blue_target: Hypergraph | str, n: int) -> list[int]:
+    """Every red bitmap of K_n^(k) that `naive_free` accepts, by trying all
+    2^C(n,k) of them; feasible for C(n,k) <= ~10 bits."""
+    red = pattern_hypergraph(red_pattern)
+    blue = pattern_hypergraph(blue_target) if isinstance(blue_target, str) else blue_target
+    return [bits for bits in range(1 << comb(n, red.k))
+            if naive_free(TwoColoring(red.k, n, bits), red, blue)]
 
 
 def naive_has_tt(t: Tournament, chi: int, through: int | None = None) -> bool:

@@ -17,7 +17,6 @@ from hyperramsey.chains import (
     assemble_chains,
     build_path_system,
     chain_from_runs,
-    chain_from_sequence,
     clique_partition,
     cut_open,
     double_tree_walk,
@@ -32,6 +31,13 @@ from hyperramsey.search import (
 )
 
 from oracles import naive_find_connector
+
+
+def chain_from_sequence(kind: str, k: int, ell: int, seq: list[int]) -> CliqueChain:
+    """The chain whose elements are exactly the edge windows of an ell-path or
+    ell-cycle vertex sequence."""
+    run = list(seq) + list(seq[:ell]) if kind == CLOSED else list(seq)
+    return chain_from_runs(kind, k, ell, [(run, False)])
 
 
 def random_valid_chain(rng: Random, k: int = 3) -> tuple[CliqueChain, TwoColoring]:

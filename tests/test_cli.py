@@ -42,6 +42,18 @@ class TestConstruct:
         assert manifest["parameters"]["chi"] == 2
         assert len(manifest["partition"]) == 2
 
+    @pytest.mark.parametrize("params, message", [
+        (["k=3", "chi=2", "sigma=1", "vG=4", "bogus=9"], "construct burr does not read --param bogus"),
+        (["k=x", "chi=2", "sigma=1", "vG=4"], "--param k=x is not an integer"),
+        (["chi=2", "sigma=1", "vG=4"], "construct burr needs --param k="),
+    ], ids=["unread-key", "non-integer", "missing-key"])
+    def test_param_errors_name_the_key(self, tmp_path, capsys, params, message):
+        out = tmp_path / "c.json"
+        argv = ["construct", "burr", *[a for p in params for a in ("--param", p)], "--out", str(out)]
+        assert main(argv) == 1
+        assert f"invalid input: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_params_exit_1(self, capsys):
         # the ell >= 2 construction rejects loose paths
         rc = main(["construct", "ell-path", "--param", "k=3", "--param", "ell=1",
@@ -520,6 +532,14 @@ def test_unparsable_pattern_is_named(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "invalid input: cannot parse pattern 'a:b.json'" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_target_file_whose_name_holds_a_colon(tmp_path):
+    hpath = write_json(tmp_path, "h:1.json", hypergraph_to_json(complete_hypergraph(3, 4)))
+    out = tmp_path / "cert.json"
+    assert main(["verify", "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 6))),
+                 "--red-pattern", "path:3:2:4", "--blue-target", hpath, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["kind"] == "not_free"
 
 
 def test_tournament_file_gives_the_same_construction(tmp_path):

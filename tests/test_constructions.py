@@ -1,4 +1,6 @@
-from itertools import combinations
+import hashlib
+import json
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -8,7 +10,9 @@ from hyperramsey.core import (
     Hypergraph,
     RED,
     Tournament,
+    _proper_colourings,
     complete_hypergraph,
+    ramsey_profile,
     tournament_hypergraph,
 )
 from hyperramsey.constructions import (
@@ -17,7 +21,6 @@ from hyperramsey.constructions import (
     loose_cycle_lb,
     loose_path_lb,
     non_transitive_lb,
-    qualifies_for_ell_path_lb,
     split_target,
     tau_lower_construction,
     transitive_lb,
@@ -38,6 +41,27 @@ def assert_total_and_complementary(inst, red_rule):
     col = inst.coloring
     for e in combinations(range(col.n), col.k):
         assert col.is_red(e) == red_rule(e), e
+
+
+def qualifies_for_ell_path_lb(hg: Hypergraph, ell: int) -> bool:
+    """Check the target-side hypothesis of the ell-path lower bound: every
+    proper chi-colouring and every colour class i admit an edge meeting class i
+    and every other class in at most ell-1 vertices."""
+    profile = ramsey_profile(hg, max_vertices=12)
+    chi = profile.chi
+    for assignment in _proper_colourings(hg, chi):
+        for i in range(chi):
+            ok = False
+            for e in hg.edges:
+                cnt = [0] * chi
+                for v in e:
+                    cnt[assignment[v]] += 1
+                if cnt[i] >= 1 and all(cnt[j] <= ell - 1 for j in range(chi) if j != i):
+                    ok = True
+                    break
+            if not ok:
+                return False
+    return True
 
 
 def block_of(partition):
@@ -159,6 +183,13 @@ class TestLooseCycleLb:
         assert [len(b) for b in inst.partition] == [5, 4]
         assert "tau-variant-reconstructed" in inst.flags
 
+    @pytest.mark.parametrize("variant, extra", [("tau", {"aux": tau_lower_construction(2, 3)}),
+                                                ("pencil", {"q": 2})])
+    def test_empty_cycle_rejected(self, variant, extra):
+        # n = 0 passes the congruence but leaves blocks of order n-1 = -1
+        with pytest.raises(ValueError):
+            loose_cycle_lb(3, 2, 0, 3, variant, **extra)
+
     def test_pencil_red_cycle_free(self):
         from hyperramsey.core import ell_cycle
         inst = loose_cycle_lb(3, 2, 6, 2, "pencil", q=2)
@@ -259,3 +290,43 @@ class TestSplitTarget:
             assert 2 in counts
         # triples inside one class are not edges
         assert (0, 1, 2) not in hg.edges
+
+
+def _pinned_cases():
+    for k, chi, sigma, extra in product((2, 3, 4), (0, 1, 2, 3), (1, 2, 3), (-1, 0, 1, 3)):
+        yield burr_coloring, (k, chi, sigma, sigma + extra)
+    for k, ell, n, chi in product((3, 4), (1, 2, 3), range(2, 12), (1, 2, 3)):
+        yield ell_path_lb, (k, ell, n, chi)
+    for k, chi, n, t in product((3, 4), (1, 2, 3), range(1, 12), (1, 2, 3, 4)):
+        yield loose_path_lb, (k, chi, n, t, tau_lower_construction(k - 1, t))
+        yield loose_cycle_lb, (k, chi, n, t, "tau", None, tau_lower_construction(k - 1, t))
+    yield loose_path_lb, (3, 2, 11, 3, Hypergraph(2, 4, ((0, 1), (1, 2))))
+    yield loose_path_lb, (4, 2, 13, 3, Hypergraph(2, 4, ((0, 1), (2, 3))))
+    yield loose_cycle_lb, (3, 2, 6, 3, "tau")
+    yield loose_cycle_lb, (3, 2, 6, 3, "other", 2)
+    for k, chi, n, t, q in product((3, 4), (1, 2, 3), range(1, 8), (1, 3), (None, 1, 2, 3)):
+        yield loose_cycle_lb, (k, chi, n, t, "pencil", q)
+    for m, t in product(range(1, 5), range(0, 5)):
+        yield non_transitive_lb, (m, t)
+    tournaments = (Tournament(0, 0), Tournament(1, 0), Tournament.transitive(2),
+                   Tournament.transitive(3), Tournament.cyclic_triangle())
+    for tour, n in product(tournaments, range(3, 10)):
+        yield transitive_lb, (tour, n)
+
+
+def test_constructions_pinned():
+    # colouring, manifest or error message of every construction over a
+    # fixed grid, plus split_target and tau_lower_construction edges
+    digest = hashlib.sha256()
+    for fn, args in _pinned_cases():
+        try:
+            inst = fn(*args)
+            line = (hex(inst.coloring.red_bits), json.dumps(inst.manifest(), sort_keys=True))
+        except ValueError as exc:
+            line = ("ValueError", str(exc))
+        digest.update(repr((fn.__name__, line)).encode() + b"\n")
+    for k, chi, t, tau in product((2, 3, 4), (2, 3), (1, 2, 3), (0, 1, 4)):
+        digest.update(repr(split_target(k, chi, t, tau).edges).encode() + b"\n")
+    for k, alpha in product((2, 3, 4, 5), range(1, 13)):
+        digest.update(repr(tau_lower_construction(k, alpha)).encode() + b"\n")
+    assert digest.hexdigest() == "00741ca1a1653449efc76b2ec43eaa654efbe8b97375e542908d732f51282296"

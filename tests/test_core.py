@@ -28,10 +28,24 @@ from hyperramsey.core import (
     tournament_from_json,
     tournament_hypergraph,
     tournament_to_json,
-    verify_profile,
 )
 
 from oracles import naive_chromatic
+
+
+def verify_profile(hg: Hypergraph, profile: RamseyProfile) -> bool:
+    """Independent one-pass check of a profile's witness and class sizes."""
+    witness = profile.witness
+    if len(witness) != hg.n:
+        return False
+    used = sorted(set(witness))
+    if used != list(range(profile.chi)):
+        return False
+    for e in hg.edges:
+        if len({witness[v] for v in e}) == 1:
+            return False
+    sizes = [sum(1 for c in witness if c == i) for i in range(profile.chi)]
+    return min(sizes) == profile.sigma
 
 
 class TestColex:
@@ -139,6 +153,18 @@ class TestTournament:
         with pytest.raises(ValueError):
             Tournament.from_arcs(2, [(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize("u, v", [(5, 0), (0, 3), (-1, 2)])
+    def test_arc_lookup_rejects_vertices_outside(self, u, v):
+        with pytest.raises(ValueError):
+            Tournament.transitive(3).has_arc(u, v)
+
+    @pytest.mark.parametrize("arcs", [[(0, 1), (0, 2), (5, 0)], [(0, 1), (0, 2), (1, 1)]],
+                             ids=["vertex-outside", "loop"])
+    def test_from_arcs_rejects_a_pair_it_cannot_orient(self, arcs):
+        # either arc would otherwise stand in for the unnamed pair (1, 2)
+        with pytest.raises(ValueError):
+            Tournament.from_arcs(3, arcs)
+
 
 class TestTournamentHypergraph:
     def test_single_arc(self):
@@ -189,6 +215,12 @@ class TestColoring:
         col = TwoColoring.all_red(3, 5)
         with pytest.raises(ValueError):
             col.is_red(edge)
+
+    @pytest.mark.parametrize("edge", [(1, 2), (0, 1, 5), (0, 0, 4), (0, 1, 2, 3)])
+    def test_from_red_edges_rejects_non_k_subsets(self, edge):
+        # a 2-set's colex rank is that of a 3-set: (1, 2) would colour (0, 2, 3)
+        with pytest.raises(ValueError):
+            TwoColoring.from_red_edges(3, 5, [edge])
 
     def test_colour_lookup_matches_colex_rank(self):
         col = TwoColoring.random(3, 9, 0.5, seed=4)

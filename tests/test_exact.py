@@ -26,13 +26,12 @@ from hyperramsey.exact import (
     consecutive_gap_check,
     directed_ramsey_exact,
     free_coloring_exists,
-    free_colorings_bruteforce,
     goodness_gap,
     ramsey_exact,
     tau_exact,
 )
 
-from oracles import naive_find_copy, naive_free, naive_has_tt
+from oracles import free_colorings_bruteforce, naive_find_copy, naive_free, naive_has_tt
 
 # a 3-graph whose only automorphism is the identity, so the watcher must
 # anchor at every one of its 4 * 3! ordered edges

@@ -1,12 +1,13 @@
-"""Whole-repository checks: no assert statement, no unused parameter and no
-unread CLI option in the package, soundness checks survive `python -O`, and
-the demos run."""
+"""Whole-repository checks: no assert statement, no unused parameter, no
+function that only tests call and no unread CLI option in the package,
+soundness checks survive `python -O`, and the demos run."""
 
 import argparse
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import hyperramsey
 
 PACKAGE = Path(hyperramsey.__file__).parent
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def test_no_assert_statements_in_the_package():
@@ -41,6 +43,23 @@ def test_no_unused_parameters_in_the_package():
             named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
             found.extend(f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p})"
                          for p in params if p not in ("self", "cls") and p not in named)
+    assert found == []
+
+
+def test_every_package_function_has_a_caller():
+    # a module-level function that nothing in the package (outside its own
+    # body), the demos or the benchmark names is called only by tests, and
+    # belongs with them
+    def names(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    package = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    others = DEMOS + sorted(p for p in PERFBENCH.rglob("*.py") if "tests" not in p.parts)
+    used = sum((names(tree) for tree in package.values()), Counter())
+    used += sum((names(ast.parse(p.read_text())) for p in others), Counter())
+    found = [f"{path.name}:{fn.lineno} {fn.name}" for path, tree in package.items() for fn in tree.body
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and used[fn.name] == names(fn)[fn.name]]
     assert found == []
 
 

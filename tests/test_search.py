@@ -27,11 +27,24 @@ from hyperramsey.search import (
     search_pattern,
     validate_embedding,
     validate_mono_path,
-    validate_tt_embedding,
     verify_free,
 )
 
 from oracles import naive_find_clique, naive_find_copy, naive_independence, naive_longest_mono_path
+
+
+def validate_independent_set(hg: Hypergraph, vertices) -> bool:
+    vs = set(vertices)
+    if len(vs) != len(list(vertices)) or any(not 0 <= v < hg.n for v in vs):
+        return False
+    return all(not set(e) <= vs for e in hg.edges)
+
+
+def validate_tt_embedding(t: Tournament, order) -> bool:
+    order = list(order)
+    if len(set(order)) != len(order) or any(not 0 <= v < t.n for v in order):
+        return False
+    return all(t.has_arc(order[i], order[j]) for i in range(len(order)) for j in range(i + 1, len(order)))
 
 
 class TestLongestPath:
@@ -229,7 +242,6 @@ class TestIndependence:
         hg = Hypergraph(3, n, tuple(edges))
         got, cert = independence_number(hg)
         assert got == naive_independence(hg)
-        from hyperramsey.search import validate_independent_set
         assert validate_independent_set(hg, cert.witness)
 
 
@@ -262,6 +274,12 @@ class TestTransitiveSubtournament:
             cert = find_transitive_subtournament(t, 3)
             assert cert.found
             assert validate_tt_embedding(t, cert.witness)
+
+    def test_tt_embedding_outside_the_tournament_is_invalid(self):
+        t = Tournament.transitive(3)
+        assert validate_tt_embedding(t, [0, 2])
+        assert not validate_tt_embedding(t, [5, 0])
+        assert not validate_tt_embedding(t, [0, -1])
 
 
 class TestCertificates:
