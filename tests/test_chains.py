@@ -303,6 +303,25 @@ def test_chain_layer_outputs_pinned():
     assert digest.hexdigest() == "3d8428be037429447b10bebee4ffeee1e49694875190158edfcee6eb90034e57"
 
 
+def test_tight_path_system_pinned():
+    # `build_path_system(ell=2)` on the red blocks of seeded dense k = 3
+    # colourings, at the component counts the tight engine asks for and one
+    # more: forest edges, connector paths, stall flag, stall blocks and
+    # diagnostic; the connector search order shows up here
+    rng = Random(2025)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        n = rng.randint(12, 22)
+        col = TwoColoring.random(3, n, rng.choice((0.55, 0.7, 0.85, 0.95)), seed=rng.getrandbits(32))
+        size = rng.randint(4, 6)
+        blocks = clique_partition(col, size, size).red_blocks()
+        system = build_path_system(col, blocks, ell=2, alpha=rng.randint(2, 4))
+        line = (n, blocks, system.forest_edges, sorted(system.paths.items()), system.stalled,
+                system.stall_blocks, system.diagnostic)
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == "b111545f1360058d7bf5823d7d13044fae5ff539328b101a981ab7b0436b2a43"
+
+
 class TestDoubleTreeWalk:
     def test_path(self):
         assert double_tree_walk([(0, 1), (1, 2)]) == [0, 1, 2, 1, 0]

@@ -1,7 +1,7 @@
 import hashlib
 import subprocess
 import sys
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from random import Random
 
 import pytest
@@ -546,6 +546,48 @@ def test_engine_reports_pinned():
         line = (kind, rep.outcome, cert and cert.kind, cert and cert.witness, rep.stall, rep.log)
         digest.update(repr(line).encode() + b"\n")
     assert digest.hexdigest() == "a18de9525e9bc539692b8cd50a996fba5a7afb80f818c8a116b61ff85fd78356"
+
+
+def _butterfly_line(col, w_sets, chi, m):
+    out = butterfly_dichotomy(col, w_sets, chi, m)
+    cert = out.blue_embedding
+    return w_sets, out.branch, out.red_path, cert and (cert.witness, cert.detail), out.diagnostic
+
+
+def _dichotomy_lines():
+    """Seeded direct calls of `butterfly_dichotomy` (red, blue and diagnostic
+    branches), `absorbing_block` and `blue_density`."""
+    rng = Random(2026)
+    for _ in range(100):
+        sizes = [rng.randint(2, 6) for _ in range(rng.randint(1, 5))]
+        n = sum(sizes) + rng.randint(0, 3)
+        col = TwoColoring.random(3, n, rng.choice((0.0, 0.02, 0.05, 0.1, 0.2, 0.5)),
+                                 seed=rng.getrandbits(32))
+        verts = rng.sample(range(n), sum(sizes))
+        w_sets = [tuple(sorted(verts[end - s:end])) for s, end in zip(sizes, accumulate(sizes))]
+        yield _butterfly_line(col, w_sets, rng.randint(2, 3), rng.randint(1, 3))
+    for sizes in ([4, 4], [4, 4, 4], [3, 5, 4, 6], [5, 5, 5, 5]):
+        col, blocks = blocks_with_blue_crossing(sizes)
+        for chi in (2, 3, 4):
+            yield _butterfly_line(col, blocks, chi, 2)
+    for _ in range(40):
+        n_a, n_b = rng.randint(5, 10), rng.randint(1, 4)
+        n = n_a + n_b + 2
+        col = TwoColoring.random(3, n, rng.choice((0.3, 0.6, 0.8, 0.95)), seed=rng.getrandbits(32))
+        verts = rng.sample(range(n), n)
+        a, b = verts[:n_a], verts[n_a:n_a + n_b]
+        out = absorbing_block(col, a, b, rng.randint(1, 2), rng.choice((0.05, 0.5, 0.8)))
+        yield out.success, out.path, out.diagnostic, out.aux_edges, out.aux_threshold, out.chosen_b
+        yield repr(blue_density(col, a, a, b)), repr(blue_density(col, a[:1], a[:1], b))
+
+
+def test_dichotomies_pinned():
+    # the engines workload never takes the butterfly's blue branch, so the
+    # engine report pin alone does not cover it; densities are hashed exactly
+    digest = hashlib.sha256()
+    for line in _dichotomy_lines():
+        digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == "5eeca4ce5906b929cf3d77dcc9fb4192c5a116e251f8735c030c5871939069c7"
 
 
 def test_witness_checks_run_under_optimize():
