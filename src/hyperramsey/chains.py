@@ -15,7 +15,7 @@ every chain built or rebuilt here or in the engines goes through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .core import BLUE, RED, TwoColoring, colex_subsets, mask_ranks
 from .search import Certificate, cycle_edges, embed, find_mono_clique, path_edges, path_plan
@@ -413,18 +413,90 @@ def find_connector(col: TwoColoring, k: int, ell: int, q: int,
     return None
 
 
-def _find_short_connector(col: TwoColoring, k: int, ell: int,
-                          side_a: list[int], side_b: list[int], pool: set[int],
-                          max_order: int) -> tuple[int, ...] | None:
-    for q in range(1, (max_order - ell) // (k - ell) + 1):
-        order = _path_order(k, ell, q)
-        if order > max_order:
-            break
+def _find_short_connector(col: TwoColoring, ell: int, side_a: list[int], side_b: list[int],
+                          pool: set[int]) -> tuple[int, ...] | None:
+    """The first connector of the least length whose order is at most 2k."""
+    k = col.k
+    for q in range(1, (2 * k - ell) // (k - ell) + 1):
         if q == 1 and 2 * ell > k:
             continue  # the two ends of a single edge overlap, cannot join disjoint sets
         got = find_connector(col, k, ell, q, side_a, side_b, pool)
         if got is not None:
             return got
+    return None
+
+
+Join = tuple[int, int, tuple[int, ...], tuple[int, ...]]  # (i, j, path, path), i < j
+
+
+def _connector_join(col: TwoColoring, avail: dict[int, list[int]]) -> list[Join]:
+    """The ell = k-1 join step: disjoint connectors between the blocks'
+    available vertices until two join one pair, whose forest edge it returns.
+    A connector read backwards joins its pair the other way round, so each
+    pair is searched once, lower block first."""
+    k = col.k
+    pool = {v for vs in avail.values() for v in vs}
+    found: dict[tuple[int, int], tuple[int, ...]] = {}
+    while True:
+        for i, j in combinations(sorted(avail), 2):
+            p = find_connector(col, k, k - 1, q0(k, k - 1), [v for v in avail[i] if v in pool],
+                               [v for v in avail[j] if v in pool], pool)
+            if p is not None:
+                break
+        else:
+            return []
+        if (i, j) in found:
+            return [(i, j, found[(i, j)], p)]
+        found[(i, j)] = p
+        pool -= set(p)
+
+
+def _matching_join(col: TwoColoring, avail: dict[int, list[int]]) -> list[Join]:
+    """The ell = 1 join step: a greedy red crossing matching in colex order,
+    grouped by block signature as it is found.  The first signature with two
+    edges per consecutive pair of its blocks yields those pairs' forest edges,
+    each edge read from its lower block to its higher one."""
+    k = col.k
+    block_of = {v: i for i, vs in avail.items() for v in vs}
+    free = sum(1 << v for v in block_of)
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for (emask, r), e in zip(mask_ranks(k, col.n).items(), colex_subsets(k, col.n)):
+        if emask & ~free or not col.red_bits >> r & 1:
+            continue
+        sig = tuple(sorted(block_of[v] for v in e))
+        if sig[0] != sig[-1]:
+            groups.setdefault(sig, []).append(e)
+            free &= ~emask
+    for sig, es in sorted(groups.items()):
+        support = sorted(set(sig))
+        if len(es) >= 2 * (len(support) - 1):
+            joins = []
+            for step, (a, b) in enumerate(zip(support, support[1:])):
+                pair = []
+                for e in es[2 * step: 2 * step + 2]:
+                    first = min(v for v in e if block_of[v] == a)
+                    last = min(v for v in e if block_of[v] == b)
+                    pair.append((first, *sorted(set(e) - {first, last}), last))
+                joins.append((a, b, *pair))
+            return joins
+    return []
+
+
+def _augmenting_join(col: TwoColoring, blocks: list[tuple[int, ...]], system: PathSystem) -> Join | None:
+    """The first block pair, across two components, with two disjoint short
+    connectors through vertices the system does not use; None when no pair
+    has them."""
+    pool = set(range(col.n)) - system.used_vertices()
+    for comp_a, comp_b in combinations(system.components(), 2):
+        for i, j in product(sorted(comp_a), sorted(comp_b)):
+            lo, hi = min(i, j), max(i, j)
+            p1 = _find_short_connector(col, system.ell, list(blocks[lo]), list(blocks[hi]), pool)
+            if p1 is None:
+                continue
+            p2 = _find_short_connector(col, system.ell, list(blocks[lo]), list(blocks[hi]),
+                                       pool - set(p1))
+            if p2 is not None:
+                return lo, hi, p1, p2
     return None
 
 
@@ -435,146 +507,42 @@ def build_path_system(col: TwoColoring, blocks: list[tuple[int, ...]], ell: int,
     further forest edges while any two disjoint short connectors exist between
     distinct components.
 
-    A stall (no connector while >= alpha components remain) is returned as a
-    first-class outcome; it indicates the blue side of the dichotomy.
+    Each phase joins the components' least used blocks: by connectors for
+    ell = k-1, by a crossing matching for ell = 1.  A stall (no join while
+    >= alpha components remain) is returned as a first-class outcome; it
+    indicates the blue side of the dichotomy.
     """
     k = col.k
     if ell not in (1, k - 1):
         raise ValueError("path systems are built for ell = 1 or ell = k-1 only")
-    t = len(blocks)
-    system = PathSystem(k, ell, t, [], {})
-    if t == 0:
+    system = PathSystem(k, ell, len(blocks), [], {})
+    if not blocks:
         return system
-    qq = q0(k, ell)
 
-    def used() -> set[int]:
-        return system.used_vertices()
+    def add_edges(joins: list[Join]):
+        for i, j, p1, p2 in joins:
+            system.forest_edges.append((i, j))
+            system.paths[(i, j)] = (p1, p2)
 
-    def add_edge(i: int, j: int, p1: tuple[int, ...], p2: tuple[int, ...]):
-        """Record forest edge {i, j}; both paths must run from min(i,j) to max."""
-        key = (min(i, j), max(i, j))
-        system.forest_edges.append(key)
-        system.paths[key] = (p1, p2)
-
-    while len(system.components()) >= alpha:
-        comps = system.components()
-        u = used()
-        reps = []
-        for comp in comps:
-            rep = min(comp, key=lambda i: (sum(1 for v in blocks[i] if v in u), i))
-            reps.append(rep)
+    while len(comps := system.components()) >= alpha:
+        u = system.used_vertices()
+        reps = [min(comp, key=lambda i: (sum(1 for v in blocks[i] if v in u), i)) for comp in comps]
         avail = {i: [v for v in blocks[i] if v not in u] for i in reps}
-        pool = {v for vs in avail.values() for v in vs}
-        merged = False
-        if ell == k - 1:
-            # collect disjoint connectors until two join the same block pair
-            seen_pairs: dict[tuple[int, int], tuple[int, ...]] = {}
-            local_pool = set(pool)
-            while True:
-                got = None
-                for i in sorted(reps):
-                    for j in sorted(reps):
-                        if i == j:
-                            continue
-                        p = find_connector(col, k, ell, qq,
-                                           [v for v in avail[i] if v in local_pool],
-                                           [v for v in avail[j] if v in local_pool],
-                                           local_pool)
-                        if p is not None:
-                            got = (i, j, p)
-                            break
-                    if got:
-                        break
-                if got is None:
-                    break
-                i, j, p = got
-                key = (min(i, j), max(i, j))
-                oriented = p if i < j else tuple(reversed(p))
-                if key in seen_pairs:
-                    add_edge(key[0], key[1], seen_pairs[key], oriented)
-                    merged = True
-                    break
-                seen_pairs[key] = oriented
-                local_pool -= set(p)
-        else:
-            # ell = 1: a red crossing matching grouped by block signature
-            matching: list[tuple[int, ...]] = []
-            local_pool = sum(1 << v for v in pool)
-            block_of = {}
-            for i in reps:
-                for v in avail[i]:
-                    block_of[v] = i
-            for (emask, r), e in zip(mask_ranks(k, col.n).items(), colex_subsets(k, col.n)):
-                if emask & ~local_pool or not col.red_bits >> r & 1:
-                    continue
-                touched = {block_of[v] for v in e}
-                if len(touched) < 2:
-                    continue
-                matching.append(e)
-                local_pool &= ~emask
-            groups: dict[tuple, list[tuple[int, ...]]] = {}
-            for e in matching:
-                sig = tuple(sorted(block_of[v] for v in e if v in block_of))
-                groups.setdefault(sig, []).append(e)
-            best_sig = None
-            for sig, es in sorted(groups.items()):
-                support = sorted(set(sig))
-                if len(support) >= 2 and len(es) >= 2 * (len(support) - 1):
-                    best_sig = (support, es)
-                    break
-            if best_sig is not None:
-                support, es = best_sig
-                idx = 0
-                for a, b in zip(support, support[1:]):
-                    pair = []
-                    for e in es[idx: idx + 2]:
-                        first = min(v for v in e if block_of.get(v) == a)
-                        last = min(v for v in e if block_of.get(v) == b)
-                        middle = sorted(set(e) - {first, last})
-                        pair.append(tuple([first] + middle + [last]))
-                    idx += 2
-                    add_edge(a, b, pair[0], pair[1])
-                merged = True
-        if not merged:
+        joins = _connector_join(col, avail) if ell == k - 1 else _matching_join(col, avail)
+        if not joins:
             system.stalled = True
             system.diagnostic = (
                 f"no connector among blocks {tuple(reps)} with >= {alpha} components left"
             )
             system.stall_blocks = tuple(reps)
             return system
+        add_edges(joins)
 
-    # augmentation: join components while two disjoint short connectors exist
-    changed = True
-    while changed:
-        changed = False
-        comps = system.components()
-        u = used()
-        for ca in range(len(comps)):
-            for cb in range(ca + 1, len(comps)):
-                for i in sorted(comps[ca]):
-                    for j in sorted(comps[cb]):
-                        pool = set(v for v in range(col.n) if v not in u)
-                        lo, hi = min(i, j), max(i, j)
-                        p1 = _find_short_connector(col, k, ell, list(blocks[lo]), list(blocks[hi]),
-                                                   pool, 2 * k)
-                        if p1 is None:
-                            continue
-                        p2 = _find_short_connector(col, k, ell, list(blocks[lo]), list(blocks[hi]),
-                                                   pool - set(p1), 2 * k)
-                        if p2 is None:
-                            continue
-                        add_edge(lo, hi, p1, p2)
-                        changed = True
-                        break
-                    if changed:
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-    # the augmentation loop exits only when no pair of disjoint short
-    # connectors joins two components, which is exactly the guarantee the
-    # assembled chains rely on
+    # augmentation: join components while two disjoint short connectors
+    # exist; it ends only when no such pair joins two components, which is
+    # exactly the guarantee the assembled chains rely on
+    while (join := _augmenting_join(col, blocks, system)) is not None:
+        add_edges([join])
     return system
 
 
