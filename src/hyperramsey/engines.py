@@ -133,6 +133,23 @@ def monochromatic_biclique(rows: list[int], p: int, q: int, t: int):
     return None
 
 
+def red_pair_masks(col: TwoColoring, a: list[int], b: list[int]) -> dict[tuple[int, int], int]:
+    """The pair-colour table of a 3-colouring: for each pair x < y of `a`, the
+    mask of the positions in `b` of the z with {x, y, z} red.  A z inside the
+    pair is not a triple and never sets a bit."""
+    if col.k != 3:
+        raise ValueError("the pair-colour table is 3-uniform")
+    if any(not 0 <= v < col.n for v in (*a, *b)):
+        raise ValueError(f"vertices must lie in 0..{col.n - 1}")
+    ranks, bits = mask_ranks(3, col.n), col.red_bits
+    table = {}
+    for x, y in combinations(sorted(a), 2):
+        pair = 1 << x | 1 << y
+        table[x, y] = sum(1 << idx for idx, z in enumerate(b)
+                          if not pair >> z & 1 and bits >> ranks[pair | 1 << z] & 1)
+    return table
+
+
 @dataclass
 class ButterflyOutcome:
     branch: str  # "red" | "blue" | "diagnostic"
@@ -152,60 +169,49 @@ def butterfly_dichotomy(col: TwoColoring, w_subsets: list[tuple[int, ...]],
     if col.k != 3:
         raise ValueError("butterfly dichotomy is 3-uniform")
     big_r = len(w_subsets)
-    for i in range(big_r):
-        for j in range(big_r):
-            if i == j:
-                continue
-            got = find_connector(col, 3, 2, 2, w_subsets[i], w_subsets[j],
-                                 set(w_subsets[i]) | set(w_subsets[j]))
-            if got is not None:
-                return ButterflyOutcome("red", red_path=got)
+    # a connector read backwards joins the same pair the other way round, so
+    # each unordered pair is searched once
+    for i, j in combinations(range(big_r), 2):
+        got = find_connector(col, 3, 2, 2, w_subsets[i], w_subsets[j],
+                             set(w_subsets[i]) | set(w_subsets[j]))
+        if got is not None:
+            return ButterflyOutcome("red", red_path=got)
 
-    # no red tight 2-path: for each cross pair at least one side is all blue
-    def side_all_blue(a: int, b: int, side: tuple[int, ...]) -> bool:
-        return all(col.is_red((a, b, w)) is False for w in side if w not in (a, b))
-
+    # no red tight 2-path: for each cross pair at least one side is all blue;
+    # row a of the pair digraph (W_i, W_j) marks the b in W_j with every
+    # triple {a, b, w}, w in W_j, blue
     shrunk = [list(w) for w in w_subsets]
-    for i in range(big_r):
-        for j in range(i + 1, big_r):
-            wi, wj = shrunk[i], shrunk[j]
-            rows = []
-            for a in wi:
-                mask = 0
-                for idx, b in enumerate(wj):
-                    if side_all_blue(a, b, tuple(wj)):
-                        mask |= 1 << idx
-                rows.append(mask)
-            got = monochromatic_biclique(rows, len(wi), len(wj), m)
-            if got is None:
-                return ButterflyOutcome(
-                    "diagnostic",
-                    diagnostic=f"no monochromatic {m}x{m} pair block between W{i} and W{j}: scale too small",
-                )
-            colour_bit, left, right = got
-            shrunk[i] = [wi[x] for x in left]
-            shrunk[j] = [wj[x] for x in right]
+    for i, j in combinations(range(big_r), 2):
+        wi, wj = shrunk[i], shrunk[j]
+        red_from = dict.fromkeys(wj, 0)  # b -> W_i positions a with some {a, b, w} red
+        for (b, w), mask in red_pair_masks(col, wj, wi).items():
+            red_from[b] |= mask
+            red_from[w] |= mask
+        rows = [sum(1 << idx for idx, b in enumerate(wj) if not red_from[b] >> pos & 1)
+                for pos in range(len(wi))]
+        got = monochromatic_biclique(rows, len(wi), len(wj), m)
+        if got is None:
+            return ButterflyOutcome(
+                "diagnostic",
+                diagnostic=f"no monochromatic {m}x{m} pair block between W{i} and W{j}: scale too small",
+            )
+        colour_bit, left, right = got
+        shrunk[i] = [wi[x] for x in left]
+        shrunk[j] = [wj[x] for x in right]
 
     # orientation: arc (i, j) means every triple with two vertices in the
     # shrunk W_i and one in the shrunk W_j is blue
     arcs = []
-    for i in range(big_r):
-        for j in range(big_r):
-            if i >= j:
-                continue
-            i_to_j = all(not col.is_red((x, y, z))
-                         for x, y in combinations(shrunk[i], 2) for z in shrunk[j])
-            j_to_i = all(not col.is_red((x, y, z))
-                         for x, y in combinations(shrunk[j], 2) for z in shrunk[i])
-            if i_to_j:
-                arcs.append((i, j))
-            elif j_to_i:
-                arcs.append((j, i))
-            else:
-                return ButterflyOutcome(
-                    "diagnostic",
-                    diagnostic=f"pair blocks W{i}, W{j} support neither orientation: scale too small",
-                )
+    for i, j in combinations(range(big_r), 2):
+        if not any(red_pair_masks(col, shrunk[i], shrunk[j]).values()):
+            arcs.append((i, j))
+        elif not any(red_pair_masks(col, shrunk[j], shrunk[i]).values()):
+            arcs.append((j, i))
+        else:
+            return ButterflyOutcome(
+                "diagnostic",
+                diagnostic=f"pair blocks W{i}, W{j} support neither orientation: scale too small",
+            )
     aux = Tournament.from_arcs(big_r, arcs)
     tt = find_transitive_subtournament(aux, chi)
     if not tt.found:
@@ -236,21 +242,14 @@ class RandomEmbedReport:
     failure_bound: float
 
 
-def blue_density(col: TwoColoring, a: list[int], b: list[int], c: list[int]) -> float:
-    """Exact blue density over ordered triples of distinct vertices of AxBxC."""
-    total = 0
-    blue = 0
-    for x in a:
-        for y in b:
-            if y == x:
-                continue
-            for z in c:
-                if z == x or z == y:
-                    continue
-                total += 1
-                if not col.is_red((x, y, z)):
-                    blue += 1
-    return blue / total if total else 1.0
+def blue_density(col: TwoColoring, a: list[int], b: list[int]) -> float:
+    """Exact blue density of the triples with two vertices in `a` and one in
+    `b`, which must be disjoint from it (1.0 when there are none)."""
+    if set(a) & set(b):
+        raise ValueError("the two vertex sets must be disjoint")
+    total = len(a) * (len(a) - 1) // 2 * len(b)
+    red = sum(mask.bit_count() for mask in red_pair_masks(col, a, b).values())
+    return (total - red) / total if total else 1.0
 
 
 def random_embed(col: TwoColoring, first_class: list[int], classes: list[list[int]],
@@ -271,27 +270,21 @@ def random_embed(col: TwoColoring, first_class: list[int], classes: list[list[in
                 raise ValueError(f"class of size {len(cls)} is below 1/gamma = {1.0 / gamma:.1f}")
         for i in range(chi):
             for j in range(i + 1, chi):
-                d = blue_density(col, all_classes[i], all_classes[i], all_classes[j])
+                d = blue_density(col, all_classes[i], all_classes[j])
                 if d < 1 - gamma:
                     raise ValueError(f"arc ({i},{j}) blue density {d:.3f} below 1-gamma")
     target, _ = transitive_tournament_hypergraph(chi, m)
     rng = Random(seed)
     bound = chi * (chi - 1) * m ** 3 * gamma
     for trial in range(1, trials + 1):
-        sample = []
-        ok = True
+        flat = []
         for cls in all_classes:
             picks = [rng.choice(cls) for _ in range(m)]
             if len(set(picks)) != m:
-                ok = False
-                break
-            sample.append(picks)
-        if not ok:
-            continue
-        flat = [v for picks in sample for v in picks]
-        if len(set(flat)) != len(flat):
-            continue
-        if validate_embedding(col, target, flat, BLUE):
+                break  # a repeat within a class rejects the sample before the next is drawn
+            flat.extend(picks)
+        # chi*m distinct vertices: every class was sampled, with no repeat across classes
+        if len(set(flat)) == chi * m and validate_embedding(col, target, flat, BLUE):
             cert = Certificate(kind="blue_embedding", witness=flat,
                                stats={"trials": trial},
                                detail={"target": "tth", "chi": chi, "m": m, "seed": seed})
@@ -338,34 +331,17 @@ def absorbing_block(col: TwoColoring, block_a: list[int], block_b: list[int],
     """
     if set(block_a) & set(block_b):
         raise ValueError("blocks must be disjoint")
-    dens = 1.0 - blue_density(col, list(block_a), list(block_a), list(block_b))
+    dens = 1.0 - blue_density(col, block_a, block_b)
     if dens < eta:
         return AbsorbingOutcome(False, diagnostic=f"red density {dens:.3f} below eta={eta}")
     if len(block_b) < d:
         return AbsorbingOutcome(False, diagnostic="block B smaller than d")
 
-    pair_masks: dict[tuple[int, int], int] = {}
-    for a1, a2 in combinations(sorted(block_a), 2):
-        mask = 0
-        for idx, bb in enumerate(block_b):
-            if col.is_red((a1, a2, bb)):
-                mask |= 1 << idx
-        pair_masks[(a1, a2)] = mask
-
-    best_subset = None
-    best_count = -1
-    for subset in combinations(range(len(block_b)), d):
-        sm = 0
-        for idx in subset:
-            sm |= 1 << idx
-        count = sum(1 for m in pair_masks.values() if m & sm == sm)
-        if count > best_count:
-            best_count = count
-            best_subset = subset
-    chosen = tuple(block_b[i] for i in best_subset)
-    sm = 0
-    for idx in best_subset:
-        sm |= 1 << idx
+    pair_masks = red_pair_masks(col, block_a, block_b)
+    # the first d-subset of B's positions, as a mask, red toward the most pairs
+    sm = max((sum(1 << idx for idx in subset) for subset in combinations(range(len(block_b)), d)),
+             key=lambda sm: sum(1 for mask in pair_masks.values() if mask & sm == sm))
+    chosen = tuple(bb for idx, bb in enumerate(block_b) if sm >> idx & 1)
 
     adj: dict[int, set[int]] = {v: set() for v in block_a}
     aux_edges = 0
@@ -902,7 +878,6 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
         if work.p >= params.n_target:
             break
         flex = sorted(work.flexible_elements(), key=lambda j: -work.intervals[j][1])
-        absorbed = False
         for j in flex:
             elem = work.element_vertices(j)
             x_pair, y_pair = elem[:2], elem[-2:]
@@ -911,7 +886,6 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
                 continue
             in_chain = set(work.vertices)
             path: list[int] = []
-            grew = False
             absorbed_outside = 0
             while True:
                 inside = [v for v in interior if v not in path]
@@ -927,7 +901,7 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
                 # the first class the element is not blue-dense toward feeds the
                 # absorbing block; with none, the classes take a random embedding
                 absorb_from = next((cls for cls in classes
-                                    if blue_density(col, inside, inside, cls) < 1 - GAMMA), None)
+                                    if blue_density(col, inside, cls) < 1 - GAMMA), None)
                 if absorb_from is None:
                     try:
                         rep = random_embed(col, inside, classes, m, GAMMA, seed=params.seed)
@@ -946,8 +920,7 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
                     break
                 path.extend(out.path)
                 absorbed_outside += D
-                grew = True
-            if not grew:
+            if not path:
                 continue
             # close the path with the unused interior and splice it back
             tail = [v for v in interior if v not in path]
@@ -960,10 +933,9 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
             log.append(f"round {round_no}: absorbed {len(full) - len(interior)} vertices "
                        f"at element {j} (chain {work.p} -> {new_work.p})")
             work = new_work
-            absorbed = True
             break
-        if not absorbed:
-            break
+        else:
+            break  # no flexible element absorbed anything
     chains[0] = work
     got = _extract_red_witness(col, chains, params)
     if got is not None:

@@ -175,7 +175,7 @@ class TestRandomEmbed:
                     if rng.random() < gamma / 2:
                         red.append((x1, x2, z))
         col = TwoColoring.from_red_edges(3, 70, red)
-        assert blue_density(col, a, a, y) >= 1 - gamma
+        assert blue_density(col, a, y) >= 1 - gamma
         failures = 0
         for seed in range(1000):
             rep = random_embed(col, a, [y], m, gamma, trials=1, seed=seed,
@@ -578,7 +578,7 @@ def _dichotomy_lines():
         a, b = verts[:n_a], verts[n_a:n_a + n_b]
         out = absorbing_block(col, a, b, rng.randint(1, 2), rng.choice((0.05, 0.5, 0.8)))
         yield out.success, out.path, out.diagnostic, out.aux_edges, out.aux_threshold, out.chosen_b
-        yield repr(blue_density(col, a, a, b)), repr(blue_density(col, a[:1], a[:1], b))
+        yield repr(blue_density(col, a, b)), repr(blue_density(col, a[:1], b))
 
 
 def test_dichotomies_pinned():
