@@ -169,6 +169,8 @@ def _connector_colouring(k: int, t: int, aux: Hypergraph, sizes: list[int]) -> t
 def loose_path_lb(k: int, chi: int, n: int, t: int, aux: Hypergraph) -> LowerBoundInstance:
     """The connector colouring on chi-2 blocks of order n-1, a connector block
     of order n-2k+1 and the auxiliary graph."""
+    if k < 2:
+        raise ValueError("need k >= 2")
     if chi < 2:
         raise ValueError("need chi >= 2")
     if (n - 1) % (k - 1) != 0:
@@ -212,6 +214,8 @@ def loose_cycle_lb(
     "pencil" variant: last block of size q; the i-th (k-1)-subset of the last
     block extends redly into block i only.
     """
+    if k < 2:
+        raise ValueError("need k >= 2")
     if chi < 2:
         raise ValueError("need chi >= 2")
     if n % (k - 1) != 0:

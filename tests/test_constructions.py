@@ -156,6 +156,11 @@ class TestLoosePathLb:
         cert = find_mono_copy(inst.coloring, inst.blue_target, BLUE)
         assert not cert.found
 
+    def test_uniformity_below_two_rejected(self):
+        # checked before n is reduced modulo k - 1
+        with pytest.raises(ValueError, match="need k >= 2"):
+            loose_path_lb(1, 2, 4, 2, tau_lower_construction(2, 3))
+
     def test_rejects_bad_aux(self):
         bad = Hypergraph(2, 4, ((0, 1), (1, 2)))  # two edges sharing one vertex
         with pytest.raises(ValueError):
