@@ -128,8 +128,15 @@ def _target_from_args(value: str) -> Hypergraph:
 
 
 def cmd_construct(args) -> int:
-    params = dict(kv.split("=", 1) for kv in args.param)
     name = args.name
+    params: dict[str, str] = {}
+    for kv in args.param:
+        key, eq, value = kv.partition("=")
+        if not eq:
+            raise ValueError(f"--param {kv!r} is not key=value")
+        if key in params:
+            raise ValueError(f"--param {key} is given twice")
+        params[key] = value
 
     def text(key: str, default: str | None = None) -> str:
         # each key is consumed as it is read; what is left was never read

@@ -46,13 +46,21 @@ class TestConstruct:
         (["k=3", "chi=2", "sigma=1", "vG=4", "bogus=9"], "construct burr does not read --param bogus"),
         (["k=x", "chi=2", "sigma=1", "vG=4"], "--param k=x is not an integer"),
         (["chi=2", "sigma=1", "vG=4"], "construct burr needs --param k="),
-    ], ids=["unread-key", "non-integer", "missing-key"])
+        (["k=3", "chi=2", "sigma=1", "vG=4", "k=4"], "--param k is given twice"),
+        (["k3", "chi=2", "sigma=1", "vG=4"], "--param 'k3' is not key=value"),
+    ], ids=["unread-key", "non-integer", "missing-key", "repeated-key", "missing-equals"])
     def test_param_errors_name_the_key(self, tmp_path, capsys, params, message):
         out = tmp_path / "c.json"
         argv = ["construct", "burr", *[a for p in params for a in ("--param", p)], "--out", str(out)]
         assert main(argv) == 1
         assert f"invalid input: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_uniformity_below_two_exits_1(self, capsys):
+        # k = 1 used to reach a division by k - 1
+        params = ["k=1", "chi=2", "n=4", "t=2", "q=2"]
+        assert main(["construct", "loose-cycle", *[a for p in params for a in ("--param", p)]]) == 1
+        assert "invalid input: need k >= 2" in capsys.readouterr().err
 
     def test_bad_params_exit_1(self, capsys):
         # the ell >= 2 construction rejects loose paths
