@@ -183,7 +183,8 @@ def ramsey_exact(
     n_cap: int,
 ) -> RamseyResult:
     """Least n such that no free colouring of the complete k-graph exists,
-    searched upward from n = k; a lower-bound-only result past n_cap."""
+    searched upward from n = k; a lower-bound-only result past n_cap, one
+    above the order of its free witness."""
     k = pattern_hypergraph(red_pattern).k
     witness = TwoColoring(k, k - 1, 0)  # empty colouring on k-1 vertices is always free
     total_stats = {"nodes": 0, "prunes": 0, "levels": {}}
@@ -196,7 +197,7 @@ def ramsey_exact(
             witness = wit
             continue
         return RamseyResult(n, n, True, witness, total_stats)
-    return RamseyResult(None, n_cap + 1, False, witness, total_stats)
+    return RamseyResult(None, witness.n + 1, False, witness, total_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +303,7 @@ class DirectedRamseyResult:
     value: int | None
     lower_bound: int
     exact: bool
-    witness: Tournament | None   # a TT_chi-free tournament on value-1 vertices
+    witness: Tournament | None   # a TT_chi-free tournament on lower_bound-1 vertices
     stats: dict = field(default_factory=dict)
 
 
@@ -433,7 +434,7 @@ def directed_ramsey_exact(chi: int, n_cap: int = 9) -> DirectedRamseyResult:
         if t is None:
             return DirectedRamseyResult(chi, order, order, True, witness, stats)
         witness = t
-    return DirectedRamseyResult(chi, None, n_cap + 1, False, witness, stats)
+    return DirectedRamseyResult(chi, None, witness.n + 1, False, witness, stats)
 
 
 @dataclass

@@ -367,10 +367,10 @@ def find_mono_clique(
     """
     k = col.k
     pool = sorted(range(col.n)) if pool is None else sorted(pool)
-    if size < k:
-        return tuple(pool[:size]) if len(pool) >= size else None
     if len(set(pool)) != len(pool) or (pool and not 0 <= pool[0] <= pool[-1] < col.n):
         raise ValueError(f"pool must hold distinct vertices of 0..{col.n - 1}")
+    if size < k:
+        return tuple(pool[:size]) if len(pool) >= size else None
     cls = col.red_bits if colour == RED else col.red_bits ^ ((1 << col.num_edges) - 1)
     ranks = mask_ranks(k, col.n)
     chosen: list[int] = []  # vertex bits

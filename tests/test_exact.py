@@ -168,6 +168,12 @@ class TestRamseyExact:
         r = ramsey_exact("path:3:1:5", "clique:3:4", 4)
         assert not r.exact and r.lower_bound == 5 and r.value is None
 
+    def test_cap_below_the_first_order(self):
+        # no order is searched: the bound is the one the empty colouring on
+        # k-1 vertices proves, not n_cap + 1
+        r = ramsey_exact("path:3:2:4", "clique:3:4", 1)
+        assert (r.value, r.exact, r.lower_bound, r.lower_witness.n) == (None, False, 3, 2)
+
     @pytest.mark.parametrize("blue", ["clique:4:5", complete_hypergraph(2, 3)], ids=["spec", "hypergraph"])
     def test_blue_uniformity_mismatch(self, blue):
         with pytest.raises(ValueError, match="uniformity mismatch"):
@@ -258,6 +264,12 @@ class TestDirectedRamsey:
         r = directed_ramsey_exact(chi, cap)
         assert (r.value, r.exact, r.witness.bits) == (value, exact, bits)
         assert (r.stats["nodes"], r.stats["prunes"]) == (nodes, prunes)
+
+    def test_cap_below_the_first_order(self):
+        # no order is searched: the bound is the one the transitive
+        # tournament on chi-1 vertices proves, not n_cap + 1
+        r = directed_ramsey_exact(5, 3)
+        assert (r.value, r.exact, r.lower_bound, r.witness.n) == (None, False, 5, 4)
 
     @pytest.mark.parametrize("chi,cap", [(2, 9), (3, 9), (4, 9), (5, 9)])
     def test_levels_sum_to_totals(self, chi, cap):

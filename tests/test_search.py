@@ -184,10 +184,12 @@ class TestFindMonoClique:
                         assert find_mono_clique(col, size, colour, pool) == \
                             naive_find_clique(col, size, colour, pool), (k, n, colour, size, pool)
 
-    @pytest.mark.parametrize("pool", [[0, 0, 1, 2], [0, 1, 6], [-1, 0, 1]])
+    @pytest.mark.parametrize("pool", [[0, 0, 1, 2], [0, 1, 6], [-1, 0, 1], [99, 100]])
     def test_pool_outside_the_host_rejected(self, pool):
-        with pytest.raises(ValueError, match="distinct vertices"):
-            find_mono_clique(TwoColoring.all_red(3, 6), 3, RED, pool)
+        # checked before the shortcut for sizes below k, too
+        for size in (2, 3):
+            with pytest.raises(ValueError, match="distinct vertices"):
+                find_mono_clique(TwoColoring.all_red(3, 6), size, RED, pool)
 
 
 class TestVerifyFree:
