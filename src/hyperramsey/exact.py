@@ -452,10 +452,10 @@ def consecutive_gap_check(chi: int) -> GapCheckReport:
     one dominated vertex, and the back arc between them."""
     if chi < 3:
         raise ValueError("gap check needs chi >= 3")
-    return _gap_report(directed_ramsey_exact(chi), directed_ramsey_exact(chi - 1))
+    return gap_report(directed_ramsey_exact(chi), directed_ramsey_exact(chi - 1))
 
 
-def _gap_report(cur: DirectedRamseyResult, prev: DirectedRamseyResult) -> GapCheckReport:
+def gap_report(cur: DirectedRamseyResult, prev: DirectedRamseyResult) -> GapCheckReport:
     """The gap check on R_vec(chi) and R_vec(chi-1), already computed."""
     if not (cur.exact and prev.exact):
         raise GuardExceeded("both directed Ramsey values must be exact")

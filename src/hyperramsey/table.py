@@ -33,8 +33,8 @@ from .search import (
     verify_free,
 )
 from .exact import (
-    _gap_report,
     directed_ramsey_exact,
+    gap_report,
     goodness_gap,
     ramsey_exact,
     tau_exact,
@@ -113,7 +113,7 @@ def dramsey_rows() -> list[dict]:
         rows.append({"row": "dramsey", "chi": chi, "value": r.value, "exact": r.exact,
                      "expected": expected.get(chi), "witness_order": r.witness.n})
     for chi in (3, 4):
-        g = _gap_report(results[chi], results[chi - 1])
+        g = gap_report(results[chi], results[chi - 1])
         rows.append({"row": "gap", "chi": chi, "value": g.value, "previous": g.previous,
                      "inequality_holds": g.inequality_holds,
                      "augmented_witness_ttfree": g.augmented_ttfree})

@@ -1,6 +1,7 @@
 """Whole-repository checks: no assert statement, no unused parameter, no
-function that only tests call and no unread CLI option in the package,
-soundness checks survive `python -O`, and the demos run."""
+function that only tests call, no private name imported across modules and
+no unread CLI option in the package, soundness checks survive `python -O`,
+and the demos run."""
 
 import argparse
 import ast
@@ -60,6 +61,18 @@ def test_every_package_function_has_a_caller():
     used += sum((names(ast.parse(p.read_text())) for p in others), Counter())
     found = [f"{path.name}:{fn.lineno} {fn.name}" for path, tree in package.items() for fn in tree.body
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and used[fn.name] == names(fn)[fn.name]]
+    assert found == []
+
+
+def test_no_private_names_across_modules():
+    # a `_`-prefixed name is private to its module: another package module
+    # that needs it needs it public
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hyperramsey")):
+                found.extend(f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                             if alias.name.startswith("_"))
     assert found == []
 
 
