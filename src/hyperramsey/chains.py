@@ -458,15 +458,15 @@ def _matching_join(col: TwoColoring, avail: dict[int, list[int]]) -> list[Join]:
     each edge read from its lower block to its higher one."""
     k = col.k
     block_of = {v: i for i, vs in avail.items() for v in vs}
-    free = sum(1 << v for v in block_of)
+    bits, taken = col.red_bits, ~sum(1 << v for v in block_of)  # taken: not free to match
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for (emask, r), e in zip(mask_ranks(k, col.n).items(), colex_subsets(k, col.n)):
-        if emask & ~free or not col.red_bits >> r & 1:
+        if emask & taken or not bits >> r & 1:
             continue
         sig = tuple(sorted(block_of[v] for v in e))
         if sig[0] != sig[-1]:
             groups.setdefault(sig, []).append(e)
-            free &= ~emask
+            taken |= emask
     for sig, es in sorted(groups.items()):
         support = sorted(set(sig))
         if len(es) >= 2 * (len(support) - 1):

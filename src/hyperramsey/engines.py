@@ -281,7 +281,7 @@ def random_embed(col: TwoColoring, first_class: list[int], classes: list[list[in
         for cls in all_classes:
             picks = [rng.choice(cls) for _ in range(m)]
             if len(set(picks)) != m:
-                break  # a repeat within a class rejects the sample before the next is drawn
+                break  # a repeat rejects the sample before the next class is drawn
             flat.extend(picks)
         # chi*m distinct vertices: every class was sampled, with no repeat across classes
         if len(set(flat)) == chi * m and validate_embedding(col, target, flat, BLUE):
