@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+from collections import Counter
 from itertools import accumulate, combinations, product
 from random import Random
 
@@ -134,6 +135,26 @@ class TestButterfly:
         out = butterfly_dichotomy(col, [(0, 1), (2, 3)], 2, 2)
         assert out.branch == "diagnostic"
         assert "scale too small" in out.diagnostic
+
+    def test_every_pair_block_orients(self):
+        # once no red connector joins two disjoint W-sets, every monochromatic
+        # pair block gives an arc, so no seeded call ends short of the
+        # auxiliary tournament for want of an orientation
+        rng = Random(15)
+        branches = Counter()
+        for _ in range(3000):
+            sizes = [rng.randint(3, 6) for _ in range(rng.randint(2, 4))]
+            n = sum(sizes) + rng.randint(0, 2)
+            col = TwoColoring.random(3, n, rng.choice((0.02, 0.05, 0.1, 0.2)), seed=rng.getrandbits(32))
+            verts = rng.sample(range(n), sum(sizes))
+            w_sets = [tuple(sorted(verts[end - s:end])) for s, end in zip(sizes, accumulate(sizes))]
+            out = butterfly_dichotomy(col, w_sets, rng.choice((2, 3)), rng.choice((1, 2)))
+            if out.branch == "red":
+                assert validate_mono_path(col, out.red_path, 2, RED)
+            branches[out.branch, out.diagnostic and " ".join(out.diagnostic.split()[:2])] += 1
+        assert branches == {("red", None): 2085, ("blue", None): 631,
+                            ("diagnostic", "auxiliary tournament"): 249,
+                            ("diagnostic", "no monochromatic"): 35}
 
 
 class TestRandomEmbed:

@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -12,10 +13,17 @@ from hyperramsey.core import (
     ell_cycle,
     ell_path,
     fano,
+    ramsey_profile,
     single_edge,
     tournament_hypergraph,
 )
-from hyperramsey.constructions import ell_path_lb, non_transitive_lb, tau_lower_construction
+from hyperramsey.constructions import (
+    burr_coloring,
+    ell_path_lb,
+    loose_path_lb,
+    non_transitive_lb,
+    tau_lower_construction,
+)
 from hyperramsey.search import (
     Certificate,
     find_mono_clique,
@@ -24,11 +32,14 @@ from hyperramsey.search import (
     has_two_edge_loose_path,
     independence_number,
     longest_mono_ell_path,
+    parse_pattern,
+    pattern_hypergraph,
     search_pattern,
     validate_embedding,
     validate_mono_path,
     verify_free,
 )
+from hyperramsey.table import RAMSEY_PAIRS
 
 from oracles import naive_find_clique, naive_find_copy, naive_independence, naive_longest_mono_path
 
@@ -112,6 +123,38 @@ class TestLongestPath:
         col = TwoColoring.random(3, 9, 0.5, seed=0)
         _, cert = longest_mono_ell_path(col, 2, RED)
         assert cert.detail["exact"] is False  # past the guard: run under the node budget
+
+    def test_search_outcomes_pinned(self, monkeypatch):
+        # vertices, witness, counters and detail of seeded searches (k = 2, 3
+        # and 4, every ell, both colours, n <= 9), of the lower-bound
+        # colourings the table searches and of one run past the guard; any
+        # change to the order in which the DFS tries extensions shows here
+        def runs():
+            for k in (2, 3, 4):
+                for n in range(k, 10):
+                    for tenths in range(1, 10):
+                        col = TwoColoring.random(k, n, tenths / 10, seed=1000 * k + 10 * n + tenths)
+                        yield from ((col, ell) for ell in range(1, k))
+            for red, blue in RAMSEY_PAIRS:
+                name, a = parse_pattern(red)
+                if name == "path":
+                    target = pattern_hypergraph(blue)
+                    profile = ramsey_profile(target)
+                    yield burr_coloring(target.k, profile.chi, profile.sigma, a["n"]).coloring, a["ell"]
+            yield ell_path_lb(3, 2, 8, 2).coloring, 2
+            yield non_transitive_lb(3, 6).coloring, 2
+            yield loose_path_lb(3, 2, 11, 3, tau_lower_construction(2, 3)).coloring, 1
+
+        digest = hashlib.sha256()
+        for col, ell in runs():
+            for colour in (RED, BLUE):
+                vertices, cert = longest_mono_ell_path(col, ell, colour)
+                digest.update(repr((vertices, cert.witness, cert.stats, cert.detail)).encode() + b"\n")
+        monkeypatch.setenv("HYPERRAMSEY_PATH_GUARD", "8")
+        vertices, cert = longest_mono_ell_path(TwoColoring.random(3, 9, 0.7, seed=15), 2, RED)
+        assert cert.detail["exact"] is False
+        digest.update(repr((vertices, cert.witness, cert.stats, cert.detail)).encode())
+        assert digest.hexdigest() == "b1b0f5112b5fe5e35673f849ad696ff9316313c18c37f5e202a5aa48e873baec"
 
 
 class TestFindMonoCopy:
