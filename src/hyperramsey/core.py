@@ -314,16 +314,24 @@ class TwoColoring:
     def is_red(self, edge: Iterable[int]) -> bool:
         return bool(self.red_bits >> self.rank(edge) & 1)
 
+    def class_bits(self, colour: str) -> int:
+        """The colour class as a bitmask over colex ranks: red is `red_bits`,
+        blue its complement; ValueError on any other colour."""
+        if colour == RED:
+            return self.red_bits
+        if colour == BLUE:
+            return self.red_bits ^ ((1 << self.num_edges) - 1)
+        raise ValueError(f"colour must be {RED!r} or {BLUE!r}, not {colour!r}")
+
     def has_colour(self, edge: Iterable[int], colour: str) -> bool:
-        return self.is_red(edge) == (colour == RED)
+        return bool(self.class_bits(colour) >> self.rank(edge) & 1)
 
     def count_red(self) -> int:
         return self.red_bits.bit_count()
 
     def edges_of(self, colour: str) -> list[tuple[int, ...]]:
-        subs = colex_subsets(self.k, self.n)
-        want_red = colour == RED
-        return [s for r, s in enumerate(subs) if bool(self.red_bits >> r & 1) == want_red]
+        cls = self.class_bits(colour)
+        return [s for r, s in enumerate(colex_subsets(self.k, self.n)) if cls >> r & 1]
 
     def relabel(self, perm: Sequence[int]) -> "TwoColoring":
         ranks = self._ranks

@@ -163,11 +163,21 @@ def butterfly_dichotomy(col: TwoColoring, w_subsets: list[tuple[int, ...]],
     """Either a red tight 2-path connecting two of the W-sets, or a blue copy
     of the transitive tournament hypergraph extracted through the auxiliary
     pair digraph, iterated bipartite Ramsey shrinking, and a transitive
-    subtournament; when the W-sets are too small for the shrinking the outcome
-    is an explicit scale diagnostic.
+    subtournament; when the W-sets are too small for the shrinking, or the
+    auxiliary tournament for chi, the outcome is an explicit diagnostic.
+
+    The W-sets must be disjoint.  Once no red connector joins W_i and W_j,
+    every monochromatic pair block orients its pair.  A colour-1 block has
+    every {a, b, w} blue (a in W_i; b, w in W_j), which is the arc j -> i.  In
+    a colour-0 block each a, b has a red {a, b, w}; a red {x, a, b} with x, a
+    in W_i and b in W_j would then make x, a, b, w a red tight 2-path from
+    W_i to W_j, a connector, so every such triple is blue: the arc i -> j.
+    Shrinking keeps both facts, so a pair without the arc i -> j has j -> i.
     """
     if col.k != 3:
         raise ValueError("butterfly dichotomy is 3-uniform")
+    if sum(map(len, w_subsets)) != len(set().union(*w_subsets)):
+        raise ValueError("the W-sets must be disjoint")
     big_r = len(w_subsets)
     # a connector read backwards joins the same pair the other way round, so
     # each unordered pair is searched once
@@ -195,23 +205,14 @@ def butterfly_dichotomy(col: TwoColoring, w_subsets: list[tuple[int, ...]],
                 "diagnostic",
                 diagnostic=f"no monochromatic {m}x{m} pair block between W{i} and W{j}: scale too small",
             )
-        colour_bit, left, right = got
+        _, left, right = got
         shrunk[i] = [wi[x] for x in left]
         shrunk[j] = [wj[x] for x in right]
 
     # orientation: arc (i, j) means every triple with two vertices in the
     # shrunk W_i and one in the shrunk W_j is blue
-    arcs = []
-    for i, j in combinations(range(big_r), 2):
-        if not any(red_pair_masks(col, shrunk[i], shrunk[j]).values()):
-            arcs.append((i, j))
-        elif not any(red_pair_masks(col, shrunk[j], shrunk[i]).values()):
-            arcs.append((j, i))
-        else:
-            return ButterflyOutcome(
-                "diagnostic",
-                diagnostic=f"pair blocks W{i}, W{j} support neither orientation: scale too small",
-            )
+    arcs = [(i, j) if not any(red_pair_masks(col, shrunk[i], shrunk[j]).values()) else (j, i)
+            for i, j in combinations(range(big_r), 2)]
     aux = Tournament.from_arcs(big_r, arcs)
     tt = find_transitive_subtournament(aux, chi)
     if not tt.found:

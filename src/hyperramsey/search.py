@@ -132,24 +132,29 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     """Exact maximum vertex count of a monochromatic ell-path, with a witness.
 
     Returns (vertices, certificate); a path with q edges has ell + q*(k-ell)
-    vertices, so the no-edge degenerate path counts ell vertices.  The colour
-    class is a bitmask over colex ranks (red is `red_bits`, blue its
-    complement).  DFS over (ordered boundary, used set) states with a
-    transposition table and a remaining-vertices bound.  Roots are the class
-    edges in increasing rank; at each node the class edges made of the
-    boundary and k - ell unused vertices are tried in order of (edge rank,
-    interior vertices, new boundary), so the witness is deterministic.
+    vertices, so the no-edge degenerate path counts ell vertices.  DFS over
+    (ordered boundary, used set) states with a transposition table and a
+    remaining-vertices bound.  Roots are the class edges in increasing rank.
+
+    The class edges are read once, in increasing colex rank, into a link
+    table: for each ell-subset B of an edge e, links[mask(B)] gets the entry
+    (mask of e - B, the sorted (interior, new boundary part) pairs of e - B).
+    A node on boundary B walks links[mask(B)], skips the entries that meet
+    the used set and tries each pair in order.  Two edges through B compare
+    in colex order as their parts outside B do, so the node tries its
+    extensions in order of (edge rank, interior vertices, new boundary): the
+    witness, the memo and the node and prune counts are those of a search
+    that lists the unused vertices at every node and sorts what it finds.
     """
     k = col.k
     if not 1 <= ell <= k - 1:
         raise ValueError("ell out of range")
-    cls = col.red_bits if colour == RED else col.red_bits ^ ((1 << col.num_edges) - 1)
+    cls = col.class_bits(colour)
     # past the guard the search runs under a node budget and is flagged
     # inexact; an empty class is exact at any size: the path has no edge
     exact = not cls or col.n <= _default_path_guard(ell)
     node_budget = None if exact else DEFAULT_NODE_BUDGET
 
-    ranks = mask_ranks(k, col.n)
     stats = {"nodes": 0, "prunes": 0}
     budget_hit = False
     best = {"edges": 0, "seq": []}
@@ -157,7 +162,16 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     step = k - ell
     fresh_pick = min(ell, step)  # new boundary vertices taken from each edge
 
-    def dfs(boundary: tuple[int, ...], used: int, edges_so_far: int, seq: list[int]) -> int:
+    edges = [e for r, e in enumerate(colex_subsets(k, col.n)) if cls >> r & 1]
+    links: dict[int, list[tuple[int, list]]] = {}
+    for e in edges:
+        for bnd in combinations(e, ell):
+            fresh = [v for v in e if v not in bnd]
+            exts = sorted((tuple(v for v in fresh if v not in pick), arr, sum(1 << v for v in arr))
+                          for pick in combinations(fresh, fresh_pick) for arr in permutations(pick))
+            links.setdefault(sum(1 << v for v in bnd), []).append((sum(1 << v for v in fresh), exts))
+
+    def dfs(boundary: tuple[int, ...], bmask: int, used: int, edges_so_far: int, seq: list[int]) -> int:
         nonlocal budget_hit
         stats["nodes"] += 1
         if node_budget is not None and stats["nodes"] > node_budget:
@@ -174,41 +188,28 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
         cached = memo.get(key)
         if cached is not None and edges_so_far + cached <= best["edges"]:
             return cached
-        bmask = 0
-        for v in boundary:
-            bmask |= 1 << v
-        free = [v for v in range(col.n) if not used >> v & 1]
-        exts = []
-        for fresh in combinations(free, step):
-            emask = bmask
-            for v in fresh:
-                emask |= 1 << v
-            r = ranks[emask]
-            if not cls >> r & 1:
-                continue
-            for pick in combinations(fresh, fresh_pick):
-                interior = [v for v in fresh if v not in pick]
-                for arr in permutations(pick):
-                    exts.append((r, interior, arr, emask))
-        exts.sort()
+        kept, keep_mask = boundary[step:], bmask
+        for v in boundary[:step]:
+            keep_mask ^= 1 << v
         best_add = 0
-        for _, interior, arr, emask in exts:
-            seq.extend(interior)
-            seq.extend(arr)
-            got = 1 + dfs(boundary[step:] + arr, used | emask, edges_so_far + 1, seq)
-            del seq[len(seq) - step:]
-            best_add = max(best_add, got)
+        for fresh, exts in links.get(bmask, ()):
+            if fresh & used:
+                continue
+            for interior, arr, arr_mask in exts:
+                seq.extend(interior)
+                seq.extend(arr)
+                got = 1 + dfs(kept + arr, keep_mask | arr_mask, used | fresh, edges_so_far + 1, seq)
+                del seq[len(seq) - step:]
+                best_add = max(best_add, got)
         if not budget_hit:
             memo[key] = best_add
         return best_add
 
-    for r, e in enumerate(colex_subsets(k, col.n)):
-        if not cls >> r & 1:
-            continue
+    for e in edges:
         used = sum(1 << v for v in e)
         for bnd in permutations(e, ell):
             interior = sorted(v for v in e if v not in bnd)
-            dfs(bnd, used, 1, interior + list(bnd))
+            dfs(bnd, sum(1 << v for v in bnd), used, 1, interior + list(bnd))
 
     vertices = ell + best["edges"] * step
     cert = Certificate(
@@ -323,6 +324,7 @@ def find_mono_copy(
     k = col.k
     if target.k != k:
         raise ValueError("uniformity mismatch")
+    cls = col.class_bits(colour)
     stats = {"nodes": 0, "prunes": 0}
     if target.n > col.n - len(forbidden):
         return Certificate(kind=f"{colour}_embedding", witness=None, stats=stats,
@@ -337,7 +339,6 @@ def find_mono_copy(
     # a host vertex can take a target vertex only if its degree is no smaller
     allowed = [sum(1 << hv for hv in range(col.n) if hv not in forbidden and host_deg[hv] >= tdeg[tv])
                for tv in plan.order]
-    cls = col.red_bits if colour == RED else col.red_bits ^ ((1 << col.num_edges) - 1)
     image = [-1] * target.n
     if embed(plan, cls, mask_ranks(k, col.n), allowed, image, 0, 0, stats, node_budget):
         return Certificate(kind=f"{colour}_embedding", witness=image, stats=stats,
@@ -369,9 +370,9 @@ def find_mono_clique(
     pool = sorted(range(col.n)) if pool is None else sorted(pool)
     if len(set(pool)) != len(pool) or (pool and not 0 <= pool[0] <= pool[-1] < col.n):
         raise ValueError(f"pool must hold distinct vertices of 0..{col.n - 1}")
+    cls = col.class_bits(colour)
     if size < k:
         return tuple(pool[:size]) if len(pool) >= size else None
-    cls = col.red_bits if colour == RED else col.red_bits ^ ((1 << col.num_edges) - 1)
     ranks = mask_ranks(k, col.n)
     chosen: list[int] = []  # vertex bits
 

@@ -6,9 +6,11 @@ from random import Random
 import pytest
 
 from hyperramsey.core import (
+    BLUE,
     BurrBound,
     GuardExceeded,
     Hypergraph,
+    RED,
     RamseyProfile,
     Tournament,
     TwoColoring,
@@ -221,6 +223,21 @@ class TestColoring:
         # a 2-set's colex rank is that of a 3-set: (1, 2) would colour (0, 2, 3)
         with pytest.raises(ValueError):
             TwoColoring.from_red_edges(3, 5, [edge])
+
+    def test_colour_class_bits(self):
+        col = TwoColoring.from_red_edges(3, 5, [(0, 1, 4)])
+        assert col.class_bits(RED) == col.red_bits
+        assert col.class_bits(BLUE) == col.red_bits ^ ((1 << comb(5, 3)) - 1)
+        assert col.edges_of(RED) == [(0, 1, 4)]
+        assert col.has_colour((0, 1, 2), BLUE) and not col.has_colour((0, 1, 2), RED)
+
+    @pytest.mark.parametrize("colour", ["Red", "RED", "Blue", "green", "", None])
+    def test_unknown_colour_rejected(self, colour):
+        # a misspelt colour used to read as blue
+        col = TwoColoring.all_red(3, 5)
+        for lookup in (col.class_bits, col.edges_of, lambda c: col.has_colour((0, 1, 2), c)):
+            with pytest.raises(ValueError, match="colour must be"):
+                lookup(colour)
 
     def test_colour_lookup_matches_colex_rank(self):
         col = TwoColoring.random(3, 9, 0.5, seed=4)

@@ -136,6 +136,11 @@ class TestButterfly:
         assert out.branch == "diagnostic"
         assert "scale too small" in out.diagnostic
 
+    @pytest.mark.parametrize("w_sets", [[(0, 1, 2), (2, 3, 4)], [(0, 1, 1), (2, 3)]])
+    def test_overlapping_w_sets_rejected(self, w_sets):
+        with pytest.raises(ValueError, match="disjoint"):
+            butterfly_dichotomy(TwoColoring.all_blue(3, 6), w_sets, 2, 2)
+
     def test_every_pair_block_orients(self):
         # once no red connector joins two disjoint W-sets, every monochromatic
         # pair block gives an arc, so no seeded call ends short of the

@@ -235,6 +235,23 @@ class TestFindMonoClique:
                 find_mono_clique(TwoColoring.all_red(3, 6), size, RED, pool)
 
 
+class TestColourNames:
+    @pytest.mark.parametrize("colour", ["Red", "RED", "green"])
+    def test_unknown_colour_rejected(self, colour):
+        # each search checks the colour once at entry, before any shortcut
+        col = TwoColoring.all_red(3, 5)
+        searches = [
+            lambda: longest_mono_ell_path(col, 2, colour),
+            lambda: find_mono_clique(col, 4, colour),
+            lambda: find_mono_clique(col, 2, colour),
+            lambda: find_mono_copy(col, single_edge(3), colour),
+            lambda: find_mono_copy(col, complete_hypergraph(3, 6), colour),
+        ]
+        for search in searches:
+            with pytest.raises(ValueError, match="colour must be"):
+                search()
+
+
 class TestVerifyFree:
     def test_burr_instance_free(self):
         from hyperramsey.constructions import burr_coloring
