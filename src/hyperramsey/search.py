@@ -193,7 +193,7 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
             keep_mask ^= 1 << v
         best_add = 0
         for fresh, exts in links.get(bmask, ()):
-            if fresh & used:
+            if fresh & used:  # the boundary itself is always used
                 continue
             for interior, arr, arr_mask in exts:
                 seq.extend(interior)
