@@ -199,6 +199,36 @@ class TestFindMonoCopy:
                               forbidden=frozenset({0, 1, 2}))
         assert cert.found and not set(cert.witness) & {0, 1, 2}
 
+    def test_copy_outcomes_pinned(self):
+        # witness, counters and detail of seeded searches (k = 2, 3 and 4,
+        # n <= 9, both colours), of one run under a node budget, one with
+        # forbidden vertices and the table's blue H(C3,3) search; any change
+        # to the order in which the kernel tries host vertices, or to what it
+        # counts, shows here
+        specs = {2: ("edge:2", "path:2:1:4", "cycle:2:1:4", "clique:2:4"),
+                 3: ("edge:3", "path:3:2:5", "path:3:1:5", "cycle:3:1:6", "clique:3:4", "fano", "tth:2:2"),
+                 4: ("edge:4", "path:4:2:6", "path:4:3:5", "clique:4:5")}
+
+        def runs():
+            for k in (2, 3, 4):
+                targets = [pattern_hypergraph(spec) for spec in specs[k]]
+                for n in range(k, 10):
+                    for tenths in (1, 3, 5, 7, 9):
+                        col = TwoColoring.random(k, n, tenths / 10, seed=3000 * k + 10 * n + tenths)
+                        yield from ((col, target, colour, {}) for target in targets for colour in (RED, BLUE))
+            yield TwoColoring.random(3, 9, 0.3, seed=0), fano(), RED, {"node_budget": 100}
+            yield TwoColoring.random(3, 8, 0.7, seed=8), complete_hypergraph(3, 4), RED, \
+                {"forbidden": frozenset({0, 3})}
+            cyclic, _ = tournament_hypergraph(Tournament.cyclic_triangle(), 3)
+            yield non_transitive_lb(3, 6).coloring, cyclic, BLUE, {}
+
+        digest = hashlib.sha256()
+        for col, target, colour, options in runs():
+            cert = find_mono_copy(col, target, colour, **options)
+            digest.update(repr((cert.witness, cert.stats, cert.detail)).encode() + b"\n")
+        assert cert.stats == {"nodes": 19405, "prunes": 104280} and not cert.found
+        assert digest.hexdigest() == "58c406d1726aed6ce1b6f56e44ba21a3a6c4d3d18ef811edc4478d3a2c4029e3"
+
     def test_clique_finder(self):
         col = TwoColoring.all_red(3, 6)
         assert find_mono_clique(col, 4, RED) == (0, 1, 2, 3)
