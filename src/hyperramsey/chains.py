@@ -384,6 +384,28 @@ def _path_order(k: int, ell: int, q: int) -> int:
     return q * (k - ell) + ell
 
 
+class _LazyLink(dict):
+    """The red link index of a colouring restricted to a vertex mask, filled
+    in on first lookup: a (k-1)-vertex mask f maps to the mask of the
+    vertices x in `within` for which f | x is red.  A first-hit search reads
+    only the faces its branches reach."""
+
+    def __init__(self, col: TwoColoring, within: int):
+        self.bits, self.ranks, self.within = col.red_bits, mask_ranks(col.k, col.n), within
+
+    def __missing__(self, face: int) -> int:
+        bits, ranks = self.bits, self.ranks
+        link = 0
+        scan = self.within & ~face
+        while scan:
+            x = scan & -scan
+            scan ^= x
+            if bits >> ranks[face | x] & 1:
+                link |= x
+        self[face] = link
+        return link
+
+
 def find_connector(col: TwoColoring, k: int, ell: int, q: int,
                    side_a: list[int], side_b: list[int], pool: set[int]) -> tuple[int, ...] | None:
     """First red ell-path of length q whose first ell vertices lie in side_a,
@@ -391,24 +413,36 @@ def find_connector(col: TwoColoring, k: int, ell: int, q: int,
 
     One `embed` call on the sequential path plan: host vertices are tried in
     increasing order and each position checks the edge ending there, so the
-    answer is the lexicographically first such vertex sequence."""
+    answer is the lexicographically first such vertex sequence.  The kernel
+    reads the red link index as it reaches each face, restricted to the
+    vertices allowed at the positions where an edge ends: it only ever
+    intersects a link with those."""
     if k != col.k:
         raise ValueError("uniformity mismatch")
     order = _path_order(k, ell, q)
     pool_mask = sum(1 << v for v in pool)
     if pool_mask >> col.n:
         raise ValueError(f"pool must hold vertices of 0..{col.n - 1}")
-    a_mask = pool_mask & sum(1 << v for v in set(side_a))
-    b_mask = pool_mask & sum(1 << v for v in set(side_b))
+    a_mask = b_mask = 0
+    for v in side_a:
+        a_mask |= 1 << v
+    for v in side_b:
+        b_mask |= 1 << v
+    a_mask &= pool_mask
+    b_mask &= pool_mask
     if a_mask.bit_count() < ell or b_mask.bit_count() < ell:
         return None
     # a position among both the first and the last ell (a path too short to
     # keep its ends apart) must lie in both sides
     allowed = [(a_mask if i < ell else pool_mask) & (b_mask if i >= order - ell else pool_mask)
                for i in range(order)]
+    plan = path_plan(k, ell, order)
+    ends = 0
+    for i, completed in enumerate(plan.completed):
+        if completed:
+            ends |= allowed[i]
     image = [-1] * order
-    if embed(path_plan(k, ell, order), col.red_bits, mask_ranks(k, col.n), allowed, image, 0, 0,
-             {"nodes": 0, "prunes": 0}):
+    if embed(plan, _LazyLink(col, ends), allowed, image, 0, 0, {"nodes": 0, "prunes": 0}):
         return tuple(image)
     return None
 

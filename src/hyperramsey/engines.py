@@ -304,17 +304,13 @@ class AbsorbingOutcome:
 
 
 def erdos_gallai_path(adj: dict[int, set[int]], length: int) -> list[int] | None:
-    """A simple path with `length` >= 1 edges in a graph, or None: the
-    lexicographically first one, by one `embed` call on the graph's edges as
-    a 2-uniform class."""
-    n = 1 + max((v for u in adj for v in (u, *adj[u])), default=0)
-    ranks = mask_ranks(2, n)
-    cls = 0
-    for u in adj:
-        for w in adj[u]:
-            cls |= 1 << ranks[1 << u | 1 << w]
+    """A simple path with `length` >= 1 edges in a graph given by symmetric
+    adjacency sets, or None: the lexicographically first one, by one `embed`
+    call that reads the adjacency masks as the graph's 2-uniform link
+    index."""
+    link = {1 << u: sum(1 << w for w in adj[u]) for u in adj}
     image = [-1] * (length + 1)
-    if embed(path_plan(2, 1, length + 1), cls, ranks, [sum(1 << v for v in adj)] * (length + 1),
+    if embed(path_plan(2, 1, length + 1), link, [sum(1 << v for v in adj)] * (length + 1),
              image, 0, 0, {"nodes": 0, "prunes": 0}):
         return image
     return None

@@ -2,15 +2,18 @@
 
 ramsey_exact decides, for increasing n, whether a free colouring of the
 complete k-graph exists, by DFS over edge colours in colex-rank order.  The
-DFS state is one int: bit r is set when the edge of rank r is red.  At depth
-r the red class is that int with bit r added and the blue class is its
-complement among ranks <= r, so neither colour keeps a set of edges.  A
+DFS state is one int, bit r set when the edge of rank r is red, and one link
+index per colour: each (k-1)-vertex mask maps to the mask of the vertices
+that make an edge of that colour with it.  Colouring the edge of rank r sets
+one bit in the link of each of its k faces, and backtracking clears it.  A
 branch is pruned the moment the edge just coloured completes a red copy of
 the pattern or a blue copy of the target, so every leaf reached is a free
 colouring.  Whether it does is asked of a _PatternWatcher, which runs the
-embedding kernel of `search` from one ordered target edge per orbit of the
-target's automorphism group, mapped onto that edge.  Paths, cycles, cliques
-and every other pattern go through this one kernel.
+embedding kernel of `search` on that colour's link index from one ordered
+target edge per orbit of the target's automorphism group, mapped onto that
+edge.  Paths, cycles, cliques and every other pattern go through this one
+kernel.  An edgeless side of order at most n lies in every colouring on n
+vertices, so it leaves no free one.
 
 tau_exact enumerates edge families that pairwise intersect in 0 or >= 2
 vertices (the structure forced by having no two-edge loose path).
@@ -48,6 +51,7 @@ from .search import (
     embed,
     find_transitive_subtournament,
     independence_number,
+    link_index,
     pattern_hypergraph,
 )
 
@@ -61,39 +65,44 @@ MAX_ENUM_BITS = 36           # hard ceiling for the pruned search
 class _PatternWatcher:
     """Detects whether colouring one more edge completes a copy of the pattern.
 
-    A colour class is a bitmask over colex ranks, read through the
-    vertex-mask -> rank table of `core`.  The pattern, a spec string or a
-    hypergraph, goes to the embedding kernel of `search`, started with a
-    target edge already mapped onto the anchor.  Anchoring at every ordered
-    target edge would repeat work: two ordered edges that an automorphism of
-    the target maps onto each other complete the same copies.  So the watcher
-    keeps one ordered edge per orbit of Aut(target), found once by embedding
-    the target into itself with the same kernel.
+    A colour class is read through its link index: each (k-1)-vertex mask
+    maps to the mask of the vertices that make a class edge with it.  The
+    pattern, a spec string or a hypergraph, goes to the embedding kernel of
+    `search`, started with a target edge already mapped onto the new edge.
+    Anchoring at every ordered target edge would repeat work: two ordered
+    edges that an automorphism of the target maps onto each other complete
+    the same copies.  So the watcher keeps one ordered edge per orbit of
+    Aut(target), found once by embedding the target into itself with the
+    same kernel.
     """
 
     def __init__(self, pattern: str | Hypergraph, n: int):
         target = pattern_hypergraph(pattern) if isinstance(pattern, str) else pattern
-        self.k = target.k
         self.plans = _orbit_plans(target)
         self.allowed = [(1 << n) - 1] * target.n
-        self.ranks = mask_ranks(self.k, n)
         self.kernel_stats = {"nodes": 0, "prunes": 0}  # kept by the kernel, never reported
 
-    def completes(self, cls: int, edge: tuple[int, ...]) -> bool:
-        """True iff the colour class `cls` (which already contains edge) has a
-        copy of the pattern through edge."""
-        return any(_anchored(plan, edge, cls, self.ranks, self.allowed, self.kernel_stats)
-                   for plan in self.plans)
+    def completes(self, link: dict[int, int], edge: tuple[int, ...]) -> bool:
+        """True iff the colour class with link index `link` (which already
+        contains edge) has a copy of the pattern through edge."""
+        return _through(self.plans, link, edge, self.allowed, self.kernel_stats)
 
 
-def _anchored(plan: EmbeddingPlan, anchor: tuple[int, ...], cls: int, ranks: dict[int, int],
-              allowed: list[int], stats: dict) -> bool:
-    """Is there an embedding into `cls` that sends the plan's first vertices
-    onto `anchor`, in order?"""
-    image = [-1] * len(plan.order)
-    for tv, hv in zip(plan.order, anchor):
-        image[tv] = hv
-    return embed(plan, cls, ranks, allowed, image, sum(1 << v for v in anchor), len(anchor), stats)
+def _through(plans: list[EmbeddingPlan], link: dict[int, int], edge: tuple[int, ...],
+             allowed: list[int], stats: dict) -> bool:
+    """Is there an embedding into the class of `link` that sends the first
+    vertices of one of the plans onto `edge`, in order?"""
+    used = 0
+    for v in edge:
+        used |= 1 << v
+    k = len(edge)
+    for plan in plans:
+        image = [-1] * len(plan.order)
+        for tv, hv in zip(plan.order, edge):
+            image[tv] = hv
+        if embed(plan, link, allowed, image, used, k, stats):
+            return True
+    return False
 
 
 def _orbit_plans(target: Hypergraph) -> list[EmbeddingPlan]:
@@ -101,14 +110,13 @@ def _orbit_plans(target: Hypergraph) -> list[EmbeddingPlan]:
     each placing its representative edge first.  An ordered edge lies in the
     orbit of a representative iff the target embeds into itself sending the
     representative onto it."""
-    ranks = mask_ranks(target.k, target.n)
-    own = sum(1 << ranks[sum(1 << v for v in e)] for e in target.edges)
+    link = link_index(target.k, target.n, target.edges)
     allowed = [(1 << target.n) - 1] * target.n
     stats = {"nodes": 0, "prunes": 0}
     plans: list[EmbeddingPlan] = []
     for e in target.edges:
         for ordered in permutations(e):
-            if not any(_anchored(plan, ordered, own, ranks, allowed, stats) for plan in plans):
+            if not _through(plans, link, ordered, allowed, stats):
                 plans.append(EmbeddingPlan(target, ordered))
     return plans
 
@@ -124,38 +132,52 @@ def free_coloring_exists(
     Returns (exists, witness, stats).
     """
     red = pattern_hypergraph(red_pattern)
+    blue = pattern_hypergraph(blue_target) if isinstance(blue_target, str) else blue_target
     k = red.k
     nbits = comb(n, k)
     if nbits > MAX_ENUM_BITS:
         raise GuardExceeded(f"C({n},{k}) = {nbits} edges exceeds enumeration ceiling {MAX_ENUM_BITS}")
+    if blue.k != k:
+        raise ValueError("uniformity mismatch")
+    stats = {"nodes": 0, "prunes": 0}
+    if any(not t.edges and t.n <= n for t in (red, blue)):
+        return False, None, stats  # every colouring on n vertices holds the edgeless side
 
     red_watch = _PatternWatcher(red, n)
-    blue_watch = _PatternWatcher(blue_target, n)
-    if blue_watch.k != k:
-        raise ValueError("uniformity mismatch")
+    blue_watch = _PatternWatcher(blue, n)
 
     subsets = colex_subsets(k, n)
-    stats = {"nodes": 0, "prunes": 0}
+    # faces[r]: the (k-1)-faces of edge r, each with the vertex it lacks
+    faces = [[(emask ^ 1 << v, 1 << v) for v in e] for emask, e in zip(mask_ranks(k, n), subsets)]
+    red_link = dict.fromkeys(mask_ranks(k - 1, n), 0)
+    blue_link = dict(red_link)
 
     def dfs(r: int, bits: int):
-        # bits: the red edges among ranks < r; every other rank < r is blue
+        # bits: the red edges among ranks < r; every other rank < r is blue,
+        # and red_link, blue_link index those two classes
         stats["nodes"] += 1
         if r == nbits:
             return bits
-        e = subsets[r]
-        red = bits | 1 << r
-        if not red_watch.completes(red, e):
-            got = dfs(r + 1, red)
+        e, edge_faces = subsets[r], faces[r]
+        for f, x in edge_faces:
+            red_link[f] |= x
+        if not red_watch.completes(red_link, e):
+            got = dfs(r + 1, bits | 1 << r)
             if got is not None:
                 return got
         else:
             stats["prunes"] += 1
-        if not blue_watch.completes(bits ^ ((2 << r) - 1), e):
+        for f, x in edge_faces:
+            red_link[f] ^= x
+            blue_link[f] |= x
+        if not blue_watch.completes(blue_link, e):
             got = dfs(r + 1, bits)
             if got is not None:
                 return got
         else:
             stats["prunes"] += 1
+        for f, x in edge_faces:
+            blue_link[f] ^= x
         return None
 
     bits = dfs(0, 0)
@@ -183,13 +205,22 @@ def ramsey_exact(
     n_cap: int,
 ) -> RamseyResult:
     """Least n such that no free colouring of the complete k-graph exists,
-    searched upward from n = k; a lower-bound-only result past n_cap, one
-    above the order of its free witness."""
-    k = pattern_hypergraph(red_pattern).k
-    witness = TwoColoring(k, k - 1, 0)  # empty colouring on k-1 vertices is always free
+    searched upward; a lower-bound-only result past n_cap, one above the
+    order of its free witness.
+
+    The search starts at n = k, or at the order of an edgeless side if that
+    is smaller: every colouring on that many vertices contains it, and the
+    empty colouring on one vertex fewer contains neither side."""
+    red = pattern_hypergraph(red_pattern)
+    blue = pattern_hypergraph(blue_target) if isinstance(blue_target, str) else blue_target
+    if not (red.n and blue.n):
+        raise ValueError("a pattern needs at least one vertex")
+    k = red.k
+    first = min([k] + [t.n for t in (red, blue) if not t.edges])
+    witness = TwoColoring(k, first - 1, 0)
     total_stats = {"nodes": 0, "prunes": 0, "levels": {}}
-    for n in range(k, n_cap + 1):
-        exists, wit, stats = free_coloring_exists(red_pattern, blue_target, n)
+    for n in range(first, n_cap + 1):
+        exists, wit, stats = free_coloring_exists(red_pattern, blue, n)
         total_stats["nodes"] += stats["nodes"]
         total_stats["prunes"] += stats["prunes"]
         total_stats["levels"][n] = dict(stats)

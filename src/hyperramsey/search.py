@@ -270,41 +270,64 @@ def path_plan(k: int, ell: int, order: int) -> EmbeddingPlan:
     return EmbeddingPlan(ell_path(k, ell, order), tuple(range(order)))
 
 
-def embed(plan: EmbeddingPlan, cls: int, ranks: dict[int, int], allowed: list[int],
-          image: list[int], used: int, i: int, stats: dict, node_budget: int | None = None) -> bool:
+def link_index(k: int, n: int, edges) -> dict[int, int]:
+    """The link index of a k-graph on 0..n-1: every (k-1)-vertex mask f maps
+    to the mask of the vertices x for which f | x is an edge, 0 when there is
+    none.  Built in one pass over the edges."""
+    link = dict.fromkeys(mask_ranks(k - 1, n), 0)
+    for e in edges:
+        mask = 0
+        for v in e:
+            mask |= 1 << v
+        for v in e:
+            link[mask ^ 1 << v] |= 1 << v
+    return link
+
+
+def embed(plan: EmbeddingPlan, link, allowed: list[int], image: list[int], used: int, i: int,
+          stats: dict, node_budget: int | None = None) -> bool:
     """Backtracking injective embedding into one colour class.
 
-    `cls` is the class as a bitmask over colex ranks, read through `ranks`
-    (vertex mask -> rank).  The first i vertices of plan.order are already
+    The class is read through its link index `link` (see `link_index`): any
+    mapping from a (k-1)-vertex mask to the mask of the vertices that make a
+    class edge with it.  The first i vertices of plan.order are already
     placed in `image` (target vertex -> host vertex), covering the host
     vertices in mask `used`; step j may only use host vertices in allowed[j].
-    Host vertices are tried in increasing order.  Counts one node per call
-    and one prune per candidate that breaks a completed edge.
+    A step's candidates are one mask: allowed[i], less `used`, intersected
+    with the link of every target edge the step completes (Ullmann's
+    bit-vector refinement).  They are tried in increasing order.  Counts one
+    node per call and one prune per candidate that breaks a completed edge:
+    the rejected ones below a candidate are counted before recursing on it,
+    the rest when the step fails, so a found embedding stops the count where
+    a candidate-by-candidate loop would.
     """
     stats["nodes"] += 1
     if node_budget is not None and stats["nodes"] > node_budget:
         return False
     if i == len(plan.order):
         return True
-    tv = plan.order[i]
-    bases = []
+    cand = good = allowed[i] & ~used
     for others in plan.completed[i]:
+        if not good:
+            break
         base = 0
         for u in others:
             base |= 1 << image[u]
-        bases.append(base)
-    cand = allowed[i] & ~used
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
-        for base in bases:
-            if not cls >> ranks[base | bit] & 1:
-                stats["prunes"] += 1
-                break
-        else:
-            image[tv] = bit.bit_length() - 1
-            if embed(plan, cls, ranks, allowed, image, used | bit, i + 1, stats, node_budget):
-                return True
+        good &= link[base]
+    bad = cand ^ good
+    tv = plan.order[i]
+    counted = 0
+    while good:
+        bit = good & -good
+        good ^= bit
+        if bad:
+            below = (bad & (bit - 1)).bit_count()
+            stats["prunes"] += below - counted
+            counted = below
+        image[tv] = bit.bit_length() - 1
+        if embed(plan, link, allowed, image, used | bit, i + 1, stats, node_budget):
+            return True
+    stats["prunes"] += bad.bit_count() - counted
     return False
 
 
@@ -319,12 +342,15 @@ def find_mono_copy(
 
     Returns a certificate whose witness is a host-vertex list indexed by
     target vertex, or an exhaustive absence attestation (witness None).
-    Vertices in `forbidden` are excluded from the image.
+    Vertices in `forbidden`, which must lie in 0..n-1, are excluded from the
+    image.
     """
     k = col.k
     if target.k != k:
         raise ValueError("uniformity mismatch")
-    cls = col.class_bits(colour)
+    if any(not 0 <= v < col.n for v in forbidden):
+        raise ValueError(f"forbidden vertices must lie in 0..{col.n - 1}")
+    edges = col.edges_of(colour)
     stats = {"nodes": 0, "prunes": 0}
     if target.n > col.n - len(forbidden):
         return Certificate(kind=f"{colour}_embedding", witness=None, stats=stats,
@@ -333,14 +359,14 @@ def find_mono_copy(
     plan = EmbeddingPlan(target)
     tdeg = target.degrees()
     host_deg = [0] * col.n
-    for e in col.edges_of(colour):
+    for e in edges:
         for v in e:
             host_deg[v] += 1
     # a host vertex can take a target vertex only if its degree is no smaller
     allowed = [sum(1 << hv for hv in range(col.n) if hv not in forbidden and host_deg[hv] >= tdeg[tv])
                for tv in plan.order]
     image = [-1] * target.n
-    if embed(plan, cls, mask_ranks(k, col.n), allowed, image, 0, 0, stats, node_budget):
+    if embed(plan, link_index(k, col.n, edges), allowed, image, 0, 0, stats, node_budget):
         return Certificate(kind=f"{colour}_embedding", witness=image, stats=stats,
                            detail={"exact": True, "target_edges": target.num_edges,
                                    "target": hypergraph_to_json(target)})

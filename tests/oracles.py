@@ -48,6 +48,17 @@ def naive_find_copy(col: TwoColoring, target: Hypergraph, colour: str, through=N
     return None
 
 
+def naive_link(col: TwoColoring, colour: str) -> dict[int, int]:
+    """The link index of one colour class, face by face: for every
+    (k-1)-subset f of the vertices, as a mask, bit x is set iff x is not in
+    f and f with x added has `colour`."""
+    link = {}
+    for face in combinations(range(col.n), col.k - 1):
+        link[sum(1 << v for v in face)] = sum(
+            1 << x for x in range(col.n) if x not in face and col.has_colour(face + (x,), colour))
+    return link
+
+
 def naive_find_clique(col: TwoColoring, size: int, colour: str, pool=None):
     """First `size`-set of the pool, in the lexicographic order of
     `combinations` over the sorted pool, whose k-subsets all have `colour`."""

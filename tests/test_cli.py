@@ -110,6 +110,22 @@ class TestRamsey:
         payload = json.loads(out.read_text())
         assert (payload["value"], payload["exact"], payload["burr_bound"]) == (value, True, value)
 
+    @pytest.mark.parametrize("red, blue, value", [
+        ("path:3:2:4", "tth:1:3", 3),
+        ("tth:1:4", "clique:3:4", 4),
+        ("path:3:2:4", "clique:3:2", 2),
+    ])
+    def test_edgeless_side_is_found(self, tmp_path, red, blue, value):
+        # an edgeless side lies in every colouring with as many vertices as
+        # it has, so the value is exact and the witness one vertex short
+        out = tmp_path / "r.json"
+        assert main(["ramsey", "--red", red, "--blue", blue, "--cap", "6", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["value"], payload["exact"], payload["lower_bound"]) == (value, True, value)
+        assert payload["lower_witness"]["n"] == value - 1
+        if blue == "tth:1:3":
+            assert (payload["burr_bound"], payload["verdict"]) == (3, "good")
+
     def test_impossible_path_order_exit_1(self):
         # no 3-uniform loose path has 6 vertices
         proc = run_cli(["ramsey", "--red", "path:3:1:6", "--blue", "edge:3"])

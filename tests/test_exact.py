@@ -31,7 +31,7 @@ from hyperramsey.exact import (
     tau_exact,
 )
 
-from oracles import free_colorings_bruteforce, naive_find_copy, naive_free, naive_has_tt
+from oracles import free_colorings_bruteforce, naive_find_copy, naive_free, naive_has_tt, naive_link
 
 # a 3-graph whose only automorphism is the identity, so the watcher must
 # anchor at every one of its 4 * 3! ordered edges
@@ -101,8 +101,9 @@ class TestFreeColoringSearch:
             r = rng.randrange(len(subsets))
             density = rng.choice([0.1, 0.2, 0.4, 0.6, 0.8])
             mask = sum(1 << i for i in range(len(subsets)) if rng.random() < density) | 1 << r
-            got = watcher.completes(mask, subsets[r])
-            naive = naive_find_copy(TwoColoring(k, n, mask), target, "red", through=subsets[r])
+            col = TwoColoring(k, n, mask)
+            got = watcher.completes(naive_link(col, "red"), subsets[r])
+            naive = naive_find_copy(col, target, "red", through=subsets[r])
             assert got == (naive is not None), (pattern, mask, subsets[r])
             answers.add(got)
         assert answers == {True, False}
@@ -145,6 +146,46 @@ class TestRamseyExact:
         cert = verify_free(r.lower_witness, "path:3:2:4", complete_hypergraph(3, 4))
         assert cert.kind == "free"
         assert r.lower_witness.n == r.value - 1
+
+    @pytest.mark.parametrize("red,blue", [
+        ("path:3:2:4", "clique:3:4"),
+        ("path:3:1:5", "clique:3:4"),
+        ("path:3:2:5", "clique:3:4"),
+        ("path:3:2:4", "tth:2:2"),
+        ("edge:3", "fano"),
+        ("clique:2:3", "clique:2:3"),
+        ("cycle:2:1:4", "cycle:2:1:4"),
+        ("path:4:2:6", "clique:4:5"),
+        ("path:3:2:4", "tth:1:3"),
+        ("tth:1:4", "clique:3:4"),
+        ("path:3:2:4", "clique:3:2"),
+        ("clique:3:1", "clique:3:4"),
+    ])
+    def test_every_lower_witness_verifies_free(self, red, blue):
+        r = ramsey_exact(red, blue, 7)
+        assert r.exact and r.lower_witness.n == r.value - 1
+        assert verify_free(r.lower_witness, red, blue).kind == "free"
+
+    @pytest.mark.parametrize("red,blue,n", [
+        ("path:3:2:4", "tth:1:3", 3),
+        ("path:3:2:4", "tth:1:3", 5),
+        ("tth:1:4", "clique:3:4", 4),
+        ("clique:3:2", "clique:3:4", 3),
+    ])
+    def test_edgeless_side_forbids_every_colouring(self, red, blue, n):
+        exists, witness, stats = free_coloring_exists(red, blue, n)
+        assert (exists, witness, stats) == (False, None, {"nodes": 0, "prunes": 0})
+        if comb(n, 3) <= 10:  # the brute force agrees where it is feasible
+            assert free_colorings_bruteforce(red, blue, n) == []
+
+    def test_edgeless_side_larger_than_the_host(self):
+        # tth:1:4 has four vertices, so on three every colouring avoids it
+        exists, _, _ = free_coloring_exists("tth:1:4", "clique:3:4", 3)
+        assert exists
+
+    def test_pattern_without_vertices_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            ramsey_exact("path:3:2:4", "clique:3:0", 7)
 
     def test_at_least_burr(self):
         for red, blue in [("path:3:2:4", "clique:3:4"), ("path:3:1:5", "clique:3:4"),

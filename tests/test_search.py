@@ -31,6 +31,7 @@ from hyperramsey.search import (
     find_transitive_subtournament,
     has_two_edge_loose_path,
     independence_number,
+    link_index,
     longest_mono_ell_path,
     parse_pattern,
     pattern_hypergraph,
@@ -41,7 +42,7 @@ from hyperramsey.search import (
 )
 from hyperramsey.table import RAMSEY_PAIRS
 
-from oracles import naive_find_clique, naive_find_copy, naive_independence, naive_longest_mono_path
+from oracles import naive_find_clique, naive_find_copy, naive_independence, naive_link, naive_longest_mono_path
 
 
 def validate_independent_set(hg: Hypergraph, vertices) -> bool:
@@ -199,6 +200,12 @@ class TestFindMonoCopy:
                               forbidden=frozenset({0, 1, 2}))
         assert cert.found and not set(cert.witness) & {0, 1, 2}
 
+    @pytest.mark.parametrize("forbidden", [frozenset({90, 91, 92, 93, 94}), frozenset({-1}), frozenset({3, 8})])
+    def test_forbidden_outside_the_host_rejected(self, forbidden):
+        # five far-off vertices once left 3 usable and read as an exact absence
+        with pytest.raises(ValueError, match="forbidden vertices"):
+            find_mono_copy(TwoColoring.all_blue(3, 8), complete_hypergraph(3, 4), BLUE, forbidden=forbidden)
+
     def test_copy_outcomes_pinned(self):
         # witness, counters and detail of seeded searches (k = 2, 3 and 4,
         # n <= 9, both colours), of one run under a node budget, one with
@@ -234,6 +241,16 @@ class TestFindMonoCopy:
         assert find_mono_clique(col, 4, RED) == (0, 1, 2, 3)
         assert find_mono_clique(col, 4, BLUE) is None
         assert find_mono_clique(col, 3, RED, pool=[2, 4, 5]) == (2, 4, 5)
+
+
+class TestLinkIndex:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_naive_link(self, k):
+        for n in range(k - 1, 9):
+            for tenths in (0, 3, 6, 10):
+                col = TwoColoring.random(k, n, tenths / 10, seed=100 * k + 10 * n + tenths)
+                for colour in (RED, BLUE):
+                    assert link_index(k, n, col.edges_of(colour)) == naive_link(col, colour), (n, tenths, colour)
 
 
 class TestFindMonoClique:
