@@ -10,6 +10,7 @@ certificate inexact instead of silently approximating.  The others are hard:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -270,7 +271,7 @@ def path_plan(k: int, ell: int, order: int) -> EmbeddingPlan:
     return EmbeddingPlan(ell_path(k, ell, order), tuple(range(order)))
 
 
-def link_index(k: int, n: int, edges) -> dict[int, int]:
+def link_index(k: int, n: int, edges: Iterable[tuple[int, ...]]) -> dict[int, int]:
     """The link index of a k-graph on 0..n-1: every (k-1)-vertex mask f maps
     to the mask of the vertices x for which f | x is an edge, 0 when there is
     none.  Built in one pass over the edges."""
@@ -284,15 +285,16 @@ def link_index(k: int, n: int, edges) -> dict[int, int]:
     return link
 
 
-def embed(plan: EmbeddingPlan, link, allowed: list[int], image: list[int], used: int, i: int,
-          stats: dict, node_budget: int | None = None) -> bool:
+def embed(plan: EmbeddingPlan, link: dict[int, int], allowed: list[int], image: list[int], used: int,
+          i: int, stats: dict, node_budget: int | None = None) -> bool:
     """Backtracking injective embedding into one colour class.
 
-    The class is read through its link index `link` (see `link_index`): any
-    mapping from a (k-1)-vertex mask to the mask of the vertices that make a
-    class edge with it.  The first i vertices of plan.order are already
-    placed in `image` (target vertex -> host vertex), covering the host
-    vertices in mask `used`; step j may only use host vertices in allowed[j].
+    The class is read through its link index `link` (see `link_index`), a
+    dict from each (k-1)-vertex mask to the mask of the vertices that make a
+    class edge with it; a dict that fills in missing faces on lookup will
+    do.  The first i vertices of plan.order are already placed in `image`
+    (target vertex -> host vertex), covering the host vertices in mask
+    `used`; step j may only use host vertices in allowed[j].
     A step's candidates are one mask: allowed[i], less `used`, intersected
     with the link of every target edge the step completes (Ullmann's
     bit-vector refinement).  They are tried in increasing order.  Counts one
