@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations
 from math import comb
 from random import Random
@@ -242,6 +243,16 @@ class TestTauExact:
         alpha, _ = independence_number(r.witness)
         assert alpha < 4
         assert not has_two_edge_loose_path(r.witness)[0]
+
+    def test_tau_outcomes_pinned(self):
+        # recorded before the search moved onto find_mono_clique
+        digest = hashlib.sha256()
+        for k, alphas in ((2, range(1, 8)), (3, range(1, 8)), (4, range(1, 6))):
+            for alpha in alphas:
+                r = tau_exact(k, alpha)
+                digest.update(repr((r.value, r.lower, r.upper, r.exact, r.witness.edges, r.flags,
+                                    r.stats)).encode() + b"\n")
+        assert digest.hexdigest() == "e682166196d0d01ceee71b7b76ce36cf0f3da4c0fb1dfb3da4b3b471402ba26b"
 
     def test_witness_in_construction_bracket(self):
         from hyperramsey.constructions import tau_lower_construction

@@ -353,6 +353,18 @@ class TestIndependence:
         assert got == naive_independence(hg)
         assert validate_independent_set(hg, cert.witness)
 
+    def test_independence_outcomes_pinned(self):
+        # alpha, witness and detail on seeded hypergraphs, recorded before the
+        # search moved onto find_mono_clique; stats are left out on purpose
+        digest = hashlib.sha256()
+        for k in (2, 3, 4):
+            for n in range(12):
+                for tenths in range(1, 11):
+                    col = TwoColoring.random(k, n, tenths / 10, seed=5000 * k + 10 * n + tenths)
+                    alpha, cert = independence_number(Hypergraph(k, n, tuple(col.edges_of(RED))))
+                    digest.update(repr((alpha, list(cert.witness), cert.detail)).encode() + b"\n")
+        assert digest.hexdigest() == "65c0f8264d9b60e2a392535a24d9845140ff338f61a4f85324b26e6cdc7b197a"
+
 
 class TestTwoEdgeLoosePath:
     def test_positive(self):
