@@ -211,28 +211,20 @@ def cut_open(chain: CliqueChain) -> CliqueChain:
     k, ell = chain.k, chain.ell
     d = len(chain.intervals)
 
-    def min_part() -> int:
-        length = k
-        while (length - ell) % (k - ell) != 0:
-            length += 1
-        return length
-
     def others(j: int) -> list[Run]:
         """Elements j+1, ..., j-1 in cyclic order, each kept whole."""
         return [(chain.element_vertices((j + step) % d), True) for step in range(1, d)]
 
-    base = min_part()
     candidates = sorted(range(d), key=lambda j: -chain.intervals[j][1])
     for j in candidates:
         length = chain.intervals[j][1]
-        # left part anchored at the element start, right part at its end
-        left = (length // 2 - base) // (k - ell) * (k - ell) + base if length // 2 >= base else None
-        if left is None:
+        if length // 2 < k:
             continue
-        right_max = length - left
-        right = (right_max - base) // (k - ell) * (k - ell) + base if right_max >= base else None
-        if right is None:
-            continue
+        # left part anchored at the element start, right part at its end; a
+        # part is k plus a multiple of k - ell long, as k = ell (mod k - ell),
+        # and the right part has at least length // 2 >= k vertices to use
+        left = (length // 2 - k) // (k - ell) * (k - ell) + k
+        right = (length - left - k) // (k - ell) * (k - ell) + k
         discard = length - left - right
         # the right part opens the chain and the left part ends it
         elem = chain.element_vertices(j)
@@ -293,19 +285,17 @@ def clique_partition(col: TwoColoring, red_size: int, blue_size: int) -> CliqueP
 # doubled-tree closed walks
 
 
-def double_tree_walk(edges: list[tuple[int, int]], root: int | None = None) -> list[int]:
+def double_tree_walk(edges: list[tuple[int, int]]) -> list[int]:
     """Closed walk of a tree that visits every vertex and traverses every edge
-    exactly twice (once per direction), via depth-first traversal.
+    exactly twice (once per direction), via depth-first traversal from the
+    least vertex.
 
-    The walk is returned as a vertex list whose first and last entries agree.
+    The walk is returned as a vertex list whose first and last entries agree;
+    it is empty for no edges.
     """
-    vertices = sorted({v for e in edges for v in e})
     if not edges:
-        if root is not None:
-            return [root]
-        if len(vertices) <= 1:
-            return vertices or []
-        raise ValueError("edgeless input with several vertices is not a tree")
+        return []
+    vertices = sorted({v for e in edges for v in e})
     if len(edges) != len(vertices) - 1:
         raise ValueError("edge count does not match a tree")
     adj: dict[int, list[int]] = {v: [] for v in vertices}
@@ -316,9 +306,7 @@ def double_tree_walk(edges: list[tuple[int, int]], root: int | None = None) -> l
         adj[v].append(u)
     for v in adj:
         adj[v].sort()
-    start = root if root is not None else vertices[0]
-    if start not in adj:
-        raise ValueError("root is not a tree vertex")
+    start = vertices[0]
     walk = [start]
     seen = {start}
 
@@ -635,7 +623,7 @@ def assemble_chains(col: TwoColoring, blocks: list[tuple[int, ...]],
             used_global.update(verts)
             continue
 
-        walk = double_tree_walk(comp_edges, root=min(comp))
+        walk = double_tree_walk(comp_edges)
         steps = list(zip(walk, walk[1:]))  # b = 2 e(T) steps
         # hand each step one unused copy of its edge's two paths
         remaining: dict[tuple[int, int], list[tuple[int, ...]]] = {}

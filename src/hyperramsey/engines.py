@@ -738,9 +738,13 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
                                         "chain_sizes": [c.p for c in chains]}, log)
 
 
-def _loose_budget(k: int, sigma: int) -> int:
+def _loose_budget(k: int, sigma: int) -> int | None:
     """The additive budget max(tau(k-1, sigma) - 2k + 3, sigma) of the
-    loose-path bound, reported in stall diagnostics."""
+    loose-path bound, reported in stall diagnostics.  None for k = 2:
+    tau(1, sigma) is unbounded, as the n singletons of any n vertices leave
+    no independent vertex and no two of them share exactly one vertex."""
+    if k < 3:
+        return None
     from .exact import tau_exact
 
     tau = tau_exact(k - 1, sigma).value
@@ -750,8 +754,11 @@ def _loose_budget(k: int, sigma: int) -> int:
 def _aux_graph_pair(col: TwoColoring, chains: list[CliqueChain], outside: list[int]):
     """The leftover-side move: orient each (k-1)-subset of the leftover to an
     unused flexible partner vertex making a red edge; a two-edge loose path in
-    that auxiliary graph yields a red segment landing inside one element."""
+    that auxiliary graph yields a red segment landing inside one element.
+    For k = 2 there is none: two distinct 1-sets never share one vertex."""
     k = col.k
+    if k < 3:
+        return None
     flex_of: dict[int, tuple[int, int]] = {}
     for ci, chain in enumerate(chains):
         if chain.kind != OPEN:
@@ -763,33 +770,16 @@ def _aux_graph_pair(col: TwoColoring, chains: list[CliqueChain], outside: list[i
             flex_of[v] = (ci, j)
     if not flex_of or len(outside) < k - 1:
         return None
-    used_partners: set[int] = set()
-    aux_edges: list[tuple[tuple[int, ...], int]] = []
+    rel: dict[tuple[int, ...], int] = {}  # auxiliary edge -> its partner
     for f in combinations(sorted(outside), k - 1):
-        partner = None
         for w in sorted(flex_of):
-            if w in used_partners:
-                continue
-            if col.is_red(tuple(sorted(f + (w,)))):
-                partner = w
+            if w not in rel.values() and col.is_red(tuple(sorted(f + (w,)))):
+                rel[f] = w
                 break
-        if partner is not None:
-            used_partners.add(partner)
-            aux_edges.append((f, partner))
-    rel = {f: w for f, w in aux_edges}
-    aux_vertices = sorted({v for f, _ in aux_edges for v in f})
-    index = {v: i for i, v in enumerate(aux_vertices)}
-    aux = Hypergraph(k - 1, len(aux_vertices),
-                     tuple(tuple(sorted(index[v] for v in f)) for f, _ in aux_edges)) \
-        if len(aux_vertices) >= k - 1 and aux_edges else None
-    if aux is None:
-        return None
-    found, pair = has_two_edge_loose_path(aux)
+    found, pair = has_two_edge_loose_path(Hypergraph(k - 1, col.n, tuple(rel)))
     if not found:
         return None
-    back = {i: v for v, i in index.items()}
-    f1 = tuple(sorted(back[i] for i in pair[0]))
-    f2 = tuple(sorted(back[i] for i in pair[1]))
+    f1, f2 = pair
     w1, w2 = rel[f1], rel[f2]
     if flex_of[w1] != flex_of[w2]:
         return None  # a cross-chain pair; merging chains is not implemented

@@ -16,7 +16,10 @@ kernel.  An edgeless side of order at most n lies in every colouring on n
 vertices, so it leaves no free one.
 
 tau_exact enumerates edge families that pairwise intersect in 0 or >= 2
-vertices (the structure forced by having no two-edge loose path).
+vertices (the structure forced by having no two-edge loose path).  A family
+is kept as the red class of a colouring, so its independent sets are the
+blue cliques, and whether one of size alpha exists is asked of the clique
+kernel of `search`, `find_mono_clique`, at each node and for its bound.
 directed_ramsey_exact grows labelled tournaments vertex by vertex.  At every
 node the tournament on 0..v-1 is TT_chi-free, so the new vertex v completes a
 TT_chi exactly when, for some transitive (chi-1)-set X, the vertices of X that
@@ -35,8 +38,10 @@ from itertools import combinations, permutations
 from math import comb
 
 from .core import (
+    BLUE,
     GuardExceeded,
     Hypergraph,
+    RED,
     RamseyProfile,
     Tournament,
     TwoColoring,
@@ -49,8 +54,8 @@ from .constructions import tau_lower_construction
 from .search import (
     EmbeddingPlan,
     embed,
+    find_mono_clique,
     find_transitive_subtournament,
-    independence_number,
     link_index,
     pattern_hypergraph,
 )
@@ -249,51 +254,43 @@ class TauResult:
 
 
 def _tau_witness_exists(k: int, alpha: int, n: int, stats: dict) -> Hypergraph | None:
-    """Search for an n-vertex k-graph with independence < alpha and no
-    two-edge loose path, i.e. all pairwise edge intersections in {0} u [2, k].
+    """Search for an n-vertex k-graph with independence number below alpha
+    and no two-edge loose path, i.e. all pairwise edge intersections in
+    {0} u [2, k].
+
+    A branch adds candidate edges in lexicographic order, each one meeting
+    every edge already chosen in 0 or >= 2 vertices.  The chosen family is a
+    red rank bitmask, so "independence number below alpha" is "no blue
+    alpha-clique", asked of `find_mono_clique`.  A node is cut when even
+    adding every edge still compatible with the branch leaves a blue
+    alpha-clique.
     """
-    candidates = list(combinations(range(n), k))
-    masks = [sum(1 << v for v in e) for e in candidates]
-    chosen: list[int] = []
-    chosen_masks: list[int] = []
+    ranks = mask_ranks(k, n)
+    masks = [sum(1 << v for v in e) for e in combinations(range(n), k)]
 
-    def alpha_below(edge_idxs) -> bool:
-        hg = Hypergraph(k, n, tuple(candidates[i] for i in edge_idxs))
-        a, _ = independence_number(hg, guard=n)
-        return a < alpha
+    def alpha_below(bits: int) -> bool:
+        return find_mono_clique(TwoColoring(k, n, bits), alpha, BLUE) is None
 
-    # bound: even with every candidate edge present the independence number
-    # cannot drop below that of the complete k-graph restricted to compatibles
-    def rec(start: int) -> list[int] | None:
+    def rec(bits: int, compat: list[int]) -> int | None:
+        # compat: the masks after the last chosen edge that meet every chosen
+        # edge in 0 or >= 2 vertices
         stats["nodes"] += 1
-        if alpha_below(chosen):
-            return list(chosen)
-        # upper bound check: adding all still-compatible edges
-        compat = [i for i in range(start, len(candidates))
-                  if all(_compatible(masks[i], m) for m in chosen_masks)]
-        if chosen or compat:
-            hg_max = Hypergraph(k, n, tuple(candidates[i] for i in chosen + compat))
-            a_min, _ = independence_number(hg_max, guard=n)
-            if a_min >= alpha:
-                stats["prunes"] += 1
-                return None
-        for pos, i in enumerate(compat):
-            chosen.append(i)
-            chosen_masks.append(masks[i])
-            got = rec(i + 1)
-            chosen.pop()
-            chosen_masks.pop()
+        if alpha_below(bits):
+            return bits
+        full = bits
+        for m in compat:
+            full |= 1 << ranks[m]
+        if (bits or compat) and not alpha_below(full):
+            stats["prunes"] += 1
+            return None
+        for i, m in enumerate(compat):
+            got = rec(bits | 1 << ranks[m], [o for o in compat[i + 1:] if (m & o).bit_count() != 1])
             if got is not None:
                 return got
         return None
 
-    def _compatible(m1: int, m2: int) -> bool:
-        return (m1 & m2).bit_count() != 1
-
-    got = rec(0)
-    if got is None:
-        return None
-    return Hypergraph(k, n, tuple(candidates[i] for i in got))
+    bits = rec(0, masks)
+    return None if bits is None else Hypergraph(k, n, tuple(TwoColoring(k, n, bits).edges_of(RED)))
 
 
 def tau_exact(k: int, alpha: int, n_cap: int | None = None) -> TauResult:
@@ -517,16 +514,34 @@ def gap_report(cur: DirectedRamseyResult, prev: DirectedRamseyResult) -> GapChec
 class GoodnessReport:
     burr: int
     gap: int | None
-    verdict: str  # good | not-good | undecided
+    verdict: str  # good | not-good | undecided | n/a
+
+
+def _connected(hg: Hypergraph) -> bool:
+    """True iff hg has a vertex and its edges join every vertex to vertex 0."""
+    reach, grown = 1, True
+    while grown:
+        grown = False
+        for e in hg.edges:
+            mask = sum(1 << v for v in e)
+            if mask & reach and mask & ~reach:
+                reach |= mask
+                grown = True
+    return reach == (1 << hg.n) - 1
 
 
 def goodness_gap(red_pattern: str, target: Hypergraph, result: RamseyResult,
                  profile: RamseyProfile | None = None) -> GoodnessReport:
     """The Burr bound of the red pattern and the verdict of `result` against
-    it; the gap is None unless `result` is exact."""
+    it; the gap is None unless `result` is exact.  The bound holds only for
+    a connected pattern on at least sigma(target) vertices; for any other
+    the verdict is "n/a" and the gap None."""
     if profile is None:
         profile = ramsey_profile(target)
-    bb = burr_bound(pattern_hypergraph(red_pattern).n, profile)
+    red = pattern_hypergraph(red_pattern)
+    bb = burr_bound(red.n, profile)
+    if not (bb.hypothesis_ok and _connected(red)):
+        return GoodnessReport(bb.value, None, "n/a")
     if result.exact:
         gap = result.value - bb.value
         verdict = "good" if gap == 0 else "not-good"

@@ -548,48 +548,25 @@ def verify_free(col, red_pattern: str, blue_target: Hypergraph | str) -> Certifi
 # independence number
 
 
-def independence_number(hg: Hypergraph, guard: int | None = None) -> tuple[int, Certificate]:
-    """Exact independence number by branch and bound on vertex inclusion."""
-    if guard is None:
-        guard = env_guard("HYPERRAMSEY_INDEPENDENCE_GUARD", 20)
+def independence_number(hg: Hypergraph) -> tuple[int, Certificate]:
+    """Exact independence number, with the lexicographically first maximum
+    independent set as witness.
+
+    An independent set of hg is a blue clique of the colouring whose red
+    class is hg's edges, so `find_mono_clique` is asked for a blue s-clique
+    for s = 1, 2, ... until there is none; the last one found is the
+    witness.  The certificate's stats count those searches.
+    """
+    guard = env_guard("HYPERRAMSEY_INDEPENDENCE_GUARD", 20)
     if hg.n > guard:
         raise GuardExceeded(f"{hg.n} vertices exceeds independence guard {guard}")
-    stats = {"nodes": 0, "prunes": 0}
-    edges = [frozenset(e) for e in hg.edges]
-    incident = [[] for _ in range(hg.n)]
-    for idx, e in enumerate(edges):
-        for v in e:
-            incident[v].append(idx)
-    count = [0] * len(edges)
-    best = {"size": -1, "set": []}
-    chosen: list[int] = []
-
-    def rec(v: int):
-        stats["nodes"] += 1
-        if len(chosen) > best["size"]:
-            best["size"] = len(chosen)
-            best["set"] = list(chosen)
-        if v == hg.n:
-            return
-        if len(chosen) + hg.n - v <= best["size"]:
-            stats["prunes"] += 1
-            return
-        # include v unless it completes an edge
-        completes = any(count[i] == hg.k - 1 for i in incident[v])
-        if not completes:
-            chosen.append(v)
-            for i in incident[v]:
-                count[i] += 1
-            rec(v + 1)
-            for i in incident[v]:
-                count[i] -= 1
-            chosen.pop()
-        rec(v + 1)
-
-    rec(0)
-    cert = Certificate(kind="independent_set", witness=best["set"], stats=stats,
-                       detail={"alpha": best["size"], "exact": True})
-    return best["size"], cert
+    col = TwoColoring.from_red_edges(hg.k, hg.n, hg.edges)
+    best: tuple[int, ...] = ()
+    while (got := find_mono_clique(col, len(best) + 1, BLUE)) is not None:
+        best = got
+    cert = Certificate(kind="independent_set", witness=list(best), stats={"searches": len(best) + 1},
+                       detail={"alpha": len(best), "exact": True})
+    return len(best), cert
 
 
 # ---------------------------------------------------------------------------

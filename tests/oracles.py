@@ -99,6 +99,26 @@ def naive_independence(hg: Hypergraph) -> int:
     return 0
 
 
+def naive_tau(k: int, alpha: int) -> int:
+    """tau(k, alpha): the largest n <= 2 alpha - 2 with an n-vertex k-graph of
+    independence number below alpha in which no two edges share exactly one
+    vertex.  Recurses over every such edge family, in lexicographic order,
+    until one passes `naive_independence`."""
+    best = 0
+    for n in range(2 * alpha - 1):
+        edges = list(combinations(range(n), k))
+
+        def some_family(start: int, family: list) -> bool:
+            if naive_independence(Hypergraph(k, n, tuple(family))) < alpha:
+                return True
+            return any(some_family(i + 1, family + [edges[i]]) for i in range(start, len(edges))
+                       if all(len(set(edges[i]) & set(f)) != 1 for f in family))
+
+        if some_family(0, []):
+            best = n
+    return best
+
+
 def naive_chromatic(hg: Hypergraph) -> tuple[int, int]:
     """(chi, sigma) by trying every colour assignment."""
     for c in range(1, hg.n + 1):

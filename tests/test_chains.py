@@ -327,7 +327,7 @@ class TestDoubleTreeWalk:
         assert double_tree_walk([(0, 1), (1, 2)]) == [0, 1, 2, 1, 0]
 
     def test_star(self):
-        assert double_tree_walk([(0, 1), (0, 2), (0, 3)], root=0) == [0, 1, 0, 2, 0, 3, 0]
+        assert double_tree_walk([(0, 1), (0, 2), (0, 3)]) == [0, 1, 0, 2, 0, 3, 0]
 
     def test_not_a_tree(self):
         with pytest.raises(ValueError):

@@ -126,6 +126,15 @@ class TestRamsey:
         if blue == "tth:1:3":
             assert (payload["burr_bound"], payload["verdict"]) == (3, "good")
 
+    def test_verdict_needs_the_burr_hypothesis(self, tmp_path):
+        # the red side is four isolated vertices, not connected, so the Burr
+        # bound 5 does not apply to the value 4
+        out = tmp_path / "r.json"
+        assert main(["ramsey", "--red", "tth:1:4", "--blue", "clique:3:4", "--cap", "6",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["value"], payload["burr_bound"], payload["verdict"]) == (4, 5, "n/a")
+
     def test_impossible_path_order_exit_1(self):
         # no 3-uniform loose path has 6 vertices
         proc = run_cli(["ramsey", "--red", "path:3:1:6", "--blue", "edge:3"])
@@ -176,6 +185,19 @@ class TestChainAndEngine:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["outcome"] == "red_witness"
+
+    def test_engine_loose_two_uniform(self, tmp_path):
+        # the auxiliary move once built a 1-uniform hypergraph here and exited 1
+        col = TwoColoring.random(2, 14, 0.5, seed=4)
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
+        out = tmp_path / "e.json"
+        proc = run_cli(["engine", "loose", "--coloring", cpath, "--target", "9",
+                        "--blue-target", "clique:2:3", "--block-size", "4", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(out.read_text())
+        assert payload["outcome"] == "red_witness"
+        cert = write_json(tmp_path, "cert.json", payload["certificate"])
+        assert run_cli(["check", "--certificate", cert, "--coloring", cpath]).returncode == 0
 
     def test_engine_tight(self, tmp_path):
         col = TwoColoring.random(3, 13, 0.95, seed=0)

@@ -13,6 +13,7 @@ from hyperramsey.core import (
     RED,
     Tournament,
     TwoColoring,
+    complete_hypergraph,
     transitive_tournament_hypergraph,
 )
 from hyperramsey.chains import find_connector
@@ -539,6 +540,22 @@ class TestStallBookkeeping:
             # c = max(tau(2, sigma) - 3, sigma) with sigma = 3: max(1, 3)
             assert rep.stall["budget_c"] == 3
             assert rep.stall["sigma"] == 3
+
+    def test_two_uniform_loose_runs_finish(self):
+        # k = 2 has no auxiliary (k-1)-graph to search (seeds 4, 36 and 37
+        # once raised building a 1-uniform one) and no finite tau(1, sigma)
+        target = complete_hypergraph(2, 3)
+        outcomes = Counter()
+        for seed in range(60):
+            col = TwoColoring.random(2, 14, 0.5, seed=seed)
+            rep = loose_witness_engine(col, target, EngineParams(n_target=9, block_size=4))
+            outcomes[rep.outcome] += 1
+            assert check_certificate(rep.certificate, col)[0]
+        assert outcomes == {"blue_witness": 54, "red_witness": 6}
+        rep = loose_witness_engine(TwoColoring.random(2, 9, 0.5, seed=1), target,
+                                   EngineParams(n_target=9, block_size=3))
+        assert rep.outcome == "stall"
+        assert (rep.stall["reason"], rep.stall["budget_c"]) == ("no extension move applies", None)
 
 
 def _workload_path_runs(seed: int, pairs: int):

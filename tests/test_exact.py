@@ -23,6 +23,7 @@ from hyperramsey.search import (
 )
 from hyperramsey.exact import (
     _PatternWatcher,
+    GoodnessReport,
     _completing_patterns,
     consecutive_gap_check,
     directed_ramsey_exact,
@@ -32,7 +33,8 @@ from hyperramsey.exact import (
     tau_exact,
 )
 
-from oracles import free_colorings_bruteforce, naive_find_copy, naive_free, naive_has_tt, naive_link
+from oracles import (free_colorings_bruteforce, naive_find_copy, naive_free, naive_has_tt, naive_link,
+                     naive_tau)
 
 # a 3-graph whose only automorphism is the identity, so the watcher must
 # anchor at every one of its 4 * 3! ordered edges
@@ -244,6 +246,12 @@ class TestTauExact:
         assert alpha < 4
         assert not has_two_edge_loose_path(r.witness)[0]
 
+    @pytest.mark.parametrize("k, alpha", [(2, a) for a in range(2, 7)] + [(3, a) for a in range(2, 6)]
+                             + [(4, 4)])
+    def test_matches_naive_tau(self, k, alpha):
+        # (4, 5) is left out: the oracle takes minutes there
+        assert tau_exact(k, alpha).value == naive_tau(k, alpha)
+
     def test_tau_outcomes_pinned(self):
         # recorded before the search moved onto find_mono_clique
         digest = hashlib.sha256()
@@ -377,6 +385,19 @@ class TestGoodness:
         r = ramsey_exact("path:3:1:5", target, 4)
         report = goodness_gap("path:3:1:5", target, r)
         assert report.verdict == "undecided"
+
+
+    def test_bound_outside_its_hypothesis(self):
+        # Burr's bound needs a connected red pattern on at least sigma(H)
+        # vertices: an edgeless one fails the first, a single edge (3 < 4
+        # vertices) the second
+        target = pattern_hypergraph("clique:3:4")
+        r = ramsey_exact("tth:1:4", target, 6)
+        assert goodness_gap("tth:1:4", target, r) == GoodnessReport(5, None, "n/a")
+        target = Hypergraph(3, 4, ())  # chi 1, sigma 4
+        r = ramsey_exact("edge:3", target, 6)
+        assert r.value == 4
+        assert goodness_gap("edge:3", target, r) == GoodnessReport(4, None, "n/a")
 
 
 class TestNotGoodByConstruction:

@@ -76,6 +76,26 @@ def test_no_private_names_across_modules():
     assert found == []
 
 
+def test_no_unused_imports_in_the_package():
+    # an imported name its module never reads is a leftover of deleted code;
+    # __init__.py imports to re-export, so it is left out
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno} {name}" for name in names if name not in read)
+    assert found == []
+
+
 def test_every_cli_option_is_read():
     # an option or positional whose value nothing reads is a flag or word
     # that does nothing; a read is `args.<dest>` in cli.py or a key string
