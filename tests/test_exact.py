@@ -169,6 +169,46 @@ class TestRamseyExact:
         assert r.exact and r.lower_witness.n == r.value - 1
         assert verify_free(r.lower_witness, red, blue).kind == "free"
 
+    # recorded from the DFS without symmetry breaking: the pairs above, the
+    # `exhaust` benchmark instances and the Fano pair; a search that prunes
+    # more must still return these values and these witness bitmaps
+    @pytest.mark.parametrize("red,blue,cap,value,exact,order,bits", [
+        ("path:3:2:4", "clique:3:4", 7, 5, True, 4, 1),
+        ("path:3:1:5", "clique:3:4", 7, 6, True, 5, 15),
+        ("path:3:2:5", "clique:3:4", 7, 7, True, 6, 983055),
+        ("path:3:2:4", "tth:2:2", 7, 4, True, 3, 1),
+        ("edge:3", "fano", 7, 7, True, 6, 0),
+        ("clique:2:3", "clique:2:3", 7, 6, True, 5, 787),
+        ("cycle:2:1:4", "cycle:2:1:4", 7, 6, True, 5, 143),
+        ("path:4:2:6", "clique:4:5", 7, 7, True, 6, 31),
+        ("path:3:2:4", "tth:1:3", 7, 3, True, 2, 0),
+        ("tth:1:4", "clique:3:4", 7, 4, True, 3, 1),
+        ("path:3:2:4", "clique:3:2", 7, 2, True, 1, 0),
+        ("clique:3:1", "clique:3:4", 7, 1, True, 0, 0),
+        ("cycle:2:1:4", "clique:2:3", 7, 7, True, 6, 25103),
+        ("cycle:2:1:4", "cycle:2:1:4", 6, 6, True, 5, 143),
+        ("clique:2:3", "clique:2:3", 6, 6, True, 5, 787),
+        ("path:3:2:4", "fano", 7, 7, True, 6, 278657),
+    ])
+    def test_outcomes_pinned(self, red, blue, cap, value, exact, order, bits):
+        r = ramsey_exact(red, blue, cap)
+        assert (r.value, r.exact, r.lower_witness.n, r.lower_witness.red_bits) == (value, exact, order, bits)
+
+    @pytest.mark.parametrize("red,blue,cap,first", [
+        ("path:3:2:5", "clique:3:4", 7, 3),
+        ("cycle:2:1:4", "clique:2:3", 7, 2),
+        ("path:4:2:6", "clique:4:5", 7, 4),
+        ("path:3:1:5", "clique:3:4", 4, 3),  # capped: every searched order is free
+        ("path:3:2:4", "tth:1:3", 7, 3),     # edgeless side: one order, no node
+    ])
+    def test_levels_sum_to_totals(self, red, blue, cap, first):
+        r = ramsey_exact(red, blue, cap)
+        levels = r.stats["levels"]
+        last = r.value if r.exact else cap
+        assert sorted(levels) == list(range(first, last + 1))
+        for key in ("nodes", "prunes"):
+            assert sum(level[key] for level in levels.values()) == r.stats[key]
+
     @pytest.mark.parametrize("red,blue,n", [
         ("path:3:2:4", "tth:1:3", 3),
         ("path:3:2:4", "tth:1:3", 5),
