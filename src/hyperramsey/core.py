@@ -81,6 +81,16 @@ def mask_ranks(k: int, n: int) -> dict[int, int]:
     return {sum(1 << v for v in s): r for r, s in enumerate(colex_subsets(k, n))}
 
 
+def rank_image(k: int, n: int, perm: Sequence[int]) -> list[int]:
+    """The vertex permutation v -> perm[v] acting on colex ranks: entry r is
+    the rank of the image of the k-subset of [n] with rank r.  ValueError
+    unless perm is a permutation of 0..n-1."""
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{list(perm)!r} is not a permutation of 0..{n - 1}")
+    ranks = mask_ranks(k, n)
+    return [ranks[sum(1 << perm[v] for v in s)] for s in colex_subsets(k, n)]
+
+
 # ---------------------------------------------------------------------------
 # hypergraphs
 
@@ -334,11 +344,12 @@ class TwoColoring:
         return [s for r, s in enumerate(colex_subsets(self.k, self.n)) if cls >> r & 1]
 
     def relabel(self, perm: Sequence[int]) -> "TwoColoring":
-        ranks = self._ranks
+        """The colouring in which edge {perm[v] : v in e} has the colour of e;
+        ValueError unless perm is a permutation of 0..n-1."""
         bits = 0
-        for r, s in enumerate(colex_subsets(self.k, self.n)):
+        for r, image in enumerate(rank_image(self.k, self.n, perm)):
             if self.red_bits >> r & 1:
-                bits |= 1 << ranks[sum(1 << perm[v] for v in s)]
+                bits |= 1 << image
         return TwoColoring(self.k, self.n, bits)
 
     @classmethod

@@ -12,8 +12,13 @@ colouring.  Whether it does is asked of a _PatternWatcher, which runs the
 embedding kernel of `search` on that colour's link index from one ordered
 target edge per orbit of the target's automorphism group, mapped onto that
 edge.  Paths, cycles, cliques and every other pattern go through this one
-kernel.  An edgeless side of order at most n lies in every colouring on n
-vertices, so it leaves no free one.
+kernel.  Before the watchers, a branch must pass the lex-leader predicates
+of the n-1 adjacent vertex transpositions (i i+1): the DFS keeps a
+colouring only if it meets it no later than its image under each of them.
+So it explores far fewer relabelled copies of each branch, and still returns
+the witness it would return without them (the proof is in
+`free_coloring_exists`).  An edgeless side of order at most n lies in every
+colouring on n vertices, so it leaves no free one.
 
 tau_exact enumerates edge families that pairwise intersect in 0 or >= 2
 vertices (the structure forced by having no two-edge loose path).  A family
@@ -49,6 +54,7 @@ from .core import (
     colex_subsets,
     mask_ranks,
     ramsey_profile,
+    rank_image,
 )
 from .constructions import tau_lower_construction
 from .search import (
@@ -126,6 +132,50 @@ def _orbit_plans(target: Hypergraph) -> list[EmbeddingPlan]:
     return plans
 
 
+class _LexLeader:
+    """Lex-leader predicates for the adjacent vertex transpositions
+    sigma_i = (i i+1) (Crawford, Ginsberg, Luks & Roy, KR 1996): a colouring
+    c is kept only if c >= sigma_i(c) for every i, comparing colourings in
+    the order the DFS meets them, rank 0 most significant and red above blue.
+
+    sigma_i fixes every edge that holds both or neither of i and i+1, and
+    pairs each edge p that holds i alone with q = sigma_i(p), which holds
+    i+1 alone and has the larger rank.  Two such edges p < p' differ where
+    their images do, so the pairs come in the same order by p as by q.  So
+    c and sigma_i(c) first differ at the p of the first pair whose two edges
+    differ in colour, and c < sigma_i(c) iff that p is blue and its q red.
+    Pairs are settled in order as their q is coloured, so the first rank not
+    yet known equal is the p of the first pair whose q is uncoloured, and a
+    predicate's state is one bit: undecided, or decided once a pair with red
+    p and blue q shows c > sigma_i(c).  Colouring q blue never cuts; red cuts
+    when an undecided pair has p blue.
+    """
+
+    def __init__(self, k: int, n: int):
+        # due[q]: (bit of sigma_i, p) for each sigma_i that pairs p with q
+        self.due: list[list[tuple[int, int]]] = [[] for _ in range(comb(n, k))]
+        for i in range(n - 1):
+            swap = list(range(n))
+            swap[i], swap[i + 1] = i + 1, i
+            for p, q in enumerate(rank_image(k, n, swap)):
+                if p < q:
+                    self.due[q].append((1 << i, p))
+        self.start = (1 << n - 1) - 1 if n else 0  # every sigma_i undecided
+
+    def split(self, undecided: int, r: int, bits: int) -> tuple[int | None, int]:
+        """The undecided predicates once rank r is coloured red and once it
+        is coloured blue (bits: the red edges among ranks < r); None for red
+        when some sigma_i(c) would exceed c."""
+        red_p = blue_p = 0
+        for bit, p in self.due[r]:
+            if undecided & bit:
+                if bits >> p & 1:
+                    red_p |= bit
+                else:
+                    blue_p |= bit
+        return (None if blue_p else undecided), undecided & ~red_p
+
+
 def free_coloring_exists(
     red_pattern: str,
     blue_target: Hypergraph | str,
@@ -134,7 +184,20 @@ def free_coloring_exists(
     """Decide whether a (red_pattern, blue_target)-free colouring of the
     complete k-graph on n vertices exists.
 
-    Returns (exists, witness, stats).
+    Returns (exists, witness, stats).  The DFS colours ranks 0, 1, ... in
+    turn, red first, so it meets leaves in decreasing order, rank 0 most
+    significant and red above blue.  A branch is cut when the edge just
+    coloured completes a red pattern or a blue target, or when the
+    `_LexLeader` predicates find c < sigma_i(c) for an adjacent vertex
+    transposition sigma_i; that test is cheaper, so it runs first, and each
+    cut counts one prune.
+
+    The predicates change neither the answer nor the witness.  Without them
+    the first free leaf is the greatest free colouring c*.  Each sigma_i(c*)
+    is free too, since relabelling vertices maps copies to copies, so
+    c* >= sigma_i(c*) for every i: c* and every prefix of it pass every
+    predicate, and the DFS still reaches c* first.  So the search finds c*
+    exactly when a free colouring exists, and a refutation stays sound.
     """
     red = pattern_hypergraph(red_pattern)
     blue = pattern_hypergraph(blue_target) if isinstance(blue_target, str) else blue_target
@@ -150,6 +213,7 @@ def free_coloring_exists(
 
     red_watch = _PatternWatcher(red, n)
     blue_watch = _PatternWatcher(blue, n)
+    lex = _LexLeader(k, n)
 
     subsets = colex_subsets(k, n)
     # faces[r]: the (k-1)-faces of edge r, each with the vertex it lacks
@@ -157,35 +221,33 @@ def free_coloring_exists(
     red_link = dict.fromkeys(mask_ranks(k - 1, n), 0)
     blue_link = dict(red_link)
 
-    def dfs(r: int, bits: int):
+    def dfs(r: int, bits: int, undecided: int):
         # bits: the red edges among ranks < r; every other rank < r is blue,
-        # and red_link, blue_link index those two classes
+        # red_link, blue_link index those two classes, and undecided holds
+        # the predicates that have not yet shown c > sigma_i(c)
         stats["nodes"] += 1
         if r == nbits:
             return bits
         e, edge_faces = subsets[r], faces[r]
-        for f, x in edge_faces:
-            red_link[f] |= x
-        if not red_watch.completes(red_link, e):
-            got = dfs(r + 1, bits | 1 << r)
-            if got is not None:
-                return got
-        else:
-            stats["prunes"] += 1
-        for f, x in edge_faces:
-            red_link[f] ^= x
-            blue_link[f] |= x
-        if not blue_watch.completes(blue_link, e):
-            got = dfs(r + 1, bits)
-            if got is not None:
-                return got
-        else:
-            stats["prunes"] += 1
-        for f, x in edge_faces:
-            blue_link[f] ^= x
+        red_undecided, blue_undecided = lex.split(undecided, r, bits)
+        for child, child_undecided, link, watch in ((bits | 1 << r, red_undecided, red_link, red_watch),
+                                                    (bits, blue_undecided, blue_link, blue_watch)):
+            if child_undecided is None:
+                stats["prunes"] += 1
+                continue
+            for f, x in edge_faces:
+                link[f] |= x
+            if not watch.completes(link, e):
+                got = dfs(r + 1, child, child_undecided)
+                if got is not None:
+                    return got
+            else:
+                stats["prunes"] += 1
+            for f, x in edge_faces:
+                link[f] ^= x
         return None
 
-    bits = dfs(0, 0)
+    bits = dfs(0, 0, lex.start)
     if bits is not None:
         return True, TwoColoring(k, n, bits), stats
     return False, None, stats

@@ -26,6 +26,7 @@ from hyperramsey.core import (
     hypergraph_from_json,
     hypergraph_to_json,
     ramsey_profile,
+    rank_image,
     single_edge,
     tournament_from_json,
     tournament_hypergraph,
@@ -260,6 +261,27 @@ class TestColoring:
         col = TwoColoring.random(3, 6, 0.4, seed=9)
         perm = [3, 1, 5, 0, 4, 2]
         assert col.relabel(perm).count_red() == col.count_red()
+
+    def test_relabel_moves_each_edge(self):
+        col = TwoColoring.random(3, 6, 0.4, seed=9)
+        perm = [3, 1, 5, 0, 4, 2]
+        moved = {tuple(sorted(perm[v] for v in e)) for e in col.edges_of(RED)}
+        assert set(col.relabel(perm).edges_of(RED)) == moved
+
+    @pytest.mark.parametrize("perm", [[0, 1, 2, 2], [0, 1, 2], [0, 1, 2, 3, 4], [1, 2, 3, 4], [-1, 0, 1, 2]],
+                             ids=["repeat", "short", "long", "shifted", "negative"])
+    def test_relabel_needs_a_permutation(self, perm):
+        col = TwoColoring.from_red_edges(2, 4, [(0, 2), (0, 3)])
+        with pytest.raises(ValueError, match="not a permutation of 0..3"):
+            col.relabel(perm)
+
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (4, 7)])
+    def test_rank_image_is_the_permuted_set(self, k, n):
+        perm = list(range(n))
+        Random(k * n).shuffle(perm)
+        image = rank_image(k, n, perm)
+        for r in range(comb(n, k)):
+            assert colex_unrank(image[r], k, n) == tuple(sorted(perm[v] for v in colex_unrank(r, k, n)))
 
     def test_empty_host(self):
         col = TwoColoring(3, 2, 0)

@@ -10,6 +10,7 @@ from hyperramsey.core import (
     Tournament,
     TwoColoring,
     burr_bound,
+    colex_rank,
     colex_subsets,
     complete_hypergraph,
     ramsey_profile,
@@ -22,6 +23,7 @@ from hyperramsey.search import (
     verify_free,
 )
 from hyperramsey.exact import (
+    _LexLeader,
     _PatternWatcher,
     GoodnessReport,
     _completing_patterns,
@@ -39,6 +41,12 @@ from oracles import (free_colorings_bruteforce, naive_find_copy, naive_free, nai
 # a 3-graph whose only automorphism is the identity, so the watcher must
 # anchor at every one of its 4 * 3! ordered edges
 ASYMMETRIC = Hypergraph(3, 6, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 4, 5)))
+
+
+def dfs_key(bits: int, nbits: int) -> int:
+    """A red bitmap read in the colouring DFS's order: rank 0 most
+    significant, red above blue."""
+    return int(format(bits, f"0{nbits}b")[::-1], 2)
 
 
 def test_asymmetric_target_has_trivial_automorphism_group():
@@ -59,12 +67,60 @@ class TestFreeColoringSearch:
         ("cycle:2:1:4", "cycle:2:1:4"),
     ])
     def test_pruned_matches_bruteforce(self, red, blue):
+        # the witness is the first free leaf the unbroken DFS would meet
+        k = pattern_hypergraph(red).k
         for n in (3, 4, 5):
             brute = free_colorings_bruteforce(red, blue, n)
             exists, witness, _ = free_coloring_exists(red, blue, n)
             assert exists == bool(brute)
             if exists:
-                assert witness.red_bits in brute
+                assert witness.red_bits == max(brute, key=lambda bits: dfs_key(bits, comb(n, k)))
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (3, 5), (3, 6), (4, 6)])
+    def test_lex_leader_matches_full_comparison(self, k, n):
+        # the predicates, run over the first m ranks of a colouring c, reject
+        # iff for some i the scan of c against c.relabel(sigma_i) in DFS
+        # order meets c < sigma_i(c) before a rank that the prefix leaves open
+        lex = _LexLeader(k, n)
+        nbits = comb(n, k)
+        subsets = colex_subsets(k, n)
+        swaps = []
+        for i in range(n - 1):
+            swap = list(range(n))
+            swap[i], swap[i + 1] = i + 1, i
+            swaps.append(swap)
+        # source[i][x]: the rank whose colour sigma_i(c) gives rank x
+        source = [[colex_rank(sorted(swap[v] for v in e)) for e in subsets] for swap in swaps]
+        rng = Random(100 * k + n)
+        verdicts = set()
+        for _ in range(300):
+            density = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])
+            c = TwoColoring(k, n, sum(1 << r for r in range(nbits) if rng.random() < density))
+            m = rng.choice([nbits, rng.randrange(nbits + 1)])
+            undecided = lex.start
+            for r in range(m):
+                red, blue = lex.split(undecided, r, c.red_bits & (1 << r) - 1)
+                undecided = red if c.red_bits >> r & 1 else blue
+                if undecided is None:
+                    break
+            less = False
+            for swap, src in zip(swaps, source):
+                image = c.relabel(swap).red_bits
+                less_i = False
+                for x in range(nbits):
+                    if src[x] == x:
+                        continue
+                    if max(x, src[x]) >= m:
+                        break
+                    if c.red_bits >> x & 1 != image >> x & 1:
+                        less_i = not c.red_bits >> x & 1
+                        break
+                if m == nbits:  # the scan is then the whole comparison
+                    assert less_i == (dfs_key(c.red_bits, nbits) < dfs_key(image, nbits))
+                less |= less_i
+            assert (undecided is None) == less, (c.red_bits, m)
+            verdicts.add(undecided is None)
+        assert verdicts == {True, False}
 
     def test_witness_is_free_by_naive_check(self):
         red_h = pattern_hypergraph("path:3:1:5")
