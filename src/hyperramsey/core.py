@@ -88,7 +88,14 @@ def rank_image(k: int, n: int, perm: Sequence[int]) -> list[int]:
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{list(perm)!r} is not a permutation of 0..{n - 1}")
     ranks = mask_ranks(k, n)
-    return [ranks[sum(1 << perm[v] for v in s)] for s in colex_subsets(k, n)]
+    moved = [1 << v for v in perm]
+    image = []
+    for s in colex_subsets(k, n):
+        mask = 0
+        for v in s:
+            mask |= moved[v]
+        image.append(ranks[mask])
+    return image
 
 
 # ---------------------------------------------------------------------------
