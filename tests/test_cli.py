@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -161,6 +162,13 @@ class TestTauAndDramsey:
         assert main(["dramsey", "--chi", "3", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["value"] == 4 and payload["witness"]["n"] == 3
+
+    def test_dramsey_chi4_pinned(self, tmp_path):
+        # sha256 of the JSON, recorded from the DFS without symmetry breaking
+        out = tmp_path / "d.json"
+        assert main(["dramsey", "--chi", "4", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "962fa0a9c9891992f4e29ee802bcedac04269a3da90b6f208d7e6124d27cba49")
 
 
 class TestChainAndEngine:

@@ -423,6 +423,17 @@ class TestDirectedRamsey:
         assert (r.value, r.exact, r.witness.bits) == (value, exact, bits)
         assert (r.stats["nodes"], r.stats["prunes"]) == (nodes, prunes)
 
+    @pytest.mark.parametrize("cap,lower,bits", [
+        (10, 11, 32567912691647),
+        (11, 12, 33316983908726719),
+        (12, 13, 68199800943788554175),
+        (13, 14, 279278118100611561813951),
+    ])
+    def test_chi5_witnesses_pinned(self, cap, lower, bits):
+        # recorded from the DFS without symmetry breaking
+        r = directed_ramsey_exact(5, cap)
+        assert (r.value, r.exact, r.lower_bound, r.witness.n, r.witness.bits) == (None, False, lower, cap, bits)
+
     def test_cap_below_the_first_order(self):
         # no order is searched: the bound is the one the transitive
         # tournament on chi-1 vertices proves, not n_cap + 1
