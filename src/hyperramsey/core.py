@@ -81,12 +81,18 @@ def mask_ranks(k: int, n: int) -> dict[int, int]:
     return {sum(1 << v for v in s): r for r, s in enumerate(colex_subsets(k, n))}
 
 
+def check_permutation(perm: Sequence[int], n: int) -> None:
+    """ValueError unless perm is a permutation of 0..n-1: every relabelling
+    checks its vertex map here."""
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"{list(perm)!r} is not a permutation of 0..{n - 1}")
+
+
 def rank_image(k: int, n: int, perm: Sequence[int]) -> list[int]:
     """The vertex permutation v -> perm[v] acting on colex ranks: entry r is
     the rank of the image of the k-subset of [n] with rank r.  ValueError
     unless perm is a permutation of 0..n-1."""
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{list(perm)!r} is not a permutation of 0..{n - 1}")
+    check_permutation(perm, n)
     ranks = mask_ranks(k, n)
     moved = [1 << v for v in perm]
     image = []
@@ -147,6 +153,9 @@ class Hypergraph:
         return Hypergraph(self.k, len(vs), tuple(keep))
 
     def relabel(self, perm: Sequence[int]) -> "Hypergraph":
+        """The hypergraph with an edge {perm[v] : v in e} for each edge e;
+        ValueError unless perm is a permutation of 0..n-1."""
+        check_permutation(perm, self.n)
         return Hypergraph(self.k, self.n, tuple(tuple(sorted(perm[v] for v in e)) for e in self.edges))
 
 
@@ -255,6 +264,9 @@ class Tournament:
         return [u for u in range(self.n) if u != v and self.has_arc(v, u)]
 
     def relabel(self, perm: Sequence[int]) -> "Tournament":
+        """The tournament with an arc perm[u] -> perm[v] for each arc u -> v;
+        ValueError unless perm is a permutation of 0..n-1."""
+        check_permutation(perm, self.n)
         return Tournament.from_arcs(self.n, [(perm[u], perm[v]) for u, v in self.arcs()])
 
     @classmethod

@@ -51,6 +51,12 @@ def verify_profile(hg: Hypergraph, profile: RamseyProfile) -> bool:
     return min(sizes) == profile.sigma
 
 
+# lists that are not a permutation of 0..3, for every relabel on 4 vertices
+NOT_PERMUTATIONS_OF_4 = pytest.mark.parametrize(
+    "perm", [[0, 1, 2, 2], [0, 1, 2], [0, 1, 2, 3, 4], [1, 2, 3, 4], [-1, 0, 1, 2]],
+    ids=["repeat", "short", "long", "shifted", "negative"])
+
+
 class TestColex:
     def test_first_subset(self):
         assert colex_rank((0, 1, 2)) == 0
@@ -99,6 +105,12 @@ class TestHypergraph:
     def test_induced(self):
         hg = complete_hypergraph(3, 5).induced([1, 2, 3, 4])
         assert hg.n == 4 and hg.num_edges == comb(4, 3)
+
+    @NOT_PERMUTATIONS_OF_4
+    def test_relabel_needs_a_permutation(self, perm):
+        hg = Hypergraph(2, 4, ((0, 2), (0, 3)))
+        with pytest.raises(ValueError, match="not a permutation of 0..3"):
+            hg.relabel(perm)
 
 
 class TestPathsAndCycles:
@@ -167,6 +179,11 @@ class TestTournament:
         # either arc would otherwise stand in for the unnamed pair (1, 2)
         with pytest.raises(ValueError):
             Tournament.from_arcs(3, arcs)
+
+    @NOT_PERMUTATIONS_OF_4
+    def test_relabel_needs_a_permutation(self, perm):
+        with pytest.raises(ValueError, match="not a permutation of 0..3"):
+            Tournament.transitive(4).relabel(perm)
 
 
 class TestTournamentHypergraph:
@@ -268,8 +285,7 @@ class TestColoring:
         moved = {tuple(sorted(perm[v] for v in e)) for e in col.edges_of(RED)}
         assert set(col.relabel(perm).edges_of(RED)) == moved
 
-    @pytest.mark.parametrize("perm", [[0, 1, 2, 2], [0, 1, 2], [0, 1, 2, 3, 4], [1, 2, 3, 4], [-1, 0, 1, 2]],
-                             ids=["repeat", "short", "long", "shifted", "negative"])
+    @NOT_PERMUTATIONS_OF_4
     def test_relabel_needs_a_permutation(self, perm):
         col = TwoColoring.from_red_edges(2, 4, [(0, 2), (0, 3)])
         with pytest.raises(ValueError, match="not a permutation of 0..3"):
