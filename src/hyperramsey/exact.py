@@ -30,10 +30,16 @@ node the tournament on 0..v-1 is TT_chi-free, so the new vertex v completes a
 TT_chi exactly when, for some transitive (chi-1)-set X, the vertices of X that
 v points to form a suffix of X's source-to-sink order (the empty suffix and X
 itself included).  A node lists those orders once and rejects every
-completing one of v's 2^v out-arc patterns in one bitset pass, then walks the
-rest in increasing order.  A rejected pattern counts as a prune when the walk
-passes it, lazily, so the counts are those of a pattern-by-pattern loop: a
-found tournament stops the count at the pattern it was found on.
+completing one of v's 2^v out-arc patterns in one bitset pass.  It also
+rejects the patterns that fail the lex-leader predicate of the adjacent
+transposition (v-1 v), which compares the tournament with its relabelling in
+the walk's own order and needs only the patterns of v-1 and v: two intervals
+of v's patterns.  Then it walks the rest in increasing order.  So the walk
+skips most relabelled copies of each branch and still finds the tournament
+it would find without the predicates (the proof is in
+`_ttfree_tournament_exists`).  A rejected pattern counts as a prune when the
+walk passes it, lazily, so the counts are those of a pattern-by-pattern
+loop: a found tournament stops the count at the pattern it was found on.
 """
 
 from __future__ import annotations
@@ -459,6 +465,21 @@ def _arcs_from_masks(arcs_out: list[int], n: int):
             yield (u, v)
 
 
+def _lex_leader_cut(prev: int, v: int) -> int:
+    """The out-arc patterns p_v of vertex v >= 1 that the lex-leader
+    predicate of sigma = (v-1 v) cuts, given p_{v-1}, as one int with bit p
+    set for each.
+
+    sigma fixes p_u for u < v-1, makes the low v-1 bits of p_v the new
+    p_{v-1}, and makes p_{v-1} the low bits of the new p_v with bit v-1 (the
+    arc between v-1 and v) flipped.  So T < sigma(T) iff the low bits b of p_v
+    exceed p_{v-1}, or equal it with bit v-1 of p_v clear; T and sigma(T)
+    never tie.  The cut patterns are b < p_{v-1} with bit v-1 clear and
+    b <= p_{v-1} with it set: two intervals.
+    """
+    return (1 << prev) - 1 | ((2 << prev) - 1) << (1 << v - 1)
+
+
 def _ttfree_tournament_exists(chi: int, order: int, stats: dict) -> Tournament | None:
     """DFS over labelled tournaments grown one vertex at a time, pruning as
     soon as a transitive chi-subtournament appears.
@@ -470,6 +491,24 @@ def _ttfree_tournament_exists(chi: int, order: int, stats: dict) -> Tournament |
     walk passes it: the ones below a pattern are counted before recursing on
     it, and the rest when the node returns False, so a found tournament
     stops the count where a pattern-by-pattern loop would.
+
+    So the walk meets tournaments in increasing order of their pattern
+    sequences p_1, p_2, ..., each compared as an integer (bit u of p_v set =
+    arc v -> u).  A node also rejects the patterns cut by the lex-leader
+    predicate of the adjacent transposition sigma_{v-1} = (v-1 v)
+    (`_lex_leader_cut`; Crawford, Ginsberg, Luks & Roy, KR 1996): a
+    tournament T is kept only if T < sigma_i(T) for every i.  sigma_i leaves
+    p_u unchanged for u < i and changes p_{i+1}, so the comparison is
+    settled at node i+1 and needs only p_i and p_{i+1}.  These cuts count as
+    prunes like the others.
+
+    The predicates change neither the answer nor the tournament found.
+    Without them the first TT_chi-free tournament met is the least one, T*.
+    Each sigma_i(T*) is TT_chi-free too, since relabelling maps transitive
+    subtournaments to transitive subtournaments, so T* < sigma_i(T*) for
+    every i: T* and every prefix of it pass every predicate, and the DFS
+    still reaches T* first.  A refutation stays sound, since the least
+    member of every isomorphism class passes every predicate.
     """
     arcs_out = [0] * order
 
@@ -478,6 +517,8 @@ def _ttfree_tournament_exists(chi: int, order: int, stats: dict) -> Tournament |
         if v == order:
             return True
         bad = _completing_patterns(arcs_out, v, chi)
+        if v:
+            bad |= _lex_leader_cut(arcs_out[v - 1], v)  # arcs_out[v-1] is p_{v-1} here
         rest = ((1 << (1 << v)) - 1) & ~bad
         counted = 0
         while rest:

@@ -1,5 +1,5 @@
 import hashlib
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 from random import Random
 
@@ -27,6 +27,8 @@ from hyperramsey.exact import (
     _PatternWatcher,
     GoodnessReport,
     _completing_patterns,
+    _lex_leader_cut,
+    _ttfree_tournament_exists,
     consecutive_gap_check,
     directed_ramsey_exact,
     free_coloring_exists,
@@ -47,6 +49,12 @@ def dfs_key(bits: int, nbits: int) -> int:
     """A red bitmap read in the colouring DFS's order: rank 0 most
     significant, red above blue."""
     return int(format(bits, f"0{nbits}b")[::-1], 2)
+
+
+def out_patterns(t: Tournament) -> tuple[int, ...]:
+    """p_0, p_1, ... with bit u of p_v set iff the arc v -> u (u < v): the
+    tournament DFS meets tournaments in increasing order of this tuple."""
+    return tuple(sum(1 << u for u in range(v) if t.has_arc(v, u)) for v in range(t.n))
 
 
 def test_asymmetric_target_has_trivial_automorphism_group():
@@ -409,6 +417,40 @@ class TestDirectedRamsey:
             if not find_transitive_subtournament(t, 3).found:
                 free += 1
         assert free == 2
+
+    @staticmethod
+    def assert_cut_matches_relabel(t: Tournament):
+        # the predicate of each sigma_i = (i i+1), read at node i+1, against a
+        # full comparison of t with t.relabel(sigma_i) in the walk's order
+        p = out_patterns(t)
+        for i in range(t.n - 1):
+            cut = _lex_leader_cut(p[i], i + 1)
+            assert cut >> (2 << i) == 0
+            swap = list(range(t.n))
+            swap[i], swap[i + 1] = i + 1, i
+            assert (not cut >> p[i + 1] & 1) == (p < out_patterns(t.relabel(swap))), (t, i)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_lex_leader_cut_on_every_small_tournament(self, n):
+        for bits in range(1 << comb(n, 2)):
+            self.assert_cut_matches_relabel(Tournament(n, bits))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_lex_leader_cut_on_random_tournaments(self, n):
+        rng = Random(n)
+        for _ in range(100):
+            self.assert_cut_matches_relabel(Tournament.random(n, rng))
+
+    @pytest.mark.parametrize("chi,order", [(3, 3), (4, 4), (4, 5), (4, 6)])
+    def test_witness_is_the_least_free_tournament(self, chi, order):
+        # every tournament in the walk's order, unpruned, up to the first
+        # TT_chi-free one: the least
+        for p in product(*(range(1 << v) for v in range(order))):
+            least = Tournament.from_arcs(order, [(v, u) if p[v] >> u & 1 else (u, v)
+                                                 for v in range(order) for u in range(v)])
+            if not naive_has_tt(least, chi):
+                break
+        assert _ttfree_tournament_exists(chi, order, {"nodes": 0, "prunes": 0}) == least
 
     @pytest.mark.parametrize("chi,cap,value,exact,bits,nodes,prunes", [
         (2, 9, 2, True, 0, 2, 2),
