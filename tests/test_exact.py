@@ -454,13 +454,13 @@ class TestDirectedRamsey:
 
     @pytest.mark.parametrize("chi,cap,value,exact,bits,nodes,prunes", [
         (2, 9, 2, True, 0, 2, 2),
-        (3, 9, 4, True, 5, 10, 23),
-        (4, 9, 8, True, 1731447, 742, 51999),
+        (3, 9, 4, True, 5, 8, 13),
+        (4, 9, 8, True, 1731447, 79, 2234),
         (5, 9, None, False, 63600195519, 40, 62),
     ])
     def test_dfs_counts_pinned(self, chi, cap, value, exact, bits, nodes, prunes):
         # recorded from the pattern-by-pattern search: a rejected pattern is a
-        # prune only once the walk passes it
+        # prune only once the walk passes it, lex-leader cuts included
         r = directed_ramsey_exact(chi, cap)
         assert (r.value, r.exact, r.witness.bits) == (value, exact, bits)
         assert (r.stats["nodes"], r.stats["prunes"]) == (nodes, prunes)
