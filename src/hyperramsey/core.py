@@ -9,7 +9,6 @@ O(k) arithmetic and a whole colouring is a single Python int.
 from __future__ import annotations
 
 import base64
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -19,13 +18,14 @@ from typing import Iterable, Iterator, Sequence
 
 
 class GuardExceeded(RuntimeError):
-    """An exact search was asked to run beyond its configured size guard."""
+    """An exact search passed its size guard or node budget (a budget stop carries its `stats`)."""
+
+    def __init__(self, message: str, stats: dict | None = None):
+        super().__init__(message)
+        self.stats = stats
 
 
-def env_guard(name: str, default: int) -> int:
-    """Guard sizes default from the environment (HYPERRAMSEY_*_GUARD)."""
-    value = os.environ.get(name)
-    return int(value) if value else default
+PROFILE_GUARD = 16  # most vertices `ramsey_profile` searches
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +440,17 @@ def _proper_colourings(hg: Hypergraph, colours: int) -> Iterator[tuple[int, ...]
     yield from rec(0, 0)
 
 
-def ramsey_profile(hg: Hypergraph, max_vertices: int | None = None) -> RamseyProfile:
+def ramsey_profile(hg: Hypergraph) -> RamseyProfile:
     """Exact chi and sigma of a hypergraph by exhaustive proper-colouring search.
 
     A colouring is proper when no edge is monochromatic; sigma is the smallest
-    colour class over all proper colourings with exactly chi colours.  The
-    default size guard can be overridden via HYPERRAMSEY_PROFILE_GUARD.
+    colour class over all proper colourings with exactly chi colours.  Past
+    PROFILE_GUARD vertices it raises GuardExceeded.
     """
-    if max_vertices is None:
-        max_vertices = env_guard("HYPERRAMSEY_PROFILE_GUARD", 16)
     if hg.n == 0:
         raise ValueError("empty hypergraph has no chromatic data")
-    if hg.n > max_vertices:
-        raise GuardExceeded(f"{hg.n} vertices exceeds exact-search guard {max_vertices}")
+    if hg.n > PROFILE_GUARD:
+        raise GuardExceeded(f"{hg.n} vertices exceeds exact-search guard {PROFILE_GUARD}")
     chi = None
     for c in range(1, hg.n + 1):
         if next(_proper_colourings(hg, c), None) is not None:

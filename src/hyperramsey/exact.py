@@ -40,6 +40,10 @@ it would find without the predicates (the proof is in
 `_ttfree_tournament_exists`).  A rejected pattern counts as a prune when the
 walk passes it, lazily, so the counts are those of a pattern-by-pattern
 loop: a found tournament stops the count at the pattern it was found on.
+
+Both climb the orders in one loop, `_least_order`.  Each order's DFS stops
+after `search.DEFAULT_NODE_BUDGET` nodes, and the loop then ends as it does
+past n_cap: inexact, one above the largest order with a witness.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from .core import (
     ramsey_profile,
     rank_image,
 )
+from . import search
 from .constructions import tau_lower_construction
 from .search import (
     EmbeddingPlan,
@@ -71,9 +76,6 @@ from .search import (
     link_index,
     pattern_hypergraph,
 )
-
-MAX_ENUM_BITS = 36           # hard ceiling for the pruned search
-
 
 # ---------------------------------------------------------------------------
 # incremental copy detection for the colouring DFS
@@ -204,13 +206,12 @@ def free_coloring_exists(
     c* >= sigma_i(c*) for every i: c* and every prefix of it pass every
     predicate, and the DFS still reaches c* first.  So the search finds c*
     exactly when a free colouring exists, and a refutation stays sound.
+    Past `search.DEFAULT_NODE_BUDGET` nodes it raises GuardExceeded(stats).
     """
     red = pattern_hypergraph(red_pattern)
     blue = pattern_hypergraph(blue_target) if isinstance(blue_target, str) else blue_target
     k = red.k
     nbits = comb(n, k)
-    if nbits > MAX_ENUM_BITS:
-        raise GuardExceeded(f"C({n},{k}) = {nbits} edges exceeds enumeration ceiling {MAX_ENUM_BITS}")
     if blue.k != k:
         raise ValueError("uniformity mismatch")
     stats = {"nodes": 0, "prunes": 0}
@@ -226,12 +227,15 @@ def free_coloring_exists(
     faces = [[(emask ^ 1 << v, 1 << v) for v in e] for emask, e in zip(mask_ranks(k, n), subsets)]
     red_link = dict.fromkeys(mask_ranks(k - 1, n), 0)
     blue_link = dict(red_link)
+    budget = search.DEFAULT_NODE_BUDGET
 
     def dfs(r: int, bits: int, undecided: int):
         # bits: the red edges among ranks < r; every other rank < r is blue,
         # red_link, blue_link index those two classes, and undecided holds
         # the predicates that have not yet shown c > sigma_i(c)
         stats["nodes"] += 1
+        if stats["nodes"] > budget:
+            raise GuardExceeded(f"free-colouring search on {n} vertices passed {budget} nodes", stats)
         if r == nbits:
             return bits
         e, edge_faces = subsets[r], faces[r]
@@ -272,14 +276,37 @@ class RamseyResult:
     stats: dict = field(default_factory=dict)
 
 
+def _least_order(first: int, n_cap: int, witness, witness_at) -> tuple:
+    """(value, lower bound, exact, witness, stats) of the least order in
+    first..n_cap at which `witness_at(n)` -> (witness or None, stats) finds
+    no witness; `witness` is on first - 1 vertices.  A spent node budget
+    ends the loop as n_cap does, but with a bound at most n_cap, not
+    n_cap + 1; stats["levels"] holds every order tried."""
+    stats = {"nodes": 0, "prunes": 0, "levels": {}}
+    for n in range(first, n_cap + 1):
+        try:
+            found, level = witness_at(n)
+        except GuardExceeded as exc:  # budget spent: n stays undecided, the loop ends
+            found, level = witness, exc.stats
+        stats["nodes"] += level["nodes"]
+        stats["prunes"] += level["prunes"]
+        stats["levels"][n] = level
+        if found is witness:
+            break
+        if found is None:
+            return n, n, True, witness, stats
+        witness = found
+    return None, witness.n + 1, False, witness, stats
+
+
 def ramsey_exact(
     red_pattern: str,
     blue_target: Hypergraph | str,
     n_cap: int,
 ) -> RamseyResult:
     """Least n such that no free colouring of the complete k-graph exists,
-    searched upward; a lower-bound-only result past n_cap, one above the
-    order of its free witness.
+    searched upward; past n_cap or a spent node budget, a lower-bound-only
+    result, one above the order of its free witness.
 
     The search starts at n = k, or at the order of an edgeless side if that
     is smaller: every colouring on that many vertices contains it, and the
@@ -290,18 +317,8 @@ def ramsey_exact(
         raise ValueError("a pattern needs at least one vertex")
     k = red.k
     first = min([k] + [t.n for t in (red, blue) if not t.edges])
-    witness = TwoColoring(k, first - 1, 0)
-    total_stats = {"nodes": 0, "prunes": 0, "levels": {}}
-    for n in range(first, n_cap + 1):
-        exists, wit, stats = free_coloring_exists(red_pattern, blue, n)
-        total_stats["nodes"] += stats["nodes"]
-        total_stats["prunes"] += stats["prunes"]
-        total_stats["levels"][n] = dict(stats)
-        if exists:
-            witness = wit
-            continue
-        return RamseyResult(n, n, True, witness, total_stats)
-    return RamseyResult(None, witness.n + 1, False, witness, total_stats)
+    return RamseyResult(*_least_order(first, n_cap, TwoColoring(k, first - 1, 0),
+                                      lambda n: free_coloring_exists(red_pattern, blue, n)[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +382,8 @@ def tau_exact(k: int, alpha: int, n_cap: int | None = None) -> TauResult:
     """Largest n admitting a k-graph with independence < alpha and no two-edge
     loose path, searched downward from the proven ceiling 2*alpha - 2.  Each
     order is searched exhaustively; only an `n_cap` below the ceiling leaves
-    the result inexact, with the largest order found as its lower bound."""
+    the result inexact, with the largest order found as its lower bound (the
+    construction's order, unsearched, when n_cap is below it)."""
     if k < 2 or alpha < 1:
         raise ValueError("need k >= 2, alpha >= 1")
     stats = {"nodes": 0, "prunes": 0}
@@ -373,13 +391,15 @@ def tau_exact(k: int, alpha: int, n_cap: int | None = None) -> TauResult:
         # independence number below 1 forces the empty vertex set
         return TauResult(k, alpha, 0, 0, 0, True, Hypergraph(k, 0, ()),
                          flags=("alpha-1-degenerate",), stats=stats)
+    construction = tau_lower_construction(k, alpha)
     if alpha < k:
-        wit = tau_lower_construction(k, alpha)
-        return TauResult(k, alpha, alpha - 1, alpha - 1, alpha - 1, True, wit,
+        return TauResult(k, alpha, alpha - 1, alpha - 1, alpha - 1, True, construction,
                          flags=("trivial-regime",), stats=stats)
-    lower = tau_lower_construction(k, alpha).n
+    lower = construction.n
     upper = 2 * alpha - 2
     start = upper if n_cap is None else min(upper, n_cap)
+    if start < lower:
+        return TauResult(k, alpha, None, lower, upper, False, construction, stats=stats)
     for n in range(start, lower - 1, -1):
         wit = _tau_witness_exists(k, alpha, n, stats)
         if wit is not None:
@@ -455,16 +475,6 @@ def _completing_patterns(arcs_out: list[int], v: int, chi: int) -> int:
     return bad
 
 
-def _arcs_from_masks(arcs_out: list[int], n: int):
-    for u in range(n):
-        m = arcs_out[u]
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            yield (u, v)
-
-
 def _lex_leader_cut(prev: int, v: int) -> int:
     """The out-arc patterns p_v of vertex v >= 1 that the lex-leader
     predicate of sigma = (v-1 v) cuts, given p_{v-1}, as one int with bit p
@@ -480,9 +490,10 @@ def _lex_leader_cut(prev: int, v: int) -> int:
     return (1 << prev) - 1 | ((2 << prev) - 1) << (1 << v - 1)
 
 
-def _ttfree_tournament_exists(chi: int, order: int, stats: dict) -> Tournament | None:
+def _ttfree_tournament_exists(chi: int, order: int) -> tuple[Tournament | None, dict]:
     """DFS over labelled tournaments grown one vertex at a time, pruning as
-    soon as a transitive chi-subtournament appears.
+    soon as a transitive chi-subtournament appears; returns (the tournament
+    found or None, stats).
 
     The tournament on 0..v-1 is fixed at a node and TT_chi-free, so a TT_chi
     can appear only through v.  The node rejects every completing out-arc
@@ -508,12 +519,17 @@ def _ttfree_tournament_exists(chi: int, order: int, stats: dict) -> Tournament |
     subtournaments to transitive subtournaments, so T* < sigma_i(T*) for
     every i: T* and every prefix of it pass every predicate, and the DFS
     still reaches T* first.  A refutation stays sound, since the least
-    member of every isomorphism class passes every predicate.
+    member of every isomorphism class passes every predicate.  Past
+    `search.DEFAULT_NODE_BUDGET` nodes it raises GuardExceeded(stats).
     """
     arcs_out = [0] * order
+    stats = {"nodes": 0, "prunes": 0}
+    budget = search.DEFAULT_NODE_BUDGET
 
     def rec(v: int) -> bool:
         stats["nodes"] += 1
+        if stats["nodes"] > budget:
+            raise GuardExceeded(f"TT_{chi}-free search on {order} vertices passed {budget} nodes", stats)
         if v == order:
             return True
         bad = _completing_patterns(arcs_out, v, chi)
@@ -542,30 +558,21 @@ def _ttfree_tournament_exists(chi: int, order: int, stats: dict) -> Tournament |
         return False
 
     if rec(0):
-        return Tournament.from_arcs(order, _arcs_from_masks(arcs_out, order))
-    return None
+        arcs = [(u, v) for u in range(order) for v in range(order) if arcs_out[u] >> v & 1]
+        return Tournament.from_arcs(order, arcs), stats
+    return None, stats
 
 
 def directed_ramsey_exact(chi: int, n_cap: int = 9) -> DirectedRamseyResult:
     """Least N such that every tournament on N vertices contains the
-    transitive tournament on chi vertices."""
+    transitive tournament on chi vertices; bounded as `ramsey_exact` is."""
     if chi < 1:
         raise ValueError("chi must be positive")
-    stats = {"nodes": 0, "prunes": 0, "levels": {}}
     if chi == 1:
-        return DirectedRamseyResult(1, 1, 1, True, Tournament(0, 0), stats)
+        return DirectedRamseyResult(1, 1, 1, True, Tournament(0, 0), {"nodes": 0, "prunes": 0, "levels": {}})
     # any tournament on chi-1 vertices is TT_chi-free
-    witness = Tournament.transitive(chi - 1)
-    for order in range(chi, n_cap + 1):
-        level = {"nodes": 0, "prunes": 0}
-        t = _ttfree_tournament_exists(chi, order, level)
-        stats["nodes"] += level["nodes"]
-        stats["prunes"] += level["prunes"]
-        stats["levels"][order] = level
-        if t is None:
-            return DirectedRamseyResult(chi, order, order, True, witness, stats)
-        witness = t
-    return DirectedRamseyResult(chi, None, witness.n + 1, False, witness, stats)
+    return DirectedRamseyResult(chi, *_least_order(chi, n_cap, Tournament.transitive(chi - 1),
+                                                   lambda order: _ttfree_tournament_exists(chi, order)))
 
 
 @dataclass

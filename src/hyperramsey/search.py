@@ -2,10 +2,11 @@
 
 Every search either returns a witness (a path, an embedding, an independent
 set, ...) that re-validates against the input in a single pass, or attests
-absence after exhausting its search space.  One guard is soft: past its
-vertex guard `longest_mono_ell_path` runs under a node budget and flags its
-certificate inexact instead of silently approximating.  The others are hard:
-`independence_number` (like `core.ramsey_profile`) raises `GuardExceeded`.
+absence after exhausting its search space.  Past its vertex guard
+`longest_mono_ell_path` runs under DEFAULT_NODE_BUDGET, the budget of the
+DFSs in `exact`, and flags a spent budget inexact instead of silently
+approximating.  `independence_number` (like `core.ramsey_profile`) raises
+`GuardExceeded` past its guard.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from .core import (
     colex_subsets,
     ell_cycle,
     ell_path,
-    env_guard,
     hypergraph_to_json,
     mask_ranks,
 )
 
-DEFAULT_NODE_BUDGET = 500_000
+DEFAULT_NODE_BUDGET = 500_000  # nodes per search (per order in `exact`)
+PATH_GUARD = 16                # most vertices an ell-path search (ell >= 2) runs unbudgeted
+LOOSE_PATH_GUARD = 20          # the same for loose paths (ell = 1)
+INDEPENDENCE_GUARD = 20        # most vertices `independence_number` searches
 
 
 @dataclass
@@ -123,12 +126,6 @@ def validate_embedding(col: TwoColoring, target: Hypergraph, mapping, colour: st
 # longest monochromatic ell-path
 
 
-def _default_path_guard(ell: int) -> int:
-    if ell == 1:
-        return env_guard("HYPERRAMSEY_LOOSE_PATH_GUARD", 20)
-    return env_guard("HYPERRAMSEY_PATH_GUARD", 16)
-
-
 def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int, Certificate]:
     """Exact maximum vertex count of a monochromatic ell-path, with a witness.
 
@@ -151,10 +148,8 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     if not 1 <= ell <= k - 1:
         raise ValueError("ell out of range")
     cls = col.class_bits(colour)
-    # past the guard the search runs under a node budget and is flagged
-    # inexact; an empty class is exact at any size: the path has no edge
-    exact = not cls or col.n <= _default_path_guard(ell)
-    node_budget = None if exact else DEFAULT_NODE_BUDGET
+    # past the guard the search is budgeted, and inexact if it spends it
+    node_budget = None if col.n <= (LOOSE_PATH_GUARD if ell == 1 else PATH_GUARD) else DEFAULT_NODE_BUDGET
 
     stats = {"nodes": 0, "prunes": 0}
     budget_hit = False
@@ -222,7 +217,7 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
             "vertices": vertices,
             "ell": ell,
             "k": k,
-            "exact": exact and not budget_hit,
+            "exact": not budget_hit,
         },
     )
     return vertices, cert
@@ -557,9 +552,8 @@ def independence_number(hg: Hypergraph) -> tuple[int, Certificate]:
     for s = 1, 2, ... until there is none; the last one found is the
     witness.  The certificate's stats count those searches.
     """
-    guard = env_guard("HYPERRAMSEY_INDEPENDENCE_GUARD", 20)
-    if hg.n > guard:
-        raise GuardExceeded(f"{hg.n} vertices exceeds independence guard {guard}")
+    if hg.n > INDEPENDENCE_GUARD:
+        raise GuardExceeded(f"{hg.n} vertices exceeds independence guard {INDEPENDENCE_GUARD}")
     col = TwoColoring.from_red_edges(hg.k, hg.n, hg.edges)
     best: tuple[int, ...] = ()
     while (got := find_mono_clique(col, len(best) + 1, BLUE)) is not None:

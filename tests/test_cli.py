@@ -157,6 +157,14 @@ class TestTauAndDramsey:
         payload = json.loads(out.read_text())
         assert payload["value"] == 5 and payload["witness"]["n"] == 5
 
+    def test_tau_cap_below_the_construction(self, tmp_path):
+        # nothing is searched: the 5-vertex construction is the witness
+        out = tmp_path / "t.json"
+        assert main(["tau", "--k", "3", "--alpha", "4", "--cap", "2", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["value"], payload["exact"], payload["lower"], payload["upper"]) == (None, False, 5, 6)
+        assert payload["witness"]["n"] == 5
+
     def test_dramsey(self, tmp_path):
         out = tmp_path / "d.json"
         assert main(["dramsey", "--chi", "3", "--out", str(out)]) == 0
@@ -303,23 +311,35 @@ class TestTableDeterminism:
 
 
     def test_guarded_freeness_rows_are_inexact(self, monkeypatch):
-        # past the path guard two freeness searches are budgeted: their rows
-        # must say so rather than print a plain pass
+        # past the path guard two freeness searches are budgeted, and they
+        # spend the budget: their rows must say so rather than print a pass
         from hyperramsey.table import freeness_rows, render_text
-        monkeypatch.setenv("HYPERRAMSEY_PATH_GUARD", "4")
+        monkeypatch.setattr("hyperramsey.search.PATH_GUARD", 4)
+        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 100)
         rows = freeness_rows()
         assert [r["exact"] for r in rows] == [False, False, True, True]
         status = [line.split()[-1] for line in render_text(rows).splitlines()[2:]]
         assert status == ["INEXACT", "INEXACT", "pass", "pass"]
 
 
-class TestGuardExit:
-    def test_enumeration_ceiling_exit_2(self, capsys):
-        # the pair resolves past the enumeration ceiling: n = 8 needs
-        # C(8,3) = 56 > 36 colouring bits
+class TestSearchStops:
+    def test_cap_stop_past_the_old_ceiling(self, capsys):
+        # n = 8..10 need 56..120 colouring bits, past the old 36-bit
+        # ceiling; every order up to the cap is free, so the cap stops the
+        # search with the bound n_cap + 1
         rc = main(["ramsey", "--red", "path:3:2:8", "--blue", "clique:3:4", "--cap", "10"])
-        assert rc == 2
-        capsys.readouterr()
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert (payload["value"], payload["exact"], payload["lower_bound"]) == (None, False, 11)
+        assert payload["lower_witness"]["n"] == 10
+
+    def test_budget_stop_exits_0(self, capsys, monkeypatch):
+        # a spent node budget stops the search below the cap, not with exit 2
+        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 40)
+        assert main(["dramsey", "--chi", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["value"], payload["exact"], payload["lower_bound"]) == (None, False, 8)
+        assert payload["witness"]["n"] == 7
 
 
 class TestConstructAllNames:

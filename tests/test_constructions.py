@@ -47,7 +47,7 @@ def qualifies_for_ell_path_lb(hg: Hypergraph, ell: int) -> bool:
     """Check the target-side hypothesis of the ell-path lower bound: every
     proper chi-colouring and every colour class i admit an edge meeting class i
     and every other class in at most ell-1 vertices."""
-    profile = ramsey_profile(hg, max_vertices=12)
+    profile = ramsey_profile(hg)
     chi = profile.chi
     for assignment in _proper_colourings(hg, chi):
         for i in range(chi):

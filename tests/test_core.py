@@ -397,10 +397,10 @@ class TestTournamentHypergraphChromatic:
         hg, _ = tournament_hypergraph(Tournament.transitive(chi), m)
         assert ramsey_profile(hg).chi == min(chi, m)
 
-    def test_profile_guard_from_environment(self, monkeypatch):
+    def test_profile_guard(self, monkeypatch):
         hg, _ = tournament_hypergraph(Tournament.transitive(2), 3)
-        monkeypatch.setenv("HYPERRAMSEY_PROFILE_GUARD", "4")
+        monkeypatch.setattr("hyperramsey.core.PROFILE_GUARD", 4)
         with pytest.raises(GuardExceeded):
             ramsey_profile(hg)
-        monkeypatch.setenv("HYPERRAMSEY_PROFILE_GUARD", "16")
+        monkeypatch.undo()
         assert ramsey_profile(hg).chi == 2

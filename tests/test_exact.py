@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from hyperramsey.core import (
+    GuardExceeded,
     Hypergraph,
     Tournament,
     TwoColoring,
@@ -314,6 +315,40 @@ class TestRamseyExact:
             full = (1 << comb(n, 3)) - 1
             assert sorted(full ^ bits for bits in b) == sorted(a)
 
+    # past the old 36-bit enumeration ceiling, which stopped k = 3 at n = 7:
+    # a tight path that is not K_4^(3)-good (Burr bound 7) and one that is
+    # Fano-good (Burr bound 9).  The lower witnesses re-validate through
+    # verify_free; a second method for the refutations at n = 10 and n = 9
+    # waits for an ILP oracle (ROADMAP item 1), which is not in the repo.
+    @pytest.mark.parametrize("red,blue,cap,value,nodes,prunes,verdict", [
+        ("path:3:2:6", "clique:3:4", 10, 10, 6811, 6709, "not-good"),
+        ("path:3:2:5", "fano", 9, 9, 3551, 3512, "good"),
+    ])
+    def test_values_past_the_old_ceiling(self, red, blue, cap, value, nodes, prunes, verdict):
+        r = ramsey_exact(red, blue, cap)
+        assert (r.value, r.exact, r.lower_bound) == (value, True, value)
+        assert (r.stats["nodes"], r.stats["prunes"]) == (nodes, prunes)
+        assert r.lower_witness.n == value - 1
+        cert = verify_free(r.lower_witness, red, blue)
+        assert (cert.kind, cert.detail["exact"]) == ("free", True)
+        assert goodness_gap(red, pattern_hypergraph(blue), r).verdict == verdict
+
+    def test_spent_budget_gives_the_lower_bound(self, monkeypatch):
+        # orders 3..8 take at most 57 nodes each and order 9 takes 909: a
+        # budget of 500 stops the search at 9, which stays undecided
+        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 500)
+        r = ramsey_exact("path:3:2:6", "clique:3:4", 10)
+        assert (r.value, r.exact, r.lower_bound, r.lower_witness.n) == (None, False, 9, 8)
+        levels = r.stats["levels"]
+        assert sorted(levels) == list(range(3, 10))
+        assert levels[9] == {"nodes": 501, "prunes": 481}
+        for key in ("nodes", "prunes"):
+            assert sum(level[key] for level in levels.values()) == r.stats[key]
+        assert verify_free(r.lower_witness, "path:3:2:6", "clique:3:4").kind == "free"
+        with pytest.raises(GuardExceeded) as stop:
+            free_coloring_exists("path:3:2:6", "clique:3:4", 9)
+        assert stop.value.stats == levels[9]
+
     def test_cap_gives_lower_bound(self):
         r = ramsey_exact("path:3:1:5", "clique:3:4", 4)
         assert not r.exact and r.lower_bound == 5 and r.value is None
@@ -450,7 +485,7 @@ class TestDirectedRamsey:
                                                  for v in range(order) for u in range(v)])
             if not naive_has_tt(least, chi):
                 break
-        assert _ttfree_tournament_exists(chi, order, {"nodes": 0, "prunes": 0}) == least
+        assert _ttfree_tournament_exists(chi, order)[0] == least
 
     @pytest.mark.parametrize("chi,cap,value,exact,bits,nodes,prunes", [
         (2, 9, 2, True, 0, 2, 2),
@@ -481,6 +516,19 @@ class TestDirectedRamsey:
         # tournament on chi-1 vertices proves, not n_cap + 1
         r = directed_ramsey_exact(5, 3)
         assert (r.value, r.exact, r.lower_bound, r.witness.n) == (None, False, 5, 4)
+
+    def test_spent_budget_gives_the_lower_bound(self, monkeypatch):
+        # orders 4..7 take at most 8 nodes each and order 8 takes 53: a
+        # budget of 40 stops the search at 8, which stays undecided
+        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 40)
+        r = directed_ramsey_exact(4)
+        assert (r.value, r.exact, r.lower_bound, r.witness.n) == (None, False, 8, 7)
+        levels = r.stats["levels"]
+        assert sorted(levels) == list(range(4, 9))
+        assert levels[8] == {"nodes": 41, "prunes": 1663}
+        for key in ("nodes", "prunes"):
+            assert sum(level[key] for level in levels.values()) == r.stats[key]
+        assert not find_transitive_subtournament(r.witness, 4).found
 
     @pytest.mark.parametrize("chi,cap", [(2, 9), (3, 9), (4, 9), (5, 9)])
     def test_levels_sum_to_totals(self, chi, cap):

@@ -1,7 +1,7 @@
 """Whole-repository checks: no assert statement, no unused parameter, no
-function that only tests call, no private name imported across modules and
-no unread CLI option in the package, soundness checks survive `python -O`,
-and the demos run."""
+function that only tests call, no private name imported across modules, no
+environment read and no unread CLI option in the package, soundness checks
+survive `python -O`, and the demos run."""
 
 import argparse
 import ast
@@ -93,6 +93,22 @@ def test_no_unused_imports_in_the_package():
             else:
                 continue
             found.extend(f"{path.name}:{node.lineno} {name}" for name in names if name not in read)
+    assert found == []
+
+
+def test_the_package_reads_no_environment():
+    # a setting read from the environment is one no caller passes and no
+    # test of the call site sees; `os.path` and the like stay allowed
+    reads = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in reads \
+                    and isinstance(node.value, ast.Name) and node.value.id == "os":
+                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.extend(f"{path.name}:{node.lineno} from os import {alias.name}"
+                             for alias in node.names if alias.name in reads)
     assert found == []
 
 

@@ -120,16 +120,30 @@ class TestLongestPath:
         assert (blue.witness, blue.stats) == ([1, 2, 0, 5, 3, 4, 6], {"nodes": 62, "prunes": 59})
 
     def test_inexact_flag_beyond_guard(self, monkeypatch):
-        monkeypatch.setenv("HYPERRAMSEY_PATH_GUARD", "8")
+        # past the guard the search runs under the node budget, and a search
+        # that spends it is flagged inexact
+        monkeypatch.setattr("hyperramsey.search.PATH_GUARD", 8)
+        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 50)
         col = TwoColoring.random(3, 9, 0.5, seed=0)
         _, cert = longest_mono_ell_path(col, 2, RED)
-        assert cert.detail["exact"] is False  # past the guard: run under the node budget
+        assert cert.detail["exact"] is False and cert.stats["nodes"] > 50
+
+    def test_budgeted_search_that_finishes_is_exact(self):
+        # 17 vertices is past the guard, but the search ends in 21 504 nodes,
+        # well inside the budget, so its answer is exact
+        col = burr_coloring(3, 3, 2, 9).coloring
+        vertices, cert = longest_mono_ell_path(col, 2, RED)
+        assert (vertices, cert.stats["nodes"], cert.detail["exact"]) == (8, 21504, True)
+        # so the freeness certificate of the Burr colouring is exact too
+        cert = verify_free(col, "path:3:2:9", "clique:3:6")
+        assert (cert.kind, cert.detail["exact"]) == ("free", True)
 
     def test_search_outcomes_pinned(self, monkeypatch):
         # vertices, witness, counters and detail of seeded searches (k = 2, 3
         # and 4, every ell, both colours, n <= 9), of the lower-bound
-        # colourings the table searches and of one run past the guard; any
-        # change to the order in which the DFS tries extensions shows here
+        # colourings the table searches and of one run past the guard, which
+        # finishes inside the budget; any change to the order in which the
+        # DFS tries extensions shows here
         def runs():
             for k in (2, 3, 4):
                 for n in range(k, 10):
@@ -151,10 +165,14 @@ class TestLongestPath:
             for colour in (RED, BLUE):
                 vertices, cert = longest_mono_ell_path(col, ell, colour)
                 digest.update(repr((vertices, cert.witness, cert.stats, cert.detail)).encode() + b"\n")
-        monkeypatch.setenv("HYPERRAMSEY_PATH_GUARD", "8")
-        vertices, cert = longest_mono_ell_path(TwoColoring.random(3, 9, 0.7, seed=15), 2, RED)
-        assert cert.detail["exact"] is False
+        monkeypatch.setattr("hyperramsey.search.PATH_GUARD", 8)
+        col = TwoColoring.random(3, 9, 0.7, seed=15)
+        vertices, cert = longest_mono_ell_path(col, 2, RED)
+        assert (cert.stats["nodes"], cert.detail["exact"]) == (328, True)
         digest.update(repr((vertices, cert.witness, cert.stats, cert.detail)).encode())
+        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 327)
+        _, cut = longest_mono_ell_path(col, 2, RED)
+        assert (cut.stats["nodes"], cut.detail["exact"]) == (328, False)
         assert digest.hexdigest() == "b1b0f5112b5fe5e35673f849ad696ff9316313c18c37f5e202a5aa48e873baec"
 
 
@@ -410,23 +428,24 @@ class TestCertificates:
         assert again.kind == cert.kind and again.witness == cert.witness
 
 
-class TestGuardEnvironment:
-    def test_independence_guard_env(self, monkeypatch):
+class TestGuards:
+    def test_independence_guard(self, monkeypatch):
         from hyperramsey.core import GuardExceeded
         hg = complete_hypergraph(3, 8)
-        monkeypatch.setenv("HYPERRAMSEY_INDEPENDENCE_GUARD", "5")
+        monkeypatch.setattr("hyperramsey.search.INDEPENDENCE_GUARD", 5)
         with pytest.raises(GuardExceeded):
             independence_number(hg)
-        monkeypatch.delenv("HYPERRAMSEY_INDEPENDENCE_GUARD")
+        monkeypatch.undo()
         assert independence_number(hg)[0] == 2
 
-    def test_path_guard_env_switches_to_budgeted(self, monkeypatch):
-        monkeypatch.setenv("HYPERRAMSEY_PATH_GUARD", "4")
+    def test_path_guard_switches_to_budgeted(self, monkeypatch):
         col = TwoColoring.all_red(3, 6)
-        vertices, cert = longest_mono_ell_path(col, 2, RED)
-        # beyond the guard the search runs budgeted and flags itself
-        assert cert.detail["exact"] is False
-        monkeypatch.delenv("HYPERRAMSEY_PATH_GUARD")
+        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 10)
+        assert longest_mono_ell_path(col, 2, RED)[1].detail["exact"] is True  # inside the guard: no budget
+        # beyond the guard the search runs budgeted, spends it and flags itself
+        monkeypatch.setattr("hyperramsey.search.PATH_GUARD", 4)
+        _, cert = longest_mono_ell_path(col, 2, RED)
+        assert cert.detail["exact"] is False and cert.stats["nodes"] > 10
 
 
 class TestHigherUniformity:
