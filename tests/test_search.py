@@ -173,7 +173,7 @@ class TestLongestPath:
         monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 327)
         _, cut = longest_mono_ell_path(col, 2, RED)
         assert (cut.stats["nodes"], cut.detail["exact"]) == (328, False)
-        assert digest.hexdigest() == "b1b0f5112b5fe5e35673f849ad696ff9316313c18c37f5e202a5aa48e873baec"
+        assert digest.hexdigest() == "b917719a31e7a06305b11104aae5d6b0461348e4dafff62ac809751e98bab492"
 
 
 class TestFindMonoCopy:
