@@ -25,9 +25,6 @@ class GuardExceeded(RuntimeError):
         self.stats = stats
 
 
-PROFILE_GUARD = 16  # most vertices `ramsey_profile` searches
-
-
 # ---------------------------------------------------------------------------
 # colexicographic ranking of k-subsets
 
@@ -438,6 +435,9 @@ def _proper_colourings(hg: Hypergraph, colours: int) -> Iterator[tuple[int, ...]
         assignment[v] = 0
 
     yield from rec(0, 0)
+
+
+PROFILE_GUARD = 16  # most vertices `ramsey_profile` searches
 
 
 def ramsey_profile(hg: Hypergraph) -> RamseyProfile:

@@ -41,9 +41,9 @@ it would find without the predicates (the proof is in
 walk passes it, lazily, so the counts are those of a pattern-by-pattern
 loop: a found tournament stops the count at the pattern it was found on.
 
-Both climb the orders in one loop, `_least_order`.  Each order's DFS stops
-after `search.DEFAULT_NODE_BUDGET` nodes, and the loop then ends as it does
-past n_cap: inexact, one above the largest order with a witness.
+ramsey_exact and directed_ramsey_exact climb the orders in `_least_order`.
+An order's DFS stops after `search.DEFAULT_NODE_BUDGET` nodes, and the loop
+then ends as past n_cap: inexact, one above the largest order with a witness.
 """
 
 from __future__ import annotations
