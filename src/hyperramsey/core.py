@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 
 class GuardExceeded(RuntimeError):
-    """An exact search passed its size guard or node budget (a budget stop carries its `stats`)."""
+    """An exact search passed its size guard, or its node budget (raised on node budget + 1, with `stats`)."""
 
     def __init__(self, message: str, stats: dict | None = None):
         super().__init__(message)

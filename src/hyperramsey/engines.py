@@ -813,7 +813,7 @@ def _find_blue_transitive_structure(col: TwoColoring, chi: int, q: int,
         return [sorted(pool)[:q]]
     target, _ = transitive_tournament_hypergraph(chi, q)
     forbidden = frozenset(v for v in range(col.n) if v not in set(pool))
-    cert = find_mono_copy(col, target, BLUE, forbidden=forbidden, node_budget=200_000)
+    cert = find_mono_copy(col, target, BLUE, forbidden=forbidden)
     if not cert.found:
         return None
     return [[cert.witness[c * q + i] for i in range(q)] for c in range(chi)]

@@ -2,11 +2,12 @@
 
 Every search either returns a witness (a path, an embedding, an independent
 set, ...) that re-validates against the input in a single pass, or attests
-absence after exhausting its search space.  Past its vertex guard
-`longest_mono_ell_path` runs under DEFAULT_NODE_BUDGET, the budget of the
-DFSs in `exact`, and flags a spent budget inexact instead of silently
-approximating.  `independence_number` (like `core.ramsey_profile`) raises
-`GuardExceeded` past its guard.
+absence after exhausting its search space.  Every budgeted search stops as
+the DFSs in `exact` do, raising `GuardExceeded(message, stats)` on node
+DEFAULT_NODE_BUDGET + 1: `find_mono_copy` always, `longest_mono_ell_path`
+past its vertex guard.  Each catches the stop at its entry and reports
+`exact: false` instead of silently approximating.  `independence_number`
+(like `core.ramsey_profile`) raises `GuardExceeded` past its guard.
 """
 
 from __future__ import annotations
@@ -133,6 +134,7 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     vertices, so the no-edge degenerate path counts ell vertices.  DFS over
     (ordered boundary, used set) states with a transposition table and a
     remaining-vertices bound.  Roots are the class edges in increasing rank.
+    Past its vertex guard it stops on node DEFAULT_NODE_BUDGET + 1, inexact.
 
     The class edges are read once, in increasing colex rank, into a link
     table: for each ell-subset B of an edge e, links[mask(B)] gets the entry
@@ -152,7 +154,6 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     node_budget = None if col.n <= (LOOSE_PATH_GUARD if ell == 1 else PATH_GUARD) else DEFAULT_NODE_BUDGET
 
     stats = {"nodes": 0, "prunes": 0}
-    budget_hit = False
     best = {"edges": 0, "seq": []}
     memo: dict[tuple, int] = {}
     step = k - ell
@@ -168,11 +169,9 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
             links.setdefault(sum(1 << v for v in bnd), []).append((sum(1 << v for v in fresh), exts))
 
     def dfs(boundary: tuple[int, ...], bmask: int, used: int, edges_so_far: int, seq: list[int]) -> int:
-        nonlocal budget_hit
         stats["nodes"] += 1
         if node_budget is not None and stats["nodes"] > node_budget:
-            budget_hit = True
-            return 0
+            raise GuardExceeded(f"ell-path search on {col.n} vertices passed {node_budget} nodes", stats)
         if edges_so_far > best["edges"]:
             best["edges"] = edges_so_far
             best["seq"] = list(seq)
@@ -197,15 +196,18 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
                 got = 1 + dfs(kept + arr, keep_mask | arr_mask, used | fresh, edges_so_far + 1, seq)
                 del seq[len(seq) - step:]
                 best_add = max(best_add, got)
-        if not budget_hit:
-            memo[key] = best_add
+        memo[key] = best_add
         return best_add
 
-    for e in edges:
-        used = sum(1 << v for v in e)
-        for bnd in permutations(e, ell):
-            interior = sorted(v for v in e if v not in bnd)
-            dfs(bnd, sum(1 << v for v in bnd), used, 1, interior + list(bnd))
+    try:
+        for e in edges:
+            used = sum(1 << v for v in e)
+            for bnd in permutations(e, ell):
+                interior = sorted(v for v in e if v not in bnd)
+                dfs(bnd, sum(1 << v for v in bnd), used, 1, interior + list(bnd))
+        exact = True
+    except GuardExceeded:  # budget spent: the best path so far is only a lower bound
+        exact = False
 
     vertices = ell + best["edges"] * step
     cert = Certificate(
@@ -217,7 +219,7 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
             "vertices": vertices,
             "ell": ell,
             "k": k,
-            "exact": not budget_hit,
+            "exact": exact,
         },
     )
     return vertices, cert
@@ -296,11 +298,12 @@ def embed(plan: EmbeddingPlan, link: dict[int, int], allowed: list[int], image: 
     node per call and one prune per candidate that breaks a completed edge:
     the rejected ones below a candidate are counted before recursing on it,
     the rest when the step fails, so a found embedding stops the count where
-    a candidate-by-candidate loop would.
+    a candidate-by-candidate loop would.  Given a node_budget, it raises
+    `GuardExceeded(message, stats)` on node node_budget + 1.
     """
     stats["nodes"] += 1
     if node_budget is not None and stats["nodes"] > node_budget:
-        return False
+        raise GuardExceeded(f"embedding search passed {node_budget} nodes", stats)
     if i == len(plan.order):
         return True
     cand = good = allowed[i] & ~used
@@ -328,19 +331,14 @@ def embed(plan: EmbeddingPlan, link: dict[int, int], allowed: list[int], image: 
     return False
 
 
-def find_mono_copy(
-    col: TwoColoring,
-    target: Hypergraph,
-    colour: str,
-    node_budget: int | None = None,
-    forbidden: frozenset = frozenset(),
-) -> Certificate:
+def find_mono_copy(col: TwoColoring, target: Hypergraph, colour: str,
+                   forbidden: frozenset = frozenset()) -> Certificate:
     """Backtracking injective embedding of `target` into the given colour.
 
     Returns a certificate whose witness is a host-vertex list indexed by
     target vertex, or an exhaustive absence attestation (witness None).
     Vertices in `forbidden`, which must lie in 0..n-1, are excluded from the
-    image.
+    image.  On node DEFAULT_NODE_BUDGET + 1 it stops with no witness, inexact.
     """
     k = col.k
     if target.k != k:
@@ -363,13 +361,14 @@ def find_mono_copy(
     allowed = [sum(1 << hv for hv in range(col.n) if hv not in forbidden and host_deg[hv] >= tdeg[tv])
                for tv in plan.order]
     image = [-1] * target.n
-    if embed(plan, link_index(k, col.n, edges), allowed, image, 0, 0, stats, node_budget):
-        return Certificate(kind=f"{colour}_embedding", witness=image, stats=stats,
-                           detail={"exact": True, "target_edges": target.num_edges,
-                                   "target": hypergraph_to_json(target)})
-    budget_hit = node_budget is not None and stats["nodes"] > node_budget
-    return Certificate(kind=f"{colour}_embedding", witness=None, stats=stats,
-                       detail={"exact": not budget_hit})
+    try:
+        if embed(plan, link_index(k, col.n, edges), allowed, image, 0, 0, stats, DEFAULT_NODE_BUDGET):
+            return Certificate(kind=f"{colour}_embedding", witness=image, stats=stats,
+                               detail={"exact": True, "target_edges": target.num_edges,
+                                       "target": hypergraph_to_json(target)})
+    except GuardExceeded:  # budget spent: absence is not attested
+        return Certificate(kind=f"{colour}_embedding", witness=None, stats=stats, detail={"exact": False})
+    return Certificate(kind=f"{colour}_embedding", witness=None, stats=stats, detail={"exact": True})
 
 
 def find_mono_clique(

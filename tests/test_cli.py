@@ -13,7 +13,7 @@ from hyperramsey.core import (
     hypergraph_to_json,
     tournament_to_json,
 )
-from hyperramsey.constructions import loose_path_lb, tau_lower_construction
+from hyperramsey.constructions import loose_cycle_lb, loose_path_lb, tau_lower_construction
 from hyperramsey.cli import main
 
 
@@ -310,16 +310,21 @@ class TestTableDeterminism:
         assert "pass" in text and "FAIL" not in text
 
 
-    def test_guarded_freeness_rows_are_inexact(self, monkeypatch):
-        # past the path guard two freeness searches are budgeted, and they
-        # spend the budget: their rows must say so rather than print a pass
+    @pytest.mark.parametrize("budget,exact", [(100, [False, False, False, False]),
+                                              (1000, [False, False, True, True])])
+    def test_guarded_freeness_rows_are_inexact(self, monkeypatch, budget, exact):
+        # past the path guard the path searches of rows 1 and 2 (3 360 and
+        # 93 720 nodes) are budgeted, and the copy searches always are: row
+        # 3's blue search takes 377 nodes and row 4's red cycle search 860, so
+        # a budget of 100 cuts all four and one of 1000 only the path
+        # searches; a row whose search spent the budget must say so
         from hyperramsey.table import freeness_rows, render_text
         monkeypatch.setattr("hyperramsey.search.PATH_GUARD", 4)
-        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 100)
+        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", budget)
         rows = freeness_rows()
-        assert [r["exact"] for r in rows] == [False, False, True, True]
+        assert [r["exact"] for r in rows] == exact
         status = [line.split()[-1] for line in render_text(rows).splitlines()[2:]]
-        assert status == ["INEXACT", "INEXACT", "pass", "pass"]
+        assert status == ["pass" if e else "INEXACT" for e in exact]
 
 
 class TestSearchStops:
@@ -380,6 +385,23 @@ class TestConstructAllNames:
 
 
 class TestVerifyThenCheckRoundTrip:
+    def test_spent_budget_gives_a_refused_attestation(self, tmp_path, monkeypatch, capsys):
+        # the red cycle search of the pencil colouring takes 860 nodes: at a
+        # budget of 100 verify writes an inexact free certificate, and check
+        # refuses it
+        inst = loose_cycle_lb(3, 2, 6, 2, "pencil", q=2)
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(inst.coloring))
+        tpath = write_json(tmp_path, "t.json", hypergraph_to_json(inst.blue_target))
+        cert_out = tmp_path / "cert.json"
+        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 100)
+        assert main(["verify", "--coloring", cpath, "--red-pattern", "cycle:3:1:6",
+                     "--blue-target", tpath, "--out", str(cert_out)]) == 0
+        cert = json.loads(cert_out.read_text())
+        assert (cert["kind"], cert["detail"]["exact"]) == ("free", False)
+        capsys.readouterr()
+        assert main(["check", "--certificate", str(cert_out), "--coloring", cpath]) == 3
+        assert "inexact freeness attestation" in capsys.readouterr().out
+
     def test_free_certificate_accepted_as_attestation(self, tmp_path):
         col = TwoColoring.all_red(3, 4)
         cpath = write_json(tmp_path, "c.json", coloring_to_json(col))

@@ -5,6 +5,7 @@ import pytest
 
 from hyperramsey.core import (
     BLUE,
+    GuardExceeded,
     Hypergraph,
     RED,
     Tournament,
@@ -24,6 +25,7 @@ from hyperramsey.constructions import (
     non_transitive_lb,
     tau_lower_construction,
 )
+from hyperramsey.exact import _ttfree_tournament_exists, free_coloring_exists
 from hyperramsey.search import (
     Certificate,
     find_mono_clique,
@@ -126,7 +128,7 @@ class TestLongestPath:
         monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 50)
         col = TwoColoring.random(3, 9, 0.5, seed=0)
         _, cert = longest_mono_ell_path(col, 2, RED)
-        assert cert.detail["exact"] is False and cert.stats["nodes"] > 50
+        assert cert.detail["exact"] is False and cert.stats["nodes"] == 51
 
     def test_budgeted_search_that_finishes_is_exact(self):
         # 17 vertices is past the guard, but the search ends in 21 504 nodes,
@@ -445,7 +447,30 @@ class TestGuards:
         # beyond the guard the search runs budgeted, spends it and flags itself
         monkeypatch.setattr("hyperramsey.search.PATH_GUARD", 4)
         _, cert = longest_mono_ell_path(col, 2, RED)
-        assert cert.detail["exact"] is False and cert.stats["nodes"] > 10
+        assert cert.detail["exact"] is False and cert.stats["nodes"] == 11
+
+
+@pytest.mark.parametrize("search,budget", [
+    pytest.param(lambda: free_coloring_exists("path:3:2:6", "clique:3:4", 9), 500, id="free_coloring_exists"),
+    pytest.param(lambda: _ttfree_tournament_exists(4, 8), 40, id="ttfree_tournament_exists"),
+    pytest.param(lambda: longest_mono_ell_path(TwoColoring.random(3, 10, 0.5, seed=1), 2, RED)[1], 10,
+                 id="longest_mono_ell_path"),
+    pytest.param(lambda: find_mono_copy(TwoColoring.random(3, 10, 0.5, seed=1), complete_hypergraph(3, 6), RED), 10,
+                 id="find_mono_copy"),
+])
+def test_every_budgeted_search_stops_at_budget_plus_one(monkeypatch, search, budget):
+    # one stop rule: the exact DFSs raise on node budget + 1, and the
+    # longest-path and copy searches stop there too and report it inexact
+    monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", budget)
+    monkeypatch.setattr("hyperramsey.search.PATH_GUARD", 8)
+    try:
+        cert = search()
+    except GuardExceeded as stop:
+        stats = stop.stats
+    else:
+        assert cert.detail["exact"] is False
+        stats = cert.stats
+    assert stats["nodes"] == budget + 1
 
 
 class TestHigherUniformity:
