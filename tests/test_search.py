@@ -226,7 +226,7 @@ class TestFindMonoCopy:
         with pytest.raises(ValueError, match="forbidden vertices"):
             find_mono_copy(TwoColoring.all_blue(3, 8), complete_hypergraph(3, 4), BLUE, forbidden=forbidden)
 
-    def test_copy_outcomes_pinned(self):
+    def test_copy_outcomes_pinned(self, monkeypatch):
         # witness, counters and detail of seeded searches (k = 2, 3 and 4,
         # n <= 9, both colours), of one run under a node budget, one with
         # forbidden vertices and the table's blue H(C3,3) search; any change
@@ -243,7 +243,9 @@ class TestFindMonoCopy:
                     for tenths in (1, 3, 5, 7, 9):
                         col = TwoColoring.random(k, n, tenths / 10, seed=3000 * k + 10 * n + tenths)
                         yield from ((col, target, colour, {}) for target in targets for colour in (RED, BLUE))
-            yield TwoColoring.random(3, 9, 0.3, seed=0), fano(), RED, {"node_budget": 100}
+            monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 100)  # for this one search
+            yield TwoColoring.random(3, 9, 0.3, seed=0), fano(), RED, {}
+            monkeypatch.undo()
             yield TwoColoring.random(3, 8, 0.7, seed=8), complete_hypergraph(3, 4), RED, \
                 {"forbidden": frozenset({0, 3})}
             cyclic, _ = tournament_hypergraph(Tournament.cyclic_triangle(), 3)
@@ -254,7 +256,7 @@ class TestFindMonoCopy:
             cert = find_mono_copy(col, target, colour, **options)
             digest.update(repr((cert.witness, cert.stats, cert.detail)).encode() + b"\n")
         assert cert.stats == {"nodes": 19405, "prunes": 104280} and not cert.found
-        assert digest.hexdigest() == "58c406d1726aed6ce1b6f56e44ba21a3a6c4d3d18ef811edc4478d3a2c4029e3"
+        assert digest.hexdigest() == "2c3e1485577e96d33d62fbb30555faa4f7ef72c0ae254fa8c7b8e1e22bca0de1"
 
     def test_clique_finder(self):
         col = TwoColoring.all_red(3, 6)
