@@ -311,7 +311,7 @@ class TestTableDeterminism:
 
 
     @pytest.mark.parametrize("budget,exact", [(100, [False, False, False, False]),
-                                              (1000, [False, False, True, True])])
+                                              (1000, [False, False, True, True])], ids=["100", "1000"])
     def test_guarded_freeness_rows_are_inexact(self, monkeypatch, budget, exact):
         # past the path guard the path searches of rows 1 and 2 (3 360 and
         # 93 720 nodes) are budgeted, and the copy searches always are: row
