@@ -23,7 +23,9 @@ for red, blue in [("path:3:2:4", "clique:3:4"),
           f"[lower bound {report.burr}, verdict: {report.verdict}]")
 
 # tau(k, alpha): the largest order carrying a k-graph with independence below
-# alpha and no two-edge loose path.
+# alpha and no two-edge loose path.  Such a k-graph is the blue class of a
+# colouring with no red K_alpha and no blue two-edge loose path, so tau is
+# R(clique:k:alpha, path:k:1:2k-1) - 1, searched by the same colouring DFS.
 print()
 for k, alpha in [(2, 3), (2, 6), (3, 2), (3, 4)]:
     r = tau_exact(k, alpha)

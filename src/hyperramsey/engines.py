@@ -56,7 +56,7 @@ from .chains import (
     spanning_path,
     validate_chain,
 )
-from .exact import directed_ramsey_exact
+from .exact import directed_ramsey_exact, tau_exact
 from .search import (
     Certificate,
     embed,
@@ -745,8 +745,6 @@ def _loose_budget(k: int, sigma: int) -> int | None:
     no independent vertex and no two of them share exactly one vertex."""
     if k < 3:
         return None
-    from .exact import tau_exact
-
     tau = tau_exact(k - 1, sigma).value
     return max(tau - 2 * k + 3, sigma)
 

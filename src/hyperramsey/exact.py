@@ -20,11 +20,11 @@ the witness it would return without them (the proof is in
 `free_coloring_exists`).  An edgeless side of order at most n lies in every
 colouring on n vertices, so it leaves no free one.
 
-tau_exact enumerates edge families that pairwise intersect in 0 or >= 2
-vertices (the structure forced by having no two-edge loose path).  A family
-is kept as the red class of a colouring, so its independent sets are the
-blue cliques, and whether one of size alpha exists is asked of the clique
-kernel of `search`, `find_mono_clique`, at each node and for its bound.
+tau(k, alpha) is a Ramsey number less one: a k-graph with independence
+number below alpha and no two-edge loose path is the blue class of a
+colouring with no red K_alpha^(k) and no blue loose path P of two edges, so
+tau(k, alpha) = R(K_alpha^(k), P) - 1 and tau_exact asks the colouring DFS
+for it, climbing from the order of `tau_lower_construction`.
 directed_ramsey_exact grows labelled tournaments vertex by vertex.  At every
 node the tournament on 0..v-1 is TT_chi-free, so the new vertex v completes a
 TT_chi exactly when, for some transitive (chi-1)-set X, the vertices of X that
@@ -41,22 +41,22 @@ it would find without the predicates (the proof is in
 walk passes it, lazily, so the counts are those of a pattern-by-pattern
 loop: a found tournament stops the count at the pattern it was found on.
 
-ramsey_exact and directed_ramsey_exact climb the orders in `_least_order`.
-An order's DFS stops after `search.DEFAULT_NODE_BUDGET` nodes, and the loop
-then ends as past n_cap: inexact, one above the largest order with a witness.
+ramsey_exact, tau_exact and directed_ramsey_exact climb the orders in
+`_least_order`.  An order's DFS stops after `search.DEFAULT_NODE_BUDGET`
+nodes, and the loop then ends as past n_cap: inexact, one above the largest
+order with a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
 
 from .core import (
     BLUE,
     GuardExceeded,
     Hypergraph,
-    RED,
     RamseyProfile,
     Tournament,
     TwoColoring,
@@ -71,7 +71,6 @@ from .constructions import tau_lower_construction
 from .search import (
     EmbeddingPlan,
     embed,
-    find_mono_clique,
     find_transitive_subtournament,
     link_index,
     pattern_hypergraph,
@@ -338,75 +337,35 @@ class TauResult:
     stats: dict = field(default_factory=dict)
 
 
-def _tau_witness_exists(k: int, alpha: int, n: int, stats: dict) -> Hypergraph | None:
-    """Search for an n-vertex k-graph with independence number below alpha
-    and no two-edge loose path, i.e. all pairwise edge intersections in
-    {0} u [2, k].
-
-    A branch adds candidate edges in lexicographic order, each one meeting
-    every edge already chosen in 0 or >= 2 vertices.  The chosen family is a
-    red rank bitmask, so "independence number below alpha" is "no blue
-    alpha-clique", asked of `find_mono_clique`.  A node is cut when even
-    adding every edge still compatible with the branch leaves a blue
-    alpha-clique.
-    """
-    ranks = mask_ranks(k, n)
-    masks = [sum(1 << v for v in e) for e in combinations(range(n), k)]
-
-    def alpha_below(bits: int) -> bool:
-        return find_mono_clique(TwoColoring(k, n, bits), alpha, BLUE) is None
-
-    def rec(bits: int, compat: list[int]) -> int | None:
-        # compat: the masks after the last chosen edge that meet every chosen
-        # edge in 0 or >= 2 vertices
-        stats["nodes"] += 1
-        if alpha_below(bits):
-            return bits
-        full = bits
-        for m in compat:
-            full |= 1 << ranks[m]
-        if (bits or compat) and not alpha_below(full):
-            stats["prunes"] += 1
-            return None
-        for i, m in enumerate(compat):
-            got = rec(bits | 1 << ranks[m], [o for o in compat[i + 1:] if (m & o).bit_count() != 1])
-            if got is not None:
-                return got
-        return None
-
-    bits = rec(0, masks)
-    return None if bits is None else Hypergraph(k, n, tuple(TwoColoring(k, n, bits).edges_of(RED)))
-
-
 def tau_exact(k: int, alpha: int, n_cap: int | None = None) -> TauResult:
     """Largest n admitting a k-graph with independence < alpha and no two-edge
-    loose path, searched downward from the proven ceiling 2*alpha - 2.  Each
-    order is searched exhaustively; only an `n_cap` below the ceiling leaves
-    the result inexact, with the largest order found as its lower bound (the
-    construction's order, unsearched, when n_cap is below it)."""
+    loose path, searched upward from the construction to the proven ceiling
+    2*alpha - 2 (alpha - 1 when alpha < k, where no k-set fits in alpha
+    vertices), or n_cap if lower.
+
+    Such a k-graph is the blue class of a colouring with no red K_alpha and
+    no blue two-edge loose path, so tau(k, alpha) = R(K_alpha, P) - 1 and
+    each order is one `free_coloring_exists` call under the node budget.
+    The result is exact when an order is refuted or the bound meets the
+    ceiling."""
     if k < 2 or alpha < 1:
         raise ValueError("need k >= 2, alpha >= 1")
-    stats = {"nodes": 0, "prunes": 0}
-    if alpha == 1:
-        # independence number below 1 forces the empty vertex set
-        return TauResult(k, alpha, 0, 0, 0, True, Hypergraph(k, 0, ()),
-                         flags=("alpha-1-degenerate",), stats=stats)
+    flags = ("alpha-1-degenerate",) if alpha == 1 else ("trivial-regime",) if alpha < k else ()
+    upper = alpha - 1 if alpha < k else 2 * alpha - 2
+    # the clique red and P blue: the other way round, order 8 of tau(4, 5)
+    # takes 7 276 nodes, not 237
+    clique, path = f"clique:{k}:{alpha}", f"path:{k}:1:{2 * k - 1}"
+
+    def witness_at(n: int) -> tuple[Hypergraph | None, dict]:
+        _, col, stats = free_coloring_exists(clique, path, n)
+        return (None if col is None else Hypergraph(k, n, tuple(col.edges_of(BLUE)))), stats
+
     construction = tau_lower_construction(k, alpha)
-    if alpha < k:
-        return TauResult(k, alpha, alpha - 1, alpha - 1, alpha - 1, True, construction,
-                         flags=("trivial-regime",), stats=stats)
-    lower = construction.n
-    upper = 2 * alpha - 2
-    start = upper if n_cap is None else min(upper, n_cap)
-    if start < lower:
-        return TauResult(k, alpha, None, lower, upper, False, construction, stats=stats)
-    for n in range(start, lower - 1, -1):
-        wit = _tau_witness_exists(k, alpha, n, stats)
-        if wit is not None:
-            exact = start == upper
-            return TauResult(k, alpha, n if exact else None, n, upper, exact, wit, stats=stats)
-    # cannot happen: the explicit construction exists at `lower`
-    raise AssertionError("tau search failed below the constructive lower bound")
+    cap = upper if n_cap is None else min(upper, n_cap)
+    _, bound, exact, witness, stats = _least_order(construction.n + 1, cap, construction, witness_at)
+    lower = bound - 1
+    exact = exact or lower == upper
+    return TauResult(k, alpha, lower if exact else None, lower, upper, exact, witness, flags, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from hyperramsey.constructions import tau_lower_construction
 from hyperramsey.core import (
     GuardExceeded,
     Hypergraph,
@@ -393,6 +394,41 @@ class TestTauExact:
         # (4, 5) is left out: the oracle takes minutes there
         assert tau_exact(k, alpha).value == naive_tau(k, alpha)
 
+    @pytest.mark.parametrize("k, alpha", [(2, a) for a in range(1, 8)] + [(3, a) for a in range(1, 8)]
+                             + [(4, a) for a in range(1, 6)])
+    def test_witness_is_free(self, k, alpha):
+        # the cases of test_tau_outcomes_pinned, checked by the searchers of
+        # `search` rather than by a digest
+        r = tau_exact(k, alpha)
+        assert r.witness.n == r.value
+        assert independence_number(r.witness)[0] < alpha
+        assert not has_two_edge_loose_path(r.witness)[0]
+
+    @pytest.mark.parametrize("k, alpha, orders", [(3, 4, [6]), (3, 6, [10]), (4, 5, [8])])
+    def test_levels_sum_to_totals(self, k, alpha, orders):
+        # the climb starts one above the construction and stops at the
+        # first refuted order or at the ceiling 2 alpha - 2
+        r = tau_exact(k, alpha)
+        levels = r.stats["levels"]
+        assert sorted(levels) == orders
+        for key in ("nodes", "prunes"):
+            assert sum(level[key] for level in levels.values()) == r.stats[key]
+
+    def test_spent_budget_gives_the_construction(self, monkeypatch):
+        # order 10 of tau(3, 6) takes 540 nodes: a budget of 10 stops it at
+        # 11, and the bound is the construction's order, 9
+        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 10)
+        r = tau_exact(3, 6)
+        assert (r.value, r.exact, r.lower, r.upper) == (None, False, 9, 10)
+        assert r.witness == tau_lower_construction(3, 6)
+        assert r.stats["levels"][10]["nodes"] == 11
+
+    def test_cap_keeps_a_met_ceiling_exact(self):
+        # the construction already reaches 2 alpha - 2 = 8, so no order is
+        # searched and the cap changes nothing
+        r = tau_exact(2, 5, n_cap=3)
+        assert (r.value, r.exact, r.lower, r.upper) == (8, True, 8, 8)
+
     def test_tau_outcomes_pinned(self):
         # recorded before the search moved onto find_mono_clique
         digest = hashlib.sha256()
@@ -404,7 +440,6 @@ class TestTauExact:
         assert digest.hexdigest() == "e682166196d0d01ceee71b7b76ce36cf0f3da4c0fb1dfb3da4b3b471402ba26b"
 
     def test_witness_in_construction_bracket(self):
-        from hyperramsey.constructions import tau_lower_construction
         for k, alpha in [(2, 4), (3, 3), (3, 4)]:
             r = tau_exact(k, alpha)
             assert tau_lower_construction(k, alpha).n <= r.value <= 2 * alpha - 2
