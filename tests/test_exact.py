@@ -430,14 +430,14 @@ class TestTauExact:
         assert (r.value, r.exact, r.lower, r.upper) == (8, True, 8, 8)
 
     def test_tau_outcomes_pinned(self):
-        # recorded before the search moved onto find_mono_clique
+        # recorded when tau moved onto the colouring DFS
         digest = hashlib.sha256()
         for k, alphas in ((2, range(1, 8)), (3, range(1, 8)), (4, range(1, 6))):
             for alpha in alphas:
                 r = tau_exact(k, alpha)
                 digest.update(repr((r.value, r.lower, r.upper, r.exact, r.witness.edges, r.flags,
                                     r.stats)).encode() + b"\n")
-        assert digest.hexdigest() == "e682166196d0d01ceee71b7b76ce36cf0f3da4c0fb1dfb3da4b3b471402ba26b"
+        assert digest.hexdigest() == "6eda1b5a8c430d976d13f4dd797de3790ec7a89acb0a157acc8c3f110f91a6cb"
 
     def test_witness_in_construction_bracket(self):
         for k, alpha in [(2, 4), (3, 3), (3, 4)]:
