@@ -12,7 +12,8 @@ colouring.  Whether it does is asked of a _PatternWatcher, which runs the
 embedding kernel of `search` on that colour's link index from one ordered
 target edge per orbit of the target's automorphism group, mapped onto that
 edge.  Paths, cycles, cliques and every other pattern go through this one
-kernel.  Before the watchers, a branch must pass the lex-leader predicates
+kernel.  The orbit plans are found once per target, and the tables that
+depend only on (k, n) once per shape, and every order and call shares them.  Before the watchers, a branch must pass the lex-leader predicates
 of the n-1 adjacent vertex transpositions (i i+1): the DFS keeps a
 colouring only if it meets it no later than its image under each of them.
 So it explores far fewer relabelled copies of each branch, and still returns
@@ -50,6 +51,7 @@ order with a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from math import comb
 
@@ -90,8 +92,8 @@ class _PatternWatcher:
     Anchoring at every ordered target edge would repeat work: two ordered
     edges that an automorphism of the target maps onto each other complete
     the same copies.  So the watcher keeps one ordered edge per orbit of
-    Aut(target), found once by embedding the target into itself with the
-    same kernel.
+    Aut(target), found by embedding the target into itself with the same
+    kernel once per target and shared by every order and every call.
     """
 
     def __init__(self, pattern: str | Hypergraph, n: int):
@@ -106,7 +108,7 @@ class _PatternWatcher:
         return _through(self.plans, link, edge, self.allowed, self.kernel_stats)
 
 
-def _through(plans: list[EmbeddingPlan], link: dict[int, int], edge: tuple[int, ...],
+def _through(plans: tuple[EmbeddingPlan, ...], link: dict[int, int], edge: tuple[int, ...],
              allowed: list[int], stats: dict) -> bool:
     """Is there an embedding into the class of `link` that sends the first
     vertices of one of the plans onto `edge`, in order?"""
@@ -123,19 +125,24 @@ def _through(plans: list[EmbeddingPlan], link: dict[int, int], edge: tuple[int, 
     return False
 
 
-def _orbit_plans(target: Hypergraph) -> list[EmbeddingPlan]:
+@lru_cache(maxsize=128)
+def _orbit_plans(target: Hypergraph) -> tuple[EmbeddingPlan, ...]:
     """One embedding plan per orbit of Aut(target) on ordered target edges,
     each placing its representative edge first.  An ordered edge lies in the
     orbit of a representative iff the target embeds into itself sending the
-    representative onto it."""
+    representative onto it.
+
+    Built once per target and shared by every watcher, order and call.  The
+    DFS only reads the plans, and no witness or result holds one, so
+    `_least_order`'s identity test on witnesses never meets a shared object."""
     link = link_index(target.k, target.n, target.edges)
     allowed = [(1 << target.n) - 1] * target.n
     stats = {"nodes": 0, "prunes": 0}
-    plans: list[EmbeddingPlan] = []
+    plans: tuple[EmbeddingPlan, ...] = ()
     for e in target.edges:
         for ordered in permutations(e):
             if not _through(plans, link, ordered, allowed, stats):
-                plans.append(EmbeddingPlan(target, ordered))
+                plans += (EmbeddingPlan(target, ordered),)
     return plans
 
 
@@ -160,13 +167,14 @@ class _LexLeader:
 
     def __init__(self, k: int, n: int):
         # due[q]: (bit of sigma_i, p) for each sigma_i that pairs p with q
-        self.due: list[list[tuple[int, int]]] = [[] for _ in range(comb(n, k))]
+        due: list[list[tuple[int, int]]] = [[] for _ in range(comb(n, k))]
         for i in range(n - 1):
             swap = list(range(n))
             swap[i], swap[i + 1] = i + 1, i
             for p, q in enumerate(rank_image(k, n, swap)):
                 if p < q:
-                    self.due[q].append((1 << i, p))
+                    due[q].append((1 << i, p))
+        self.due = tuple(map(tuple, due))
         self.start = (1 << n - 1) - 1 if n else 0  # every sigma_i undecided
 
     def split(self, undecided: int, r: int, bits: int) -> tuple[int | None, int]:
@@ -181,6 +189,16 @@ class _LexLeader:
                 else:
                     blue_p |= bit
         return (None if blue_p else undecided), undecided & ~red_p
+
+
+@lru_cache(maxsize=128)
+def _rank_tables(k: int, n: int) -> tuple[_LexLeader, tuple[tuple[tuple[int, int], ...], ...]]:
+    """The colouring-independent tables of the DFS on the complete k-graph
+    on n vertices, built once per (k, n): the lex-leader predicates, and for
+    each rank r the (k-1)-faces of edge r, each with the vertex it lacks."""
+    faces = tuple(tuple((emask ^ 1 << v, 1 << v) for v in e)
+                  for emask, e in zip(mask_ranks(k, n), colex_subsets(k, n)))
+    return _LexLeader(k, n), faces
 
 
 def free_coloring_exists(
@@ -219,11 +237,8 @@ def free_coloring_exists(
 
     red_watch = _PatternWatcher(red, n)
     blue_watch = _PatternWatcher(blue, n)
-    lex = _LexLeader(k, n)
-
+    lex, faces = _rank_tables(k, n)
     subsets = colex_subsets(k, n)
-    # faces[r]: the (k-1)-faces of edge r, each with the vertex it lacks
-    faces = [[(emask ^ 1 << v, 1 << v) for v in e] for emask, e in zip(mask_ranks(k, n), subsets)]
     red_link = dict.fromkeys(mask_ranks(k - 1, n), 0)
     blue_link = dict(red_link)
     budget = search.DEFAULT_NODE_BUDGET

@@ -25,10 +25,14 @@ from .core import (
     Tournament,
     TwoColoring,
     colex_subsets,
+    complete_hypergraph,
     ell_cycle,
     ell_path,
+    fano,
     hypergraph_to_json,
     mask_ranks,
+    single_edge,
+    transitive_tournament_hypergraph,
 )
 
 DEFAULT_NODE_BUDGET = 500_000  # nodes per search (per order in `exact`)
@@ -460,9 +464,10 @@ def parse_pattern(spec: str) -> tuple[str, dict]:
     raise ValueError(f"cannot parse pattern {spec!r}")
 
 
+@lru_cache(maxsize=128)
 def pattern_hypergraph(spec: str) -> Hypergraph:
-    from .core import complete_hypergraph, fano, single_edge, transitive_tournament_hypergraph
-
+    """The hypergraph a pattern string names (see `parse_pattern`).  Built
+    once per spec and shared by every caller: a Hypergraph is frozen."""
     name, a = parse_pattern(spec)
     if name == "path":
         return ell_path(a["k"], a["ell"], a["n"])

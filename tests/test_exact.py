@@ -30,6 +30,8 @@ from hyperramsey.exact import (
     GoodnessReport,
     _completing_patterns,
     _lex_leader_cut,
+    _orbit_plans,
+    _rank_tables,
     _ttfree_tournament_exists,
     consecutive_gap_check,
     directed_ramsey_exact,
@@ -364,6 +366,62 @@ class TestRamseyExact:
     def test_blue_uniformity_mismatch(self, blue):
         with pytest.raises(ValueError, match="uniformity mismatch"):
             ramsey_exact("path:3:2:4", blue, 7)
+
+
+def clear_shape_caches():
+    for cached in (_orbit_plans, _rank_tables, pattern_hypergraph):
+        cached.cache_clear()
+
+
+def pinned_searches() -> list[tuple]:
+    """(red, blue, cap) of every case of the two pinned colouring-DFS tests."""
+    def cases(test) -> list[tuple]:
+        (mark,) = test.pytestmark
+        return mark.args[1]
+    outcomes = [case[:3] for case in cases(TestRamseyExact.test_outcomes_pinned)]
+    counts = [(red, blue, 7) for red, blue, *_ in cases(TestFreeColoringSearch.test_dfs_counts_pinned)]
+    return outcomes + counts
+
+
+class TestShapeCaches:
+    """The plans and tables the colouring DFS builds from the shapes alone
+    are built once per shape and shared by every order and call."""
+
+    def test_one_orbit_build_per_target(self):
+        # five orders, two watchers each: ten asks, one build per target
+        clear_shape_caches()
+        ramsey_exact("path:3:2:5", "clique:3:4", 7)
+        assert _orbit_plans.cache_info()[:2] == (8, 2)  # (hits, misses)
+        assert _rank_tables.cache_info()[:2] == (0, 5)
+        assert pattern_hypergraph.cache_info().misses == 2
+
+    @pytest.mark.parametrize("red,blue,cap", pinned_searches())
+    def test_cold_and_warm_runs_agree(self, red, blue, cap):
+        def outcome(r):
+            return r.value, r.exact, r.lower_witness.red_bits, r.stats
+
+        clear_shape_caches()
+        cold = outcome(ramsey_exact(red, blue, cap))
+        assert outcome(ramsey_exact(red, blue, cap)) == cold
+
+    def test_shared_tables_are_tuples(self):
+        # a caller cannot append to what every later call reads
+        target = pattern_hypergraph("clique:3:4")
+        plans = _orbit_plans(target)
+        assert isinstance(plans, tuple) and _orbit_plans(target) is plans
+        lex, faces = _rank_tables(3, 6)
+        assert isinstance(faces, tuple) and all(isinstance(f, tuple) for f in faces)
+        assert isinstance(lex.due, tuple) and all(isinstance(d, tuple) for d in lex.due)
+        assert pattern_hypergraph("clique:3:4") is target
+
+    def test_witnesses_are_fresh_objects(self):
+        # `_least_order` tells a found witness from the one it started with
+        # by identity, so no witness may be a shared object
+        first, again = (ramsey_exact("path:3:2:4", "clique:3:4", 7) for _ in range(2))
+        assert first.lower_witness == again.lower_witness
+        assert first.lower_witness is not again.lower_witness
+        first, again = (tau_exact(3, 4) for _ in range(2))
+        assert first.witness == again.witness and first.witness is not again.witness
 
 
 class TestTauExact:

@@ -1,7 +1,7 @@
 """Whole-repository checks: no assert statement, no unused parameter, no
 function that only tests call, no private name imported across modules, no
-environment read and no unread CLI option in the package, soundness checks
-survive `python -O`, and the demos run."""
+function-level re-import, no environment read and no unread CLI option in
+the package, soundness checks survive `python -O`, and the demos run."""
 
 import argparse
 import ast
@@ -93,6 +93,33 @@ def test_no_unused_imports_in_the_package():
             else:
                 continue
             found.extend(f"{path.name}:{node.lineno} {name}" for name in names if name not in read)
+    assert found == []
+
+
+def package_modules(node) -> set[str]:
+    """The package modules an import statement reads from, by bare name."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name for alias in node.names if alias.name.startswith("hyperramsey.")]
+        return {name.split(".")[1] for name in dotted}
+    if not isinstance(node, ast.ImportFrom) or not (node.level or (node.module or "").startswith("hyperramsey")):
+        return set()
+    module = (node.module or "").removeprefix("hyperramsey").lstrip(".")
+    # `from . import search` reads the modules it names
+    return {module.split(".")[0]} if module else {alias.name for alias in node.names}
+
+
+def test_no_function_level_reimports():
+    # an import inside a function from a package module the file already
+    # imports at its top redoes the import on every call; a lazy import of
+    # a module the file does not import at its top (cli's `.table`) stays
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = set().union(*(package_modules(node) for node in tree.body))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(f"{path.name}:{node.lineno} {module}" for node in ast.walk(fn)
+                             for module in sorted(package_modules(node) & top))
     assert found == []
 
 
