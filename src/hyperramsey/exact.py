@@ -12,14 +12,15 @@ colouring.  Whether it does is asked of a _PatternWatcher, which runs the
 embedding kernel of `search` on that colour's link index from one ordered
 target edge per orbit of the target's automorphism group, mapped onto that
 edge.  Paths, cycles, cliques and every other pattern go through this one
-kernel.  The orbit plans are found once per target, and the tables that
-depend only on (k, n) once per shape, and every order and call shares them.  Before the watchers, a branch must pass the lex-leader predicates
-of the n-1 adjacent vertex transpositions (i i+1): the DFS keeps a
-colouring only if it meets it no later than its image under each of them.
-So it explores far fewer relabelled copies of each branch, and still returns
-the witness it would return without them (the proof is in
-`free_coloring_exists`).  An edgeless side of order at most n lies in every
-colouring on n vertices, so it leaves no free one.
+kernel.  The orbit plans are found once per target, the tables that depend
+only on (k, n) once per shape, and every order and call shares them.
+Before the watchers, a branch must pass the lex-leader predicates of the
+n-1 adjacent vertex transpositions (i i+1): the DFS keeps a colouring only
+if it meets it no later than its image under each of them.  So it explores
+far fewer relabelled copies of each branch, and still returns the witness it
+would return without them (the proof is in `free_coloring_exists`).  An
+edgeless side of order at most n lies in every colouring on n vertices, so
+it leaves no free one.
 
 tau(k, alpha) is a Ramsey number less one: a k-graph with independence
 number below alpha and no two-edge loose path is the blue class of a

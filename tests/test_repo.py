@@ -116,11 +116,11 @@ def test_no_function_level_reimports():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         top = set().union(*(package_modules(node) for node in tree.body))
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.extend(f"{path.name}:{node.lineno} {module}" for node in ast.walk(fn)
-                             for module in sorted(package_modules(node) & top))
-    assert found == []
+        inner = {node for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)}  # a set, so a nested function's import counts once
+        found.extend(f"{path.name}:{node.lineno} {module}" for node in inner
+                     for module in package_modules(node) & top)
+    assert sorted(found) == []
 
 
 def test_the_package_reads_no_environment():
