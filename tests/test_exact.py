@@ -374,13 +374,14 @@ def clear_shape_caches():
 
 
 def pinned_searches() -> list[tuple]:
-    """(red, blue, cap) of every case of the two pinned colouring-DFS tests."""
+    """(red, blue, cap) of every case of the two pinned colouring-DFS tests,
+    each once."""
     def cases(test) -> list[tuple]:
         (mark,) = test.pytestmark
         return mark.args[1]
     outcomes = [case[:3] for case in cases(TestRamseyExact.test_outcomes_pinned)]
     counts = [(red, blue, 7) for red, blue, *_ in cases(TestFreeColoringSearch.test_dfs_counts_pinned)]
-    return outcomes + counts
+    return list(dict.fromkeys(outcomes + counts))
 
 
 class TestShapeCaches:
