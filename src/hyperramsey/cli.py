@@ -3,7 +3,10 @@ engine, table, check.
 
 Output is deterministic given inputs and seed: anything timing-related goes to
 stderr or to the optional run manifest, never into the payload on stdout.
-Exit codes: 0 ok, 1 invalid input, 2 guard exceeded, 3 certificate invalid.
+Exit codes: 0 ok, 1 invalid input (a usage error included), 2 guard
+exceeded, 3 certificate invalid.  The chain and engine layers are imported
+only by the subcommands and certificate kinds that use them, so the other
+subcommands start without them.
 """
 
 from __future__ import annotations
@@ -46,13 +49,6 @@ from .exact import (
     ramsey_exact,
     tau_exact,
 )
-from .chains import (
-    CliqueChain,
-    assemble_chains,
-    build_path_system,
-    validate_chain,
-)
-from .engines import EngineParams, independence_dichotomy, loose_witness_engine, tight_witness_engine
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -241,6 +237,8 @@ def cmd_dramsey(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    from .chains import assemble_chains, build_path_system
+
     col = coloring_from_json(_load_json(args.coloring))
     blocks = _load_json(args.blocks)
     if not isinstance(blocks, list):
@@ -268,6 +266,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_engine(args) -> int:
+    from .engines import EngineParams, loose_witness_engine, tight_witness_engine
+
     col = coloring_from_json(_load_json(args.coloring))
     params = EngineParams(n_target=args.target, block_size=args.block_size,
                           seed=args.seed, target_kind=args.target_kind)
@@ -354,6 +354,8 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
     if kind == "tt_embedding":
         return False, "tt_embedding certificates do not carry their tournament"
     if kind == "chain":
+        from .chains import CliqueChain, validate_chain
+
         w = cert.witness
         if not isinstance(w, dict) or not is_int(w.get("k")) or w["k"] != col.k \
                 or not is_int(w.get("ell")) or not 1 <= w["ell"] < col.k:
@@ -368,6 +370,8 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
     if kind == "not_free":
         return check_certificate(Certificate.from_json(cert.detail.get("inner", {})), col)
     if kind == "blue_crossing_attestation":
+        from .engines import independence_dichotomy
+
         blocks = cert.detail.get("blocks") or []
         if not isinstance(blocks, list):
             raise ValueError("crossing attestation blocks must be a list")
@@ -399,8 +403,17 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1, invalid input: its own exit 2
+    is the guard's code here.  Subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="hyperramsey",
+    ap = _Parser(prog="hyperramsey",
                                  description="Desk-scale Ramsey goodness computations for uniform hypergraphs")
     ap.add_argument("--manifest", default=None, help="write a run manifest (hashes, wall time) here")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -293,6 +293,27 @@ class TestCheck:
         self.check_refused(tmp_path, capsys, cert, TwoColoring.all_red(3, 4))
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["construct", "nope"], "invalid choice: 'nope'"),
+        (["ramsey", "--red", "path:3:2:5"], "the following arguments are required: --blue"),
+    ], ids=["invalid-choice", "missing-required-option"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        # argparse's own code, 2, is the guard's here; a bad command line is
+        # invalid input, reported with argparse's usage line and message
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: hyperramsey {argv[0]}") and message in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hyperramsey")
+
+
 class TestTableDeterminism:
     def test_byte_identical_runs(self, tmp_path):
         # two invocations write byte-identical JSON

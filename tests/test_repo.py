@@ -1,7 +1,8 @@
 """Whole-repository checks: no assert statement, no unused parameter, no
 function that only tests call, no private name imported across modules, no
 function-level re-import, no environment read and no unread CLI option in
-the package, soundness checks survive `python -O`, and the demos run."""
+the package, no subcommand layer loaded at CLI start-up, soundness checks
+survive `python -O`, and the demos run."""
 
 import argparse
 import ast
@@ -165,6 +166,18 @@ def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     return env
+
+
+def test_cli_start_up_imports_no_subcommand_layer():
+    # every CLI start compiles what `hyperramsey.cli` imports at its top;
+    # chains, engines and table load only for the subcommands that use them
+    code = ("import sys, hyperramsey.cli; "
+            "print(sorted(m for m in ('hyperramsey.chains', 'hyperramsey.engines', 'hyperramsey.table') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_acceptance_slice_under_optimize():
