@@ -136,9 +136,20 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
 
     Returns (vertices, certificate); a path with q edges has ell + q*(k-ell)
     vertices, so the no-edge degenerate path counts ell vertices.  DFS over
-    (ordered boundary, used set) states with a transposition table and a
-    remaining-vertices bound.  Roots are the class edges in increasing rank.
-    Past its vertex guard it stops on node DEFAULT_NODE_BUDGET + 1, inexact.
+    (ordered boundary, used set) states with a remaining-vertices bound.
+    Roots are the class edges in increasing rank.  Past its vertex guard it
+    stops on node DEFAULT_NODE_BUDGET + 1, inexact.
+
+    A node is one state, visited once: the set of visited states is read in
+    the parent, before the call, and a child already visited is skipped (a
+    dynamic programme over (end, vertex set) states, as in Held & Karp,
+    "A dynamic programming approach to sequencing problems", 1962).  The
+    roots need no such check: each holds one edge as its used set, and no
+    other state does.  The witness is the first path in DFS preorder with
+    the most edges, and skipping a visited state cannot change it: the
+    state's first visit searched every path below it that could beat the
+    best path of that time, and the best path only grows, so a revisit
+    could find no new maximum.
 
     The class edges are read once, in increasing colex rank, into a link
     table: for each ell-subset B of an edge e, links[mask(B)] gets the entry
@@ -147,8 +158,9 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     the used set and tries each pair in order.  Two edges through B compare
     in colex order as their parts outside B do, so the node tries its
     extensions in order of (edge rank, interior vertices, new boundary): the
-    witness, the memo and the node and prune counts are those of a search
-    that lists the unused vertices at every node and sorts what it finds.
+    witness, the visited states and the node and prune counts are those of a
+    search that lists the unused vertices at every node and sorts what it
+    finds.
     """
     k = col.k
     if not 1 <= ell <= k - 1:
@@ -159,7 +171,7 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
 
     stats = {"nodes": 0, "prunes": 0}
     best = {"edges": 0, "seq": []}
-    memo: dict[tuple, int] = {}
+    seen: set[tuple[tuple[int, ...], int]] = set()  # (boundary, used) states visited
     step = k - ell
     fresh_pick = min(ell, step)  # new boundary vertices taken from each edge
 
@@ -172,36 +184,33 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
                           for pick in combinations(fresh, fresh_pick) for arr in permutations(pick))
             links.setdefault(sum(1 << v for v in bnd), []).append((sum(1 << v for v in fresh), exts))
 
-    def dfs(boundary: tuple[int, ...], bmask: int, used: int, edges_so_far: int, seq: list[int]) -> int:
+    def dfs(boundary: tuple[int, ...], bmask: int, used: int, edges_so_far: int, seq: list[int]) -> None:
         stats["nodes"] += 1
         if node_budget is not None and stats["nodes"] > node_budget:
             raise GuardExceeded(f"ell-path search on {col.n} vertices passed {node_budget} nodes", stats)
         if edges_so_far > best["edges"]:
             best["edges"] = edges_so_far
             best["seq"] = list(seq)
+        seen.add((boundary, used))
         avail = col.n - used.bit_count()
         if edges_so_far + avail // step <= best["edges"]:
             stats["prunes"] += 1
-            return 0
-        key = (boundary, used)
-        cached = memo.get(key)
-        if cached is not None and edges_so_far + cached <= best["edges"]:
-            return cached
+            return
         kept, keep_mask = boundary[step:], bmask
         for v in boundary[:step]:
             keep_mask ^= 1 << v
-        best_add = 0
         for fresh, exts in links.get(bmask, ()):
             if fresh & used:  # the boundary itself is always used
                 continue
+            next_used = used | fresh
             for interior, arr, arr_mask in exts:
+                next_boundary = kept + arr
+                if (next_boundary, next_used) in seen:
+                    continue
                 seq.extend(interior)
                 seq.extend(arr)
-                got = 1 + dfs(kept + arr, keep_mask | arr_mask, used | fresh, edges_so_far + 1, seq)
+                dfs(next_boundary, keep_mask | arr_mask, next_used, edges_so_far + 1, seq)
                 del seq[len(seq) - step:]
-                best_add = max(best_add, got)
-        memo[key] = best_add
-        return best_add
 
     try:
         for e in edges:

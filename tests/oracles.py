@@ -37,6 +37,43 @@ def naive_longest_mono_path(col: TwoColoring, ell: int, colour: str) -> int:
     return ell + best_edges * (k - ell)
 
 
+def naive_path_witness(col: TwoColoring, ell: int, colour: str) -> tuple[int, list[int]]:
+    """(vertices, witness) of a longest monochromatic ell-path by a plain DFS
+    over every path, with no memo and no bound.  Paths are grown in the
+    documented order: roots are the class edges in colex order, each with
+    every ordered ell-set of it as boundary and its other vertices sorted
+    before it; a path ending in boundary B tries the class edges through B
+    and otherwise unused, in colex order, and for each edge every split of
+    its new vertices into sorted interior and ordered new boundary part, in
+    order of (interior, new boundary).  The witness is the first path to
+    reach each new maximum, the empty list when no edge has the colour."""
+    k, step = col.k, col.k - ell
+    edges = sorted((e for e in combinations(range(col.n), k) if col.has_colour(e, colour)),
+                   key=lambda e: e[::-1])  # colex: compare the largest vertices first
+    through = {}  # boundary set -> the class edges holding it, in colex order
+    for e in edges:
+        for bnd in combinations(e, ell):
+            through.setdefault(frozenset(bnd), []).append(e)
+    best = [0, []]
+
+    def grow(seq: list[int], edges_so_far: int) -> None:
+        if edges_so_far > best[0]:
+            best[:] = [edges_so_far, list(seq)]
+        boundary = seq[len(seq) - ell:]
+        for e in through.get(frozenset(boundary), ()):
+            fresh = [v for v in e if v not in boundary]
+            if any(v in seq for v in fresh):
+                continue
+            for interior, arr in sorted((tuple(v for v in fresh if v not in arr), arr)
+                                        for arr in permutations(fresh, min(ell, step))):
+                grow(seq + list(interior) + list(arr), edges_so_far + 1)
+
+    for e in edges:
+        for bnd in permutations(e, ell):
+            grow(sorted(v for v in e if v not in bnd) + list(bnd), 1)
+    return ell + best[0] * step, best[1]
+
+
 def naive_find_copy(col: TwoColoring, target: Hypergraph, colour: str, through=None):
     """First monochromatic copy of the target over all injective maps; with
     `through`, the first one that has that edge among its images."""

@@ -334,8 +334,8 @@ class TestTableDeterminism:
     @pytest.mark.parametrize("budget,exact", [(100, [False, False, False, False]),
                                               (1000, [False, False, True, True])], ids=["100", "1000"])
     def test_guarded_freeness_rows_are_inexact(self, monkeypatch, budget, exact):
-        # past the path guard the path searches of rows 1 and 2 (3 360 and
-        # 93 720 nodes) are budgeted, and the copy searches always are: row
+        # past the path guard the path searches of rows 1 and 2 (1 302 and
+        # 30 102 nodes) are budgeted, and the copy searches always are: row
         # 3's blue search takes 377 nodes and row 4's red cycle search 860, so
         # a budget of 100 cuts all four and one of 1000 only the path
         # searches; a row whose search spent the budget must say so

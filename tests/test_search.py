@@ -44,7 +44,14 @@ from hyperramsey.search import (
 )
 from hyperramsey.table import RAMSEY_PAIRS
 
-from oracles import naive_find_clique, naive_find_copy, naive_independence, naive_link, naive_longest_mono_path
+from oracles import (
+    naive_find_clique,
+    naive_find_copy,
+    naive_independence,
+    naive_link,
+    naive_longest_mono_path,
+    naive_path_witness,
+)
 
 
 def validate_independent_set(hg: Hypergraph, vertices) -> bool:
@@ -59,6 +66,19 @@ def validate_tt_embedding(t: Tournament, order) -> bool:
     if len(set(order)) != len(order) or any(not 0 <= v < t.n for v in order):
         return False
     return all(t.has_arc(order[i], order[j]) for i in range(len(order)) for j in range(i + 1, len(order)))
+
+
+def seeded_coloring(k: int, n: int) -> TwoColoring:
+    rng = Random(10 * k + n)
+    return TwoColoring.random(k, n, rng.uniform(0.2, 0.8), seed=rng.getrandbits(32))
+
+
+# seeded colourings for k = 3 and 4 up to 8 vertices, and two the table reads
+PLAIN_DFS_CASES = {
+    **{f"k{k}-n{n}": seeded_coloring(k, n) for k in (3, 4) for n in range(k + 1, 9)},
+    "all_red(3,6)": TwoColoring.all_red(3, 6),
+    "ell_path_lb(3,2,8,2)": ell_path_lb(3, 2, 8, 2).coloring,
+}
 
 
 class TestLongestPath:
@@ -89,6 +109,15 @@ class TestLongestPath:
                 assert got == naive_longest_mono_path(col, ell, colour)
                 if cert.detail["edges"]:
                     assert validate_mono_path(col, cert.witness, ell, colour)
+
+    @pytest.mark.parametrize("col", PLAIN_DFS_CASES.values(), ids=PLAIN_DFS_CASES.keys())
+    def test_witness_matches_plain_dfs(self, col):
+        # the first longest path of an unmemoised DFS in the same extension
+        # order: skipping visited states and the bound never move the witness
+        for ell in range(1, col.k):
+            for colour in (RED, BLUE):
+                vertices, cert = longest_mono_ell_path(col, ell, colour)
+                assert (vertices, cert.witness) == naive_path_witness(col, ell, colour)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_relabelling_invariance(self, seed):
