@@ -404,8 +404,9 @@ def cmd_table(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit 1, invalid input: its own exit 2
-    is the guard's code here.  Subcommand parsers are of the same class."""
+    """An argument parser whose usage errors exit 1, invalid input: argparse
+    exits 2, which here means a spent guard.  `add_subparsers` makes every
+    subcommand parser of this class too."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -414,7 +415,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="hyperramsey",
-                                 description="Desk-scale Ramsey goodness computations for uniform hypergraphs")
+                 description="Desk-scale Ramsey goodness computations for uniform hypergraphs")
     ap.add_argument("--manifest", default=None, help="write a run manifest (hashes, wall time) here")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -177,7 +177,7 @@ def test_cli_start_up_imports_no_subcommand_layer():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]"]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_acceptance_slice_under_optimize():
