@@ -299,7 +299,7 @@ def cmd_check(args) -> int:
 
 
 _NEEDS_COLOURING = ("red_path", "blue_path", "red_cycle", "blue_cycle", "red_embedding",
-                    "blue_embedding", "chain", "not_free", "blue_crossing_attestation")
+                    "blue_embedding", "chain", "blue_crossing_attestation")
 
 
 def _int_list(value, what: str) -> list[int]:
@@ -321,8 +321,7 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
     colour = RED if kind.startswith("red") else BLUE
     if kind in ("red_path", "blue_path", "red_cycle", "blue_cycle"):
         shape = kind.split("_")[1]
-        # a cycle's order lives in detail.sequence; a path's witness is its order
-        seq = cert.detail.get("sequence", cert.witness) if shape == "cycle" else cert.witness
+        seq = cert.witness  # the vertices in path or cyclic order
         ell = cert.detail.get("ell")
         if seq is None or ell is None:
             return False, "missing witness or ell"
@@ -336,17 +335,11 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
         return ok, "revalidated" if ok else f"{shape} windows are not all the right colour"
     if kind in ("red_embedding", "blue_embedding"):
         target_json = cert.detail.get("target")
-        if isinstance(target_json, dict):
-            target = hypergraph_from_json(target_json)
-        elif target_json == "tth":
-            target, _ = core.transitive_tournament_hypergraph(
-                *_int_list([cert.detail.get("chi"), cert.detail.get("m")], "tth chi and m"))
-        elif isinstance(target_json, str):
-            target = pattern_hypergraph(target_json)
-        else:
+        if target_json is None:
             return False, "embedding certificate lacks its target"
         if cert.witness is None:
             return False, "absence attestations cannot be re-validated in one pass"
+        target = hypergraph_from_json(target_json)
         ok = validate_embedding(col, target, _int_list(cert.witness, "embedding witness"), colour)
         return ok, "revalidated" if ok else "embedding misses an edge of the right colour"
     if kind == "independent_set":
@@ -367,8 +360,6 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
                             tuple(tuple(i) for i in intervals))
         out = validate_chain(chain, col)
         return out.detail["valid"], "; ".join(out.detail["problems"]) or "revalidated"
-    if kind == "not_free":
-        return check_certificate(Certificate.from_json(cert.detail.get("inner", {})), col)
     if kind == "blue_crossing_attestation":
         from .engines import independence_dichotomy
 

@@ -225,7 +225,7 @@ def butterfly_dichotomy(col: TwoColoring, w_subsets: list[tuple[int, ...]],
     for cls in tt.witness:
         mapping.extend(shrunk[cls][:m])
     cert = Certificate(kind="blue_embedding", witness=mapping,
-                       detail={"target": "tth", "chi": chi, "m": m, "exact": True})
+                       detail={"target": hypergraph_to_json(target), "exact": True})
     if not validate_embedding(col, target, mapping, BLUE):
         raise AssertionError("butterfly blue branch produced an invalid embedding")
     return ButterflyOutcome("blue", blue_embedding=cert)
@@ -288,7 +288,7 @@ def random_embed(col: TwoColoring, first_class: list[int], classes: list[list[in
         if len(set(flat)) == chi * m and validate_embedding(col, target, flat, BLUE):
             cert = Certificate(kind="blue_embedding", witness=flat,
                                stats={"trials": trial},
-                               detail={"target": "tth", "chi": chi, "m": m, "seed": seed})
+                               detail={"target": hypergraph_to_json(target), "seed": seed})
             return RandomEmbedReport(True, cert, trial, bound)
     return RandomEmbedReport(False, None, trials, bound)
 
@@ -404,16 +404,16 @@ def _red_path_certificate(col: TwoColoring, seq: list[int], ell: int, params: En
 
 
 def _blue_certificate(col: TwoColoring, target: Hypergraph, mapping: list[int],
-                      spec: dict, via: str) -> Certificate | None:
-    """A blue embedding certificate naming its target through `spec`, or None
-    when the mapping misses a blue edge."""
+                      via: str) -> Certificate | None:
+    """A blue embedding certificate naming its target as hypergraph JSON, or
+    None when the mapping misses a blue edge."""
     if not validate_embedding(col, target, mapping, BLUE):
         return None
     return Certificate(kind="blue_embedding", witness=mapping,
-                       detail={"via": via, **spec, "exact": True})
+                       detail={"via": via, "target": hypergraph_to_json(target), "exact": True})
 
 
-def _front_half(col: TwoColoring, target: Hypergraph, spec: dict, params: EngineParams,
+def _front_half(col: TwoColoring, target: Hypergraph, params: EngineParams,
                 log: list[str]) -> EngineReport | list[tuple[int, ...]]:
     """The opening both engines share: partition the host into red cliques
     of order block_size and blue cliques of order max(target order, k).
@@ -422,7 +422,7 @@ def _front_half(col: TwoColoring, target: Hypergraph, spec: dict, params: Engine
     found; otherwise the red blocks to connect."""
     if target.num_edges == 0:
         if target.n <= col.n:
-            cert = _blue_certificate(col, target, list(range(target.n)), spec, "edgeless target")
+            cert = _blue_certificate(col, target, list(range(target.n)), "edgeless target")
             return EngineReport("blue_witness", cert, None, ["target has no edges"])
         return EngineReport("stall", None, {"reason": "edgeless target larger than host"}, log)
     partition = clique_partition(col, params.block_size, max(target.n, col.k))
@@ -430,7 +430,7 @@ def _front_half(col: TwoColoring, target: Hypergraph, spec: dict, params: Engine
     log.append(f"partition: {len(red_blocks)} red blocks, {len(blue_blocks)} blue blocks, "
                f"leftover {len(partition.leftover)}")
     if blue_blocks:
-        cert = _blue_certificate(col, target, list(blue_blocks[0][: target.n]), spec, "blue block")
+        cert = _blue_certificate(col, target, list(blue_blocks[0][: target.n]), "blue block")
         if cert is None:
             raise AssertionError("blue block does not embed the target")
         return EngineReport("blue_witness", cert, None, log)
@@ -441,7 +441,7 @@ def _front_half(col: TwoColoring, target: Hypergraph, spec: dict, params: Engine
 
 
 def _place_classes(col: TwoColoring, target: Hypergraph, profile, sets: list[list[int]],
-                   spec: dict, via: str, leftover: list[int] | None = None) -> Certificate | None:
+                   via: str, leftover: list[int] | None = None) -> Certificate | None:
     """Embed the target blue class by class: the colour classes of the proper
     colouring `profile.witness` go, largest first, into the vertex sets,
     largest first.  With a leftover, the smallest class goes there first.
@@ -464,7 +464,7 @@ def _place_classes(col: TwoColoring, target: Hypergraph, profile, sets: list[lis
             return None
         for v, hv in zip(classes[c], hosts):
             mapping[v] = hv
-    return _blue_certificate(col, target, mapping, spec, via)
+    return _blue_certificate(col, target, mapping, via)
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +652,7 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
         raise ValueError(f"a {k}-uniform loose {params.target_kind} has {'1 + ' * offset}a multiple "
                          f"of {k - 1} vertices, not {params.n_target}")
     log: list[str] = []
-    spec = {"target": hypergraph_to_json(target)}
-    red_blocks = _front_half(col, target, spec, params, log)
+    red_blocks = _front_half(col, target, params, log)
     if isinstance(red_blocks, EngineReport):
         return red_blocks
     profile = ramsey_profile(target)
@@ -663,7 +662,7 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
         w_sets = [[v for v in red_blocks[i] if v not in used] for i in system.stall_blocks]
         outcome, _ = independence_dichotomy(col, [tuple(w) for w in w_sets])
         if outcome == "blue":
-            cert = _place_classes(col, target, profile, w_sets, spec, "all-blue crossing")
+            cert = _place_classes(col, target, profile, w_sets, "all-blue crossing")
             if cert is not None:
                 log.append("path system stalled; crossing sets all blue")
                 return EngineReport("blue_witness", cert, None, log)
@@ -719,7 +718,7 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
         # no move applies: try the blue split extraction before stalling
         w_flex = [sorted(_flexible_interior(c, j)) for c in chains
                   if (j := _flexible_pick(c)) is not None]
-        cert = _place_classes(col, target, profile, w_flex, spec,
+        cert = _place_classes(col, target, profile, w_flex,
                               "split over leftover and flexible interiors", leftover=outside)
         if cert is not None:
             log.append("blue witness via split classes over leftover and flexible interiors")
@@ -824,8 +823,7 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
         raise ValueError("tight engine is 3-uniform")
     log: list[str] = []
     target, _ = transitive_tournament_hypergraph(chi, m)
-    spec = {"target": "tth", "chi": chi, "m": m}
-    red_blocks = _front_half(col, target, spec, params, log)
+    red_blocks = _front_half(col, target, params, log)
     if isinstance(red_blocks, EngineReport):
         return red_blocks
     # H(TT_chi, m) has edges, so chi >= 2 and m >= 2 from here on

@@ -4,10 +4,10 @@ Every search either returns a witness (a path, an embedding, an independent
 set, ...) that re-validates against the input in a single pass, or attests
 absence after exhausting its search space.  Every budgeted search stops as
 the DFSs in `exact` do, raising `GuardExceeded(message, stats)` on node
-DEFAULT_NODE_BUDGET + 1: `find_mono_copy` always, `longest_mono_ell_path`
-past its vertex guard.  Each catches the stop at its entry and reports
-`exact: false` instead of silently approximating.  `independence_number`
-(like `core.ramsey_profile`) raises `GuardExceeded` past its guard.
+DEFAULT_NODE_BUDGET + 1: `find_mono_copy` and `longest_mono_ell_path`.
+Each catches the stop at its entry and reports `exact: false` instead of
+silently approximating.  `independence_number` (like `core.ramsey_profile`)
+raises `GuardExceeded` past its guard.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .core import (
 )
 
 DEFAULT_NODE_BUDGET = 500_000  # nodes per search (per order in `exact`)
-PATH_GUARD = 16                # most vertices an ell-path search (ell >= 2) runs unbudgeted
-LOOSE_PATH_GUARD = 20          # the same for loose paths (ell = 1)
 INDEPENDENCE_GUARD = 20        # most vertices `independence_number` searches
 
 
@@ -46,8 +44,11 @@ class Certificate:
     """A machine-checkable search outcome.
 
     kind is one of: red_path, blue_path, red_cycle, blue_cycle, red_embedding,
-    blue_embedding, free, not_free, independent_set, tt_embedding, chain,
-    chain_invalid, blue_crossing_attestation; absence attestations have no witness.
+    blue_embedding, free, independent_set, tt_embedding, chain, chain_invalid,
+    blue_crossing_attestation; absence attestations have no witness.  A cycle's
+    witness is its cyclic vertex sequence; an embedding's is a host-vertex list
+    indexed by target vertex, with the target as hypergraph JSON in
+    detail.target.
     """
 
     kind: str
@@ -137,8 +138,8 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     Returns (vertices, certificate); a path with q edges has ell + q*(k-ell)
     vertices, so the no-edge degenerate path counts ell vertices.  DFS over
     (ordered boundary, used set) states with a remaining-vertices bound.
-    Roots are the class edges in increasing rank.  Past its vertex guard it
-    stops on node DEFAULT_NODE_BUDGET + 1, inexact.
+    Roots are the class edges in increasing rank.  It stops on node
+    DEFAULT_NODE_BUDGET + 1, inexact.
 
     A node is one state, visited once: the set of visited states is read in
     the parent, before the call, and a child already visited is skipped (a
@@ -166,9 +167,6 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     if not 1 <= ell <= k - 1:
         raise ValueError("ell out of range")
     cls = col.class_bits(colour)
-    # past the guard the search is budgeted, and inexact if it spends it
-    node_budget = None if col.n <= (LOOSE_PATH_GUARD if ell == 1 else PATH_GUARD) else DEFAULT_NODE_BUDGET
-
     stats = {"nodes": 0, "prunes": 0}
     best = {"edges": 0, "seq": []}
     seen: set[tuple[tuple[int, ...], int]] = set()  # (boundary, used) states visited
@@ -186,8 +184,8 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
 
     def dfs(boundary: tuple[int, ...], bmask: int, used: int, edges_so_far: int, seq: list[int]) -> None:
         stats["nodes"] += 1
-        if node_budget is not None and stats["nodes"] > node_budget:
-            raise GuardExceeded(f"ell-path search on {col.n} vertices passed {node_budget} nodes", stats)
+        if stats["nodes"] > DEFAULT_NODE_BUDGET:
+            raise GuardExceeded(f"ell-path search on {col.n} vertices passed {DEFAULT_NODE_BUDGET} nodes", stats)
         if edges_so_far > best["edges"]:
             best["edges"] = edges_so_far
             best["seq"] = list(seq)
@@ -377,8 +375,7 @@ def find_mono_copy(col: TwoColoring, target: Hypergraph, colour: str,
     try:
         if embed(plan, link_index(k, col.n, edges), allowed, image, 0, 0, stats, DEFAULT_NODE_BUDGET):
             return Certificate(kind=f"{colour}_embedding", witness=image, stats=stats,
-                               detail={"exact": True, "target_edges": target.num_edges,
-                                       "target": hypergraph_to_json(target)})
+                               detail={"exact": True, "target": hypergraph_to_json(target)})
     except GuardExceeded:  # budget spent: absence is not attested
         return Certificate(kind=f"{colour}_embedding", witness=None, stats=stats, detail={"exact": False})
     return Certificate(kind=f"{colour}_embedding", witness=None, stats=stats, detail={"exact": True})
@@ -503,36 +500,25 @@ def search_pattern(col: TwoColoring, spec: str, colour: str) -> Certificate:
             raise ValueError("uniformity mismatch")
         vertices, cert = longest_mono_ell_path(col, a["ell"], colour)
         # a longer path contains the target as a prefix
-        witness = cert.witness[:target.n] if vertices >= target.n else None
-        return Certificate(
-            kind=f"{colour}_path",
-            witness=witness,
-            stats=cert.stats,
-            detail={**cert.detail, "pattern": spec, "max_vertices": vertices},
-        )
-    cert = find_mono_copy(col, target, colour)
+        cert.witness = cert.witness[:target.n] if vertices >= target.n else None
+    else:
+        cert = find_mono_copy(col, target, colour)
     cert.detail["pattern"] = spec
     if name == "cycle":
         cert.kind = f"{colour}_cycle"
         cert.detail["ell"] = a["ell"]
-        cert.detail["k"] = a["k"]
-        if cert.found:
-            # reconstruct the cyclic vertex sequence from the embedding
-            cert.detail["sequence"] = [cert.witness[v] for v in range(target.n)]
+        cert.detail["k"] = a["k"]  # the witness lists the cycle's vertices in cyclic order
     return cert
 
 
-def verify_free(col, red_pattern: str, blue_target: Hypergraph | str) -> Certificate:
+def verify_free(col: TwoColoring, red_pattern: str, blue_target: Hypergraph | str) -> Certificate:
     """Certify that a colouring has no red copy of the pattern and no blue copy
-    of the target (kind "free"), or exhibit the offending witness (kind
-    "not_free").  Accepts a colouring or anything carrying one (such as a
-    lower-bound instance)."""
-    col = getattr(col, "coloring", col)
+    of the target (kind "free"), or return the certificate of the first copy
+    found (red first): a `red_path`, `blue_embedding`, ... as `search_pattern`
+    and `find_mono_copy` give it."""
     red_cert = search_pattern(col, red_pattern, RED)
     if red_cert.found:
-        return Certificate(kind="not_free", witness=red_cert.witness,
-                           stats=red_cert.stats,
-                           detail={"side": RED, "pattern": red_pattern, "inner": red_cert.to_json()})
+        return red_cert
     if isinstance(blue_target, str):
         blue_cert = search_pattern(col, blue_target, BLUE)
         blue_desc = blue_target
@@ -540,9 +526,7 @@ def verify_free(col, red_pattern: str, blue_target: Hypergraph | str) -> Certifi
         blue_cert = find_mono_copy(col, blue_target, BLUE)
         blue_desc = "hypergraph"
     if blue_cert.found:
-        return Certificate(kind="not_free", witness=blue_cert.witness,
-                           stats=blue_cert.stats,
-                           detail={"side": BLUE, "pattern": blue_desc, "inner": blue_cert.to_json()})
+        return blue_cert
     exact = red_cert.detail.get("exact", True) and blue_cert.detail.get("exact", True)
     stats = {
         "nodes": red_cert.stats.get("nodes", 0) + blue_cert.stats.get("nodes", 0),

@@ -91,7 +91,7 @@ class TestVerify:
         rc = main(["verify", "--coloring", cpath, "--red-pattern", "path:3:2:4",
                    "--blue-target", "edge:3", "--out", str(out)])
         assert rc == 0
-        assert json.loads(out.read_text())["kind"] == "not_free"
+        assert json.loads(out.read_text())["kind"] == "red_path"
 
 
 class TestRamsey:
@@ -284,7 +284,7 @@ class TestCheck:
         assert main(["verify", "--coloring", cpath, "--red-pattern", "path:3:2:4",
                      "--blue-target", "edge:3", "--out", str(cert_out)]) == 0
         cert = json.loads(cert_out.read_text())
-        assert cert["kind"] == "not_free"
+        assert cert["kind"] == "red_path"  # verify's refutation of freeness
         self.check_refused(tmp_path, capsys, cert)
 
     def test_inexact_free_attestation_refused(self, tmp_path, capsys):
@@ -334,13 +334,11 @@ class TestTableDeterminism:
     @pytest.mark.parametrize("budget,exact", [(100, [False, False, False, False]),
                                               (1000, [False, False, True, True])], ids=["100", "1000"])
     def test_guarded_freeness_rows_are_inexact(self, monkeypatch, budget, exact):
-        # past the path guard the path searches of rows 1 and 2 (1 302 and
-        # 30 102 nodes) are budgeted, and the copy searches always are: row
-        # 3's blue search takes 377 nodes and row 4's red cycle search 860, so
-        # a budget of 100 cuts all four and one of 1000 only the path
-        # searches; a row whose search spent the budget must say so
+        # the path searches of rows 1 and 2 take 1 302 and 30 102 nodes, row
+        # 3's blue copy search 377 and row 4's red cycle search 860, so a
+        # budget of 100 cuts all four and one of 1000 only the path searches;
+        # a row whose search spent the budget must say so
         from hyperramsey.table import freeness_rows, render_text
-        monkeypatch.setattr("hyperramsey.search.PATH_GUARD", 4)
         monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", budget)
         rows = freeness_rows()
         assert [r["exact"] for r in rows] == exact
@@ -435,13 +433,14 @@ class TestVerifyThenCheckRoundTrip:
         assert rc == 0
 
     def test_not_free_certificate_revalidates_inner_witness(self, tmp_path):
+        # a colouring that is not free gets the certificate of the copy found
         col = TwoColoring.all_red(3, 5)
         cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
         cert_out = tmp_path / "cert.json"
         rc = main(["verify", "--coloring", cpath, "--red-pattern", "path:3:2:4",
                    "--blue-target", "edge:3", "--out", str(cert_out)])
         assert rc == 0
-        assert json.loads(cert_out.read_text())["kind"] == "not_free"
+        assert json.loads(cert_out.read_text())["kind"] == "red_path"
         rc = main(["check", "--certificate", str(cert_out), "--coloring", cpath])
         assert rc == 0
 
@@ -507,7 +506,8 @@ class TestCertificateRoundTrips:
         assert main(["verify", "--coloring", cpath, "--red-pattern", "path:3:2:4",
                      "--blue-target", blue_target, "--out", str(cert_out)]) == 0
         cert = json.loads(cert_out.read_text())
-        assert (cert["kind"], cert["detail"]["side"]) == ("not_free", "blue")
+        assert cert["kind"] == "blue_embedding"
+        assert cert["detail"]["target"] == hypergraph_to_json(complete_hypergraph(3, 4))
         assert main(["check", "--certificate", str(cert_out), "--coloring", cpath]) == 0
 
     @pytest.mark.parametrize("coloring, rc", [(TwoColoring.all_blue(3, 8), 0),
@@ -538,11 +538,11 @@ class TestCertificateRoundTrips:
         cert_out = tmp_path / "cert.json"
         assert main(["verify", "--coloring", cpath, "--red-pattern", "cycle:3:1:6",
                      "--blue-target", "edge:3", "--out", str(cert_out)]) == 0
-        inner = json.loads(cert_out.read_text())["detail"]["inner"]
-        assert (inner["kind"], inner["detail"]["ell"]) == ("red_cycle", 1)
+        cert = json.loads(cert_out.read_text())
+        assert (cert["kind"], cert["detail"]["ell"]) == ("red_cycle", 1)
         if flip:
             # the cycle's first window turns blue
-            seq = inner["detail"]["sequence"]
+            seq = cert["witness"]
             bits = TwoColoring.all_red(3, 6).red_bits & ~(1 << colex_rank(tuple(sorted(seq[:3]))))
             cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring(3, 6, bits)))
         assert main(["check", "--certificate", str(cert_out), "--coloring", cpath]) == rc
@@ -558,11 +558,74 @@ class TestCertificateRoundTrips:
                      "--coloring", write_json(tmp_path, "c.json", coloring_to_json(col))]) == 3
 
 
+    def test_cycle_is_checked_on_its_witness_not_a_sequence(self, tmp_path):
+        # only the windows of the loose cycle 0..5 are red, so the witness
+        # [0, 2, 4, 1, 3, 5] is no red cycle whatever detail.sequence says
+        col = TwoColoring.from_red_edges(3, 6, [(0, 1, 2), (2, 3, 4), (0, 4, 5)])
+        cert = {"kind": "red_cycle", "witness": [0, 2, 4, 1, 3, 5],
+                "detail": {"ell": 1, "sequence": [0, 1, 2, 3, 4, 5]}}
+        assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
+                     "--coloring", write_json(tmp_path, "c.json", coloring_to_json(col))]) == 3
+
+    def test_not_free_wrapper_is_refused(self, tmp_path, capsys):
+        # the old wrapper's inner certificate is a valid red path; its own
+        # witness is not, and the kind is no longer one check knows
+        from hyperramsey.core import colex_rank
+        col = TwoColoring(3, 6, 1 << colex_rank((0, 1, 2)))
+        inner = {"kind": "red_path", "witness": [0, 1, 2], "stats": {}, "detail": {"ell": 1}}
+        cert = {"kind": "not_free", "witness": [3, 4, 5], "stats": {},
+                "detail": {"side": "red", "pattern": "path:3:1:3", "inner": inner}}
+        assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
+                     "--coloring", write_json(tmp_path, "c.json", coloring_to_json(col))]) == 3
+        assert "unknown certificate kind 'not_free'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("blue_set, rc", [(None, 0), ((4, 5, 6), 3)], ids=["all-red", "one-k-set-blue"])
+    def test_chain_certificate_rechecked(self, tmp_path, capsys, blue_set, rc):
+        # validate_chain's certificate of an open loose chain with elements
+        # 0..4 and 4..8; a blue k-set inside element 1 breaks it
+        from hyperramsey.chains import CliqueChain, validate_chain
+        from hyperramsey.core import colex_rank
+        col = TwoColoring.all_red(3, 9)
+        cert = validate_chain(CliqueChain("open", 3, 1, tuple(range(9)), ((0, 5), (4, 5))), col)
+        assert cert.kind == "chain"
+        if blue_set is not None:
+            col = TwoColoring(3, 9, col.red_bits & ~(1 << colex_rank(blue_set)))
+        assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert.to_json()),
+                     "--coloring", write_json(tmp_path, "c.json", coloring_to_json(col))]) == rc
+        reason = json.loads(capsys.readouterr().out)["reason"]
+        assert reason == ("revalidated" if rc == 0 else "interval 1: k-set (4, 5, 6) is not red")
+
+
+# well-formed certificates whose witness has the wrong structure, on a
+# colouring with every triple red: only the structure can fail
+MISSHAPEN_WITNESSES = {
+    "path-repeated-vertex": {"kind": "red_path", "witness": [0, 1, 2, 1, 3], "detail": {"ell": 1}},
+    "path-vertex-outside-host": {"kind": "red_path", "witness": [0, 1, 2, 3, 6], "detail": {"ell": 1}},
+    "path-wrong-length": {"kind": "red_path", "witness": [0, 1, 2, 3], "detail": {"ell": 1}},
+    "cycle-repeated-vertex": {"kind": "red_cycle", "witness": [0, 1, 2, 3, 2, 5], "detail": {"ell": 1}},
+    "cycle-vertex-outside-host": {"kind": "red_cycle", "witness": [0, 1, 2, 3, 4, 7], "detail": {"ell": 1}},
+    "cycle-wrong-length": {"kind": "red_cycle", "witness": [0, 1, 2, 3, 4], "detail": {"ell": 1}},
+    "cycle-repeated-window": {"kind": "red_cycle", "witness": [0, 1, 2], "detail": {"ell": 2}},
+    "embedding-not-injective": {"kind": "red_embedding", "witness": [0, 1, 1, 2],
+                                "detail": {"target": hypergraph_to_json(complete_hypergraph(3, 4))}},
+    "embedding-short": {"kind": "red_embedding", "witness": [0, 1, 2],
+                        "detail": {"target": hypergraph_to_json(complete_hypergraph(3, 4))}},
+    "embedding-vertex-outside-host": {"kind": "red_embedding", "witness": [0, 1, 2, 6],
+                                      "detail": {"target": hypergraph_to_json(complete_hypergraph(3, 4))}},
+}
+
+
+@pytest.mark.parametrize("cert", MISSHAPEN_WITNESSES.values(), ids=MISSHAPEN_WITNESSES.keys())
+def test_misshapen_witness_exit_3(tmp_path, capsys, cert):
+    assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
+                 "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 6)))]) == 3
+    assert json.loads(capsys.readouterr().out)["valid"] is False
+
+
 MALFORMED_CERTIFICATES = {
     "chain-witness-null": {"kind": "chain", "witness": None},
     "path-witness-string": {"kind": "red_path", "witness": [0, 1, "a"], "detail": {"ell": 1}},
     "cycle-ell-string": {"kind": "red_cycle", "witness": [0, 1, 2, 3], "detail": {"ell": "x"}},
-    "not-free-inner-null": {"kind": "not_free", "detail": {"inner": None}},
     "top-level-list": [],
     "path-ell-k": {"kind": "red_path", "witness": [0, 1, 2], "detail": {"ell": 3}},
     "chain-interval-string": {"kind": "chain", "witness": {"kind": "open", "k": 3, "ell": 1,
@@ -656,7 +719,7 @@ def test_target_file_whose_name_holds_a_colon(tmp_path):
     out = tmp_path / "cert.json"
     assert main(["verify", "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 6))),
                  "--red-pattern", "path:3:2:4", "--blue-target", hpath, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["kind"] == "not_free"
+    assert json.loads(out.read_text())["kind"] == "blue_embedding"
 
 
 def test_tournament_file_gives_the_same_construction(tmp_path):

@@ -151,17 +151,16 @@ class TestLongestPath:
         assert (blue.witness, blue.stats) == ([1, 2, 0, 5, 3, 4, 6], {"nodes": 62, "prunes": 59})
 
     def test_inexact_flag_beyond_guard(self, monkeypatch):
-        # past the guard the search runs under the node budget, and a search
-        # that spends it is flagged inexact
-        monkeypatch.setattr("hyperramsey.search.PATH_GUARD", 8)
+        # the search runs under the node budget, and a search that spends it
+        # is flagged inexact
         monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 50)
         col = TwoColoring.random(3, 9, 0.5, seed=0)
         _, cert = longest_mono_ell_path(col, 2, RED)
         assert cert.detail["exact"] is False and cert.stats["nodes"] == 51
 
     def test_budgeted_search_that_finishes_is_exact(self):
-        # 17 vertices is past the guard, but the search ends in 7 056 nodes,
-        # well inside the budget, so its answer is exact
+        # on 17 vertices the search ends in 7 056 nodes, well inside the
+        # budget, so its answer is exact
         col = burr_coloring(3, 3, 2, 9).coloring
         vertices, cert = longest_mono_ell_path(col, 2, RED)
         assert (vertices, cert.stats["nodes"], cert.detail["exact"]) == (8, 7056, True)
@@ -172,9 +171,9 @@ class TestLongestPath:
     def test_search_outcomes_pinned(self, monkeypatch):
         # vertices, witness, counters and detail of seeded searches (k = 2, 3
         # and 4, every ell, both colours, n <= 9), of the lower-bound
-        # colourings the table searches and of one run past the guard, which
-        # finishes inside the budget; any change to the order in which the
-        # DFS tries extensions shows here
+        # colourings the table searches and of one run that finishes one node
+        # inside a budget; any change to the order in which the DFS tries
+        # extensions shows here
         def runs():
             for k in (2, 3, 4):
                 for n in range(k, 10):
@@ -196,7 +195,6 @@ class TestLongestPath:
             for colour in (RED, BLUE):
                 vertices, cert = longest_mono_ell_path(col, ell, colour)
                 digest.update(repr((vertices, cert.witness, cert.stats, cert.detail)).encode() + b"\n")
-        monkeypatch.setattr("hyperramsey.search.PATH_GUARD", 8)
         col = TwoColoring.random(3, 9, 0.7, seed=15)
         vertices, cert = longest_mono_ell_path(col, 2, RED)
         assert (cert.stats["nodes"], cert.detail["exact"]) == (328, True)
@@ -358,14 +356,15 @@ class TestVerifyFree:
         assert cert.kind == "free"
 
     def test_all_red_not_free(self):
+        # the certificate of the red copy, not a wrapper around it
         col = TwoColoring.all_red(3, 5)
         cert = verify_free(col, "path:3:2:4", single_edge(3))
-        assert cert.kind == "not_free" and cert.detail["side"] == RED
+        assert cert.kind == "red_path" and validate_mono_path(col, cert.witness, 2, RED)
 
     def test_all_blue_not_free(self):
         col = TwoColoring.all_blue(3, 5)
         cert = verify_free(col, "path:3:2:4", single_edge(3))
-        assert cert.kind == "not_free" and cert.detail["side"] == BLUE
+        assert cert.kind == "blue_embedding" and validate_embedding(col, single_edge(3), cert.witness, BLUE)
 
     def test_cycle_pattern(self):
         col = TwoColoring.all_blue(3, 6)
@@ -471,15 +470,6 @@ class TestGuards:
         monkeypatch.undo()
         assert independence_number(hg)[0] == 2
 
-    def test_path_guard_switches_to_budgeted(self, monkeypatch):
-        col = TwoColoring.all_red(3, 6)
-        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 10)
-        assert longest_mono_ell_path(col, 2, RED)[1].detail["exact"] is True  # inside the guard: no budget
-        # beyond the guard the search runs budgeted, spends it and flags itself
-        monkeypatch.setattr("hyperramsey.search.PATH_GUARD", 4)
-        _, cert = longest_mono_ell_path(col, 2, RED)
-        assert cert.detail["exact"] is False and cert.stats["nodes"] == 11
-
 
 @pytest.mark.parametrize("search,budget", [
     pytest.param(lambda: free_coloring_exists("path:3:2:6", "clique:3:4", 9), 500, id="free_coloring_exists"),
@@ -493,7 +483,6 @@ def test_every_budgeted_search_stops_at_budget_plus_one(monkeypatch, search, bud
     # one stop rule: the exact DFSs raise on node budget + 1, and the
     # longest-path and copy searches stop there too and report it inexact
     monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", budget)
-    monkeypatch.setattr("hyperramsey.search.PATH_GUARD", 8)
     try:
         cert = search()
     except GuardExceeded as stop:
