@@ -630,7 +630,7 @@ def test_dichotomies_pinned():
     digest = hashlib.sha256()
     for line in _dichotomy_lines():
         digest.update(repr(line).encode() + b"\n")
-    assert digest.hexdigest() == "5eeca4ce5906b929cf3d77dcc9fb4192c5a116e251f8735c030c5871939069c7"
+    assert digest.hexdigest() == "e1893024d4847a244431912dcb373c322bdfd3c73f5b2423df52fe906cad209b"
 
 
 def test_witness_checks_run_under_optimize():

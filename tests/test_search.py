@@ -283,7 +283,7 @@ class TestFindMonoCopy:
             cert = find_mono_copy(col, target, colour, **options)
             digest.update(repr((cert.witness, cert.stats, cert.detail)).encode() + b"\n")
         assert cert.stats == {"nodes": 19405, "prunes": 104280} and not cert.found
-        assert digest.hexdigest() == "2c3e1485577e96d33d62fbb30555faa4f7ef72c0ae254fa8c7b8e1e22bca0de1"
+        assert digest.hexdigest() == "ae5fcd7bc471640498acb9a9f4cc14d783a1825ffe283cc37853eb51b026117f"
 
     def test_clique_finder(self):
         col = TwoColoring.all_red(3, 6)
