@@ -38,9 +38,9 @@ chain = report.chains[0]
 print(f"\nassembled {chain.kind} chain on {chain.p} vertices, "
       f"{len(chain.intervals)} elements, leftover {len(report.leftover)}")
 cert = validate_chain(chain, col)
-print("valid:", cert.detail["valid"],
-      "| flexible elements:", cert.detail["flexible_elements"],
-      "| spine vertices:", cert.detail["spine_vertices"])
+print("valid:", cert.kind == "chain",
+      "| flexible elements:", chain.flexible_elements(),
+      "| spine vertices:", sorted(chain.spine_vertices()))
 
 # Step 4: every valid chain carries a spanning path or cycle.
 seq, edges = spanning_path(chain)

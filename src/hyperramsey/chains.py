@@ -169,19 +169,11 @@ def validate_chain(chain: CliqueChain, coloring: TwoColoring | None = None) -> C
                     break
     if red_failures:
         problems.extend(f"interval {j}: k-set {sub} is not red" for j, sub in red_failures)
-    flexible = chain.flexible_elements() if not problems else []
-    detail = {
-        "valid": not problems,
-        "problems": problems,
-        "flexible_elements": flexible,
-        "rigid_elements": [j for j in range(d) if j not in flexible] if not problems else [],
-        "spine_vertices": sorted(chain.spine_vertices()) if not problems else [],
-    }
     kind = "chain" if not problems else "chain_invalid"
     return Certificate(kind=kind, witness={"vertices": list(chain.vertices),
                                            "intervals": [list(i) for i in chain.intervals],
                                            "kind": chain.kind, "k": k, "ell": ell},
-                       detail=detail)
+                       detail={"problems": problems})
 
 
 def spanning_path(chain: CliqueChain) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -192,7 +184,7 @@ def spanning_path(chain: CliqueChain) -> tuple[list[int], list[tuple[int, ...]]]
     all these windows are red.
     """
     cert = validate_chain(chain)
-    if not cert.detail["valid"]:
+    if cert.kind != "chain":
         raise ValueError(f"invalid chain: {cert.detail['problems']}")
     seq = list(chain.vertices)
     edges = path_edges if chain.kind == OPEN else cycle_edges
@@ -232,7 +224,7 @@ def cut_open(chain: CliqueChain) -> CliqueChain:
         out = chain_from_runs(OPEN, k, ell, runs,
                               flags=chain.flags + (f"cut-open:element={j},discarded={discard}",))
         cert = validate_chain(out)
-        if cert.detail["valid"]:
+        if cert.kind == "chain":
             return out
     # no element is splittable: drop the smallest element instead, keeping its
     # junction vertices inside the neighbouring elements
@@ -241,7 +233,7 @@ def cut_open(chain: CliqueChain) -> CliqueChain:
         out = chain_from_runs(OPEN, k, ell, others(j),
                               flags=chain.flags + (f"cut-open:dropped-element={j}",))
         cert = validate_chain(out)
-        if cert.detail["valid"]:
+        if cert.kind == "chain":
             return out
     raise ValueError("no flexible element is large enough to cut open")
 
@@ -685,7 +677,7 @@ def assemble_chains(col: TwoColoring, blocks: list[tuple[int, ...]],
             runs.append((list(conns[j]), False))
         chain = chain_from_runs(CLOSED, k, ell, runs)
         cert = validate_chain(chain, col)
-        if not cert.detail["valid"]:
+        if cert.kind != "chain":
             raise AssertionError(f"assembled chain failed validation: {cert.detail['problems']}")
         chains.append(chain)
         used_global.update(chain.vertices)

@@ -318,13 +318,18 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
     kind = cert.kind
     if col is None and kind in _NEEDS_COLOURING:
         return False, f"{kind} certificates need the colouring"
-    colour = RED if kind.startswith("red") else BLUE
-    if kind in ("red_path", "blue_path", "red_cycle", "blue_cycle"):
-        shape = kind.split("_")[1]
+    colour, _, shape = kind.partition("_")
+    if colour not in (RED, BLUE):
+        shape = ""
+    if shape in ("path", "cycle", "embedding"):  # each names its uniformity
+        named = cert.detail.get("target") if shape == "embedding" else cert.detail
+        if isinstance(named, dict) and named.get("k", col.k) != col.k:
+            return False, f"the certificate is {named['k']!r}-uniform, the colouring {col.k}-uniform"
+    if shape in ("path", "cycle"):
         seq = cert.witness  # the vertices in path or cyclic order
         ell = cert.detail.get("ell")
-        if seq is None or ell is None:
-            return False, "missing witness or ell"
+        if seq is None or ell is None or "k" not in cert.detail:
+            return False, "missing witness, ell or k"
         if not is_int(ell) or not 1 <= ell < col.k:
             raise ValueError(f"certificate ell must be an integer in 1..{col.k - 1}")
         seq = _int_list(seq, f"{shape} witness")
@@ -333,7 +338,7 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
         validate = validate_mono_path if shape == "path" else validate_mono_cycle
         ok = validate(col, seq, ell, colour)
         return ok, "revalidated" if ok else f"{shape} windows are not all the right colour"
-    if kind in ("red_embedding", "blue_embedding"):
+    if shape == "embedding":
         target_json = cert.detail.get("target")
         if target_json is None:
             return False, "embedding certificate lacks its target"
@@ -359,7 +364,7 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
         chain = CliqueChain(w["kind"], col.k, w["ell"], tuple(_int_list(w.get("vertices"), "chain vertices")),
                             tuple(tuple(i) for i in intervals))
         out = validate_chain(chain, col)
-        return out.detail["valid"], "; ".join(out.detail["problems"]) or "revalidated"
+        return out.kind == "chain", "; ".join(out.detail["problems"]) or "revalidated"
     if kind == "blue_crossing_attestation":
         from .engines import independence_dichotomy
 

@@ -400,7 +400,7 @@ def _red_path_certificate(col: TwoColoring, seq: list[int], ell: int, params: En
     if not validate(col, seq, ell, RED):
         raise AssertionError(f"engine produced an invalid red {shape}")
     return Certificate(kind=f"red_{shape}", witness=list(seq),
-                       detail={"ell": ell, "k": col.k, "vertices": len(seq)})
+                       detail={"ell": ell, "k": col.k})
 
 
 def _blue_certificate(col: TwoColoring, target: Hypergraph, mapping: list[int],
@@ -505,7 +505,7 @@ def _splice_segment_into_chain(col: TwoColoring, chain: CliqueChain, j: int,
             ([leave] + rest[: keep - len(tail)] + tail, True)]
     out = replace_element(chain, j, runs, f"segment-splice:element={j}")
     cert = validate_chain(out, col)
-    if not cert.detail["valid"]:
+    if cert.kind != "chain":
         return None
     return out
 
@@ -533,7 +533,7 @@ def _prepend_edge_to_chain(col: TwoColoring, chain: CliqueChain, edge: tuple[int
         else [(reordered, True), ([s] + rest, True)]
     out = replace_element(chain, j, runs, f"end-extension:{'start' if at_start else 'end'}")
     cert = validate_chain(out, col)
-    if not cert.detail["valid"]:
+    if cert.kind != "chain":
         return None
     return out
 
@@ -580,7 +580,7 @@ def _shrink_closed_chain(col: TwoColoring, chain: CliqueChain, target: int) -> C
         cur = replace_element(cur, j, [(new_elem, len(new_elem) > max(k, 2 * ell))],
                               f"shrink:element={j}")
         cert = validate_chain(cur, col)
-        if not cert.detail["valid"]:
+        if cert.kind != "chain":
             raise AssertionError(f"closed rebuild failed: {cert.detail['problems']}")
     return cur if cur.p == target else None
 
@@ -911,7 +911,7 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
             run = list(x_pair) + full + list(y_pair)
             new_work = replace_element(work, j, [(run, False)], f"absorb:element={j}")
             cert = validate_chain(new_work, col)
-            if not cert.detail["valid"]:
+            if cert.kind != "chain":
                 raise AssertionError(f"absorption rebuild failed: {cert.detail['problems']}")
             log.append(f"round {round_no}: absorbed {len(full) - len(interior)} vertices "
                        f"at element {j} (chain {work.p} -> {new_work.p})")

@@ -43,12 +43,19 @@ INDEPENDENCE_GUARD = 20        # most vertices `independence_number` searches
 class Certificate:
     """A machine-checkable search outcome.
 
-    kind is one of: red_path, blue_path, red_cycle, blue_cycle, red_embedding,
-    blue_embedding, free, independent_set, tt_embedding, chain, chain_invalid,
-    blue_crossing_attestation; absence attestations have no witness.  A cycle's
-    witness is its cyclic vertex sequence; an embedding's is a host-vertex list
-    indexed by target vertex, with the target as hypergraph JSON in
-    detail.target.
+    Absence attestations have no witness.  A cycle's witness is its cyclic
+    vertex sequence; an embedding's is a host-vertex list indexed by target
+    vertex.  The detail keys of each kind state nothing the witness or the
+    kind already states:
+      red_path, blue_path, red_cycle, blue_cycle: ell, k, exact (an engine's
+        witness: ell, k);
+      red_embedding, blue_embedding: target (hypergraph JSON) when found, and
+        exact, or for a sampled copy its seed; an engine's names its `via`; an
+        absence that needs no search gives its `reason`, a cycle's too;
+      free: red_pattern, blue_pattern, exact;
+      independent_set, tt_embedding: exact;
+      chain, chain_invalid: problems, empty for a chain;
+      blue_crossing_attestation: blocks, exact.
     """
 
     kind: str
@@ -225,13 +232,7 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
         kind=f"{colour}_path",
         witness=list(best["seq"]),
         stats=stats,
-        detail={
-            "edges": best["edges"],
-            "vertices": vertices,
-            "ell": ell,
-            "k": k,
-            "exact": exact,
-        },
+        detail={"ell": ell, "k": k, "exact": exact},
     )
     return vertices, cert
 
@@ -503,11 +504,10 @@ def search_pattern(col: TwoColoring, spec: str, colour: str) -> Certificate:
         cert.witness = cert.witness[:target.n] if vertices >= target.n else None
     else:
         cert = find_mono_copy(col, target, colour)
-    cert.detail["pattern"] = spec
-    if name == "cycle":
+    if name == "cycle":  # the witness lists the cycle's vertices in cyclic order
         cert.kind = f"{colour}_cycle"
-        cert.detail["ell"] = a["ell"]
-        cert.detail["k"] = a["k"]  # the witness lists the cycle's vertices in cyclic order
+        cert.detail.pop("target", None)
+        cert.detail.update(ell=a["ell"], k=a["k"])
     return cert
 
 
@@ -556,7 +556,7 @@ def independence_number(hg: Hypergraph) -> tuple[int, Certificate]:
     while (got := find_mono_clique(col, len(best) + 1, BLUE)) is not None:
         best = got
     cert = Certificate(kind="independent_set", witness=list(best), stats={"searches": len(best) + 1},
-                       detail={"alpha": len(best), "exact": True})
+                       detail={"exact": True})
     return len(best), cert
 
 

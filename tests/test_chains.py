@@ -82,13 +82,13 @@ class TestValidateChain:
         col = TwoColoring.all_red(3, 8)
         chain = chain_from_sequence(OPEN, 3, 2, list(range(8)))
         cert = validate_chain(chain, col)
-        assert cert.detail["valid"]
-        assert cert.detail["flexible_elements"] == []
+        assert cert.kind == "chain"
+        assert chain.flexible_elements() == []
 
     def test_overlap_too_large_rejected(self):
         chain = CliqueChain(OPEN, 3, 1, tuple(range(8)), ((0, 5), (3, 5)))
         cert = validate_chain(chain)
-        assert not cert.detail["valid"]
+        assert cert.kind == "chain_invalid"
         assert any("junction" in p for p in cert.detail["problems"])
 
     def test_flexible_threshold(self):
@@ -96,20 +96,20 @@ class TestValidateChain:
         col = TwoColoring.all_red(3, 9)
         chain = CliqueChain(OPEN, 3, 1, tuple(range(9)), ((0, 5), (4, 5)))
         cert = validate_chain(chain, col)
-        assert cert.detail["valid"]
-        assert cert.detail["flexible_elements"] == [0, 1]
-        assert cert.detail["spine_vertices"] == [4]
+        assert cert.kind == "chain"
+        assert chain.flexible_elements() == [0, 1]
+        assert chain.spine_vertices() == {4}
 
     def test_red_violation_reported(self):
         col = TwoColoring.all_blue(3, 5)
         chain = chain_from_sequence(OPEN, 3, 2, list(range(5)))
         cert = validate_chain(chain, col)
-        assert not cert.detail["valid"]
+        assert cert.kind == "chain_invalid"
 
     def test_wrong_length_mod(self):
         chain = CliqueChain(OPEN, 3, 1, tuple(range(4)), ((0, 4),))
         cert = validate_chain(chain)
-        assert not cert.detail["valid"]
+        assert cert.kind == "chain_invalid"
 
 
 class TestSpanningPath:
@@ -138,7 +138,7 @@ class TestSpanningPath:
         rng = Random(seed)
         chain, col = random_valid_chain(rng)
         cert = validate_chain(chain, col)
-        assert cert.detail["valid"], cert.detail["problems"]
+        assert cert.kind == "chain", cert.detail["problems"]
         seq, edges = spanning_path(chain)
         assert sorted(seq) == sorted(chain.vertices)  # covers every vertex once
         if chain.kind == OPEN:
@@ -155,10 +155,10 @@ class TestCutOpen:
         chain = CliqueChain(CLOSED, 3, 1, tuple(range(20)),
                             ((0, 9), (8, 5), (12, 9)))
         cert = validate_chain(chain, col)
-        assert cert.detail["valid"]
+        assert cert.kind == "chain"
         opened = cut_open(chain)
         assert opened.kind == OPEN
-        assert validate_chain(opened, col).detail["valid"]
+        assert validate_chain(opened, col).kind == "chain"
         assert opened.p >= chain.p - 2 * 3
 
     def test_fallback_drops_smallest(self):
@@ -166,10 +166,10 @@ class TestCutOpen:
         col = TwoColoring.all_red(3, 12)
         chain = CliqueChain(CLOSED, 3, 1, tuple(range(10)),
                             ((0, 3), (2, 3), (4, 3), (6, 5)))
-        assert validate_chain(chain, col).detail["valid"]
+        assert validate_chain(chain, col).kind == "chain"
         opened = cut_open(chain)
         assert opened.kind == OPEN
-        assert validate_chain(opened, col).detail["valid"]
+        assert validate_chain(opened, col).kind == "chain"
         assert opened.p < chain.p  # the dropped element's interior is lost
 
 
@@ -183,7 +183,7 @@ class TestChainFromRuns:
         chain = chain_from_runs(CLOSED, 3, 2, [([0, 1, 2, 3], True), ([2, 3, 0, 1], True)])
         assert chain.vertices == (0, 1, 2, 3)
         assert chain.intervals == ((0, 4), (2, 4))
-        assert validate_chain(chain, TwoColoring.all_red(3, 4)).detail["valid"]
+        assert validate_chain(chain, TwoColoring.all_red(3, 4)).kind == "chain"
 
     def test_rejects_broken_boundary(self):
         with pytest.raises(ValueError):
@@ -235,7 +235,7 @@ def test_assembly_and_cut_open_layouts_pinned(instance, ell, closed, opened):
     assert [(c.kind, c.vertices, c.intervals) for c in report.chains] == [(CLOSED, *closed)]
     cut = cut_open(report.chains[0])
     assert (cut.kind, cut.vertices, cut.intervals, cut.flags) == (OPEN, *opened[:2], (opened[2],))
-    assert validate_chain(cut, col).detail["valid"]
+    assert validate_chain(cut, col).kind == "chain"
 
 
 class TestCliquePartition:
@@ -435,7 +435,7 @@ class TestAssembleChains:
         assert chain.kind == CLOSED
         assert chain.p >= 7 + 7 - 4
         cert = validate_chain(chain, col)
-        assert cert.detail["valid"]
+        assert cert.kind == "chain"
         seq, _ = spanning_path(chain)
         assert validate_mono_cycle(col, seq, 1, RED)
 
@@ -452,7 +452,7 @@ class TestAssembleChains:
         report = assemble_chains(col, blocks, system)
         for chain in report.chains:
             cert = validate_chain(chain, col)
-            assert cert.detail["valid"], cert.detail["problems"]
+            assert cert.kind == "chain", cert.detail["problems"]
             seq, _ = spanning_path(chain)
             if chain.kind == CLOSED:
                 assert validate_mono_cycle(col, seq, 1, RED)

@@ -257,6 +257,12 @@ class TestCheck:
         certpath = write_json(tmp_path, "cert.json", cert)
         assert main(["check", "--certificate", certpath, "--coloring", cpath]) == 0
 
+    def test_empty_path_is_trivially_valid(self, tmp_path, capsys):
+        cert = {"kind": "red_path", "witness": [], "detail": {"ell": 1, "k": 3}}
+        assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
+                     "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 5)))]) == 0
+        assert json.loads(capsys.readouterr().out) == {"valid": True, "reason": "empty path is trivially valid"}
+
     def test_missing_file_exit_1(self):
         assert main(["check", "--certificate", "/nonexistent/cert.json"]) == 1
 
@@ -482,6 +488,37 @@ class TestEngineCycleKind:
         assert "Traceback" not in proc.stderr
 
 
+# chain witnesses (k = 3) on an all-red colouring of 9 vertices, one per
+# problem `validate_chain` reports; None is validate_chain's own certificate
+_OPEN9 = {"kind": "open", "ell": 1, "vertices": list(range(9))}
+CHAIN_CASES = {
+    "all-red": (None, None, "revalidated"),
+    "one-k-set-blue": (None, (4, 5, 6), "interval 1: k-set (4, 5, 6) is not red"),
+    "unknown-kind": ({**_OPEN9, "kind": "twisted", "intervals": [[0, 5], [4, 5]]}, None, "unknown kind 'twisted'"),
+    "repeated-vertex": ({**_OPEN9, "vertices": [0, 1, 2, 3, 4, 5, 6, 7, 0], "intervals": [[0, 5], [4, 5]]}, None,
+                        "vertex list has repeats"),
+    "vertex-outside-host": ({**_OPEN9, "vertices": [0, 1, 2, 3, 4, 5, 6, 7, 9], "intervals": [[0, 5], [4, 5]]},
+                            None, "vertex outside the host"),
+    "no-intervals": ({**_OPEN9, "intervals": []}, None, "no intervals"),
+    "closed-one-element": ({**_OPEN9, "kind": "closed", "intervals": [[0, 9]]}, None,
+                           "closed chain needs at least two elements"),
+    "closed-order-k": ({"kind": "closed", "ell": 1, "vertices": [0, 1, 2], "intervals": [[0, 3], [2, 3]]}, None,
+                       "closed chain order must exceed k (wrap would repeat an edge)"),
+    "interval-below-k": ({"kind": "open", "ell": 2, "vertices": [0, 1], "intervals": [[0, 2]]}, None,
+                         "interval 0: length 2 < k"),
+    "interval-length-mod": ({**_OPEN9, "vertices": [0, 1, 2, 3], "intervals": [[0, 4]]}, None,
+                            "interval 0: length 4 != ell (mod k-ell)"),
+    "interval-longer-than-chain": ({**_OPEN9, "vertices": [0, 1, 2], "intervals": [[0, 5]]}, None,
+                                   "interval 0: longer than the chain"),
+    "first-interval-late": ({**_OPEN9, "intervals": [[1, 5], [5, 3]]}, None, "interval 0 must start at position 0"),
+    "junction-overlap": ({**_OPEN9, "intervals": [[0, 5], [3, 5]]}, None,
+                         "interval 1: junction overlap is not exactly ell"),
+    "open-cover": ({**_OPEN9, "intervals": [[0, 5]]}, None, "intervals do not cover the chain"),
+    "closed-closure": ({**_OPEN9, "kind": "closed", "intervals": [[0, 5], [4, 5]]}, None,
+                       "cyclic closure overlap is not exactly ell"),
+}
+
+
 class TestCertificateRoundTrips:
     @pytest.mark.parametrize("engine_args", [["loose", "--blue-target", "tth:2:2"],
                                              ["tight", "--tth", "2:2"]],
@@ -553,7 +590,7 @@ class TestCertificateRoundTrips:
         from hyperramsey.core import colex_rank
         col = TwoColoring(3, 6, 1 << colex_rank((0, 1, 2)))
         cert = {"kind": "red_path", "witness": [0, 1, 2, 3, 4],
-                "detail": {"ell": 1, "sequence": sequence}}
+                "detail": {"ell": 1, "k": 3, "sequence": sequence}}
         assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
                      "--coloring", write_json(tmp_path, "c.json", coloring_to_json(col))]) == 3
 
@@ -563,7 +600,7 @@ class TestCertificateRoundTrips:
         # [0, 2, 4, 1, 3, 5] is no red cycle whatever detail.sequence says
         col = TwoColoring.from_red_edges(3, 6, [(0, 1, 2), (2, 3, 4), (0, 4, 5)])
         cert = {"kind": "red_cycle", "witness": [0, 2, 4, 1, 3, 5],
-                "detail": {"ell": 1, "sequence": [0, 1, 2, 3, 4, 5]}}
+                "detail": {"ell": 1, "k": 3, "sequence": [0, 1, 2, 3, 4, 5]}}
         assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
                      "--coloring", write_json(tmp_path, "c.json", coloring_to_json(col))]) == 3
 
@@ -579,55 +616,87 @@ class TestCertificateRoundTrips:
                      "--coloring", write_json(tmp_path, "c.json", coloring_to_json(col))]) == 3
         assert "unknown certificate kind 'not_free'" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("blue_set, rc", [(None, 0), ((4, 5, 6), 3)], ids=["all-red", "one-k-set-blue"])
-    def test_chain_certificate_rechecked(self, tmp_path, capsys, blue_set, rc):
+    @pytest.mark.parametrize("witness, blue_set, reason", CHAIN_CASES.values(), ids=CHAIN_CASES.keys())
+    def test_chain_certificate_rechecked(self, tmp_path, capsys, witness, blue_set, reason):
         # validate_chain's certificate of an open loose chain with elements
-        # 0..4 and 4..8; a blue k-set inside element 1 breaks it
+        # 0..4 and 4..8 is accepted; a blue k-set inside element 1 breaks it,
+        # and so does each broken layout written as chain JSON from outside
         from hyperramsey.chains import CliqueChain, validate_chain
         from hyperramsey.core import colex_rank
         col = TwoColoring.all_red(3, 9)
-        cert = validate_chain(CliqueChain("open", 3, 1, tuple(range(9)), ((0, 5), (4, 5))), col)
-        assert cert.kind == "chain"
+        if witness is None:
+            cert = validate_chain(CliqueChain("open", 3, 1, tuple(range(9)), ((0, 5), (4, 5))), col)
+            assert cert.kind == "chain"
+            cert = cert.to_json()
+        else:
+            cert = {"kind": "chain", "witness": {"k": 3, **witness}}
         if blue_set is not None:
             col = TwoColoring(3, 9, col.red_bits & ~(1 << colex_rank(blue_set)))
-        assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert.to_json()),
-                     "--coloring", write_json(tmp_path, "c.json", coloring_to_json(col))]) == rc
-        reason = json.loads(capsys.readouterr().out)["reason"]
-        assert reason == ("revalidated" if rc == 0 else "interval 1: k-set (4, 5, 6) is not red")
+        rc = main(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
+                   "--coloring", write_json(tmp_path, "c.json", coloring_to_json(col))])
+        assert (rc, json.loads(capsys.readouterr().out)) == (0 if reason == "revalidated" else 3,
+                                                             {"valid": rc == 0, "reason": reason})
 
 
-# well-formed certificates whose witness has the wrong structure, on a
-# colouring with every triple red: only the structure can fail
+# well-formed certificates whose witness has the wrong structure, that lack
+# what a check needs or that claim another uniformity, on a colouring with
+# every triple red: only the structure or the claim can fail
+_K4 = hypergraph_to_json(complete_hypergraph(3, 4))
+_PATH_WINDOWS = "path windows are not all the right colour"
+_CYCLE_WINDOWS = "cycle windows are not all the right colour"
+_MISSES_AN_EDGE = "embedding misses an edge of the right colour"
 MISSHAPEN_WITNESSES = {
-    "path-repeated-vertex": {"kind": "red_path", "witness": [0, 1, 2, 1, 3], "detail": {"ell": 1}},
-    "path-vertex-outside-host": {"kind": "red_path", "witness": [0, 1, 2, 3, 6], "detail": {"ell": 1}},
-    "path-wrong-length": {"kind": "red_path", "witness": [0, 1, 2, 3], "detail": {"ell": 1}},
-    "cycle-repeated-vertex": {"kind": "red_cycle", "witness": [0, 1, 2, 3, 2, 5], "detail": {"ell": 1}},
-    "cycle-vertex-outside-host": {"kind": "red_cycle", "witness": [0, 1, 2, 3, 4, 7], "detail": {"ell": 1}},
-    "cycle-wrong-length": {"kind": "red_cycle", "witness": [0, 1, 2, 3, 4], "detail": {"ell": 1}},
-    "cycle-repeated-window": {"kind": "red_cycle", "witness": [0, 1, 2], "detail": {"ell": 2}},
-    "embedding-not-injective": {"kind": "red_embedding", "witness": [0, 1, 1, 2],
-                                "detail": {"target": hypergraph_to_json(complete_hypergraph(3, 4))}},
-    "embedding-short": {"kind": "red_embedding", "witness": [0, 1, 2],
-                        "detail": {"target": hypergraph_to_json(complete_hypergraph(3, 4))}},
-    "embedding-vertex-outside-host": {"kind": "red_embedding", "witness": [0, 1, 2, 6],
-                                      "detail": {"target": hypergraph_to_json(complete_hypergraph(3, 4))}},
+    "path-repeated-vertex": ({"kind": "red_path", "witness": [0, 1, 2, 1, 3], "detail": {"ell": 1, "k": 3}},
+                             _PATH_WINDOWS),
+    "path-vertex-outside-host": ({"kind": "red_path", "witness": [0, 1, 2, 3, 6], "detail": {"ell": 1, "k": 3}},
+                                 _PATH_WINDOWS),
+    "path-wrong-length": ({"kind": "red_path", "witness": [0, 1, 2, 3], "detail": {"ell": 1, "k": 3}},
+                          _PATH_WINDOWS),
+    "cycle-repeated-vertex": ({"kind": "red_cycle", "witness": [0, 1, 2, 3, 2, 5], "detail": {"ell": 1, "k": 3}},
+                              _CYCLE_WINDOWS),
+    "cycle-vertex-outside-host": ({"kind": "red_cycle", "witness": [0, 1, 2, 3, 4, 7],
+                                   "detail": {"ell": 1, "k": 3}}, _CYCLE_WINDOWS),
+    "cycle-wrong-length": ({"kind": "red_cycle", "witness": [0, 1, 2, 3, 4], "detail": {"ell": 1, "k": 3}},
+                           _CYCLE_WINDOWS),
+    "cycle-repeated-window": ({"kind": "red_cycle", "witness": [0, 1, 2], "detail": {"ell": 2, "k": 3}},
+                              _CYCLE_WINDOWS),
+    "embedding-not-injective": ({"kind": "red_embedding", "witness": [0, 1, 1, 2], "detail": {"target": _K4}},
+                                _MISSES_AN_EDGE),
+    "embedding-short": ({"kind": "red_embedding", "witness": [0, 1, 2], "detail": {"target": _K4}},
+                        _MISSES_AN_EDGE),
+    "embedding-vertex-outside-host": ({"kind": "red_embedding", "witness": [0, 1, 2, 6], "detail": {"target": _K4}},
+                                      _MISSES_AN_EDGE),
+    "path-without-ell": ({"kind": "red_path", "witness": [0, 1, 2], "detail": {"k": 3}},
+                         "missing witness, ell or k"),
+    "cycle-without-k": ({"kind": "red_cycle", "witness": [0, 1, 2, 3], "detail": {"ell": 1}},
+                        "missing witness, ell or k"),
+    "embedding-without-target": ({"kind": "red_embedding", "witness": [0, 1, 2, 3], "detail": {"exact": True}},
+                                 "embedding certificate lacks its target"),
+    "embedding-absence": ({"kind": "red_embedding", "witness": None, "detail": {"target": _K4, "exact": True}},
+                          "absence attestations cannot be re-validated in one pass"),
+    # an edgeless 3-vertex target embeds anywhere, and 0..4 is a red loose
+    # path; neither is what its certificate claims
+    "embedding-edgeless-7-uniform-target": ({"kind": "red_embedding", "witness": [0, 1, 2],
+                                             "detail": {"target": {"k": 7, "n": 3, "edges": []}}},
+                                            "the certificate is 7-uniform, the colouring 3-uniform"),
+    "path-claims-k-2": ({"kind": "red_path", "witness": [0, 1, 2, 3, 4], "detail": {"ell": 1, "k": 2}},
+                        "the certificate is 2-uniform, the colouring 3-uniform"),
 }
 
 
-@pytest.mark.parametrize("cert", MISSHAPEN_WITNESSES.values(), ids=MISSHAPEN_WITNESSES.keys())
-def test_misshapen_witness_exit_3(tmp_path, capsys, cert):
+@pytest.mark.parametrize("cert, reason", MISSHAPEN_WITNESSES.values(), ids=MISSHAPEN_WITNESSES.keys())
+def test_misshapen_witness_exit_3(tmp_path, capsys, cert, reason):
     assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
                  "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 6)))]) == 3
-    assert json.loads(capsys.readouterr().out)["valid"] is False
+    assert json.loads(capsys.readouterr().out) == {"valid": False, "reason": reason}
 
 
 MALFORMED_CERTIFICATES = {
     "chain-witness-null": {"kind": "chain", "witness": None},
-    "path-witness-string": {"kind": "red_path", "witness": [0, 1, "a"], "detail": {"ell": 1}},
-    "cycle-ell-string": {"kind": "red_cycle", "witness": [0, 1, 2, 3], "detail": {"ell": "x"}},
+    "path-witness-string": {"kind": "red_path", "witness": [0, 1, "a"], "detail": {"ell": 1, "k": 3}},
+    "cycle-ell-string": {"kind": "red_cycle", "witness": [0, 1, 2, 3], "detail": {"ell": "x", "k": 3}},
     "top-level-list": [],
-    "path-ell-k": {"kind": "red_path", "witness": [0, 1, 2], "detail": {"ell": 3}},
+    "path-ell-k": {"kind": "red_path", "witness": [0, 1, 2], "detail": {"ell": 3, "k": 3}},
     "chain-interval-string": {"kind": "chain", "witness": {"kind": "open", "k": 3, "ell": 1,
                                                            "vertices": [0, 1, 2],
                                                            "intervals": [[0, "3"]]}},
@@ -637,7 +706,7 @@ MALFORMED_CERTIFICATES = {
                            "detail": {"target": {"k": 3, "n": 3, "edges": [[0, 1, "2"]]}}},
     "crossing-block-int": {"kind": "blue_crossing_attestation", "detail": {"blocks": [0, 1]}},
     # a JSON boolean is not an integer, though Python's bool is an int
-    "path-witness-and-ell-bool": {"kind": "red_path", "witness": [True, 2, 3], "detail": {"ell": True}},
+    "path-witness-and-ell-bool": {"kind": "red_path", "witness": [True, 2, 3], "detail": {"ell": True, "k": 3}},
 }
 
 

@@ -25,6 +25,7 @@ from hyperramsey.constructions import (
 )
 from hyperramsey.engines import (
     EngineParams,
+    _find_blue_transitive_structure,
     absorbing_block,
     blue_density,
     butterfly_dichotomy,
@@ -379,6 +380,30 @@ class TestLooseEngine:
             assert validate_embedding(col, self.tth22(), rep.certificate.witness, BLUE)
         else:
             assert rep.stall is not None
+
+
+class TestBlueTransitiveStructure:
+    @pytest.mark.parametrize("chi, q", [(2, 2), (2, 3), (3, 2)])
+    def test_classes_are_a_blue_copy_inside_the_pool(self, chi, q):
+        # outside the pool, vertices 0..2 would take part in the first blue
+        # copy of the whole colouring
+        col = TwoColoring.random(3, 11, 0.3, seed=10 * chi + q)
+        pool = list(range(3, 11))
+        classes = _find_blue_transitive_structure(col, chi, q, pool)
+        flat = [v for c in classes for v in c]
+        assert [len(c) for c in classes] == [q] * chi and set(flat) <= set(pool)
+        assert validate_embedding(col, transitive_tournament_hypergraph(chi, q)[0], flat, BLUE)
+
+    @pytest.mark.parametrize("chi", [2, 3])
+    def test_none_when_the_pool_cannot_hold_a_copy(self, chi):
+        # every triple through vertex 0 is red, and a copy on a pool of
+        # exactly 2*chi vertices meets vertex 0 in an edge; one vertex fewer
+        # is too small a pool, while the pool without vertex 0 holds a copy
+        n = 2 * chi + 1
+        col = TwoColoring.from_red_edges(3, n, [e for e in combinations(range(n), 3) if 0 in e])
+        assert _find_blue_transitive_structure(col, chi, 2, list(range(2 * chi))) is None
+        assert _find_blue_transitive_structure(col, chi, 2, list(range(1, 2 * chi))) is None
+        assert _find_blue_transitive_structure(col, chi, 2, list(range(1, n))) is not None
 
 
 class TestTightEngine:

@@ -17,7 +17,9 @@ from hyperramsey.core import (
     ramsey_profile,
     single_edge,
     tournament_hypergraph,
+    transitive_tournament_hypergraph,
 )
+from hyperramsey.chains import CliqueChain, validate_chain
 from hyperramsey.constructions import (
     burr_coloring,
     ell_path_lb,
@@ -25,6 +27,7 @@ from hyperramsey.constructions import (
     non_transitive_lb,
     tau_lower_construction,
 )
+from hyperramsey.engines import EngineParams, loose_witness_engine
 from hyperramsey.exact import _ttfree_tournament_exists, free_coloring_exists
 from hyperramsey.search import (
     Certificate,
@@ -91,7 +94,7 @@ class TestLongestPath:
     def test_no_red_edge_convention(self):
         col = TwoColoring.all_blue(3, 5)
         vertices, cert = longest_mono_ell_path(col, 2, RED)
-        assert vertices == 2 and cert.detail["edges"] == 0
+        assert vertices == 2 and cert.witness == []
 
     def test_ell_path_lb_red_maximum(self):
         inst = ell_path_lb(3, 2, 8, 2)
@@ -107,7 +110,7 @@ class TestLongestPath:
             for colour in (RED, BLUE):
                 got, cert = longest_mono_ell_path(col, ell, colour)
                 assert got == naive_longest_mono_path(col, ell, colour)
-                if cert.detail["edges"]:
+                if cert.witness:
                     assert validate_mono_path(col, cert.witness, ell, colour)
 
     @pytest.mark.parametrize("col", PLAIN_DFS_CASES.values(), ids=PLAIN_DFS_CASES.keys())
@@ -361,6 +364,14 @@ class TestVerifyFree:
         cert = verify_free(col, "path:3:2:4", single_edge(3))
         assert cert.kind == "red_path" and validate_mono_path(col, cert.witness, 2, RED)
 
+    def test_cut_path_states_no_count_of_the_longer_path(self):
+        # the longest red path has 5 vertices and the witness is cut to the
+        # pattern's 4; the detail names the shape, not the uncut path's size
+        col = TwoColoring.all_red(3, 5)
+        cert = verify_free(col, "path:3:2:4", single_edge(3))
+        assert (cert.kind, len(cert.witness)) == ("red_path", 4) and validate_mono_path(col, cert.witness, 2, RED)
+        assert cert.detail == {"ell": 2, "k": 3, "exact": True}
+
     def test_all_blue_not_free(self):
         col = TwoColoring.all_blue(3, 5)
         cert = verify_free(col, "path:3:2:4", single_edge(3))
@@ -453,11 +464,39 @@ class TestTransitiveSubtournament:
         assert not validate_tt_embedding(t, [0, -1])
 
 
+def _engine_red(target_kind):
+    # a loose path has an odd order and a loose cycle an even one
+    tth22 = transitive_tournament_hypergraph(2, 2)[0]
+    params = EngineParams(n_target=9 if target_kind == "path" else 10, block_size=6, target_kind=target_kind)
+    return loose_witness_engine(TwoColoring.all_red(3, 12), tth22, params).certificate
+
+
+_LOOSE_CHAIN = CliqueChain("open", 3, 1, tuple(range(9)), ((0, 5), (4, 5)))
+DETAIL_KEYS = {
+    "longest-path": (lambda: longest_mono_ell_path(TwoColoring.all_red(3, 5), 2, RED)[1], {"ell", "k", "exact"}),
+    "pattern-path": (lambda: search_pattern(TwoColoring.all_red(3, 5), "path:3:2:4", RED), {"ell", "k", "exact"}),
+    "pattern-path-absent": (lambda: search_pattern(TwoColoring.all_blue(3, 5), "path:3:2:4", RED),
+                            {"ell", "k", "exact"}),
+    "pattern-cycle": (lambda: search_pattern(TwoColoring.all_red(3, 6), "cycle:3:1:6", RED), {"ell", "k", "exact"}),
+    "independence": (lambda: independence_number(complete_hypergraph(3, 5))[1], {"exact"}),
+    "chain": (lambda: validate_chain(_LOOSE_CHAIN, TwoColoring.all_red(3, 9)), {"problems"}),
+    "chain-invalid": (lambda: validate_chain(_LOOSE_CHAIN, TwoColoring.all_blue(3, 9)), {"problems"}),
+    "engine-red-path": (lambda: _engine_red("path"), {"ell", "k"}),
+    "engine-red-cycle": (lambda: _engine_red("cycle"), {"ell", "k"}),
+}
+
+
 class TestCertificates:
     def test_round_trip(self):
         cert = Certificate("red_path", [0, 1, 2], {"nodes": 5}, {"ell": 1})
         again = Certificate.from_json(cert.to_json())
         assert again.kind == cert.kind and again.witness == cert.witness
+
+    @pytest.mark.parametrize("produce, keys", DETAIL_KEYS.values(), ids=DETAIL_KEYS.keys())
+    def test_detail_holds_no_copy_of_the_witness_or_kind(self, produce, keys):
+        # each fact once: no count of the witness, no pattern string, no
+        # target beside a cycle's own shape, no validity beside the kind
+        assert set(produce().detail) == keys
 
 
 class TestGuards:
@@ -503,7 +542,7 @@ class TestHigherUniformity:
             for colour in (RED, BLUE):
                 got, cert = longest_mono_ell_path(col, ell, colour)
                 assert got == naive_longest_mono_path(col, ell, colour)
-                if cert.detail["edges"]:
+                if cert.witness:
                     assert validate_mono_path(col, cert.witness, ell, colour)
 
     def test_k4_embedding(self):
