@@ -4,8 +4,8 @@ numbers of transitive tournaments."""
 
 from hyperramsey.search import pattern_hypergraph
 from hyperramsey.exact import (
-    consecutive_gap_check,
     directed_ramsey_exact,
+    gap_report,
     goodness_gap,
     ramsey_exact,
     tau_exact,
@@ -38,6 +38,6 @@ print()
 for chi in (2, 3, 4):
     r = directed_ramsey_exact(chi)
     print(f"R_vec({chi}) = {r.value}  (extremal witness on {r.witness.n} vertices)")
-g = consecutive_gap_check(4)
+g = gap_report(directed_ramsey_exact(4), directed_ramsey_exact(3))
 print(f"R_vec(4) = {g.value} >= R_vec(3) + 2 = {g.previous + 2}: {g.inequality_holds}; "
       f"augmented witness TT_4-free: {g.augmented_ttfree}")

@@ -2,9 +2,11 @@
 
 A clique chain is an ordered vertex set covered by intervals, each inducing a
 red clique, with consecutive intervals overlapping in exactly ell positions.
-Because interval boundaries sit on the (k-ell)-grid, every window of k
-consecutive vertices lies inside one interval, so a valid chain always carries
-a spanning ell-path (or ell-cycle when the chain is closed).
+Because interval starts sit on the (k-ell)-grid, every window of k
+consecutive vertices starting on the grid lies inside one interval.  So the
+vertex order of a valid chain is a spanning ell-path (ell-cycle when the
+chain is closed), and so is each prefix of it whose order an ell-path has:
+its windows end before the wrap.
 
 Intervals are stored as (start, length) pairs over the chain's index space;
 for closed chains the index space is cyclic and intervals may wrap.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .core import BLUE, RED, TwoColoring, colex_subsets, mask_ranks
-from .search import Certificate, cycle_edges, embed, find_mono_clique, path_edges, path_plan
+from .search import Certificate, embed, find_mono_clique, path_plan
 
 OPEN = "open"
 CLOSED = "closed"
@@ -174,21 +176,6 @@ def validate_chain(chain: CliqueChain, coloring: TwoColoring | None = None) -> C
                                            "intervals": [list(i) for i in chain.intervals],
                                            "kind": chain.kind, "k": k, "ell": ell},
                        detail={"problems": problems})
-
-
-def spanning_path(chain: CliqueChain) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The spanning ell-path (ell-cycle if closed) of a valid chain.
-
-    Interval starts are multiples of k-ell, so every edge window of the
-    chain's vertex order lies inside one element; within a red-validated chain
-    all these windows are red.
-    """
-    cert = validate_chain(chain)
-    if cert.kind != "chain":
-        raise ValueError(f"invalid chain: {cert.detail['problems']}")
-    seq = list(chain.vertices)
-    edges = path_edges if chain.kind == OPEN else cycle_edges
-    return seq, edges(seq, chain.k, chain.ell)
 
 
 def cut_open(chain: CliqueChain) -> CliqueChain:

@@ -38,10 +38,8 @@ from .search import (
     Certificate,
     parse_pattern,
     pattern_hypergraph,
-    validate_embedding,
-    validate_mono_cycle,
-    validate_mono_path,
     verify_free,
+    witness_fault,
 )
 from .exact import (
     directed_ramsey_exact,
@@ -161,13 +159,10 @@ def cmd_construct(args) -> int:
                                             q=num("q") if "q" in params else None, aux=aux)
     elif name == "non-transitive":
         inst = constructions.non_transitive_lb(num("m"), num("t"))
-    elif name == "transitive":
+    else:  # "transitive": argparse's choices refuse every other name
         path = text("tournament", "c3")
         t = Tournament.cyclic_triangle() if path == "c3" else tournament_from_file(path)
         inst = constructions.transitive_lb(t, num("n"))
-    else:
-        print(f"unknown construction {name!r}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     if params:
         raise ValueError(f"construct {name} does not read --param {', '.join(sorted(params))}")
     _dump(coloring_to_json(inst.coloring), args.out)
@@ -325,28 +320,24 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
         named = cert.detail.get("target") if shape == "embedding" else cert.detail
         if isinstance(named, dict) and named.get("k", col.k) != col.k:
             return False, f"the certificate is {named['k']!r}-uniform, the colouring {col.k}-uniform"
-    if shape in ("path", "cycle"):
-        seq = cert.witness  # the vertices in path or cyclic order
-        ell = cert.detail.get("ell")
-        if seq is None or ell is None or "k" not in cert.detail:
-            return False, "missing witness, ell or k"
-        if not is_int(ell) or not 1 <= ell < col.k:
-            raise ValueError(f"certificate ell must be an integer in 1..{col.k - 1}")
-        seq = _int_list(seq, f"{shape} witness")
-        if shape == "path" and not seq:
+        if shape == "embedding":
+            if named is None:
+                return False, "embedding certificate lacks its target"
+            if cert.witness is None:
+                return False, "absence attestations cannot be re-validated in one pass"
+        else:  # the vertices in path or cyclic order
+            ell = cert.detail.get("ell")
+            if cert.witness is None or ell is None or "k" not in cert.detail:
+                return False, "missing witness, ell or k"
+            if not is_int(ell) or not 1 <= ell < col.k:
+                raise ValueError(f"certificate ell must be an integer in 1..{col.k - 1}")
+        witness = _int_list(cert.witness, f"{shape} witness")
+        if shape == "path" and not witness:
             return True, "empty path is trivially valid"
-        validate = validate_mono_path if shape == "path" else validate_mono_cycle
-        ok = validate(col, seq, ell, colour)
-        return ok, "revalidated" if ok else f"{shape} windows are not all the right colour"
-    if shape == "embedding":
-        target_json = cert.detail.get("target")
-        if target_json is None:
-            return False, "embedding certificate lacks its target"
-        if cert.witness is None:
-            return False, "absence attestations cannot be re-validated in one pass"
-        target = hypergraph_from_json(target_json)
-        ok = validate_embedding(col, target, _int_list(cert.witness, "embedding witness"), colour)
-        return ok, "revalidated" if ok else "embedding misses an edge of the right colour"
+        target = (hypergraph_from_json(named) if shape == "embedding"
+                  else f"{shape}:{col.k}:{ell}:{len(witness)}")  # the pattern of the witness's order
+        fault = witness_fault(col, target, witness, colour)
+        return fault is None, fault or "revalidated"
     if kind == "independent_set":
         return False, "independent-set certificates do not carry their hypergraph"
     if kind == "tt_embedding":

@@ -24,7 +24,7 @@ from .core import (
     colex_subsets,
     hypergraph_to_json,
 )
-from .search import has_two_edge_loose_path, independence_number
+from .search import has_two_edge_loose_path, independence_number, pattern_hypergraph
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ def ell_path_lb(k: int, ell: int, n: int, chi: int) -> LowerBoundInstance:
         raise ValueError("this construction needs 2 <= ell <= k-1")
     if chi < 2:
         raise ValueError("need chi >= 2")
-    if (n - ell) % (k - ell) != 0 or n < k:
-        raise ValueError(f"no path on n={n} vertices for k={k}, ell={ell}")
+    red_free = f"path:{k}:{ell}:{n}"
+    pattern_hypergraph(red_free)  # a ValueError for an order no such path has
     small = n // k - 1
     big_n = (chi - 1) * (n - 1) + small
     blocks = _blocks([n - 1] * (chi - 1) + [small])
@@ -128,7 +128,7 @@ def ell_path_lb(k: int, ell: int, n: int, chi: int) -> LowerBoundInstance:
             for _, c in _block_counts(k, blocks))
     return LowerBoundInstance(
         coloring=_colouring(k, big_n, reds),
-        claimed_red_free=f"path:{k}:{ell}:{n}",
+        claimed_red_free=red_free,
         claimed_blue_free="any H whose proper colourings all have a colour-concentrated edge",
         partition=blocks,
         parameters={"k": k, "ell": ell, "n": n, "chi": chi, "N": big_n},
@@ -173,12 +173,12 @@ def loose_path_lb(k: int, chi: int, n: int, t: int, aux: Hypergraph) -> LowerBou
         raise ValueError("need k >= 2")
     if chi < 2:
         raise ValueError("need chi >= 2")
-    if (n - 1) % (k - 1) != 0:
-        raise ValueError(f"need n = 1 (mod {k - 1})")
+    red_free = f"path:{k}:1:{n}"
+    pattern_hypergraph(red_free)  # a ValueError for an order no loose path has
     blocks, col = _connector_colouring(k, t, aux, [n - 1] * (chi - 2) + [n - 2 * k + 1, aux.n])
     return LowerBoundInstance(
         coloring=col,
-        claimed_red_free=f"path:{k}:1:{n}",
+        claimed_red_free=red_free,
         claimed_blue_free=f"split target, classes {(chi - 1)} x >(chi-1)(k-2)+{aux.n} and {t}",
         partition=blocks,
         parameters={"k": k, "chi": chi, "n": n, "t": t, "aux_n": aux.n, "N": col.n},
@@ -218,15 +218,15 @@ def loose_cycle_lb(
         raise ValueError("need k >= 2")
     if chi < 2:
         raise ValueError("need chi >= 2")
-    if n % (k - 1) != 0:
-        raise ValueError(f"need n = 0 (mod {k - 1})")
+    red_free = f"cycle:{k}:1:{n}"
+    pattern_hypergraph(red_free)  # a ValueError for an order no loose cycle has
     if variant == "tau":
         if aux is None:
             raise ValueError("tau variant needs the auxiliary graph")
         blocks, col = _connector_colouring(k, t, aux, [n - 1] * (chi - 1) + [aux.n])
         return LowerBoundInstance(
             coloring=col,
-            claimed_red_free=f"cycle:{k}:1:{n}",
+            claimed_red_free=red_free,
             claimed_blue_free=f"split target, tau variant, t={t}",
             partition=blocks,
             parameters={"k": k, "chi": chi, "n": n, "t": t, "variant": variant, "N": col.n},
@@ -248,7 +248,7 @@ def loose_cycle_lb(
                 for s, c in _block_counts(k, blocks))
         return LowerBoundInstance(
             coloring=_colouring(k, big_n, reds),
-            claimed_red_free=f"cycle:{k}:1:{n}",
+            claimed_red_free=red_free,
             claimed_blue_free=f"split target, pencil variant, t={t}",
             partition=blocks,
             parameters={"k": k, "chi": chi, "n": n, "t": t, "q": q, "variant": variant, "N": big_n},

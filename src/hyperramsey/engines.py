@@ -14,11 +14,13 @@ re-validates, and a stall report saying which dichotomy failed is a
 legitimate outcome at desk scale.
 
 Reachable targets: the loose engine returns a red loose path on
-1 + q(k-1) vertices or a red loose cycle on q(k-1) vertices (any other order
-is a ValueError), or a blue copy of any target hypergraph.  The tight engine
-(3-uniform) returns a red tight path or cycle of any order, or a blue
-transitive tournament hypergraph H(TT_chi, m).  Every blue certificate names
-its target, so `hyperramsey check` can rebuild and re-validate it.
+1 + q(k-1) >= k vertices or a red loose cycle on q(k-1) > k vertices, or a
+blue copy of any target hypergraph.  The tight engine (3-uniform) returns a
+red tight path on at least 3 vertices or a tight cycle on at least 4, or a
+blue transitive tournament hypergraph H(TT_chi, m).  Both refuse any other
+order at entry with a ValueError: `core.ell_path` and `core.ell_cycle`
+decide which orders a shape has.  Every blue certificate names its target,
+so `hyperramsey check` can rebuild and re-validate it.
 
 Every move that changes a chain (segment splice, endpoint extension,
 shrinking, absorption) rebuilds it with `chains.replace_element` and
@@ -53,7 +55,6 @@ from .chains import (
     find_connector,
     assemble_chains,
     replace_element,
-    spanning_path,
     validate_chain,
 )
 from .exact import directed_ramsey_exact, tau_exact
@@ -64,6 +65,7 @@ from .search import (
     find_transitive_subtournament,
     has_two_edge_loose_path,
     path_plan,
+    pattern_hypergraph,
     validate_embedding,
     validate_mono_cycle,
     validate_mono_path,
@@ -394,6 +396,17 @@ class EngineReport:
     log: list[str] = field(default_factory=list)
 
 
+def _refuse_order(k: int, ell: int, shape: str, params: EngineParams) -> None:
+    """ValueError, naming the shape, unless a k-uniform ell-path or ell-cycle
+    (as `params.target_kind` says) has `params.n_target` vertices; the
+    pattern's hypergraph decides, as it does for every witness check."""
+    try:
+        pattern_hypergraph(f"{params.target_kind}:{k}:{ell}:{params.n_target}")
+    except ValueError as exc:
+        raise ValueError(f"no {k}-uniform {shape} {params.target_kind} has "
+                         f"{params.n_target} vertices: {exc}") from None
+
+
 def _red_path_certificate(col: TwoColoring, seq: list[int], ell: int, params: EngineParams) -> Certificate:
     shape, validate = ("cycle", validate_mono_cycle) if params.target_kind == "cycle" \
         else ("path", validate_mono_path)
@@ -591,40 +604,24 @@ def _shrink_closed_chain(col: TwoColoring, chain: CliqueChain, target: int) -> C
 
 def _extract_red_witness(col: TwoColoring, chains: list[CliqueChain],
                          params: EngineParams) -> Certificate | None:
-    k = col.k
+    """The first n_target vertices of the first chain that has them: a
+    closed chain shrunk to the target order for a cycle, any chain at least
+    that long for a path.  The order is one the shape has (the engines
+    refuse any other at entry), so the prefix of a chain's vertices is a red
+    path: interval starts sit on the (k-ell) grid, and every window before
+    the wrap lies in one element.  A closed chain's order, like the target's,
+    is a multiple of k-ell, so the shrinking can reach it."""
     n_target = params.n_target
     for chain in chains:
         if params.target_kind == "cycle":
             if chain.kind != CLOSED or chain.p < n_target:
                 continue
-            if (chain.p - n_target) % (k - chain.ell) != 0:
+            chain = _shrink_closed_chain(col, chain, n_target)
+            if chain is None:
                 continue
-            shrunk = _shrink_closed_chain(col, chain, n_target)
-            if shrunk is None:
-                continue
-            seq, _ = spanning_path(shrunk)
-            return _red_path_certificate(col, seq, chain.ell, params)
-        ell = chain.ell
-        seq = None
-        if chain.kind == OPEN:
-            if chain.p >= n_target:
-                seq, _ = spanning_path(chain)
-        elif chain.p >= n_target:
-            try:
-                opened = cut_open(chain)
-                if opened.p >= n_target:
-                    seq, _ = spanning_path(opened)
-            except ValueError:
-                pass
-            if seq is None:
-                # fall back to the non-wrapping windows of the spanning cycle
-                cyc, _ = spanning_path(chain)
-                p = len(cyc)
-                prefix = ell + (k - ell) * ((p - k) // (k - ell) + 1)
-                if prefix >= n_target:
-                    seq = cyc[:prefix]
-        if seq is not None and len(seq) >= n_target:
-            return _red_path_certificate(col, seq[:n_target], ell, params)
+        elif chain.p < n_target:
+            continue
+        return _red_path_certificate(col, list(chain.vertices[:n_target]), chain.ell, params)
     return None
 
 
@@ -644,13 +641,10 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
     target, by clique partition, path system, chain assembly, and the two
     extension moves; stalls report which dichotomy failed.
 
-    A k-uniform loose path has 1 + q(k-1) vertices and a loose cycle q(k-1);
-    any other target order raises ValueError."""
+    A target order no k-uniform loose path or cycle has raises ValueError
+    (see `_refuse_order`)."""
     k = col.k
-    offset = 1 if params.target_kind == "path" else 0
-    if (params.n_target - offset) % (k - 1):
-        raise ValueError(f"a {k}-uniform loose {params.target_kind} has {'1 + ' * offset}a multiple "
-                         f"of {k - 1} vertices, not {params.n_target}")
+    _refuse_order(k, 1, "loose", params)
     log: list[str] = []
     red_blocks = _front_half(col, target, params, log)
     if isinstance(red_blocks, EngineReport):
@@ -818,9 +812,11 @@ def _find_blue_transitive_structure(col: TwoColoring, chi: int, q: int,
 
 def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParams) -> EngineReport:
     """Find a red tight path/cycle of the target order or a blue transitive
-    tournament hypergraph with chi classes of size m (3-uniform)."""
+    tournament hypergraph with chi classes of size m (3-uniform).  A target
+    order no tight path or cycle has raises ValueError (see `_refuse_order`)."""
     if col.k != 3:
         raise ValueError("tight engine is 3-uniform")
+    _refuse_order(3, 2, "tight", params)
     log: list[str] = []
     target, _ = transitive_tournament_hypergraph(chi, m)
     red_blocks = _front_half(col, target, params, log)

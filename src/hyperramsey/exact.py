@@ -559,17 +559,11 @@ class GapCheckReport:
     augmented_ttfree: bool
 
 
-def consecutive_gap_check(chi: int) -> GapCheckReport:
-    """Check R_vec(chi) >= R_vec(chi-1) + 2 and re-validate the constructive
-    witness: a TT_{chi-1}-free tournament extended by one dominating vertex,
-    one dominated vertex, and the back arc between them."""
-    if chi < 3:
-        raise ValueError("gap check needs chi >= 3")
-    return gap_report(directed_ramsey_exact(chi), directed_ramsey_exact(chi - 1))
-
-
 def gap_report(cur: DirectedRamseyResult, prev: DirectedRamseyResult) -> GapCheckReport:
-    """The gap check on R_vec(chi) and R_vec(chi-1), already computed."""
+    """Check R_vec(chi) >= R_vec(chi-1) + 2 on the two values, already
+    computed, and re-validate the constructive witness: a TT_{chi-1}-free
+    tournament extended by one dominating vertex, one dominated vertex, and
+    the back arc between them."""
     if not (cur.exact and prev.exact):
         raise GuardExceeded("both directed Ramsey values must be exact")
     base = prev.witness  # TT_{chi-1}-free on prev.value - 1 vertices

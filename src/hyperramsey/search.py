@@ -83,56 +83,46 @@ class Certificate:
 # witness validators (single linear pass; used by tests, engines and cmd_check)
 
 
-def path_edges(seq: list[int] | tuple[int, ...], k: int, ell: int) -> list[tuple[int, ...]]:
-    """Edge windows of the vertex sequence read as a k-uniform ell-path."""
-    n = len(seq)
-    if n < k or (n - ell) % (k - ell) != 0:
-        raise ValueError(f"sequence of length {n} is not an ell-path shape for k={k}, ell={ell}")
-    q = (n - ell) // (k - ell)
-    return [tuple(seq[i * (k - ell): i * (k - ell) + k]) for i in range(q)]
-
-
-def cycle_edges(seq: list[int] | tuple[int, ...], k: int, ell: int) -> list[tuple[int, ...]]:
-    n = len(seq)
-    if n < k or n % (k - ell) != 0:
-        raise ValueError(f"sequence of length {n} is not an ell-cycle shape for k={k}, ell={ell}")
-    q = n // (k - ell)
-    return [tuple(seq[(i * (k - ell) + j) % n] for j in range(k)) for i in range(q)]
+def witness_fault(col: TwoColoring, target: Hypergraph | str, witness: list[int], colour: str) -> str | None:
+    """Why `witness`, the host vertex of each target vertex, is no copy of
+    `target` in `colour`, or None when it is one.  A path or cycle witness
+    is its vertex sequence read against the pattern string of its order,
+    whose hypergraph `core.ell_path` or `core.ell_cycle` builds: an order the
+    shape cannot have is the fault they name."""
+    if isinstance(target, str):
+        try:
+            target = pattern_hypergraph(target)
+        except ValueError as exc:
+            return str(exc)
+    if len(witness) != target.n:
+        return f"witness has {len(witness)} vertices, its target {target.n}"
+    if len(set(witness)) != len(witness):
+        return "witness repeats a vertex"
+    if any(not 0 <= v < col.n for v in witness):
+        return f"witness has a vertex outside 0..{col.n - 1}"
+    cls = col.class_bits(colour)
+    for e in target.edges:
+        edge = [witness[v] for v in e]
+        if not cls >> col.rank(edge) & 1:
+            return f"edge {sorted(edge)} is not {colour}"
+    return None
 
 
 def validate_mono_path(col: TwoColoring, seq, ell: int, colour: str) -> bool:
-    """Check distinctness, window overlaps and edge colours of a path witness."""
+    """True iff the sequence is a `colour` ell-path of the colouring."""
     seq = list(seq)
-    if len(set(seq)) != len(seq) or any(not 0 <= v < col.n for v in seq):
-        return False
-    try:
-        windows = path_edges(seq, col.k, ell)
-    except ValueError:
-        return False
-    return all(col.has_colour(w, colour) for w in windows)
+    return witness_fault(col, f"path:{col.k}:{ell}:{len(seq)}", seq, colour) is None
 
 
 def validate_mono_cycle(col: TwoColoring, seq, ell: int, colour: str) -> bool:
+    """True iff the sequence, in cyclic order, is a `colour` ell-cycle."""
     seq = list(seq)
-    if len(set(seq)) != len(seq) or any(not 0 <= v < col.n for v in seq):
-        return False
-    try:
-        windows = cycle_edges(seq, col.k, ell)
-    except ValueError:
-        return False
-    if len(set(tuple(sorted(w)) for w in windows)) != len(windows):
-        return False
-    return all(col.has_colour(w, colour) for w in windows)
+    return witness_fault(col, f"cycle:{col.k}:{ell}:{len(seq)}", seq, colour) is None
 
 
 def validate_embedding(col: TwoColoring, target: Hypergraph, mapping, colour: str) -> bool:
-    """Check that `mapping` is injective and sends every target edge to `colour`."""
-    mapping = list(mapping)
-    if len(mapping) != target.n or len(set(mapping)) != target.n:
-        return False
-    if any(not 0 <= v < col.n for v in mapping):
-        return False
-    return all(col.has_colour([mapping[v] for v in e], colour) for e in target.edges)
+    """True iff `mapping` is injective and sends every target edge to `colour`."""
+    return witness_fault(col, target, list(mapping), colour) is None
 
 
 # ---------------------------------------------------------------------------

@@ -206,3 +206,51 @@ def naive_has_tt(t: Tournament, chi: int, through: int | None = None) -> bool:
                 all(pair in arcs for pair in combinations(seq, 2)):
             return True
     return False
+
+
+def path_edges(seq, k: int, ell: int) -> list[tuple[int, ...]]:
+    """Edge windows of the vertex sequence read as a k-uniform ell-path: one
+    every k-ell positions.  ValueError for a length no ell-path has."""
+    n = len(seq)
+    if n < k or (n - ell) % (k - ell) != 0:
+        raise ValueError(f"sequence of length {n} is not an ell-path shape for k={k}, ell={ell}")
+    q = (n - ell) // (k - ell)
+    return [tuple(seq[i * (k - ell): i * (k - ell) + k]) for i in range(q)]
+
+
+def cycle_edges(seq, k: int, ell: int) -> list[tuple[int, ...]]:
+    """Edge windows of the vertex sequence read cyclically as a k-uniform
+    ell-cycle.  ValueError for a length no ell-cycle has."""
+    n = len(seq)
+    if n < k or n % (k - ell) != 0:
+        raise ValueError(f"sequence of length {n} is not an ell-cycle shape for k={k}, ell={ell}")
+    q = n // (k - ell)
+    return [tuple(seq[(i * (k - ell) + j) % n] for j in range(k)) for i in range(q)]
+
+
+def window_mono_path(col: TwoColoring, seq, ell: int, colour: str) -> bool:
+    """A path witness checked window by window: distinct host vertices, a
+    length some ell-path has, every window of the colour."""
+    seq = list(seq)
+    if len(set(seq)) != len(seq) or any(not 0 <= v < col.n for v in seq):
+        return False
+    try:
+        windows = path_edges(seq, col.k, ell)
+    except ValueError:
+        return False
+    return all(col.has_colour(w, colour) for w in windows)
+
+
+def window_mono_cycle(col: TwoColoring, seq, ell: int, colour: str) -> bool:
+    """A cycle witness checked window by window, as `window_mono_path`, and
+    with no two windows on the same vertex set."""
+    seq = list(seq)
+    if len(set(seq)) != len(seq) or any(not 0 <= v < col.n for v in seq):
+        return False
+    try:
+        windows = cycle_edges(seq, col.k, ell)
+    except ValueError:
+        return False
+    if len(set(tuple(sorted(w)) for w in windows)) != len(windows):
+        return False
+    return all(col.has_colour(w, colour) for w in windows)

@@ -43,8 +43,8 @@ from hyperramsey.search import (
     verify_free,
 )
 from hyperramsey.exact import (
-    consecutive_gap_check,
     directed_ramsey_exact,
+    gap_report,
     ramsey_exact,
     tau_exact,
 )
@@ -52,7 +52,6 @@ from hyperramsey.chains import (
     CLOSED,
     clique_partition,
     double_tree_walk,
-    spanning_path,
     validate_chain,
 )
 from hyperramsey.engines import (
@@ -138,7 +137,7 @@ def test_criterion_3_directed_ramsey_values():
     ok &= r4.exact and r4.value == 8
     ok &= not find_transitive_subtournament(r4.witness, 4).found
     for chi in (3, 4):
-        g = consecutive_gap_check(chi)
+        g = gap_report(directed_ramsey_exact(chi), directed_ramsey_exact(chi - 1))
         ok &= g.inequality_holds and g.augmented_ttfree
     report(3, "directed Ramsey values and consecutive gaps", ok)
 
@@ -178,21 +177,11 @@ def test_criterion_5_chain_machinery():
         chain, col = random_valid_chain(rng)
         cert = validate_chain(chain, col)
         ok &= cert.kind == "chain"
-        seq, edges = spanning_path(chain)
-        ok &= sorted(seq) == sorted(chain.vertices)
-        # consecutive windows overlap in exactly ell vertices; a two-edge
-        # cycle meets itself at both junctions, so its edges share 2*ell
-        if chain.kind == CLOSED and len(edges) == 2:
-            ok &= len(set(edges[0]) & set(edges[1])) == 2 * chain.ell
-        else:
-            for a, b in zip(edges, edges[1:]):
-                ok &= len(set(a) & set(b)) == chain.ell
-            if chain.kind == CLOSED:
-                ok &= len(set(edges[-1]) & set(edges[0])) == chain.ell
-        if chain.kind == CLOSED:
-            ok &= validate_mono_cycle(col, seq, chain.ell, RED)
-        else:
-            ok &= validate_mono_path(col, seq, chain.ell, RED)
+        # the vertex order of a valid chain is a red ell-path or ell-cycle;
+        # how its edges overlap is `core.ell_path`'s and `ell_cycle`'s, and
+        # test_core pins it
+        validate = validate_mono_cycle if chain.kind == CLOSED else validate_mono_path
+        ok &= validate(col, list(chain.vertices), chain.ell, RED)
         if not ok:
             break
 

@@ -22,7 +22,6 @@ from hyperramsey.chains import (
     double_tree_walk,
     find_connector,
     replace_element,
-    spanning_path,
     validate_chain,
 )
 from hyperramsey.search import (
@@ -113,25 +112,21 @@ class TestValidateChain:
 
 
 class TestSpanningPath:
+    # the vertex order of a valid chain is its spanning path or cycle
     def test_single_clique_element(self):
         col = TwoColoring.all_red(3, 9)
         chain = CliqueChain(OPEN, 3, 1, tuple(range(9)), ((0, 9),))
-        seq, edges = spanning_path(chain)
-        assert edges == [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)]
-        assert validate_mono_path(col, seq, 1, RED)
+        assert validate_mono_path(col, list(chain.vertices), 1, RED)
 
     def test_two_elements(self):
         col = TwoColoring.all_red(3, 9)
         chain = CliqueChain(OPEN, 3, 1, tuple(range(9)), ((0, 5), (4, 5)))
-        seq, edges = spanning_path(chain)
-        assert len(edges) == 4 and validate_mono_path(col, seq, 1, RED)
+        assert validate_mono_path(col, list(chain.vertices), 1, RED)
 
     def test_closed_two_tight_elements(self):
         col = TwoColoring.all_red(3, 4)
         chain = CliqueChain(CLOSED, 3, 2, (0, 1, 2, 3), ((0, 4), (2, 4)))
-        seq, edges = spanning_path(chain)
-        assert len(edges) == 4
-        assert validate_mono_cycle(col, seq, 2, RED)
+        assert validate_mono_cycle(col, list(chain.vertices), 2, RED)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_chains_span(self, seed):
@@ -139,14 +134,12 @@ class TestSpanningPath:
         chain, col = random_valid_chain(rng)
         cert = validate_chain(chain, col)
         assert cert.kind == "chain", cert.detail["problems"]
-        seq, edges = spanning_path(chain)
-        assert sorted(seq) == sorted(chain.vertices)  # covers every vertex once
-        if chain.kind == OPEN:
-            assert validate_mono_path(col, seq, chain.ell, RED)
-        else:
-            assert validate_mono_cycle(col, seq, chain.ell, RED)
-        for a, b in zip(edges, edges[1:]):
-            assert len(set(a) & set(b)) == chain.ell
+        validate = validate_mono_path if chain.kind == OPEN else validate_mono_cycle
+        assert validate(col, list(chain.vertices), chain.ell, RED)
+        # each prefix of an order an ell-path has (k, k + (k-ell), ...) ends
+        # before a closed chain's wrap, so it is a red ell-path
+        for n in range(chain.k, chain.p + 1, chain.k - chain.ell):
+            assert validate_mono_path(col, list(chain.vertices[:n]), chain.ell, RED)
 
 
 class TestCutOpen:
@@ -436,8 +429,7 @@ class TestAssembleChains:
         assert chain.p >= 7 + 7 - 4
         cert = validate_chain(chain, col)
         assert cert.kind == "chain"
-        seq, _ = spanning_path(chain)
-        assert validate_mono_cycle(col, seq, 1, RED)
+        assert validate_mono_cycle(col, list(chain.vertices), 1, RED)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_dense_red_end_to_end(self, seed):
@@ -453,11 +445,8 @@ class TestAssembleChains:
         for chain in report.chains:
             cert = validate_chain(chain, col)
             assert cert.kind == "chain", cert.detail["problems"]
-            seq, _ = spanning_path(chain)
-            if chain.kind == CLOSED:
-                assert validate_mono_cycle(col, seq, 1, RED)
-            else:
-                assert validate_mono_path(col, seq, 1, RED)
+            validate = validate_mono_cycle if chain.kind == CLOSED else validate_mono_path
+            assert validate(col, list(chain.vertices), 1, RED)
         assert len(report.chains) <= len(blocks)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -371,6 +372,11 @@ class TestSearchStops:
         assert (payload["value"], payload["exact"], payload["lower_bound"]) == (None, False, 8)
         assert payload["witness"]["n"] == 7
 
+    def test_size_guard_exits_2(self, capsys):
+        # the chromatic profile of K_17^(3) is past the 16-vertex guard
+        assert main(["ramsey", "--red", "path:3:2:4", "--blue", "clique:3:17", "--cap", "2"]) == 2
+        assert "guard exceeded" in capsys.readouterr().err
+
 
 class TestConstructAllNames:
     def test_loose_path(self, tmp_path):
@@ -474,6 +480,13 @@ class TestEngineCycleKind:
                    "--target-kind", kind, "--blue-target", "tth:2:2"])
         assert rc == 1
         assert f"loose {kind}" in capsys.readouterr().err
+
+    def test_order_no_tight_path_has_exit_1(self, tmp_path):
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 12)))
+        proc = run_cli(["engine", "tight", "--coloring", cpath, "--target", "2", "--tth", "2:2"])
+        assert proc.returncode == 1, proc.stderr
+        assert "invalid input" in proc.stderr and "tight path" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("mode_args, named", [
         (["tight"], "--tth"),
@@ -639,33 +652,36 @@ class TestCertificateRoundTrips:
 
 
 # well-formed certificates whose witness has the wrong structure, that lack
-# what a check needs or that claim another uniformity, on a colouring with
-# every triple red: only the structure or the claim can fail
+# what a check needs or that claim another uniformity, on a colouring whose
+# one blue triple is {3, 4, 5}: the structure is checked before any colour,
+# so each reason names the structural fault, and one case's only fault is
+# that blue triple
 _K4 = hypergraph_to_json(complete_hypergraph(3, 4))
-_PATH_WINDOWS = "path windows are not all the right colour"
-_CYCLE_WINDOWS = "cycle windows are not all the right colour"
-_MISSES_AN_EDGE = "embedding misses an edge of the right colour"
+_REPEATS = "witness repeats a vertex"
+_OUTSIDE = "witness has a vertex outside 0..5"
 MISSHAPEN_WITNESSES = {
     "path-repeated-vertex": ({"kind": "red_path", "witness": [0, 1, 2, 1, 3], "detail": {"ell": 1, "k": 3}},
-                             _PATH_WINDOWS),
+                             _REPEATS),
     "path-vertex-outside-host": ({"kind": "red_path", "witness": [0, 1, 2, 3, 6], "detail": {"ell": 1, "k": 3}},
-                                 _PATH_WINDOWS),
+                                 _OUTSIDE),
     "path-wrong-length": ({"kind": "red_path", "witness": [0, 1, 2, 3], "detail": {"ell": 1, "k": 3}},
-                          _PATH_WINDOWS),
+                          "no such path: n=4 must satisfy n = 1 (mod 2)"),
     "cycle-repeated-vertex": ({"kind": "red_cycle", "witness": [0, 1, 2, 3, 2, 5], "detail": {"ell": 1, "k": 3}},
-                              _CYCLE_WINDOWS),
+                              _REPEATS),
     "cycle-vertex-outside-host": ({"kind": "red_cycle", "witness": [0, 1, 2, 3, 4, 7],
-                                   "detail": {"ell": 1, "k": 3}}, _CYCLE_WINDOWS),
+                                   "detail": {"ell": 1, "k": 3}}, _OUTSIDE),
     "cycle-wrong-length": ({"kind": "red_cycle", "witness": [0, 1, 2, 3, 4], "detail": {"ell": 1, "k": 3}},
-                           _CYCLE_WINDOWS),
+                           "no such cycle: n=5 must satisfy n = 0 (mod 2)"),
     "cycle-repeated-window": ({"kind": "red_cycle", "witness": [0, 1, 2], "detail": {"ell": 2, "k": 3}},
-                              _CYCLE_WINDOWS),
+                              "degenerate cycle: edges coincide at n=3, k=3, ell=2"),
     "embedding-not-injective": ({"kind": "red_embedding", "witness": [0, 1, 1, 2], "detail": {"target": _K4}},
-                                _MISSES_AN_EDGE),
+                                _REPEATS),
     "embedding-short": ({"kind": "red_embedding", "witness": [0, 1, 2], "detail": {"target": _K4}},
-                        _MISSES_AN_EDGE),
+                        "witness has 3 vertices, its target 4"),
     "embedding-vertex-outside-host": ({"kind": "red_embedding", "witness": [0, 1, 2, 6], "detail": {"target": _K4}},
-                                      _MISSES_AN_EDGE),
+                                      _OUTSIDE),
+    "path-blue-window": ({"kind": "red_path", "witness": [1, 2, 3, 4, 5], "detail": {"ell": 1, "k": 3}},
+                         "edge [3, 4, 5] is not red"),
     "path-without-ell": ({"kind": "red_path", "witness": [0, 1, 2], "detail": {"k": 3}},
                          "missing witness, ell or k"),
     "cycle-without-k": ({"kind": "red_cycle", "witness": [0, 1, 2, 3], "detail": {"ell": 1}},
@@ -686,8 +702,9 @@ MISSHAPEN_WITNESSES = {
 
 @pytest.mark.parametrize("cert, reason", MISSHAPEN_WITNESSES.values(), ids=MISSHAPEN_WITNESSES.keys())
 def test_misshapen_witness_exit_3(tmp_path, capsys, cert, reason):
+    col = TwoColoring.from_red_edges(3, 6, [e for e in combinations(range(6), 3) if e != (3, 4, 5)])
     assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
-                 "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 6)))]) == 3
+                 "--coloring", write_json(tmp_path, "c.json", coloring_to_json(col))]) == 3
     assert json.loads(capsys.readouterr().out) == {"valid": False, "reason": reason}
 
 

@@ -195,6 +195,14 @@ class TestLooseCycleLb:
         with pytest.raises(ValueError):
             loose_cycle_lb(3, 2, 0, 3, variant, **extra)
 
+    @pytest.mark.parametrize("variant, extra", [("tau", {"aux": tau_lower_construction(2, 3)}),
+                                                ("pencil", {"q": 2})])
+    def test_order_below_k_rejected(self, variant, extra):
+        # n = 2 satisfies n = 0 (mod k-1), but no 3-uniform loose cycle has
+        # two vertices: `core.ell_cycle` refuses the order
+        with pytest.raises(ValueError, match="degenerate cycle"):
+            loose_cycle_lb(3, 2, 2, 3, variant, **extra)
+
     def test_pencil_red_cycle_free(self):
         from hyperramsey.core import ell_cycle
         inst = loose_cycle_lb(3, 2, 6, 2, "pencil", q=2)

@@ -134,6 +134,23 @@ class TestPathsAndCycles:
                     for j in range(i + 2, p.num_edges):
                         assert not set(p.edges[i]) & set(p.edges[j])
 
+    @pytest.mark.parametrize("k, ell, n", [(3, 1, 4), (3, 1, 6), (3, 1, 10), (3, 2, 4), (3, 2, 7),
+                                           (4, 1, 6), (4, 1, 9), (4, 2, 8), (4, 3, 5), (5, 2, 6)])
+    def test_cycle_edge_count_and_overlaps(self, k, ell, n):
+        # edge i is the window of k cyclically consecutive vertices from
+        # i*(k-ell); consecutive windows, the last and the first included,
+        # share ell vertices, and the two edges of a two-edge cycle meet at
+        # both junctions, so they share 2*ell
+        c = ell_cycle(k, ell, n)
+        q = n // (k - ell)
+        windows = [frozenset((i * (k - ell) + j) % n for j in range(k)) for i in range(q)]
+        assert c.num_edges == q and set(map(frozenset, c.edges)) == set(windows)
+        for i in range(q):
+            assert len(windows[i] & windows[(i + 1) % q]) == (2 * ell if q == 2 else ell)
+
+    def test_nine_vertex_loose_path_windows(self):
+        assert ell_path(3, 1, 9).edges == ((0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8))
+
     def test_path_divisibility_rejected(self):
         with pytest.raises(ValueError):
             ell_path(3, 1, 6)

@@ -339,15 +339,28 @@ class TestLooseEngine:
         assert validate_mono_cycle(col, rep.certificate.witness, 1, RED)
         assert len(rep.certificate.witness) == 10
 
-    @pytest.mark.parametrize("kind, order", [("path", 8), ("cycle", 9)])
-    def test_order_no_loose_path_or_cycle_has(self, kind, order):
-        # a 3-uniform loose path has an odd order and a loose cycle an even
-        # one; the engine refuses the target instead of stalling or returning
-        # a shorter witness
+    @pytest.mark.parametrize("shape, kind, order", [
+        pytest.param("loose", "path", 8, id="path-8"),
+        pytest.param("loose", "cycle", 9, id="cycle-9"),
+        pytest.param("loose", "path", 1, id="path-1"),
+        pytest.param("loose", "cycle", 0, id="cycle-0"),
+        pytest.param("loose", "cycle", 2, id="cycle-2"),
+        pytest.param("tight", "path", 2, id="tight-path-2"),
+        pytest.param("tight", "cycle", 3, id="tight-cycle-3"),
+    ])
+    def test_order_no_loose_path_or_cycle_has(self, shape, kind, order):
+        # a 3-uniform loose path has an odd order of at least 3 and a loose
+        # cycle an even one of at least 4; a tight path has at least 3
+        # vertices and a tight cycle at least 4 (its 3 windows on 3 vertices
+        # coincide).  Each engine refuses the target at entry instead of
+        # stalling or failing on its own witness check
         col = TwoColoring.all_red(3, 12)
-        with pytest.raises(ValueError, match=f"loose {kind}"):
-            loose_witness_engine(col, self.tth22(),
-                                 EngineParams(n_target=order, block_size=6, target_kind=kind))
+        params = EngineParams(n_target=order, block_size=6, target_kind=kind)
+        with pytest.raises(ValueError, match=f"{shape} {kind}"):
+            if shape == "loose":
+                loose_witness_engine(col, self.tth22(), params)
+            else:
+                tight_witness_engine(col, 2, 2, params)
 
     @pytest.mark.parametrize("col, chi, params, via", [
         (TwoColoring.all_blue(3, 12), 2, EngineParams(n_target=9), "blue block"),

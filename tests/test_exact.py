@@ -33,9 +33,9 @@ from hyperramsey.exact import (
     _orbit_plans,
     _rank_tables,
     _ttfree_tournament_exists,
-    consecutive_gap_check,
     directed_ramsey_exact,
     free_coloring_exists,
+    gap_report,
     goodness_gap,
     ramsey_exact,
     tau_exact,
@@ -322,7 +322,8 @@ class TestRamseyExact:
     # a tight path that is not K_4^(3)-good (Burr bound 7) and one that is
     # Fano-good (Burr bound 9).  The lower witnesses re-validate through
     # verify_free; a second method for the refutations at n = 10 and n = 9
-    # waits for an ILP oracle (ROADMAP item 1), which is not in the repo.
+    # waits for the replayable propagation proofs of ROADMAP item 3, which
+    # are not in the repo.
     @pytest.mark.parametrize("red,blue,cap,value,nodes,prunes,verdict", [
         ("path:3:2:6", "clique:3:4", 10, 10, 6811, 6709, "not-good"),
         ("path:3:2:5", "fano", 9, 9, 3551, 3512, "good"),
@@ -521,7 +522,7 @@ class TestDirectedRamsey:
         assert not find_transitive_subtournament(r.witness, 4).found
 
     def test_gap_chi3(self):
-        g = consecutive_gap_check(3)
+        g = gap_report(directed_ramsey_exact(3), directed_ramsey_exact(2))
         assert g.inequality_holds and g.value == 4 and g.previous == 2
         assert g.augmented_witness.n == 3
         assert g.augmented_ttfree
@@ -532,7 +533,7 @@ class TestDirectedRamsey:
         assert sorted(outdeg) == [1, 1, 1]
 
     def test_gap_chi4(self):
-        g = consecutive_gap_check(4)
+        g = gap_report(directed_ramsey_exact(4), directed_ramsey_exact(3))
         assert g.inequality_holds and g.augmented_ttfree
 
     def test_labelled_count_consistency(self):
