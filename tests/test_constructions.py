@@ -191,7 +191,7 @@ class TestLooseCycleLb:
     @pytest.mark.parametrize("variant, extra", [("tau", {"aux": tau_lower_construction(2, 3)}),
                                                 ("pencil", {"q": 2})])
     def test_empty_cycle_rejected(self, variant, extra):
-        # n = 0 passes the congruence but leaves blocks of order n-1 = -1
+        # n = 0 satisfies the congruence, but no loose cycle is empty
         with pytest.raises(ValueError):
             loose_cycle_lb(3, 2, 0, 3, variant, **extra)
 

@@ -119,6 +119,7 @@ class TestPathsAndCycles:
 
     def test_loose_path(self):
         assert ell_path(3, 1, 5).edges == ((0, 1, 2), (2, 3, 4))
+        assert ell_path(3, 1, 9).edges == ((0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8))
 
     def test_single_edge_path(self):
         assert ell_path(4, 3, 4).edges == ((0, 1, 2, 3),)
@@ -147,9 +148,6 @@ class TestPathsAndCycles:
         assert c.num_edges == q and set(map(frozenset, c.edges)) == set(windows)
         for i in range(q):
             assert len(windows[i] & windows[(i + 1) % q]) == (2 * ell if q == 2 else ell)
-
-    def test_nine_vertex_loose_path_windows(self):
-        assert ell_path(3, 1, 9).edges == ((0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8))
 
     def test_path_divisibility_rejected(self):
         with pytest.raises(ValueError):
