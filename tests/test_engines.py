@@ -626,7 +626,7 @@ def test_engine_reports_pinned():
         cert = rep.certificate
         line = (kind, rep.outcome, cert and cert.kind, cert and cert.witness, rep.stall, rep.log)
         digest.update(repr(line).encode() + b"\n")
-    assert digest.hexdigest() == "a18de9525e9bc539692b8cd50a996fba5a7afb80f818c8a116b61ff85fd78356"
+    assert digest.hexdigest() == "36ee087c2523b96c1b5903bb89c97863311feaf5f2d8d076e43f72243e6f1c73"
 
 
 def _butterfly_line(col, w_sets, chi, m):
