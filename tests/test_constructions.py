@@ -342,4 +342,4 @@ def test_constructions_pinned():
         digest.update(repr(split_target(k, chi, t, tau).edges).encode() + b"\n")
     for k, alpha in product((2, 3, 4, 5), range(1, 13)):
         digest.update(repr(tau_lower_construction(k, alpha)).encode() + b"\n")
-    assert digest.hexdigest() == "00741ca1a1653449efc76b2ec43eaa654efbe8b97375e542908d732f51282296"
+    assert digest.hexdigest() == "f635bd0a27c796804bde2e2920f67fd09b27c0d11ce33bfd7e78be991bb3eda4"
