@@ -8,7 +8,6 @@ from hyperramsey.engines import (
     EngineParams,
     absorbing_block,
     loose_witness_engine,
-    random_embed,
     tight_witness_engine,
 )
 from hyperramsey.search import validate_embedding, validate_mono_path
@@ -46,10 +45,3 @@ print("\nfree instance, loose engine:", rep.outcome, "|", rep.stall["reason"])
 # vertices along a dense pair pattern.
 out = absorbing_block(col, list(range(6)), [10, 11, 12], d=1, eta=0.3)
 print("\nabsorbing block:", out.path if out.success else out.diagnostic)
-
-# The sampling lemma in isolation: with blue density above the threshold a
-# few uniform samples already land on an all-blue copy.
-host = TwoColoring.all_blue(3, 70)
-rep = random_embed(host, list(range(35)), [list(range(35, 70))], m=2, gamma=1 / 32, seed=0)
-print("random embedding: success on trial", rep.trials_run,
-      "| union bound", rep.failure_bound)

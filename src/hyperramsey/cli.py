@@ -1,7 +1,7 @@
 """Command-line interface: construct, verify, ramsey, tau, dramsey, chain,
 engine, table, check.
 
-Output is deterministic given inputs and seed: anything timing-related goes to
+Output is deterministic given its inputs: anything timing-related goes to
 stderr or to the optional run manifest, never into the payload on stdout.
 Exit codes: 0 ok, 1 invalid input (a usage error included), 2 guard
 exceeded, 3 certificate invalid.  The chain and engine layers are imported
@@ -98,7 +98,6 @@ def _write_manifest(path: str | None, args, argv: list[str], started: float) -> 
                 pass
     manifest = {
         "command": argv,
-        "seed": getattr(args, "seed", None),
         "input_sha256": inputs,
         "output_sha256": outputs,
         "wall_time_s": round(time.time() - started, 3),
@@ -265,7 +264,7 @@ def cmd_engine(args) -> int:
 
     col = coloring_from_json(_load_json(args.coloring))
     params = EngineParams(n_target=args.target, block_size=args.block_size,
-                          seed=args.seed, target_kind=args.target_kind)
+                          target_kind=args.target_kind)
     if args.mode == "loose":
         if args.blue_target is None:
             raise ValueError("engine loose needs --blue-target")
@@ -332,8 +331,6 @@ def check_certificate(cert: Certificate, col: TwoColoring | None) -> tuple[bool,
             if not is_int(ell) or not 1 <= ell < col.k:
                 raise ValueError(f"certificate ell must be an integer in 1..{col.k - 1}")
         witness = _int_list(cert.witness, f"{shape} witness")
-        if shape == "path" and not witness:
-            return True, "empty path is trivially valid"
         target = (hypergraph_from_json(named) if shape == "embedding"
                   else f"{shape}:{col.k}:{ell}:{len(witness)}")  # the pattern of the witness's order
         fault = witness_fault(col, target, witness, colour)
@@ -457,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blue-target", default=None, help="loose mode: pattern or hypergraph JSON file")
     p.add_argument("--tth", default=None, help="tight mode: chi:m")
     p.add_argument("--block-size", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_engine)
 

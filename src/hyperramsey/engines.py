@@ -4,10 +4,12 @@ Each engine drives the clique-partition / path-system / chain-assembly
 pipeline and then extends its chains.  The loose engine has two extension
 moves: a two-edge path of the auxiliary (k-1)-graph on the leftover, spliced
 into a flexible element, and endpoint extension by one red edge.  The tight
-engine absorbs leftover vertices through the random-embedding /
-absorbing-block dichotomy.  Both engines open the same way (`_front_half`):
-an edgeless target, a blue block that embeds the target, or no red block
-ends the run before the path system is built.  The quantitative thresholds
+engine absorbs leftover vertices through the absorbing-block / blue-density
+dichotomy: an element blue-dense toward every class of a blue structure in
+the leftover hands the target to one exhaustive `find_mono_copy` search.
+Both engines open the same way (`_front_half`): an edgeless target, a blue
+block that embeds the target, or no red block ends the run before the path
+system is built.  The quantitative thresholds
 that make these moves always succeed at asymptotic scale are fixed desk-scale
 constants here; the engines are judged on soundness: every emitted witness
 re-validates, and a stall report saying which dichotomy failed is a
@@ -32,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from random import Random
 
 from .core import (
     BLUE,
@@ -234,15 +235,7 @@ def butterfly_dichotomy(col: TwoColoring, w_subsets: list[tuple[int, ...]],
 
 
 # ---------------------------------------------------------------------------
-# random embedding and the absorbing block
-
-
-@dataclass
-class RandomEmbedReport:
-    success: bool
-    certificate: Certificate | None
-    trials_run: int
-    failure_bound: float
+# the absorbing block
 
 
 def blue_density(col: TwoColoring, a: list[int], b: list[int]) -> float:
@@ -253,46 +246,6 @@ def blue_density(col: TwoColoring, a: list[int], b: list[int]) -> float:
     total = len(a) * (len(a) - 1) // 2 * len(b)
     red = sum(mask.bit_count() for mask in red_pair_masks(col, a, b).values())
     return (total - red) / total if total else 1.0
-
-
-def random_embed(col: TwoColoring, first_class: list[int], classes: list[list[int]],
-                 m: int, gamma: float, trials: int = 64, seed: int = 0,
-                 check_preconditions: bool = True) -> RandomEmbedReport:
-    """Sample m vertices per class uniformly (repetitions rejected) until the
-    sampled classes span an all-blue transitive tournament hypergraph.
-
-    Preconditions are checked exactly: every class has at least 1/gamma
-    vertices and every arc density d_b(V_i, V_i, V_j) is at least 1 - gamma.
-    On failure the union-bound estimate chi*(chi-1)*m^3*gamma is reported.
-    """
-    all_classes = [list(first_class)] + [list(c) for c in classes]
-    chi = len(all_classes)
-    if check_preconditions:
-        for cls in all_classes:
-            if len(cls) < 1.0 / gamma:
-                raise ValueError(f"class of size {len(cls)} is below 1/gamma = {1.0 / gamma:.1f}")
-        for i in range(chi):
-            for j in range(i + 1, chi):
-                d = blue_density(col, all_classes[i], all_classes[j])
-                if d < 1 - gamma:
-                    raise ValueError(f"arc ({i},{j}) blue density {d:.3f} below 1-gamma")
-    target, _ = transitive_tournament_hypergraph(chi, m)
-    rng = Random(seed)
-    bound = chi * (chi - 1) * m ** 3 * gamma
-    for trial in range(1, trials + 1):
-        flat = []
-        for cls in all_classes:
-            picks = [rng.choice(cls) for _ in range(m)]
-            if len(set(picks)) != m:
-                break  # a repeat rejects the sample before the next class is drawn
-            flat.extend(picks)
-        # chi*m distinct vertices: every class was sampled, with no repeat across classes
-        if len(set(flat)) == chi * m and validate_embedding(col, target, flat, BLUE):
-            cert = Certificate(kind="blue_embedding", witness=flat,
-                               stats={"trials": trial},
-                               detail={"target": hypergraph_to_json(target), "seed": seed})
-            return RandomEmbedReport(True, cert, trial, bound)
-    return RandomEmbedReport(False, None, trials, bound)
 
 
 @dataclass
@@ -372,8 +325,12 @@ def absorbing_block(col: TwoColoring, block_a: list[int], block_b: list[int],
 
 # The proofs' thresholds, fixed at desk scale.  The tight engine's density
 # threshold gamma is (chi^2 m^3)^-1 in the proof, at most 1/32 for every target
-# with edges, far below what desk-sized classes carry through random_embed's
-# 1/gamma class-size precondition; it is floored at GAMMA.
+# with edges; the proof samples classes of at least 1/gamma vertices, far more
+# than desk-sized classes hold, so gamma is floored at GAMMA, and an element
+# blue-dense toward every class gets an exhaustive search instead of a sample.
+# An element lies inside one red block, and absorption needs its interior
+# (all but two vertices at each end) to keep 2D+2 = 4 vertices: nothing is
+# absorbed unless block_size is at least 8.
 D = 1             # absorbing-block arity
 Q = 4             # class size of the recursively found blue structure
 GAMMA = 0.25      # density threshold
@@ -384,7 +341,6 @@ MAX_ROUNDS = 64   # extension rounds (loose) and absorption rounds (tight)
 class EngineParams:
     n_target: int                 # red path/cycle order to reach
     block_size: int = 6           # red clique order extracted by the partition
-    seed: int = 0                 # random embedding seed
     target_kind: str = "path"     # "path" | "cycle"
 
 
@@ -641,10 +597,12 @@ def loose_witness_engine(col: TwoColoring, target: Hypergraph, params: EnginePar
     target, by clique partition, path system, chain assembly, and the two
     extension moves; stalls report which dichotomy failed.
 
-    A target order no k-uniform loose path or cycle has raises ValueError
-    (see `_refuse_order`)."""
+    A target order no k-uniform loose path or cycle has, or a blue target of
+    another uniformity, raises ValueError (see `_refuse_order`)."""
     k = col.k
     _refuse_order(k, 1, "loose", params)
+    if target.k != k:
+        raise ValueError(f"the blue target is {target.k}-uniform, the colouring {k}-uniform")
     log: list[str] = []
     red_blocks = _front_half(col, target, params, log)
     if isinstance(red_blocks, EngineReport):
@@ -796,15 +754,10 @@ def _directed_ramsey(chi: int) -> int:
 def _find_blue_transitive_structure(col: TwoColoring, chi: int, q: int,
                                     pool: list[int]) -> list[list[int]] | None:
     """Classes of a blue transitive tournament hypergraph with chi >= 1
-    classes of size q inside the pool; for chi = 1 any q pool vertices
-    qualify."""
-    if chi == 1:
-        if len(pool) < q:
-            return None
-        return [sorted(pool)[:q]]
+    classes of size q inside the pool (for chi = 1, the first q pool
+    vertices: the target has no edge)."""
     target, _ = transitive_tournament_hypergraph(chi, q)
-    forbidden = frozenset(v for v in range(col.n) if v not in set(pool))
-    cert = find_mono_copy(col, target, BLUE, forbidden=forbidden)
+    cert = find_mono_copy(col, target, BLUE, forbidden=frozenset(range(col.n)).difference(pool))
     if not cert.found:
         return None
     return [[cert.witness[c * q + i] for i in range(q)] for c in range(chi)]
@@ -833,7 +786,8 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
             return EngineReport("blue_witness", outcome.blue_embedding, None, log)
         if outcome.branch == "red":
             return EngineReport("stall", None,
-                                {"reason": "butterfly found a red connector the path system missed",
+                                {"reason": "a red connector joins two stalled blocks, "
+                                           "but no pair of them has two disjoint ones",
                                  "connector": outcome.red_path}, log)
         return EngineReport("stall", None, {"reason": outcome.diagnostic}, log)
     try:
@@ -878,20 +832,20 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
                                f"in the {len(pool)}-vertex leftover")
                     break
                 # the first class the element is not blue-dense toward feeds the
-                # absorbing block; with none, the classes take a random embedding
+                # absorbing block; with none, the target is searched on the
+                # element's unused interior and the classes
                 absorb_from = next((cls for cls in classes
                                     if blue_density(col, inside, cls) < 1 - GAMMA), None)
                 if absorb_from is None:
-                    try:
-                        rep = random_embed(col, inside, classes, m, GAMMA, seed=params.seed)
-                    except ValueError as exc:
-                        log.append(f"element {j}: random embedding precondition: {exc}")
-                        break
-                    if rep.success:
-                        log.append(f"element {j}: blue witness by random embedding "
-                                   f"(trial {rep.trials_run}, bound {rep.failure_bound:.3f})")
-                        return EngineReport("blue_witness", rep.certificate, None, log)
-                    log.append(f"element {j}: random embedding failed after {rep.trials_run} trials")
+                    copy = find_mono_copy(col, target, BLUE,
+                                          forbidden=frozenset(range(col.n)).difference(inside, *classes))
+                    if copy.found:
+                        log.append(f"element {j}: blue witness on the interior and the dense classes")
+                        return EngineReport("blue_witness", _blue_certificate(
+                            col, target, copy.witness, "blue-dense classes"), None, log)
+                    log.append(f"element {j}: " + ("no blue copy" if copy.detail["exact"]
+                                                   else "blue copy search cut short")
+                               + " on the interior and the dense classes")
                     break
                 out = absorbing_block(col, inside, absorb_from, D, GAMMA)
                 if not out.success:

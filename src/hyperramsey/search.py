@@ -50,8 +50,8 @@ class Certificate:
       red_path, blue_path, red_cycle, blue_cycle: ell, k, exact (an engine's
         witness: ell, k);
       red_embedding, blue_embedding: target (hypergraph JSON) when found, and
-        exact, or for a sampled copy its seed; an engine's names its `via`; an
-        absence that needs no search gives its `reason`, a cycle's too;
+        exact; an engine's names its `via`; an absence that needs no search
+        gives its `reason`, a cycle's too;
       free: red_pattern, blue_pattern, exact;
       independent_set, tt_embedding: exact;
       chain, chain_invalid: problems, empty for a chain;

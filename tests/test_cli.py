@@ -259,10 +259,12 @@ class TestCheck:
         assert main(["check", "--certificate", certpath, "--coloring", cpath]) == 0
 
     def test_empty_path_is_trivially_valid(self, tmp_path, capsys):
+        # an empty witness was once accepted as trivially valid; it is now
+        # read as a path of order 0, which no 3-uniform path has
         cert = {"kind": "red_path", "witness": [], "detail": {"ell": 1, "k": 3}}
         assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
-                     "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 5)))]) == 0
-        assert json.loads(capsys.readouterr().out) == {"valid": True, "reason": "empty path is trivially valid"}
+                     "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 5)))]) == 3
+        assert json.loads(capsys.readouterr().out) == {"valid": False, "reason": "need n >= k, got n=0, k=3"}
 
     def test_missing_file_exit_1(self):
         assert main(["check", "--certificate", "/nonexistent/cert.json"]) == 1
@@ -413,6 +415,8 @@ class TestConstructAllNames:
         manifest = json.loads(man.read_text())
         import hashlib
         assert manifest["output_sha256"]["out"] == hashlib.sha256(out.read_bytes()).hexdigest()
+        # no subcommand takes a seed, so the manifest records none
+        assert sorted(manifest) == ["command", "input_sha256", "output_sha256", "wall_time_s"]
 
 
 class TestVerifyThenCheckRoundTrip:
@@ -480,6 +484,12 @@ class TestEngineCycleKind:
                    "--target-kind", kind, "--blue-target", "tth:2:2"])
         assert rc == 1
         assert f"loose {kind}" in capsys.readouterr().err
+
+    def test_blue_target_of_another_uniformity_exit_1(self, tmp_path, capsys):
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 8)))
+        rc = main(["engine", "loose", "--coloring", cpath, "--target", "5", "--blue-target", "edge:4"])
+        assert rc == 1
+        assert "invalid input: the blue target is 4-uniform" in capsys.readouterr().err
 
     def test_order_no_tight_path_has_exit_1(self, tmp_path):
         cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 12)))

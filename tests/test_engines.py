@@ -10,13 +10,14 @@ import pytest
 from hyperramsey.cli import check_certificate
 from hyperramsey.core import (
     BLUE,
+    Hypergraph,
     RED,
     Tournament,
     TwoColoring,
     complete_hypergraph,
     transitive_tournament_hypergraph,
 )
-from hyperramsey.chains import find_connector
+from hyperramsey.chains import clique_partition, find_connector
 from hyperramsey.constructions import (
     loose_path_lb,
     non_transitive_lb,
@@ -33,7 +34,6 @@ from hyperramsey.engines import (
     independence_dichotomy,
     loose_witness_engine,
     monochromatic_biclique,
-    random_embed,
     tight_witness_engine,
 )
 from hyperramsey.search import (
@@ -162,54 +162,6 @@ class TestButterfly:
         assert branches == {("red", None): 2085, ("blue", None): 631,
                             ("diagnostic", "auxiliary tournament"): 249,
                             ("diagnostic", "no monochromatic"): 35}
-
-
-class TestRandomEmbed:
-    def test_all_blue_first_trial(self):
-        col = TwoColoring.all_blue(3, 70)
-        classes = [list(range(35, 70))]
-        rep = random_embed(col, list(range(35)), classes, 2, gamma=1 / 32, trials=10, seed=0)
-        assert rep.success and rep.trials_run == 1
-        target, _ = transitive_tournament_hypergraph(2, 2)
-        assert validate_embedding(col, target, rep.certificate.witness, BLUE)
-
-    def test_union_bound_below_one_at_threshold(self):
-        chi, m = 2, 2
-        gamma = 1.0 / (chi * chi * m ** 3)
-        col = TwoColoring.all_blue(3, 70)
-        rep = random_embed(col, list(range(35)), [list(range(35, 70))], m, gamma, trials=4, seed=1)
-        assert rep.failure_bound == chi * (chi - 1) * m ** 3 * gamma
-        assert rep.failure_bound < 1
-
-    def test_density_precondition_enforced(self):
-        col = TwoColoring.all_red(3, 70)
-        with pytest.raises(ValueError):
-            random_embed(col, list(range(35)), [list(range(35, 70))], 2, 1 / 32, trials=1)
-
-    def test_planted_noise_empirical_rate(self):
-        # red noise at half the threshold density: over 1000 single-sample
-        # trials the failure rate stays below one half
-        chi, m = 2, 2
-        gamma = 1.0 / (chi * chi * m ** 3)
-        rng = Random(7)
-        a = list(range(35))
-        y = list(range(35, 70))
-        red = []
-        for x1 in a:
-            for x2 in a:
-                if x2 <= x1:
-                    continue
-                for z in y:
-                    if rng.random() < gamma / 2:
-                        red.append((x1, x2, z))
-        col = TwoColoring.from_red_edges(3, 70, red)
-        assert blue_density(col, a, y) >= 1 - gamma
-        failures = 0
-        for seed in range(1000):
-            rep = random_embed(col, a, [y], m, gamma, trials=1, seed=seed,
-                               check_preconditions=False)
-            failures += 0 if rep.success else 1
-        assert failures / 1000 < 0.5
 
 
 class TestAbsorbingBlock:
@@ -362,6 +314,14 @@ class TestLooseEngine:
             else:
                 tight_witness_engine(col, 2, 2, params)
 
+    @pytest.mark.parametrize("target", [complete_hypergraph(4, 4), Hypergraph(4, 3, ())],
+                             ids=["edge-4", "edgeless-4"])
+    def test_blue_target_of_another_uniformity_is_refused(self, target):
+        # on a 3-uniform host a 4-uniform edge let the run end in a red path,
+        # and an edgeless 4-uniform target in a blue embedding `check` refuses
+        with pytest.raises(ValueError, match="blue target is 4-uniform, the colouring 3-uniform"):
+            loose_witness_engine(TwoColoring.all_red(3, 8), target, EngineParams(n_target=5))
+
     @pytest.mark.parametrize("col, chi, params, via", [
         (TwoColoring.all_blue(3, 12), 2, EngineParams(n_target=9), "blue block"),
         # H(TT_1, 2) is edgeless
@@ -407,6 +367,13 @@ class TestBlueTransitiveStructure:
         assert [len(c) for c in classes] == [q] * chi and set(flat) <= set(pool)
         assert validate_embedding(col, transitive_tournament_hypergraph(chi, q)[0], flat, BLUE)
 
+    def test_one_class_is_the_first_pool_vertices(self):
+        # H(TT_1, q) is edgeless: any q pool vertices hold it, and a shorter
+        # pool holds none
+        col = TwoColoring.all_red(3, 9)
+        assert _find_blue_transitive_structure(col, 1, 4, [8, 2, 6, 4, 5]) == [[2, 4, 5, 6]]
+        assert _find_blue_transitive_structure(col, 1, 4, [8, 2, 6]) is None
+
     @pytest.mark.parametrize("chi", [2, 3])
     def test_none_when_the_pool_cannot_hold_a_copy(self, chi):
         # every triple through vertex 0 is red, and a copy on a pool of
@@ -420,6 +387,10 @@ class TestBlueTransitiveStructure:
 
 
 class TestTightEngine:
+    def test_refuses_a_host_that_is_not_three_uniform(self):
+        with pytest.raises(ValueError, match="tight engine is 3-uniform"):
+            tight_witness_engine(TwoColoring.all_red(4, 8), 2, 2, EngineParams(n_target=5))
+
     def test_dense_red_witness(self):
         col = TwoColoring.random(3, 13, 0.95, seed=0)
         rep = tight_witness_engine(col, 2, 2, EngineParams(n_target=10, block_size=6))
@@ -512,9 +483,26 @@ class TestTightEngineDichotomies:
         col = TwoColoring.from_red_edges(3, 16, red)
         rep = tight_witness_engine(col, 2, 2, EngineParams(n_target=14, block_size=9))
         assert rep.outcome == "blue_witness"
-        assert any("random embedding" in line for line in rep.log)
-        target, _ = transitive_tournament_hypergraph(2, 2)
-        assert validate_embedding(col, target, rep.certificate.witness, BLUE)
+        assert rep.log[-1] == "element 0: blue witness on the interior and the dense classes"
+        assert rep.certificate.detail["via"] == "blue-dense classes"
+        assert check_certificate(rep.certificate, col) == (True, "revalidated")
+
+    def test_butterfly_red_stall(self):
+        # the two red blocks have one red connector between them and no
+        # second one disjoint from it, so the join round finds no pair and
+        # the butterfly finds that connector again inside W_0 and W_1
+        col = TwoColoring.random(3, 8, 0.8, seed=12)
+        w0, w1 = clique_partition(col, 4, 4).red_blocks()
+        rep = tight_witness_engine(col, 2, 2, EngineParams(n_target=8, block_size=4))
+        assert (rep.outcome, rep.certificate) == ("stall", None)
+        assert rep.stall == {"reason": "a red connector joins two stalled blocks, "
+                                       "but no pair of them has two disjoint ones",
+                             "connector": (0, 1, 4, 6)}
+        assert rep.log == ["partition: 2 red blocks, 0 blue blocks, leftover 0"]
+        assert validate_mono_path(col, rep.stall["connector"], 2, RED)
+        assert (w0, w1) == ((0, 1, 2, 3), (4, 5, 6, 7))
+        rest = set(w0 + w1) - set(rep.stall["connector"])
+        assert find_connector(col, 3, 2, 2, sorted(rest & set(w0)), sorted(rest & set(w1)), rest) is None
 
     def test_absorbing_branch_grows_the_chain(self):
         col = TwoColoring.random(3, 13, 0.97, seed=3)

@@ -1,7 +1,7 @@
 """Whole-repository checks: no assert statement, no unused parameter, no
 function that only tests call, no private name imported across modules, no
-function-level re-import, no environment read and no unread CLI option in
-the package, no subcommand layer loaded at CLI start-up, soundness checks
+function-level re-import, no environment read, no sampling outside `core`
+and no unread CLI option in the package, no subcommand layer loaded at CLI start-up, soundness checks
 survive `python -O`, and the demos run."""
 
 import argparse
@@ -137,6 +137,23 @@ def test_the_package_reads_no_environment():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 found.extend(f"{path.name}:{node.lineno} from os import {alias.name}"
                              for alias in node.names if alias.name in reads)
+    assert found == []
+
+
+def test_only_core_imports_random():
+    # engine output depends on its inputs alone: only `core` samples, for its
+    # seeded `TwoColoring.random`, so no seed knob can grow back elsewhere
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.extend(f"{path.name}:{node.lineno} import {alias.name}"
+                             for alias in node.names if alias.name.split(".")[0] == "random")
+            elif isinstance(node, ast.ImportFrom) and not node.level \
+                    and (node.module or "").split(".")[0] == "random":
+                found.append(f"{path.name}:{node.lineno} from {node.module} import")
     assert found == []
 
 
