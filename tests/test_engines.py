@@ -614,7 +614,7 @@ def test_engine_reports_pinned():
         cert = rep.certificate
         line = (kind, rep.outcome, cert and cert.kind, cert and cert.witness, rep.stall, rep.log)
         digest.update(repr(line).encode() + b"\n")
-    assert digest.hexdigest() == "36ee087c2523b96c1b5903bb89c97863311feaf5f2d8d076e43f72243e6f1c73"
+    assert digest.hexdigest() == "d17366df00f50ae33ab714b1844d86b6a119ab5a24a86543fdd0e5940061096b"
 
 
 def _butterfly_line(col, w_sets, chi, m):
