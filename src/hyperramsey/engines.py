@@ -9,19 +9,18 @@ dichotomy: an element blue-dense toward every class of a blue structure in
 the leftover hands the target to one exhaustive `find_mono_copy` search.
 Both engines open the same way (`_front_half`): an edgeless target, a blue
 block that embeds the target, or no red block ends the run before the path
-system is built.  The quantitative thresholds
-that make these moves always succeed at asymptotic scale are fixed desk-scale
-constants here; the engines are judged on soundness: every emitted witness
-re-validates, and a stall report saying which dichotomy failed is a
-legitimate outcome at desk scale.
+system is built.  The quantitative thresholds that make these moves always
+succeed at asymptotic scale are fixed desk-scale constants here; the engines
+are judged on soundness: every emitted witness re-validates, and a stall
+report saying which dichotomy failed is a legitimate outcome at desk scale.
 
 Reachable targets: the loose engine returns a red loose path on
 1 + q(k-1) >= k vertices or a red loose cycle on q(k-1) > k vertices, or a
-blue copy of any target hypergraph.  The tight engine (3-uniform) returns a
-red tight path on at least 3 vertices or a tight cycle on at least 4, or a
-blue transitive tournament hypergraph H(TT_chi, m).  Both refuse any other
-order at entry with a ValueError: `core.ell_path` and `core.ell_cycle`
-decide which orders a shape has.  Every blue certificate names its target,
+blue copy of any target hypergraph of its uniformity.  The tight engine
+(3-uniform) returns a red tight path on at least 3 vertices or a tight cycle
+on at least 4, or a blue transitive tournament hypergraph H(TT_chi, m).  Both
+refuse any other order at entry with a ValueError: `core.ell_path` and
+`core.ell_cycle` decide which orders a shape has.  Every blue certificate names its target,
 so `hyperramsey check` can rebuild and re-validate it.
 
 Every move that changes a chain (segment splice, endpoint extension,
@@ -843,9 +842,8 @@ def tight_witness_engine(col: TwoColoring, chi: int, m: int, params: EngineParam
                         log.append(f"element {j}: blue witness on the interior and the dense classes")
                         return EngineReport("blue_witness", _blue_certificate(
                             col, target, copy.witness, "blue-dense classes"), None, log)
-                    log.append(f"element {j}: " + ("no blue copy" if copy.detail["exact"]
-                                                   else "blue copy search cut short")
-                               + " on the interior and the dense classes")
+                    why = "no blue copy" if copy.detail["exact"] else "blue copy search cut short"
+                    log.append(f"element {j}: {why} on the interior and the dense classes")
                     break
                 out = absorbing_block(col, inside, absorb_from, D, GAMMA)
                 if not out.success:

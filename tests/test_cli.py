@@ -259,8 +259,7 @@ class TestCheck:
         assert main(["check", "--certificate", certpath, "--coloring", cpath]) == 0
 
     def test_empty_path_is_trivially_valid(self, tmp_path, capsys):
-        # an empty witness was once accepted as trivially valid; it is now
-        # read as a path of order 0, which no 3-uniform path has
+        # an empty witness is a path of order 0, which no 3-uniform path has
         cert = {"kind": "red_path", "witness": [], "detail": {"ell": 1, "k": 3}}
         assert main(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
                      "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 5)))]) == 3

@@ -317,8 +317,8 @@ class TestLooseEngine:
     @pytest.mark.parametrize("target", [complete_hypergraph(4, 4), Hypergraph(4, 3, ())],
                              ids=["edge-4", "edgeless-4"])
     def test_blue_target_of_another_uniformity_is_refused(self, target):
-        # on a 3-uniform host a 4-uniform edge let the run end in a red path,
-        # and an edgeless 4-uniform target in a blue embedding `check` refuses
+        # without the refusal, the edge ends in a red path and the edgeless
+        # target in a blue embedding that `check` refuses
         with pytest.raises(ValueError, match="blue target is 4-uniform, the colouring 3-uniform"):
             loose_witness_engine(TwoColoring.all_red(3, 8), target, EngineParams(n_target=5))
 
