@@ -142,13 +142,6 @@ class Hypergraph:
                 deg[v] += 1
         return deg
 
-    def induced(self, vertices: Sequence[int]) -> "Hypergraph":
-        """Subhypergraph induced by `vertices`, relabelled to 0..len-1."""
-        vs = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(vs)}
-        keep = [tuple(pos[v] for v in e) for e in self.edges if all(v in pos for v in e)]
-        return Hypergraph(self.k, len(vs), tuple(keep))
-
     def relabel(self, perm: Sequence[int]) -> "Hypergraph":
         """The hypergraph with an edge {perm[v] : v in e} for each edge e;
         ValueError unless perm is a permutation of 0..n-1."""
@@ -257,9 +250,6 @@ class Tournament:
         for i, j in combinations(range(self.n), 2):
             yield (i, j) if self.has_arc(i, j) else (j, i)
 
-    def out_neighbours(self, v: int) -> list[int]:
-        return [u for u in range(self.n) if u != v and self.has_arc(v, u)]
-
     def relabel(self, perm: Sequence[int]) -> "Tournament":
         """The tournament with an arc perm[u] -> perm[v] for each arc u -> v;
         ValueError unless perm is a permutation of 0..n-1."""
@@ -349,12 +339,6 @@ class TwoColoring:
             return self.red_bits ^ ((1 << self.num_edges) - 1)
         raise ValueError(f"colour must be {RED!r} or {BLUE!r}, not {colour!r}")
 
-    def has_colour(self, edge: Iterable[int], colour: str) -> bool:
-        return bool(self.class_bits(colour) >> self.rank(edge) & 1)
-
-    def count_red(self) -> int:
-        return self.red_bits.bit_count()
-
     def edges_of(self, colour: str) -> list[tuple[int, ...]]:
         cls = self.class_bits(colour)
         return [s for r, s in enumerate(colex_subsets(self.k, self.n)) if cls >> r & 1]
@@ -367,10 +351,6 @@ class TwoColoring:
             if self.red_bits >> r & 1:
                 bits |= 1 << image
         return TwoColoring(self.k, self.n, bits)
-
-    @classmethod
-    def all_red(cls, k: int, n: int) -> "TwoColoring":
-        return cls(k, n, (1 << comb(n, k)) - 1)
 
     @classmethod
     def all_blue(cls, k: int, n: int) -> "TwoColoring":

@@ -2,19 +2,18 @@
 
 ramsey_exact decides, for increasing n, whether a free colouring of the
 complete k-graph exists, by DFS over edge colours in colex-rank order.  The
-DFS state is one int, bit r set when the edge of rank r is red, and one link
-index per colour: each (k-1)-vertex mask maps to the mask of the vertices
-that make an edge of that colour with it.  Colouring the edge of rank r sets
-one bit in the link of each of its k faces, and backtracking clears it.  A
-branch is pruned the moment the edge just coloured completes a red copy of
-the pattern or a blue copy of the target, so every leaf reached is a free
-colouring.  Whether it does is asked of a _PatternWatcher, which runs the
-embedding kernel of `search` on that colour's link index from one ordered
-target edge per orbit of the target's automorphism group, mapped onto that
-edge.  Paths, cycles, cliques and every other pattern go through this one
-kernel.  The orbit plans are found once per target, the tables that depend
-only on (k, n) once per shape, and every order and call shares them.
-Before the watchers, a branch must pass the lex-leader predicates of the
+DFS state is one int, bit r set when the edge of rank r is red.  A branch is
+pruned the moment the edge just coloured completes a red copy of the
+pattern or a blue copy of the target, so every leaf reached is a free
+colouring.  Every copy of a pattern in K_n^(k) is listed once, as the mask
+of its edges' colex ranks, and filed under its highest rank.  Colouring rank
+r can complete only the copies filed under r, since all their other edges
+are coloured already: a red copy closes when its mask lies in the red edges,
+a blue one when it meets none of them.  Paths, cycles, cliques and every
+other pattern go through these lists.  They are built once per (pattern, n),
+from the distinct relabellings of the pattern, built once per pattern; the
+lex-leader tables once per (k, n); and every order and call shares them.
+Before the copy check, a branch must pass the lex-leader predicates of the
 n-1 adjacent vertex transpositions (i i+1): the DFS keeps a colouring only
 if it meets it no later than its image under each of them.  So it explores
 far fewer relabelled copies of each branch, and still returns the witness it
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 from .core import (
@@ -71,80 +70,54 @@ from .core import (
 )
 from . import search
 from .constructions import tau_lower_construction
-from .search import (
-    EmbeddingPlan,
-    embed,
-    find_transitive_subtournament,
-    link_index,
-    pattern_hypergraph,
-)
+from .search import find_transitive_subtournament, pattern_hypergraph
 
 # ---------------------------------------------------------------------------
-# incremental copy detection for the colouring DFS
-
-
-class _PatternWatcher:
-    """Detects whether colouring one more edge completes a copy of the pattern.
-
-    A colour class is read through its link index: each (k-1)-vertex mask
-    maps to the mask of the vertices that make a class edge with it.  The
-    pattern, a spec string or a hypergraph, goes to the embedding kernel of
-    `search`, started with a target edge already mapped onto the new edge.
-    Anchoring at every ordered target edge would repeat work: two ordered
-    edges that an automorphism of the target maps onto each other complete
-    the same copies.  So the watcher keeps one ordered edge per orbit of
-    Aut(target), found by embedding the target into itself with the same
-    kernel once per target and shared by every order and every call.
-    """
-
-    def __init__(self, pattern: str | Hypergraph, n: int):
-        target = pattern_hypergraph(pattern) if isinstance(pattern, str) else pattern
-        self.plans = _orbit_plans(target)
-        self.allowed = [(1 << n) - 1] * target.n
-        self.kernel_stats = {"nodes": 0, "prunes": 0}  # kept by the kernel, never reported
-
-    def completes(self, link: dict[int, int], edge: tuple[int, ...]) -> bool:
-        """True iff the colour class with link index `link` (which already
-        contains edge) has a copy of the pattern through edge."""
-        return _through(self.plans, link, edge, self.allowed, self.kernel_stats)
-
-
-def _through(plans: tuple[EmbeddingPlan, ...], link: dict[int, int], edge: tuple[int, ...],
-             allowed: list[int], stats: dict) -> bool:
-    """Is there an embedding into the class of `link` that sends the first
-    vertices of one of the plans onto `edge`, in order?"""
-    used = 0
-    for v in edge:
-        used |= 1 << v
-    k = len(edge)
-    for plan in plans:
-        image = [-1] * len(plan.order)
-        for tv, hv in zip(plan.order, edge):
-            image[tv] = hv
-        if embed(plan, link, allowed, image, used, k, stats):
-            return True
-    return False
+# copy lists and lex-leader predicates for the colouring DFS
 
 
 @lru_cache(maxsize=128)
-def _orbit_plans(target: Hypergraph) -> tuple[EmbeddingPlan, ...]:
-    """One embedding plan per orbit of Aut(target) on ordered target edges,
-    each placing its representative edge first.  An ordered edge lies in the
-    orbit of a representative iff the target embeds into itself sending the
-    representative onto it.
+def _labelled_copies(target: Hypergraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(w, copies): w counts the target's vertices that lie in an edge, and
+    copies holds each distinct image of the target's edges under a
+    relabelling of those w vertices onto 0..w-1, as the sorted colex ranks of
+    its edges in K_w^(k).  Built once per target from its w! relabellings."""
+    spanned = sorted({v for e in target.edges for v in e})
+    position = {v: i for i, v in enumerate(spanned)}
+    edges = [[position[v] for v in e] for e in target.edges]
+    ranks = mask_ranks(target.k, len(spanned))
+    copies = {tuple(sorted(ranks[sum(1 << perm[v] for v in e)] for e in edges))
+              for perm in permutations(range(len(spanned)))}
+    return len(spanned), tuple(sorted(copies))
 
-    Built once per target and shared by every watcher, order and call.  The
-    DFS only reads the plans, and no witness or result holds one, so
-    `_least_order`'s identity test on witnesses never meets a shared object."""
-    link = link_index(target.k, target.n, target.edges)
-    allowed = [(1 << target.n) - 1] * target.n
-    stats = {"nodes": 0, "prunes": 0}
-    plans: tuple[EmbeddingPlan, ...] = ()
-    for e in target.edges:
-        for ordered in permutations(e):
-            if not _through(plans, link, ordered, allowed, stats):
-                plans += (EmbeddingPlan(target, ordered),)
-    return plans
+
+@lru_cache(maxsize=128)
+def _copy_masks(target: Hypergraph, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every copy of the target in K_n^(k), as the mask of its edges' colex
+    ranks, bucketed by highest rank: entry r holds the copies whose last
+    edge is rank r.  Built once per (target, n).
+
+    A copy is a labelled copy on 0..w-1 (`_labelled_copies`) placed on a
+    w-subset S by the increasing map onto S.  That map keeps colex order, so
+    S's k-sets are ranked once and the copy's highest rank is the image of
+    its highest.  A vertex in no edge can go to any vertex left over, so
+    each edge set is listed once; and below the target's order no copy
+    fits, so none is listed there."""
+    k = target.k
+    buckets: list[list[int]] = [[] for _ in range(comb(n, k))]
+    if target.n <= n:
+        w, copies = _labelled_copies(target)
+        ranks = mask_ranks(k, n)
+        small = colex_subsets(k, w)
+        for sub in combinations(range(n), w):
+            image = [ranks[sum(1 << sub[i] for i in s)] for s in small]
+            bit = [1 << x for x in image]
+            for copy in copies:
+                mask = 0
+                for r in copy:
+                    mask |= bit[r]
+                buckets[image[copy[-1]]].append(mask)
+    return tuple(map(tuple, buckets))
 
 
 class _LexLeader:
@@ -193,13 +166,10 @@ class _LexLeader:
 
 
 @lru_cache(maxsize=128)
-def _rank_tables(k: int, n: int) -> tuple[_LexLeader, tuple[tuple[tuple[int, int], ...], ...]]:
-    """The colouring-independent tables of the DFS on the complete k-graph
-    on n vertices, built once per (k, n): the lex-leader predicates, and for
-    each rank r the (k-1)-faces of edge r, each with the vertex it lacks."""
-    faces = tuple(tuple((emask ^ 1 << v, 1 << v) for v in e)
-                  for emask, e in zip(mask_ranks(k, n), colex_subsets(k, n)))
-    return _LexLeader(k, n), faces
+def _rank_tables(k: int, n: int) -> _LexLeader:
+    """The lex-leader predicates of the DFS on the complete k-graph on n
+    vertices, built once per (k, n)."""
+    return _LexLeader(k, n)
 
 
 def free_coloring_exists(
@@ -216,7 +186,10 @@ def free_coloring_exists(
     coloured completes a red pattern or a blue target, or when the
     `_LexLeader` predicates find c < sigma_i(c) for an adjacent vertex
     transposition sigma_i; that test is cheaper, so it runs first, and each
-    cut counts one prune.
+    cut counts one prune.  The copies that rank r can complete are those
+    `_copy_masks` files under r: colouring r red completes one iff some
+    mask m of the pattern's has no bit outside the red edges, and blue iff
+    some mask of the target's has no bit among them.
 
     The predicates change neither the answer nor the witness.  Without them
     the first free leaf is the greatest free colouring c*.  Each sigma_i(c*)
@@ -236,40 +209,31 @@ def free_coloring_exists(
     if any(not t.edges and t.n <= n for t in (red, blue)):
         return False, None, stats  # every colouring on n vertices holds the edgeless side
 
-    red_watch = _PatternWatcher(red, n)
-    blue_watch = _PatternWatcher(blue, n)
-    lex, faces = _rank_tables(k, n)
-    subsets = colex_subsets(k, n)
-    red_link = dict.fromkeys(mask_ranks(k - 1, n), 0)
-    blue_link = dict(red_link)
+    red_copies = _copy_masks(red, n)
+    blue_copies = _copy_masks(blue, n)
+    lex = _rank_tables(k, n)
     budget = search.DEFAULT_NODE_BUDGET
 
     def dfs(r: int, bits: int, undecided: int):
         # bits: the red edges among ranks < r; every other rank < r is blue,
-        # red_link, blue_link index those two classes, and undecided holds
-        # the predicates that have not yet shown c > sigma_i(c)
+        # and undecided holds the predicates that have not yet shown
+        # c > sigma_i(c)
         stats["nodes"] += 1
         if stats["nodes"] > budget:
             raise GuardExceeded(f"free-colouring search on {n} vertices passed {budget} nodes", stats)
         if r == nbits:
             return bits
-        e, edge_faces = subsets[r], faces[r]
         red_undecided, blue_undecided = lex.split(undecided, r, bits)
-        for child, child_undecided, link, watch in ((bits | 1 << r, red_undecided, red_link, red_watch),
-                                                    (bits, blue_undecided, blue_link, blue_watch)):
-            if child_undecided is None:
+        red_bits = bits | 1 << r
+        # a copy filed under r closes when none of its edges has the other colour
+        for child, child_undecided, copies, other in ((red_bits, red_undecided, red_copies[r], ~red_bits),
+                                                      (bits, blue_undecided, blue_copies[r], bits)):
+            if child_undecided is None or not all(m & other for m in copies):
                 stats["prunes"] += 1
                 continue
-            for f, x in edge_faces:
-                link[f] |= x
-            if not watch.completes(link, e):
-                got = dfs(r + 1, child, child_undecided)
-                if got is not None:
-                    return got
-            else:
-                stats["prunes"] += 1
-            for f, x in edge_faces:
-                link[f] ^= x
+            got = dfs(r + 1, child, child_undecided)
+            if got is not None:
+                return got
         return None
 
     bits = dfs(0, 0, lex.start)

@@ -133,7 +133,8 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     """Exact maximum vertex count of a monochromatic ell-path, with a witness.
 
     Returns (vertices, certificate); a path with q edges has ell + q*(k-ell)
-    vertices, so the no-edge degenerate path counts ell vertices.  DFS over
+    vertices, so the no-edge degenerate path counts ell vertices, and its
+    certificate has witness None, as every other absence has.  DFS over
     (ordered boundary, used set) states with a remaining-vertices bound.
     Roots are the class edges in increasing rank.  It stops on node
     DEFAULT_NODE_BUDGET + 1, inexact.
@@ -165,7 +166,7 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
         raise ValueError("ell out of range")
     cls = col.class_bits(colour)
     stats = {"nodes": 0, "prunes": 0}
-    best = {"edges": 0, "seq": []}
+    best = {"edges": 0, "seq": None}
     seen: set[tuple[tuple[int, ...], int]] = set()  # (boundary, used) states visited
     step = k - ell
     fresh_pick = min(ell, step)  # new boundary vertices taken from each edge
@@ -220,7 +221,7 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     vertices = ell + best["edges"] * step
     cert = Certificate(
         kind=f"{colour}_path",
-        witness=list(best["seq"]),
+        witness=best["seq"],
         stats=stats,
         detail={"ell": ell, "k": k, "exact": exact},
     )

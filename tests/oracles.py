@@ -8,8 +8,19 @@ shared with the code under test.
 from itertools import combinations, permutations
 from math import comb
 
-from hyperramsey.core import Hypergraph, Tournament, TwoColoring
+from hyperramsey.core import Hypergraph, Tournament, TwoColoring, colex_rank
 from hyperramsey.search import pattern_hypergraph
+
+
+def all_red(k: int, n: int) -> TwoColoring:
+    """The colouring of K_n^(k) with every edge red."""
+    return TwoColoring(k, n, (1 << comb(n, k)) - 1)
+
+
+def has_colour(col: TwoColoring, edge, colour: str) -> bool:
+    """Does the edge, a k-subset of the colouring's vertices in any order,
+    have the colour?  ValueError on any other edge or colour."""
+    return bool(col.class_bits(colour) >> col.rank(edge) & 1)
 
 
 def naive_longest_mono_path(col: TwoColoring, ell: int, colour: str) -> int:
@@ -24,7 +35,7 @@ def naive_longest_mono_path(col: TwoColoring, ell: int, colour: str) -> int:
         for seq in permutations(range(col.n), length):
             ok = True
             for i in range(q):
-                if not col.has_colour(seq[i * (k - ell): i * (k - ell) + k], colour):
+                if not has_colour(col, seq[i * (k - ell): i * (k - ell) + k], colour):
                     ok = False
                     break
             if ok:
@@ -46,15 +57,15 @@ def naive_path_witness(col: TwoColoring, ell: int, colour: str) -> tuple[int, li
     and otherwise unused, in colex order, and for each edge every split of
     its new vertices into sorted interior and ordered new boundary part, in
     order of (interior, new boundary).  The witness is the first path to
-    reach each new maximum, the empty list when no edge has the colour."""
+    reach each new maximum, None when no edge has the colour."""
     k, step = col.k, col.k - ell
-    edges = sorted((e for e in combinations(range(col.n), k) if col.has_colour(e, colour)),
+    edges = sorted((e for e in combinations(range(col.n), k) if has_colour(col, e, colour)),
                    key=lambda e: e[::-1])  # colex: compare the largest vertices first
     through = {}  # boundary set -> the class edges holding it, in colex order
     for e in edges:
         for bnd in combinations(e, ell):
             through.setdefault(frozenset(bnd), []).append(e)
-    best = [0, []]
+    best = [0, None]
 
     def grow(seq: list[int], edges_so_far: int) -> None:
         if edges_so_far > best[0]:
@@ -74,15 +85,24 @@ def naive_path_witness(col: TwoColoring, ell: int, colour: str) -> tuple[int, li
     return ell + best[0] * step, best[1]
 
 
-def naive_find_copy(col: TwoColoring, target: Hypergraph, colour: str, through=None):
-    """First monochromatic copy of the target over all injective maps; with
-    `through`, the first one that has that edge among its images."""
-    want = None if through is None else sorted(through)
+def naive_find_copy(col: TwoColoring, target: Hypergraph, colour: str):
+    """First monochromatic copy of the target over all injective maps."""
     for hosts in permutations(range(col.n), target.n):
-        images = [sorted(hosts[v] for v in e) for e in target.edges]
-        if (want is None or want in images) and all(col.has_colour(im, colour) for im in images):
+        if all(has_colour(col, [hosts[v] for v in e], colour) for e in target.edges):
             return hosts
     return None
+
+
+def naive_copy_masks(target: Hypergraph, n: int) -> list[list[int]]:
+    """Every copy of the target in K_n^(k) as the mask of its edges' colex
+    ranks, found over all injective maps of its vertices into 0..n-1, each
+    mask once, sorted and bucketed by its highest rank."""
+    masks = {sum(1 << colex_rank(sorted(hosts[v] for v in e)) for e in target.edges)
+             for hosts in permutations(range(n), target.n)}
+    buckets = [[] for _ in range(comb(n, target.k))]
+    for mask in sorted(masks):
+        buckets[mask.bit_length() - 1].append(mask)
+    return buckets
 
 
 def naive_link(col: TwoColoring, colour: str) -> dict[int, int]:
@@ -92,7 +112,7 @@ def naive_link(col: TwoColoring, colour: str) -> dict[int, int]:
     link = {}
     for face in combinations(range(col.n), col.k - 1):
         link[sum(1 << v for v in face)] = sum(
-            1 << x for x in range(col.n) if x not in face and col.has_colour(face + (x,), colour))
+            1 << x for x in range(col.n) if x not in face and has_colour(col, face + (x,), colour))
     return link
 
 
@@ -101,7 +121,7 @@ def naive_find_clique(col: TwoColoring, size: int, colour: str, pool=None):
     `combinations` over the sorted pool, whose k-subsets all have `colour`."""
     vertices = sorted(range(col.n) if pool is None else pool)
     for sub in combinations(vertices, size):
-        if all(col.has_colour(e, colour) for e in combinations(sub, col.k)):
+        if all(has_colour(col, e, colour) for e in combinations(sub, col.k)):
             return sub
     return None
 
@@ -238,7 +258,7 @@ def window_mono_path(col: TwoColoring, seq, ell: int, colour: str) -> bool:
         windows = path_edges(seq, col.k, ell)
     except ValueError:
         return False
-    return all(col.has_colour(w, colour) for w in windows)
+    return all(has_colour(col, w, colour) for w in windows)
 
 
 def window_mono_cycle(col: TwoColoring, seq, ell: int, colour: str) -> bool:
@@ -253,4 +273,4 @@ def window_mono_cycle(col: TwoColoring, seq, ell: int, colour: str) -> bool:
         return False
     if len(set(tuple(sorted(w)) for w in windows)) != len(windows):
         return False
-    return all(col.has_colour(w, colour) for w in windows)
+    return all(has_colour(col, w, colour) for w in windows)

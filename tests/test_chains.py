@@ -29,7 +29,7 @@ from hyperramsey.search import (
     validate_mono_path,
 )
 
-from oracles import naive_find_connector
+from oracles import all_red, has_colour, naive_find_connector
 
 
 def chain_from_sequence(kind: str, k: int, ell: int, seq: list[int]) -> CliqueChain:
@@ -78,7 +78,7 @@ def random_valid_chain(rng: Random, k: int = 3) -> tuple[CliqueChain, TwoColorin
 
 class TestValidateChain:
     def test_bare_path_is_valid_all_rigid(self):
-        col = TwoColoring.all_red(3, 8)
+        col = all_red(3, 8)
         chain = chain_from_sequence(OPEN, 3, 2, list(range(8)))
         cert = validate_chain(chain, col)
         assert cert.kind == "chain"
@@ -92,7 +92,7 @@ class TestValidateChain:
 
     def test_flexible_threshold(self):
         # for ell=1, k=3 an element of size 5 exceeds max(k, 2*ell)
-        col = TwoColoring.all_red(3, 9)
+        col = all_red(3, 9)
         chain = CliqueChain(OPEN, 3, 1, tuple(range(9)), ((0, 5), (4, 5)))
         cert = validate_chain(chain, col)
         assert cert.kind == "chain"
@@ -114,17 +114,17 @@ class TestValidateChain:
 class TestSpanningPath:
     # the vertex order of a valid chain is its spanning path or cycle
     def test_single_clique_element(self):
-        col = TwoColoring.all_red(3, 9)
+        col = all_red(3, 9)
         chain = CliqueChain(OPEN, 3, 1, tuple(range(9)), ((0, 9),))
         assert validate_mono_path(col, list(chain.vertices), 1, RED)
 
     def test_two_elements(self):
-        col = TwoColoring.all_red(3, 9)
+        col = all_red(3, 9)
         chain = CliqueChain(OPEN, 3, 1, tuple(range(9)), ((0, 5), (4, 5)))
         assert validate_mono_path(col, list(chain.vertices), 1, RED)
 
     def test_closed_two_tight_elements(self):
-        col = TwoColoring.all_red(3, 4)
+        col = all_red(3, 4)
         chain = CliqueChain(CLOSED, 3, 2, (0, 1, 2, 3), ((0, 4), (2, 4)))
         assert validate_mono_cycle(col, list(chain.vertices), 2, RED)
 
@@ -144,7 +144,7 @@ class TestSpanningPath:
 
 class TestCutOpen:
     def test_cut_preserves_validity(self):
-        col = TwoColoring.all_red(3, 20)
+        col = all_red(3, 20)
         chain = CliqueChain(CLOSED, 3, 1, tuple(range(20)),
                             ((0, 9), (8, 5), (12, 9)))
         cert = validate_chain(chain, col)
@@ -156,7 +156,7 @@ class TestCutOpen:
 
     def test_fallback_drops_smallest(self):
         # no element large enough to split: the smallest one is dropped
-        col = TwoColoring.all_red(3, 12)
+        col = all_red(3, 12)
         chain = CliqueChain(CLOSED, 3, 1, tuple(range(10)),
                             ((0, 3), (2, 3), (4, 3), (6, 5)))
         assert validate_chain(chain, col).kind == "chain"
@@ -176,7 +176,7 @@ class TestChainFromRuns:
         chain = chain_from_runs(CLOSED, 3, 2, [([0, 1, 2, 3], True), ([2, 3, 0, 1], True)])
         assert chain.vertices == (0, 1, 2, 3)
         assert chain.intervals == ((0, 4), (2, 4))
-        assert validate_chain(chain, TwoColoring.all_red(3, 4)).kind == "chain"
+        assert validate_chain(chain, all_red(3, 4)).kind == "chain"
 
     def test_rejects_broken_boundary(self):
         with pytest.raises(ValueError):
@@ -233,7 +233,7 @@ def test_assembly_and_cut_open_layouts_pinned(instance, ell, closed, opened):
 
 class TestCliquePartition:
     def test_all_red_k9(self):
-        cp = clique_partition(TwoColoring.all_red(3, 9), 3, 3)
+        cp = clique_partition(all_red(3, 9), 3, 3)
         assert [c for c, _ in cp.blocks] == [RED, RED, RED]
         assert cp.leftover == ()
 
@@ -263,7 +263,7 @@ class TestCliquePartition:
             from itertools import combinations
             for colour in (RED, BLUE):
                 for four in combinations(leftover, 4):
-                    assert not all(col.has_colour(t, colour) for t in combinations(four, 3))
+                    assert not all(has_colour(col, t, colour) for t in combinations(four, 3))
 
 
 def _chain_layer_lines():
@@ -345,7 +345,7 @@ class TestDoubleTreeWalk:
 
 class TestPathSystem:
     def test_two_red_blocks_single_edge(self):
-        col = TwoColoring.all_red(3, 14)
+        col = all_red(3, 14)
         blocks = [tuple(range(7)), tuple(range(7, 14))]
         system = build_path_system(col, blocks, ell=1, alpha=2)
         assert not system.stalled
@@ -362,7 +362,7 @@ class TestPathSystem:
         assert system.stall_blocks == (0, 1)
 
     def test_tight_connectors(self):
-        col = TwoColoring.all_red(3, 12)
+        col = all_red(3, 12)
         blocks = [tuple(range(6)), tuple(range(6, 12))]
         system = build_path_system(col, blocks, ell=2, alpha=2)
         assert not system.stalled
@@ -372,7 +372,7 @@ class TestPathSystem:
                 assert validate_mono_path(col, p, 2, RED)
 
     def test_usage_stays_bounded(self):
-        col = TwoColoring.all_red(3, 21)
+        col = all_red(3, 21)
         blocks = [tuple(range(7 * i, 7 * (i + 1))) for i in range(3)]
         system = build_path_system(col, blocks, ell=1, alpha=2)
         used = system.used_vertices()
@@ -398,7 +398,7 @@ class TestFindConnector:
     def test_overlapping_ends_lie_in_both_sides(self):
         # a single tight edge: its middle vertex is among the first two and
         # the last two, so it must lie in both sides
-        col = TwoColoring.all_red(3, 5)
+        col = all_red(3, 5)
         assert find_connector(col, 3, 2, 1, [0, 1, 2], [2, 3, 4], set(range(5))) == (0, 2, 3)
         assert find_connector(col, 3, 2, 1, [0, 1], [2, 3], set(range(5))) is None
 
@@ -406,12 +406,12 @@ class TestFindConnector:
                                                   (3, {0, 1, 2, 3, 9}, "pool must hold vertices")])
     def test_bad_input_rejected(self, k, pool, message):
         with pytest.raises(ValueError, match=message):
-            find_connector(TwoColoring.all_red(3, 6), k, 1, 1, [0, 1], [2, 3], pool)
+            find_connector(all_red(3, 6), k, 1, 1, [0, 1], [2, 3], pool)
 
 
 class TestAssembleChains:
     def test_single_block_trivial(self):
-        col = TwoColoring.all_red(3, 7)
+        col = all_red(3, 7)
         system = build_path_system(col, [tuple(range(7))], ell=1, alpha=2)
         report = assemble_chains(col, [tuple(range(7))], system)
         assert len(report.chains) == 1
@@ -419,7 +419,7 @@ class TestAssembleChains:
         assert chain.kind == OPEN and any("trivial" in f for f in chain.flags)
 
     def test_two_blocks_closed_chain(self):
-        col = TwoColoring.all_red(3, 14)
+        col = all_red(3, 14)
         blocks = [tuple(range(7)), tuple(range(7, 14))]
         system = build_path_system(col, blocks, ell=1, alpha=2)
         report = assemble_chains(col, blocks, system)

@@ -17,6 +17,8 @@ from hyperramsey.core import (
 from hyperramsey.constructions import loose_cycle_lb, loose_path_lb, tau_lower_construction
 from hyperramsey.cli import main
 
+from oracles import all_red
+
 
 def run_cli(args, tmp_path=None):
     proc = subprocess.run([sys.executable, "-m", "hyperramsey.cli", *args],
@@ -86,7 +88,7 @@ class TestVerify:
         assert cert["kind"] == "free"
 
     def test_pattern_target(self, tmp_path):
-        col = TwoColoring.all_red(3, 5)
+        col = all_red(3, 5)
         cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
         out = tmp_path / "cert.json"
         rc = main(["verify", "--coloring", cpath, "--red-pattern", "path:3:2:4",
@@ -182,7 +184,7 @@ class TestTauAndDramsey:
 
 class TestChainAndEngine:
     def test_chain_assemble(self, tmp_path):
-        col = TwoColoring.all_red(3, 14)
+        col = all_red(3, 14)
         cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
         bpath = write_json(tmp_path, "b.json", [list(range(7)), list(range(7, 14))])
         out = tmp_path / "chains.json"
@@ -228,7 +230,7 @@ class TestChainAndEngine:
 
 class TestCheck:
     def make_red_path_cert(self, tmp_path):
-        col = TwoColoring.all_red(3, 7)
+        col = all_red(3, 7)
         cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
         cert = {"kind": "red_path", "witness": [0, 1, 2, 3, 4], "stats": {},
                 "detail": {"ell": 1, "k": 3}}
@@ -278,7 +280,7 @@ class TestCheck:
     def test_independent_set_without_host_refused(self, tmp_path, capsys):
         cert = {"kind": "independent_set", "witness": [0, 1, 2], "stats": {},
                 "detail": {"exact": True}}
-        self.check_refused(tmp_path, capsys, cert, TwoColoring.all_red(3, 5))
+        self.check_refused(tmp_path, capsys, cert, all_red(3, 5))
 
     def test_tt_embedding_without_tournament_refused(self, tmp_path, capsys):
         cert = {"kind": "tt_embedding", "witness": [0, 1, 2], "stats": {},
@@ -286,7 +288,7 @@ class TestCheck:
         self.check_refused(tmp_path, capsys, cert)
 
     def test_not_free_without_coloring_refused(self, tmp_path, capsys):
-        col = TwoColoring.all_red(3, 5)
+        col = all_red(3, 5)
         cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
         cert_out = tmp_path / "nf.json"
         assert main(["verify", "--coloring", cpath, "--red-pattern", "path:3:2:4",
@@ -298,7 +300,7 @@ class TestCheck:
     def test_inexact_free_attestation_refused(self, tmp_path, capsys):
         cert = {"kind": "free", "witness": None, "stats": {},
                 "detail": {"red_pattern": "path:3:2:8", "blue_pattern": "edge:3", "exact": False}}
-        self.check_refused(tmp_path, capsys, cert, TwoColoring.all_red(3, 4))
+        self.check_refused(tmp_path, capsys, cert, all_red(3, 4))
 
 
 class TestUsageErrors:
@@ -437,7 +439,7 @@ class TestVerifyThenCheckRoundTrip:
         assert "inexact freeness attestation" in capsys.readouterr().out
 
     def test_free_certificate_accepted_as_attestation(self, tmp_path):
-        col = TwoColoring.all_red(3, 4)
+        col = all_red(3, 4)
         cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
         cert_out = tmp_path / "cert.json"
         rc = main(["verify", "--coloring", cpath, "--red-pattern", "path:3:2:8",
@@ -449,7 +451,7 @@ class TestVerifyThenCheckRoundTrip:
 
     def test_not_free_certificate_revalidates_inner_witness(self, tmp_path):
         # a colouring that is not free gets the certificate of the copy found
-        col = TwoColoring.all_red(3, 5)
+        col = all_red(3, 5)
         cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
         cert_out = tmp_path / "cert.json"
         rc = main(["verify", "--coloring", cpath, "--red-pattern", "path:3:2:4",
@@ -462,7 +464,7 @@ class TestVerifyThenCheckRoundTrip:
 
 class TestEngineCycleKind:
     def test_cycle_target_through_cli(self, tmp_path):
-        col = TwoColoring.all_red(3, 12)
+        col = all_red(3, 12)
         cpath = write_json(tmp_path, "c.json", coloring_to_json(col))
         out = tmp_path / "e.json"
         rc = main(["engine", "loose", "--coloring", cpath, "--target", "10",
@@ -478,20 +480,20 @@ class TestEngineCycleKind:
 
     @pytest.mark.parametrize("kind, order", [("path", 8), ("cycle", 9)])
     def test_order_no_loose_path_or_cycle_has_exit_1(self, tmp_path, capsys, kind, order):
-        cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 12)))
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(all_red(3, 12)))
         rc = main(["engine", "loose", "--coloring", cpath, "--target", str(order),
                    "--target-kind", kind, "--blue-target", "tth:2:2"])
         assert rc == 1
         assert f"loose {kind}" in capsys.readouterr().err
 
     def test_blue_target_of_another_uniformity_exit_1(self, tmp_path, capsys):
-        cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 8)))
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(all_red(3, 8)))
         rc = main(["engine", "loose", "--coloring", cpath, "--target", "5", "--blue-target", "edge:4"])
         assert rc == 1
         assert "invalid input: the blue target is 4-uniform" in capsys.readouterr().err
 
     def test_order_no_tight_path_has_exit_1(self, tmp_path):
-        cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 12)))
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(all_red(3, 12)))
         proc = run_cli(["engine", "tight", "--coloring", cpath, "--target", "2", "--tth", "2:2"])
         assert proc.returncode == 1, proc.stderr
         assert "invalid input" in proc.stderr and "tight path" in proc.stderr
@@ -570,7 +572,7 @@ class TestCertificateRoundTrips:
         assert main(["check", "--certificate", str(cert_out), "--coloring", cpath]) == 0
 
     @pytest.mark.parametrize("coloring, rc", [(TwoColoring.all_blue(3, 8), 0),
-                                              (TwoColoring.all_red(3, 8), 3),
+                                              (all_red(3, 8), 3),
                                               (None, 3)],
                              ids=["all-blue", "all-red", "no-colouring"])
     def test_blue_crossing_attestation_rescanned(self, tmp_path, capsys, coloring, rc):
@@ -593,7 +595,7 @@ class TestCertificateRoundTrips:
     @pytest.mark.parametrize("flip, rc", [(False, 0), (True, 3)], ids=["untouched", "edge-flipped"])
     def test_red_cycle_not_free_round_trip(self, tmp_path, flip, rc):
         from hyperramsey.core import colex_rank
-        cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 6)))
+        cpath = write_json(tmp_path, "c.json", coloring_to_json(all_red(3, 6)))
         cert_out = tmp_path / "cert.json"
         assert main(["verify", "--coloring", cpath, "--red-pattern", "cycle:3:1:6",
                      "--blue-target", "edge:3", "--out", str(cert_out)]) == 0
@@ -602,7 +604,7 @@ class TestCertificateRoundTrips:
         if flip:
             # the cycle's first window turns blue
             seq = cert["witness"]
-            bits = TwoColoring.all_red(3, 6).red_bits & ~(1 << colex_rank(tuple(sorted(seq[:3]))))
+            bits = all_red(3, 6).red_bits & ~(1 << colex_rank(tuple(sorted(seq[:3]))))
             cpath = write_json(tmp_path, "c.json", coloring_to_json(TwoColoring(3, 6, bits)))
         assert main(["check", "--certificate", str(cert_out), "--coloring", cpath]) == rc
 
@@ -645,7 +647,7 @@ class TestCertificateRoundTrips:
         # and so does each broken layout written as chain JSON from outside
         from hyperramsey.chains import CliqueChain, validate_chain
         from hyperramsey.core import colex_rank
-        col = TwoColoring.all_red(3, 9)
+        col = all_red(3, 9)
         if witness is None:
             cert = validate_chain(CliqueChain("open", 3, 1, tuple(range(9)), ((0, 5), (4, 5))), col)
             assert cert.kind == "chain"
@@ -739,7 +741,7 @@ MALFORMED_CERTIFICATES = {
 @pytest.mark.parametrize("cert", MALFORMED_CERTIFICATES.values(), ids=MALFORMED_CERTIFICATES.keys())
 def test_malformed_certificate_exit_1(tmp_path, cert):
     proc = run_cli(["check", "--certificate", write_json(tmp_path, "cert.json", cert),
-                    "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 6)))])
+                    "--coloring", write_json(tmp_path, "c.json", coloring_to_json(all_red(3, 6)))])
     assert proc.returncode == 1, proc.stderr
     assert "invalid input" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -790,7 +792,7 @@ def test_malformed_input_file_exit_1(tmp_path, kind, obj):
         args = ["verify", "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_blue(3, 6))),
                 "--red-pattern", "path:3:2:4", "--blue-target", path]
     elif kind == "blocks":
-        args = ["chain", "--coloring", write_json(tmp_path, "c.json", coloring_to_json(TwoColoring.all_red(3, 8))),
+        args = ["chain", "--coloring", write_json(tmp_path, "c.json", coloring_to_json(all_red(3, 8))),
                 "--blocks", path, "--ell", "1", "--alpha", "2"]
     else:
         args = ["construct", "transitive", "--param", f"tournament={path}", "--param", "n=9",

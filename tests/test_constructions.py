@@ -82,7 +82,7 @@ class TestBurrColoring:
     def test_single_block_all_red(self):
         inst = burr_coloring(3, 1, 5, 6)
         assert inst.n == 4
-        assert inst.coloring.count_red() == comb(4, 3)
+        assert inst.coloring.red_bits.bit_count() == comb(4, 3)
 
     def test_verify_free(self):
         inst = burr_coloring(3, 2, 2, 4)
@@ -213,7 +213,7 @@ class TestNonTransitiveLb:
     def test_single_block_all_red(self):
         inst = non_transitive_lb(2, 4)
         assert inst.n == 4
-        assert inst.coloring.count_red() == comb(4, 3)
+        assert inst.coloring.red_bits.bit_count() == comb(4, 3)
 
     def test_red_tight_path_bound(self):
         inst = non_transitive_lb(3, 6)
@@ -249,7 +249,7 @@ class TestTransitiveLb:
     def test_single_vertex(self):
         inst = transitive_lb(Tournament(1, 0), 9)
         assert inst.n == 4
-        assert inst.coloring.count_red() == comb(4, 3)
+        assert inst.coloring.red_bits.bit_count() == comb(4, 3)
 
     def test_c3_blocks(self):
         inst = transitive_lb(Tournament.cyclic_triangle(), 9)

@@ -42,7 +42,7 @@ from hyperramsey.search import (
     validate_mono_path,
 )
 
-from oracles import naive_graph_path
+from oracles import all_red, naive_graph_path
 
 
 def blocks_with_blue_crossing(sizes: list[int]) -> tuple[TwoColoring, list[tuple[int, ...]]]:
@@ -71,7 +71,7 @@ class TestIndependenceDichotomy:
         assert outcome == "blue" and cert.kind == "blue_crossing_attestation"
 
     def test_single_block_vacuous(self):
-        col = TwoColoring.all_red(3, 4)
+        col = all_red(3, 4)
         outcome, _ = independence_dichotomy(col, [(0, 1, 2, 3)])
         assert outcome == "blue"
 
@@ -125,7 +125,7 @@ class TestButterfly:
         assert validate_embedding(col, target, out.blue_embedding.witness, BLUE)
 
     def test_single_block_vacuous(self):
-        col = TwoColoring.all_red(3, 4)
+        col = all_red(3, 4)
         out = butterfly_dichotomy(col, [(0, 1, 2, 3)], 2, 2)
         # one block has no crossing pairs: no red 2-path, tournament on 1 vertex
         assert out.branch == "diagnostic"
@@ -166,19 +166,19 @@ class TestButterfly:
 
 class TestAbsorbingBlock:
     def test_all_red_d1(self):
-        col = TwoColoring.all_red(3, 8)
+        col = all_red(3, 8)
         out = absorbing_block(col, [0, 1, 2, 3, 4, 5], [6, 7], 1, 0.5)
         assert out.success
         assert len(out.path) == 5
         assert validate_mono_path(col, out.path, 2, RED)
 
     def test_single_b_vertex_complete(self):
-        col = TwoColoring.all_red(3, 7)
+        col = all_red(3, 7)
         out = absorbing_block(col, [0, 1, 2, 3, 4, 5], [6], 1, 0.5)
         assert out.success and out.chosen_b == (6,)
 
     def test_interleaving_shape(self):
-        col = TwoColoring.all_red(3, 12)
+        col = all_red(3, 12)
         for d in (1, 2, 3):
             out = absorbing_block(col, list(range(8)), [8, 9, 10], d, 0.4)
             if not out.success:
@@ -284,7 +284,7 @@ class TestLooseEngine:
 
     def test_cycle_target(self):
         # the assembled closed chain is kept whole for a cycle target
-        col = TwoColoring.all_red(3, 12)
+        col = all_red(3, 12)
         rep = loose_witness_engine(col, self.tth22(),
                                    EngineParams(n_target=10, block_size=6, target_kind="cycle"))
         assert (rep.outcome, rep.certificate.kind) == ("red_witness", "red_cycle")
@@ -306,7 +306,7 @@ class TestLooseEngine:
         # vertices and a tight cycle at least 4 (its 3 windows on 3 vertices
         # coincide).  Each engine refuses the target at entry instead of
         # stalling or failing on its own witness check
-        col = TwoColoring.all_red(3, 12)
+        col = all_red(3, 12)
         params = EngineParams(n_target=order, block_size=6, target_kind=kind)
         with pytest.raises(ValueError, match=f"{shape} {kind}"):
             if shape == "loose":
@@ -320,7 +320,7 @@ class TestLooseEngine:
         # without the refusal, the edge ends in a red path and the edgeless
         # target in a blue embedding that `check` refuses
         with pytest.raises(ValueError, match="blue target is 4-uniform, the colouring 3-uniform"):
-            loose_witness_engine(TwoColoring.all_red(3, 8), target, EngineParams(n_target=5))
+            loose_witness_engine(all_red(3, 8), target, EngineParams(n_target=5))
 
     @pytest.mark.parametrize("col, chi, params, via", [
         (TwoColoring.all_blue(3, 12), 2, EngineParams(n_target=9), "blue block"),
@@ -370,7 +370,7 @@ class TestBlueTransitiveStructure:
     def test_one_class_is_the_first_pool_vertices(self):
         # H(TT_1, q) is edgeless: any q pool vertices hold it, and a shorter
         # pool holds none
-        col = TwoColoring.all_red(3, 9)
+        col = all_red(3, 9)
         assert _find_blue_transitive_structure(col, 1, 4, [8, 2, 6, 4, 5]) == [[2, 4, 5, 6]]
         assert _find_blue_transitive_structure(col, 1, 4, [8, 2, 6]) is None
 
@@ -389,7 +389,7 @@ class TestBlueTransitiveStructure:
 class TestTightEngine:
     def test_refuses_a_host_that_is_not_three_uniform(self):
         with pytest.raises(ValueError, match="tight engine is 3-uniform"):
-            tight_witness_engine(TwoColoring.all_red(4, 8), 2, 2, EngineParams(n_target=5))
+            tight_witness_engine(all_red(4, 8), 2, 2, EngineParams(n_target=5))
 
     def test_dense_red_witness(self):
         col = TwoColoring.random(3, 13, 0.95, seed=0)
@@ -399,7 +399,7 @@ class TestTightEngine:
         assert len(rep.certificate.witness) == 10
 
     def test_chi2_short_circuit_nearly_all_red(self):
-        col = TwoColoring.all_red(3, 12)
+        col = all_red(3, 12)
         rep = tight_witness_engine(col, 2, 2, EngineParams(n_target=12, block_size=6))
         assert rep.outcome == "red_witness"
         assert len(rep.certificate.witness) == 12

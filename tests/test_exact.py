@@ -1,9 +1,10 @@
 import hashlib
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperramsey.constructions import tau_lower_construction
 from hyperramsey.core import (
@@ -26,11 +27,11 @@ from hyperramsey.search import (
 )
 from hyperramsey.exact import (
     _LexLeader,
-    _PatternWatcher,
     GoodnessReport,
     _completing_patterns,
+    _copy_masks,
+    _labelled_copies,
     _lex_leader_cut,
-    _orbit_plans,
     _rank_tables,
     _ttfree_tournament_exists,
     directed_ramsey_exact,
@@ -41,12 +42,18 @@ from hyperramsey.exact import (
     tau_exact,
 )
 
-from oracles import (free_colorings_bruteforce, naive_find_copy, naive_free, naive_has_tt, naive_link,
-                     naive_tau)
+from oracles import free_colorings_bruteforce, naive_copy_masks, naive_free, naive_has_tt, naive_tau
 
-# a 3-graph whose only automorphism is the identity, so the watcher must
-# anchor at every one of its 4 * 3! ordered edges
+# a 3-graph whose only automorphism is the identity, so each of its 6!
+# relabellings is a distinct copy
 ASYMMETRIC = Hypergraph(3, 6, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 4, 5)))
+# a 3-graph with a vertex in no edge: its copies are those of its two edges
+# on four vertices, each listed once, and none fits on four vertices
+ISOLATED = Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3)))
+# red patterns of at most five vertices, for pairs of at most about 10 bits
+SMALL_SPECS = {2: ["edge:2", "path:2:1:3", "path:2:1:4", "clique:2:3", "cycle:2:1:4"],
+               3: ["edge:3", "path:3:2:4", "path:3:1:5", "path:3:2:5", "clique:3:4", "tth:2:2"],
+               4: ["edge:4", "path:4:3:5", "clique:4:5"]}
 
 
 def dfs_key(bits: int, nbits: int) -> int:
@@ -87,6 +94,23 @@ class TestFreeColoringSearch:
             assert exists == bool(brute)
             if exists:
                 assert witness.red_bits == max(brute, key=lambda bits: dfs_key(bits, comb(n, k)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_pairs_match_bruteforce(self, data):
+        # a red spec and a random blue hypergraph, edgeless ones included,
+        # on at most one vertex more than the host
+        k = data.draw(st.sampled_from(sorted(SMALL_SPECS)), "k")
+        n = data.draw(st.integers(k, 5), "n")
+        red = data.draw(st.sampled_from(SMALL_SPECS[k]), "red")
+        v = data.draw(st.integers(1, n + 1), "blue order")
+        edges = data.draw(st.lists(st.sampled_from(list(combinations(range(v), k)) or [()]), unique=True), "edges")
+        blue = Hypergraph(k, v, tuple(e for e in edges if e))
+        brute = free_colorings_bruteforce(red, blue, n)
+        exists, witness, _ = free_coloring_exists(red, blue, n)
+        assert exists == bool(brute)
+        if exists:
+            assert witness.red_bits == max(brute, key=lambda bits: dfs_key(bits, comb(n, k)))
 
     @pytest.mark.parametrize("k,n", [(2, 4), (2, 6), (3, 5), (3, 6), (4, 6)])
     def test_lex_leader_matches_full_comparison(self, k, n):
@@ -143,7 +167,7 @@ class TestFreeColoringSearch:
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_witness_free_of_asymmetric_target(self, n):
-        # a watcher that missed an anchor would let a blue copy into the witness
+        # a copy list that missed a relabelling would let a blue copy into the witness
         exists, witness, _ = free_coloring_exists("clique:3:4", ASYMMETRIC, n)
         assert exists
         assert naive_free(witness, complete_hypergraph(3, 4), ASYMMETRIC)
@@ -160,24 +184,17 @@ class TestFreeColoringSearch:
         ("path:4:1:7", 7),
         ("path:4:2:6", 7),
         ("path:4:3:5", 7),
+        (ISOLATED, 6),
+        (ISOLATED, 4),
     ])
     def test_completes_matches_naive_copy_through_edge(self, pattern, n):
-        target = ASYMMETRIC if isinstance(pattern, Hypergraph) else pattern_hypergraph(pattern)
-        k = target.k
-        watcher = _PatternWatcher(pattern, n)
-        subsets = colex_subsets(k, n)
-        rng = Random(11)
-        answers = set()
-        for _ in range(40):
-            r = rng.randrange(len(subsets))
-            density = rng.choice([0.1, 0.2, 0.4, 0.6, 0.8])
-            mask = sum(1 << i for i in range(len(subsets)) if rng.random() < density) | 1 << r
-            col = TwoColoring(k, n, mask)
-            got = watcher.completes(naive_link(col, "red"), subsets[r])
-            naive = naive_find_copy(col, target, "red", through=subsets[r])
-            assert got == (naive is not None), (pattern, mask, subsets[r])
-            answers.add(got)
-        assert answers == {True, False}
+        # the copies that colouring rank r can complete, filed under r, are
+        # the images under every injective map whose highest edge rank is r
+        target = pattern if isinstance(pattern, Hypergraph) else pattern_hypergraph(pattern)
+        buckets = _copy_masks(target, n)
+        assert len(buckets) == comb(n, target.k)
+        assert [sorted(bucket) for bucket in buckets] == naive_copy_masks(target, n)
+        assert any(buckets) == (n >= target.n)
 
     # without the lex-leader predicates: 367/352, 56/53, 2015/1995, 438/425
     @pytest.mark.parametrize("red,blue,value,nodes,prunes", [
@@ -188,7 +205,7 @@ class TestFreeColoringSearch:
     ])
     def test_dfs_counts_pinned(self, red, blue, value, nodes, prunes):
         # the DFS tree depends only on which branches the predicates and
-        # the watchers prune
+        # the copy checks prune
         r = ramsey_exact(red, blue, 7)
         assert (r.value, r.stats["nodes"], r.stats["prunes"]) == (value, nodes, prunes)
 
@@ -370,7 +387,7 @@ class TestRamseyExact:
 
 
 def clear_shape_caches():
-    for cached in (_orbit_plans, _rank_tables, pattern_hypergraph):
+    for cached in (_labelled_copies, _copy_masks, _rank_tables, pattern_hypergraph):
         cached.cache_clear()
 
 
@@ -386,16 +403,31 @@ def pinned_searches() -> list[tuple]:
 
 
 class TestShapeCaches:
-    """The plans and tables the colouring DFS builds from the shapes alone
-    are built once per shape and shared by every order and call."""
+    """The copy lists and tables the colouring DFS builds from the shapes
+    alone are built once per shape and shared by every order and call."""
 
-    def test_one_orbit_build_per_target(self):
-        # five orders, two watchers each: ten asks, one build per target
+    def test_one_copy_list_build_per_target_and_order(self):
+        # five orders, two sides each: one copy list per (target, n), one
+        # lex-leader table per (k, n), and the relabellings once per target,
+        # asked only at orders the target fits in (5..7 and 4..7)
         clear_shape_caches()
         ramsey_exact("path:3:2:5", "clique:3:4", 7)
-        assert _orbit_plans.cache_info()[:2] == (8, 2)  # (hits, misses)
+        assert _copy_masks.cache_info()[:2] == (0, 10)  # (hits, misses)
         assert _rank_tables.cache_info()[:2] == (0, 5)
+        assert _labelled_copies.cache_info()[:2] == (5, 2)
         assert pattern_hypergraph.cache_info().misses == 2
+        ramsey_exact("path:3:2:5", "clique:3:4", 7)
+        assert _copy_masks.cache_info()[:2] == (10, 10)
+        assert _rank_tables.cache_info()[:2] == (5, 5)
+
+    def test_no_copy_list_below_the_targets_order(self):
+        # the 12-vertex path fits in no order up to 7, so its 12! relabellings
+        # are never listed; only the clique's are
+        clear_shape_caches()
+        r = ramsey_exact("path:3:2:12", "clique:3:4", 7)
+        assert (r.value, r.lower_bound, r.stats["nodes"]) == (None, 8, 75)
+        assert _labelled_copies.cache_info().misses == 1
+        assert not any(_copy_masks(pattern_hypergraph("path:3:2:12"), 7))
 
     @pytest.mark.parametrize("red,blue,cap", pinned_searches())
     def test_cold_and_warm_runs_agree(self, red, blue, cap):
@@ -409,10 +441,12 @@ class TestShapeCaches:
     def test_shared_tables_are_tuples(self):
         # a caller cannot append to what every later call reads
         target = pattern_hypergraph("clique:3:4")
-        plans = _orbit_plans(target)
-        assert isinstance(plans, tuple) and _orbit_plans(target) is plans
-        lex, faces = _rank_tables(3, 6)
-        assert isinstance(faces, tuple) and all(isinstance(f, tuple) for f in faces)
+        buckets = _copy_masks(target, 6)
+        assert isinstance(buckets, tuple) and all(isinstance(b, tuple) for b in buckets)
+        assert _copy_masks(target, 6) is buckets
+        _, copies = _labelled_copies(target)
+        assert isinstance(copies, tuple) and all(isinstance(c, tuple) for c in copies)
+        lex = _rank_tables(3, 6)
         assert isinstance(lex.due, tuple) and all(isinstance(d, tuple) for d in lex.due)
         assert pattern_hypergraph("clique:3:4") is target
 
@@ -639,7 +673,7 @@ class TestDirectedRamsey:
         # every out-arc pattern of a new vertex t.n, against a naive search
         # for a TT_chi through it in the extended tournament
         n = t.n
-        masks = [sum(1 << u for u in t.out_neighbours(v)) for v in range(n)]
+        masks = [sum(1 << u for u in range(n) if u != v and t.has_arc(v, u)) for v in range(n)]
         bad = _completing_patterns(masks, n, chi)
         assert bad >> (1 << n) == 0
         for pattern in range(1 << n):

@@ -49,9 +49,10 @@ def test_no_unused_parameters_in_the_package():
 
 
 def test_every_package_function_has_a_caller():
-    # a module-level function that nothing in the package (outside its own
-    # body), the demos or the benchmark names is called only by tests, and
-    # belongs with them
+    # a module-level function or a method of a package class that nothing in
+    # the package (outside its own body), the demos or the benchmark names is
+    # called only by tests, and belongs with them; dunders are called by
+    # Python, and `cli._Parser.error` overrides argparse's
     def names(node) -> Counter:
         return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
                        if isinstance(n, (ast.Name, ast.Attribute)))
@@ -60,8 +61,14 @@ def test_every_package_function_has_a_caller():
     others = DEMOS + sorted(p for p in PERFBENCH.rglob("*.py") if "tests" not in p.parts)
     used = sum((names(tree) for tree in package.values()), Counter())
     used += sum((names(ast.parse(p.read_text())) for p in others), Counter())
-    found = [f"{path.name}:{fn.lineno} {fn.name}" for path, tree in package.items() for fn in tree.body
-             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and used[fn.name] == names(fn)[fn.name]]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = [(path, "", fn) for path, tree in package.items() for fn in tree.body if isinstance(fn, functions)]
+    defined += [(path, f"{cls.name}.", fn) for path, tree in package.items() for cls in tree.body
+                if isinstance(cls, ast.ClassDef) for fn in cls.body
+                if isinstance(fn, functions) and not fn.name.startswith("__")
+                and (path.name, cls.name, fn.name) != ("cli.py", "_Parser", "error")]
+    found = [f"{path.name}:{fn.lineno} {owner}{fn.name}" for path, owner, fn in defined
+             if used[fn.name] == names(fn)[fn.name]]
     assert found == []
 
 

@@ -48,6 +48,7 @@ from hyperramsey.search import (
 from hyperramsey.table import RAMSEY_PAIRS
 
 from oracles import (
+    all_red,
     naive_find_clique,
     naive_find_copy,
     naive_independence,
@@ -79,14 +80,14 @@ def seeded_coloring(k: int, n: int) -> TwoColoring:
 # seeded colourings for k = 3 and 4 up to 8 vertices, and two the table reads
 PLAIN_DFS_CASES = {
     **{f"k{k}-n{n}": seeded_coloring(k, n) for k in (3, 4) for n in range(k + 1, 9)},
-    "all_red(3,6)": TwoColoring.all_red(3, 6),
+    "all_red(3,6)": all_red(3, 6),
     "ell_path_lb(3,2,8,2)": ell_path_lb(3, 2, 8, 2).coloring,
 }
 
 
 class TestLongestPath:
     def test_all_red_k5_tight(self):
-        col = TwoColoring.all_red(3, 5)
+        col = all_red(3, 5)
         vertices, cert = longest_mono_ell_path(col, 2, RED)
         assert vertices == 5
         assert validate_mono_path(col, cert.witness, 2, RED)
@@ -94,7 +95,8 @@ class TestLongestPath:
     def test_no_red_edge_convention(self):
         col = TwoColoring.all_blue(3, 5)
         vertices, cert = longest_mono_ell_path(col, 2, RED)
-        assert vertices == 2 and cert.witness == []
+        # an absence has no witness, so `check` is never handed an empty path
+        assert vertices == 2 and cert.witness is None and not cert.found
 
     def test_ell_path_lb_red_maximum(self):
         inst = ell_path_lb(3, 2, 8, 2)
@@ -289,7 +291,7 @@ class TestFindMonoCopy:
         assert digest.hexdigest() == "ae5fcd7bc471640498acb9a9f4cc14d783a1825ffe283cc37853eb51b026117f"
 
     def test_clique_finder(self):
-        col = TwoColoring.all_red(3, 6)
+        col = all_red(3, 6)
         assert find_mono_clique(col, 4, RED) == (0, 1, 2, 3)
         assert find_mono_clique(col, 4, BLUE) is None
         assert find_mono_clique(col, 3, RED, pool=[2, 4, 5]) == (2, 4, 5)
@@ -331,14 +333,14 @@ class TestFindMonoClique:
         # checked before the shortcut for sizes below k, too
         for size in (2, 3):
             with pytest.raises(ValueError, match="distinct vertices"):
-                find_mono_clique(TwoColoring.all_red(3, 6), size, RED, pool)
+                find_mono_clique(all_red(3, 6), size, RED, pool)
 
 
 class TestColourNames:
     @pytest.mark.parametrize("colour", ["Red", "RED", "green"])
     def test_unknown_colour_rejected(self, colour):
         # each search checks the colour once at entry, before any shortcut
-        col = TwoColoring.all_red(3, 5)
+        col = all_red(3, 5)
         searches = [
             lambda: longest_mono_ell_path(col, 2, colour),
             lambda: find_mono_clique(col, 4, colour),
@@ -360,14 +362,14 @@ class TestVerifyFree:
 
     def test_all_red_not_free(self):
         # the certificate of the red copy, not a wrapper around it
-        col = TwoColoring.all_red(3, 5)
+        col = all_red(3, 5)
         cert = verify_free(col, "path:3:2:4", single_edge(3))
         assert cert.kind == "red_path" and validate_mono_path(col, cert.witness, 2, RED)
 
     def test_cut_path_states_no_count_of_the_longer_path(self):
         # the longest red path has 5 vertices and the witness is cut to the
         # pattern's 4; the detail names the shape, not the uncut path's size
-        col = TwoColoring.all_red(3, 5)
+        col = all_red(3, 5)
         cert = verify_free(col, "path:3:2:4", single_edge(3))
         assert (cert.kind, len(cert.witness)) == ("red_path", 4) and validate_mono_path(col, cert.witness, 2, RED)
         assert cert.detail == {"ell": 2, "k": 3, "exact": True}
@@ -388,7 +390,7 @@ class TestVerifyFree:
     def test_impossible_path_order_rejected(self, search):
         # no 3-uniform loose path has 6 vertices; a 7-vertex one must not stand in
         with pytest.raises(ValueError, match="no such path"):
-            search(TwoColoring.all_red(3, 7), "path:3:1:6")
+            search(all_red(3, 7), "path:3:1:6")
 
 
 class TestIndependence:
@@ -468,18 +470,18 @@ def _engine_red(target_kind):
     # a loose path has an odd order and a loose cycle an even one
     tth22 = transitive_tournament_hypergraph(2, 2)[0]
     params = EngineParams(n_target=9 if target_kind == "path" else 10, block_size=6, target_kind=target_kind)
-    return loose_witness_engine(TwoColoring.all_red(3, 12), tth22, params).certificate
+    return loose_witness_engine(all_red(3, 12), tth22, params).certificate
 
 
 _LOOSE_CHAIN = CliqueChain("open", 3, 1, tuple(range(9)), ((0, 5), (4, 5)))
 DETAIL_KEYS = {
-    "longest-path": (lambda: longest_mono_ell_path(TwoColoring.all_red(3, 5), 2, RED)[1], {"ell", "k", "exact"}),
-    "pattern-path": (lambda: search_pattern(TwoColoring.all_red(3, 5), "path:3:2:4", RED), {"ell", "k", "exact"}),
+    "longest-path": (lambda: longest_mono_ell_path(all_red(3, 5), 2, RED)[1], {"ell", "k", "exact"}),
+    "pattern-path": (lambda: search_pattern(all_red(3, 5), "path:3:2:4", RED), {"ell", "k", "exact"}),
     "pattern-path-absent": (lambda: search_pattern(TwoColoring.all_blue(3, 5), "path:3:2:4", RED),
                             {"ell", "k", "exact"}),
-    "pattern-cycle": (lambda: search_pattern(TwoColoring.all_red(3, 6), "cycle:3:1:6", RED), {"ell", "k", "exact"}),
+    "pattern-cycle": (lambda: search_pattern(all_red(3, 6), "cycle:3:1:6", RED), {"ell", "k", "exact"}),
     "independence": (lambda: independence_number(complete_hypergraph(3, 5))[1], {"exact"}),
-    "chain": (lambda: validate_chain(_LOOSE_CHAIN, TwoColoring.all_red(3, 9)), {"problems"}),
+    "chain": (lambda: validate_chain(_LOOSE_CHAIN, all_red(3, 9)), {"problems"}),
     "chain-invalid": (lambda: validate_chain(_LOOSE_CHAIN, TwoColoring.all_blue(3, 9)), {"problems"}),
     "engine-red-path": (lambda: _engine_red("path"), {"ell", "k"}),
     "engine-red-cycle": (lambda: _engine_red("cycle"), {"ell", "k"}),
