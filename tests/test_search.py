@@ -207,7 +207,7 @@ class TestLongestPath:
         monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 327)
         _, cut = longest_mono_ell_path(col, 2, RED)
         assert (cut.stats["nodes"], cut.detail["exact"]) == (328, False)
-        assert digest.hexdigest() == "6ad82fb3959d82ebfb6a624612b7021da56d1acc22d5ecf0fe5f3de0cb35dab7"
+        assert digest.hexdigest() == "fc5e9b35ad499843529ce291c933056fedfab911aad3e2f9bacb2e69c70dbe23"
 
 
 class TestFindMonoCopy:
