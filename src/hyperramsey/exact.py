@@ -10,9 +10,10 @@ of its edges' colex ranks, and filed under its highest rank.  Colouring rank
 r can complete only the copies filed under r, since all their other edges
 are coloured already: a red copy closes when its mask lies in the red edges,
 a blue one when it meets none of them.  Paths, cycles, cliques and every
-other pattern go through these lists.  They are built once per (pattern, n),
-from the distinct relabellings of the pattern, built once per pattern; the
-lex-leader tables once per (k, n); and every order and call shares them.
+other pattern go through these lists.  The lists are built once per
+(pattern, n) from the pattern's distinct relabellings, which are found once
+per pattern; the lex-leader tables once per (k, n); and every order and call
+shares them.
 Before the copy check, a branch must pass the lex-leader predicates of the
 n-1 adjacent vertex transpositions (i i+1): the DFS keeps a colouring only
 if it meets it no later than its image under each of them.  So it explores
