@@ -46,14 +46,15 @@ loop: a found tournament stops the count at the pattern it was found on.
 ramsey_exact, tau_exact and directed_ramsey_exact climb the orders in
 `_least_order`.  An order's DFS stops after `search.DEFAULT_NODE_BUDGET`
 nodes, and the loop then ends as past n_cap: inexact, one above the largest
-order with a witness.
+order with a witness.  So does an order of the colouring DFS whose copy
+lists would pass `_LIST_BITS` bits, before its first node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 from .core import (
@@ -77,26 +78,51 @@ from .search import find_transitive_subtournament, pattern_hypergraph
 # copy lists and lex-leader predicates for the colouring DFS
 
 
+# The most bits the copy list of one (target, n) may hold, comb(n, k) a mask:
+# 16 MiB, and `_copy_masks` keeps the last 32 lists.  An order whose list
+# would hold more is not searched: it ends the climb as a spent budget does.
+_LIST_BITS = 1 << 27
+
+
 @lru_cache(maxsize=128)
-def _labelled_copies(target: Hypergraph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _labelled_copies(target: Hypergraph) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
     """(w, copies): w counts the target's vertices that lie in an edge, and
     copies holds each distinct image of the target's edges under a
     relabelling of those w vertices onto 0..w-1, as the sorted colex ranks of
-    its edges in K_w^(k).  Built once per target from its w! relabellings."""
+    its edges in K_w^(k).  Built once per target, by closing its edges under
+    the adjacent transpositions (i i+1), which generate every relabelling,
+    so a target with many automorphisms has few copies to find.  None once
+    it has found more than `_LIST_BITS` // (comb(w, k) * (w - 1)) copies: it
+    forms w - 1 images of each, so past that it would form more copies than
+    a list on w vertices may hold."""
+    k = target.k
     spanned = sorted({v for e in target.edges for v in e})
+    w = len(spanned)
     position = {v: i for i, v in enumerate(spanned)}
-    edges = [[position[v] for v in e] for e in target.edges]
-    ranks = mask_ranks(target.k, len(spanned))
-    copies = {tuple(sorted(ranks[sum(1 << perm[v] for v in e)] for e in edges))
-              for perm in permutations(range(len(spanned)))}
-    return len(spanned), tuple(sorted(copies))
+    ranks = mask_ranks(k, w)
+    first = tuple(sorted(ranks[sum(1 << position[v] for v in e)] for e in target.edges))
+    swaps = [rank_image(k, w, [*range(i), i + 1, i, *range(i + 2, w)]) for i in range(w - 1)]
+    most = _LIST_BITS // max(comb(w, k) * (w - 1), 1)
+    copies = {first}
+    found = [first]
+    for copy in found:
+        for swap in swaps:
+            image = tuple(sorted([swap[r] for r in copy]))
+            if image not in copies:
+                copies.add(image)
+                found.append(image)
+        if len(found) > most:
+            return None
+    return w, tuple(sorted(copies))
 
 
-@lru_cache(maxsize=128)
-def _copy_masks(target: Hypergraph, n: int) -> tuple[tuple[int, ...], ...]:
+@lru_cache(maxsize=32)
+def _copy_masks(target: Hypergraph, n: int) -> tuple[tuple[int, ...], ...] | None:
     """Every copy of the target in K_n^(k), as the mask of its edges' colex
     ranks, bucketed by highest rank: entry r holds the copies whose last
-    edge is rank r.  Built once per (target, n).
+    edge is rank r.  Built once per (target, n); None when the list would
+    hold more than `_LIST_BITS` bits, or the target more copies than a list
+    may hold.
 
     A copy is a labelled copy on 0..w-1 (`_labelled_copies`) placed on a
     w-subset S by the increasing map onto S.  That map keeps colex order, so
@@ -105,9 +131,13 @@ def _copy_masks(target: Hypergraph, n: int) -> tuple[tuple[int, ...], ...]:
     each edge set is listed once; and below the target's order no copy
     fits, so none is listed there."""
     k = target.k
-    buckets: list[list[int]] = [[] for _ in range(comb(n, k))]
+    nbits = comb(n, k)
+    buckets: list[list[int]] = [[] for _ in range(nbits)]
     if target.n <= n:
-        w, copies = _labelled_copies(target)
+        labelled = _labelled_copies(target)
+        if labelled is None or comb(n, labelled[0]) * len(labelled[1]) * nbits > _LIST_BITS:
+            return None
+        w, copies = labelled
         ranks = mask_ranks(k, n)
         small = colex_subsets(k, w)
         for sub in combinations(range(n), w):
@@ -166,11 +196,8 @@ class _LexLeader:
         return (None if blue_p else undecided), undecided & ~red_p
 
 
-@lru_cache(maxsize=128)
-def _rank_tables(k: int, n: int) -> _LexLeader:
-    """The lex-leader predicates of the DFS on the complete k-graph on n
-    vertices, built once per (k, n)."""
-    return _LexLeader(k, n)
+# the predicates of the DFS on the complete k-graph on n vertices, once per (k, n)
+_lex_leader = lru_cache(maxsize=128)(_LexLeader)
 
 
 def free_coloring_exists(
@@ -198,7 +225,8 @@ def free_coloring_exists(
     c* >= sigma_i(c*) for every i: c* and every prefix of it pass every
     predicate, and the DFS still reaches c* first.  So the search finds c*
     exactly when a free colouring exists, and a refutation stays sound.
-    Past `search.DEFAULT_NODE_BUDGET` nodes it raises GuardExceeded(stats).
+    Past `search.DEFAULT_NODE_BUDGET` nodes it raises GuardExceeded(stats),
+    and before the first node when a copy list would pass `_LIST_BITS` bits.
     """
     red = pattern_hypergraph(red_pattern)
     blue = pattern_hypergraph(blue_target) if isinstance(blue_target, str) else blue_target
@@ -212,7 +240,9 @@ def free_coloring_exists(
 
     red_copies = _copy_masks(red, n)
     blue_copies = _copy_masks(blue, n)
-    lex = _rank_tables(k, n)
+    if red_copies is None or blue_copies is None:
+        raise GuardExceeded(f"the copy lists on {n} vertices would pass {_LIST_BITS} bits", stats)
+    lex = _lex_leader(k, n)
     budget = search.DEFAULT_NODE_BUDGET
 
     def dfs(r: int, bits: int, undecided: int):

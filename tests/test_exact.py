@@ -31,8 +31,8 @@ from hyperramsey.exact import (
     _completing_patterns,
     _copy_masks,
     _labelled_copies,
+    _lex_leader,
     _lex_leader_cut,
-    _rank_tables,
     _ttfree_tournament_exists,
     directed_ramsey_exact,
     free_coloring_exists,
@@ -387,7 +387,7 @@ class TestRamseyExact:
 
 
 def clear_shape_caches():
-    for cached in (_labelled_copies, _copy_masks, _rank_tables, pattern_hypergraph):
+    for cached in (_labelled_copies, _copy_masks, _lex_leader, pattern_hypergraph):
         cached.cache_clear()
 
 
@@ -413,12 +413,12 @@ class TestShapeCaches:
         clear_shape_caches()
         ramsey_exact("path:3:2:5", "clique:3:4", 7)
         assert _copy_masks.cache_info()[:2] == (0, 10)  # (hits, misses)
-        assert _rank_tables.cache_info()[:2] == (0, 5)
+        assert _lex_leader.cache_info()[:2] == (0, 5)
         assert _labelled_copies.cache_info()[:2] == (5, 2)
         assert pattern_hypergraph.cache_info().misses == 2
         ramsey_exact("path:3:2:5", "clique:3:4", 7)
         assert _copy_masks.cache_info()[:2] == (10, 10)
-        assert _rank_tables.cache_info()[:2] == (5, 5)
+        assert _lex_leader.cache_info()[:2] == (5, 5)
 
     def test_no_copy_list_below_the_targets_order(self):
         # the 12-vertex path fits in no order up to 7, so its 12! relabellings
@@ -428,6 +428,42 @@ class TestShapeCaches:
         assert (r.value, r.lower_bound, r.stats["nodes"]) == (None, 8, 75)
         assert _labelled_copies.cache_info().misses == 1
         assert not any(_copy_masks(pattern_hypergraph("path:3:2:12"), 7))
+
+    def test_too_many_relabellings_end_the_climb(self):
+        # the 12-vertex path has 12!/2 copies on its own vertices: the
+        # relabelling search gives up, so order 12 is not searched and the
+        # climb ends as at a spent budget, one above the witness on 11
+        clear_shape_caches()
+        r = ramsey_exact("path:3:2:12", "clique:3:4", 12)
+        assert (r.value, r.exact, r.lower_bound, r.lower_witness.n) == (None, False, 12, 11)
+        assert r.stats["levels"][12] == {"nodes": 0, "prunes": 0}
+        assert _labelled_copies(pattern_hypergraph("path:3:2:12")) is None
+        with pytest.raises(GuardExceeded) as stop:
+            free_coloring_exists("path:3:2:12", "clique:3:4", 12)
+        assert stop.value.stats == {"nodes": 0, "prunes": 0}
+
+    def test_a_symmetric_target_has_one_labelled_copy(self):
+        # the relabelling search closes the edges under adjacent
+        # transpositions, so K_12^(3) costs 11 images, not 12! relabellings
+        assert _labelled_copies(pattern_hypergraph("clique:3:12")) == (12, (tuple(range(comb(12, 3))),))
+
+    def test_a_list_past_the_bit_limit_ends_the_climb(self):
+        # K_12^(4) sits on C(21, 12) = 293 930 12-sets of the 5 985-bit
+        # colourings on 21 vertices, past 2^27 bits: tau(4, 12) stays at its
+        # construction on 20 vertices
+        r = tau_exact(4, 12)
+        assert (r.value, r.exact, r.lower, r.upper) == (None, False, 20, 22)
+        assert r.stats["levels"] == {21: {"nodes": 0, "prunes": 0}}
+        assert r.witness == tau_lower_construction(4, 12)
+
+    def test_the_bit_limit_is_inclusive(self, monkeypatch):
+        # K_4^(3) on 6 vertices: C(6, 4) copies of 20 bits, 300 bits in all
+        target = pattern_hypergraph("clique:3:4")
+        for limit, listed in ((300, True), (299, False)):
+            clear_shape_caches()
+            monkeypatch.setattr("hyperramsey.exact._LIST_BITS", limit)
+            assert (_copy_masks(target, 6) is not None) == listed
+        clear_shape_caches()
 
     @pytest.mark.parametrize("red,blue,cap", pinned_searches())
     def test_cold_and_warm_runs_agree(self, red, blue, cap):
@@ -446,7 +482,7 @@ class TestShapeCaches:
         assert _copy_masks(target, 6) is buckets
         _, copies = _labelled_copies(target)
         assert isinstance(copies, tuple) and all(isinstance(c, tuple) for c in copies)
-        lex = _rank_tables(3, 6)
+        lex = _lex_leader(3, 6)
         assert isinstance(lex.due, tuple) and all(isinstance(d, tuple) for d in lex.due)
         assert pattern_hypergraph("clique:3:4") is target
 
