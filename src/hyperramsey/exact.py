@@ -132,22 +132,23 @@ def _copy_masks(target: Hypergraph, n: int) -> tuple[tuple[int, ...], ...] | Non
     fits, so none is listed there."""
     k = target.k
     nbits = comb(n, k)
+    if target.n > n:
+        return ((),) * nbits
+    labelled = _labelled_copies(target)
+    if labelled is None or comb(n, labelled[0]) * len(labelled[1]) * nbits > _LIST_BITS:
+        return None
+    w, copies = labelled
     buckets: list[list[int]] = [[] for _ in range(nbits)]
-    if target.n <= n:
-        labelled = _labelled_copies(target)
-        if labelled is None or comb(n, labelled[0]) * len(labelled[1]) * nbits > _LIST_BITS:
-            return None
-        w, copies = labelled
-        ranks = mask_ranks(k, n)
-        small = colex_subsets(k, w)
-        for sub in combinations(range(n), w):
-            image = [ranks[sum(1 << sub[i] for i in s)] for s in small]
-            bit = [1 << x for x in image]
-            for copy in copies:
-                mask = 0
-                for r in copy:
-                    mask |= bit[r]
-                buckets[image[copy[-1]]].append(mask)
+    ranks = mask_ranks(k, n)
+    small = colex_subsets(k, w)
+    for sub in combinations(range(n), w):
+        image = [ranks[sum(1 << sub[i] for i in s)] for s in small]
+        bit = [1 << x for x in image]
+        for copy in copies:
+            mask = 0
+            for r in copy:
+                mask |= bit[r]
+            buckets[image[copy[-1]]].append(mask)
     return tuple(map(tuple, buckets))
 
 
