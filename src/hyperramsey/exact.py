@@ -47,11 +47,13 @@ ramsey_exact, tau_exact and directed_ramsey_exact climb the orders in
 `_least_order`.  An order's DFS stops after `search.DEFAULT_NODE_BUDGET`
 nodes, and the loop then ends as past n_cap: inexact, one above the largest
 order with a witness.  So does an order of the colouring DFS whose copy
-lists would pass `_LIST_BITS` bits, before its first node.
+lists would pass `_LIST_BITS` bits, or whose ranks, one stack frame each,
+would reach the interpreter's recursion limit, before its first node.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -201,8 +203,13 @@ class _LexLeader:
 _lex_leader = lru_cache(maxsize=128)(_LexLeader)
 
 
+def _hypergraph(side: Hypergraph | str) -> Hypergraph:
+    """One side of a Ramsey pair, given as a hypergraph or a pattern string."""
+    return pattern_hypergraph(side) if isinstance(side, str) else side
+
+
 def free_coloring_exists(
-    red_pattern: str,
+    red_pattern: Hypergraph | str,
     blue_target: Hypergraph | str,
     n: int,
 ) -> tuple[bool, TwoColoring | None, dict]:
@@ -227,10 +234,11 @@ def free_coloring_exists(
     predicate, and the DFS still reaches c* first.  So the search finds c*
     exactly when a free colouring exists, and a refutation stays sound.
     Past `search.DEFAULT_NODE_BUDGET` nodes it raises GuardExceeded(stats),
-    and before the first node when a copy list would pass `_LIST_BITS` bits.
+    and before the first node when a copy list would pass `_LIST_BITS` bits
+    or the DFS's one frame per rank would reach the interpreter's recursion
+    limit.  Either side may be a hypergraph or a pattern string.
     """
-    red = pattern_hypergraph(red_pattern)
-    blue = pattern_hypergraph(blue_target) if isinstance(blue_target, str) else blue_target
+    red, blue = _hypergraph(red_pattern), _hypergraph(blue_target)
     k = red.k
     nbits = comb(n, k)
     if blue.k != k:
@@ -243,6 +251,14 @@ def free_coloring_exists(
     blue_copies = _copy_masks(blue, n)
     if red_copies is None or blue_copies is None:
         raise GuardExceeded(f"the copy lists on {n} vertices would pass {_LIST_BITS} bits", stats)
+    # the DFS stacks nbits + 1 frames on the depth frames up to this one, and
+    # its deepest stack must stay below the interpreter's recursion limit
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    if depth + nbits + 1 >= sys.getrecursionlimit():
+        raise GuardExceeded(f"the search on {n} vertices would pass the recursion limit "
+                            f"of {sys.getrecursionlimit()} frames", stats)
     lex = _lex_leader(k, n)
     budget = search.DEFAULT_NODE_BUDGET
 
@@ -311,7 +327,7 @@ def _least_order(first: int, n_cap: int, witness, witness_at) -> tuple:
 
 
 def ramsey_exact(
-    red_pattern: str,
+    red_pattern: Hypergraph | str,
     blue_target: Hypergraph | str,
     n_cap: int,
 ) -> RamseyResult:
@@ -322,14 +338,13 @@ def ramsey_exact(
     The search starts at n = k, or at the order of an edgeless side if that
     is smaller: every colouring on that many vertices contains it, and the
     empty colouring on one vertex fewer contains neither side."""
-    red = pattern_hypergraph(red_pattern)
-    blue = pattern_hypergraph(blue_target) if isinstance(blue_target, str) else blue_target
+    red, blue = _hypergraph(red_pattern), _hypergraph(blue_target)
     if not (red.n and blue.n):
         raise ValueError("a pattern needs at least one vertex")
     k = red.k
     first = min([k] + [t.n for t in (red, blue) if not t.edges])
     return RamseyResult(*_least_order(first, n_cap, TwoColoring(k, first - 1, 0),
-                                      lambda n: free_coloring_exists(red_pattern, blue, n)[1:]))
+                                      lambda n: free_coloring_exists(red, blue, n)[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,14 @@ DEFAULT_NODE_BUDGET + 1: `find_mono_copy` and `longest_mono_ell_path`.
 Each catches the stop at its entry and reports `exact: false` instead of
 silently approximating.  `independence_number` (like `core.ramsey_profile`)
 raises `GuardExceeded` past its guard.
+
+The lower-bound colourings the searches certify are blow-ups of blocks, so
+their vertices fall into twin classes (`twin_classes`): any permutation of a
+class maps the colouring to itself.  `longest_mono_ell_path` visits one
+state per orbit of those permutations, and `find_mono_copy` tries one
+candidate per class at each step.  Neither changes a witness, a vertex count
+or an exact flag; they only cut nodes, and on a colouring without twins
+they search as if there were none.
 """
 
 from __future__ import annotations
@@ -126,6 +134,57 @@ def validate_embedding(col: TwoColoring, target: Hypergraph, mapping, colour: st
 
 
 # ---------------------------------------------------------------------------
+# twin vertices
+
+
+def twin_classes(col: TwoColoring) -> list[tuple[int, ...]]:
+    """The colouring's vertices grouped into twin classes, each sorted, in
+    order of their least vertex.
+
+    u and v are twins when swapping them maps the colouring to itself: for
+    every (k-1)-set S avoiding both, S | {u} and S | {v} have the same
+    colour.  Twins have the same red degree.  Being twins is an equivalence
+    relation, since (u w) = (u v)(v w)(u v), so each vertex is compared with
+    the first vertex of each class of its red degree only.  A vertex's red
+    link, the (k-1)-sets S with S | {v} red, is a bitmask over their colex
+    ranks, so a comparison is one XOR outside the sets that hold u or v.
+    Every permutation of a class fixes the colouring, so the searches below
+    may try one vertex of a class for all of it (Freuder, "Eliminating
+    interchangeable values in constraint satisfaction problems", AAAI 1991).
+    """
+    k, n = col.k, col.n
+    faces = mask_ranks(k - 1, n)
+    link = [0] * n     # link[v]: bit rank(S) set when S | {v} is red
+    holding = [0] * n  # holding[v]: bit rank(S) set when v is in S
+    for r, face in enumerate(colex_subsets(k - 1, n)):
+        for v in face:
+            holding[v] |= 1 << r
+    edges, red = colex_subsets(k, n), col.red_bits
+    while red:
+        low = red & -red
+        red ^= low
+        e = edges[low.bit_length() - 1]
+        mask = 0
+        for v in e:
+            mask |= 1 << v
+        for v in e:
+            link[v] |= 1 << faces[mask ^ 1 << v]
+    classes: list[list[int]] = []
+    by_degree: dict[int, list[list[int]]] = {}
+    for v in range(n):
+        same_degree = by_degree.setdefault(link[v].bit_count(), [])
+        for cls in same_degree:
+            u = cls[0]
+            if not (link[u] ^ link[v]) & ~(holding[u] | holding[v]):
+                cls.append(v)
+                break
+        else:
+            same_degree.append([v])
+            classes.append(same_degree[-1])
+    return [tuple(cls) for cls in classes]
+
+
+# ---------------------------------------------------------------------------
 # longest monochromatic ell-path
 
 
@@ -139,20 +198,34 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     Roots are the class edges in increasing rank.  It stops on node
     DEFAULT_NODE_BUDGET + 1, inexact.
 
-    A node is one state, visited once: the set of visited states is read in
-    the parent, before the call, and a child already visited is skipped (a
-    dynamic programme over (end, vertex set) states, as in Held & Karp,
-    "A dynamic programming approach to sequencing problems", 1962).  The
-    roots need no such check: each holds one edge as its used set, and no
-    other state does.  The witness is the first path in DFS preorder with
-    the most edges, and skipping a visited state cannot change it: the
-    state's first visit searched every path below it that could beat the
-    best path of that time, and the best path only grows, so a revisit
-    could find no new maximum.
+    A node is one state up to twins, visited once (a dynamic programme over
+    (end, vertex set) states, as in Held & Karp, "A dynamic programming
+    approach to sequencing problems", 1962).  Two states are equal up to
+    twins when their boundaries have the same twin class (`twin_classes`)
+    at each position and their used sets the same number of vertices in
+    each class.  A permutation within the classes then maps one state onto
+    the other and fixes the colouring, so both have the same used count,
+    hence the same number of edges, and the same longest extension.  The
+    visited set holds each state as its key: the least vertex of each
+    boundary vertex's class, in order, and the mask that holds the least u
+    vertices of each class of which the state uses u.  A child or root whose
+    key was visited is skipped; the check is made in the parent, before the
+    call.  On a colouring without twins the key is the state itself.
+
+    The witness is the first path in DFS preorder with the most edges, and
+    skipping a state cannot change it.  A state uses more vertices than
+    each of its ancestors, so the visited key a state meets is that of a
+    subtree the search has finished.  That subtree held every path that
+    could beat the best path of its time, up to the permutation, and the
+    best path only grows, so the skipped state could add no new maximum.
+    And no state on the way to the first longest path is skipped: the
+    finished subtree would already have given a path as long, earlier in
+    preorder.
 
     The class edges are read once, in increasing colex rank, into a link
     table: for each ell-subset B of an edge e, links[mask(B)] gets the entry
-    (mask of e - B, the sorted (interior, new boundary part) pairs of e - B).
+    (mask of e - B, the class masks of its vertices, the sorted (interior,
+    new boundary part) pairs of e - B, each with its part's key).
     A node on boundary B walks links[mask(B)], skips the entries that meet
     the used set and tries each pair in order.  Two edges through B compare
     in colex order as their parts outside B do, so the node tries its
@@ -167,53 +240,78 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     cls = col.class_bits(colour)
     stats = {"nodes": 0, "prunes": 0}
     best = {"edges": 0, "seq": None}
-    seen: set[tuple[tuple[int, ...], int]] = set()  # (boundary, used) states visited
+    seen: set[tuple[tuple[int, ...], int]] = set()  # states visited, up to twins
     step = k - ell
     fresh_pick = min(ell, step)  # new boundary vertices taken from each edge
+    rep = [0] * col.n         # the least vertex of each vertex's twin class
+    class_mask = [0] * col.n  # the mask of each vertex's twin class
+    for twins in twin_classes(col):
+        mask = sum(1 << v for v in twins)
+        for v in twins:
+            rep[v], class_mask[v] = twins[0], mask
 
     edges = [e for r, e in enumerate(colex_subsets(k, col.n)) if cls >> r & 1]
-    links: dict[int, list[tuple[int, list]]] = {}
+    links: dict[int, list[tuple[int, int, tuple[int, ...], list]]] = {}
+    entries: dict[tuple[int, ...], tuple[int, int, tuple[int, ...], list]] = {}  # one per e - B
     for e in edges:
+        emask = sum(1 << v for v in e)
         for bnd in combinations(e, ell):
-            fresh = [v for v in e if v not in bnd]
-            exts = sorted((tuple(v for v in fresh if v not in pick), arr, sum(1 << v for v in arr))
-                          for pick in combinations(fresh, fresh_pick) for arr in permutations(pick))
-            links.setdefault(sum(1 << v for v in bnd), []).append((sum(1 << v for v in fresh), exts))
+            fresh = tuple(v for v in e if v not in bnd)
+            entry = entries.get(fresh)
+            if entry is None:
+                exts = sorted((tuple(v for v in fresh if v not in pick), arr, sum(1 << v for v in arr),
+                               tuple(rep[v] for v in arr))
+                              for pick in combinations(fresh, fresh_pick) for arr in permutations(pick))
+                alone = sum(1 << v for v in fresh if class_mask[v] == 1 << v)
+                entry = entries[fresh] = (sum(1 << v for v in fresh), alone,
+                                          tuple(class_mask[v] for v in fresh if not alone >> v & 1), exts)
+            links.setdefault(emask ^ entry[0], []).append(entry)
 
-    def dfs(boundary: tuple[int, ...], bmask: int, used: int, edges_so_far: int, seq: list[int]) -> None:
+    def dfs(boundary: tuple[int, ...], bmask: int, used: int, state: tuple[tuple[int, ...], int],
+            edges_so_far: int, seq: list[int]) -> None:
         stats["nodes"] += 1
         if stats["nodes"] > DEFAULT_NODE_BUDGET:
             raise GuardExceeded(f"ell-path search on {col.n} vertices passed {DEFAULT_NODE_BUDGET} nodes", stats)
         if edges_so_far > best["edges"]:
             best["edges"] = edges_so_far
             best["seq"] = list(seq)
-        seen.add((boundary, used))
+        seen.add(state)
         avail = col.n - used.bit_count()
         if edges_so_far + avail // step <= best["edges"]:
             stats["prunes"] += 1
             return
-        kept, keep_mask = boundary[step:], bmask
+        kept, kept_rep, keep_mask = boundary[step:], state[0][step:], bmask
         for v in boundary[:step]:
             keep_mask ^= 1 << v
-        for fresh, exts in links.get(bmask, ()):
+        for fresh, alone, fresh_classes, exts in links.get(bmask, ()):
             if fresh & used:  # the boundary itself is always used
                 continue
-            next_used = used | fresh
-            for interior, arr, arr_mask in exts:
-                next_boundary = kept + arr
-                if (next_boundary, next_used) in seen:
+            tally = state[1] | alone
+            for twins in fresh_classes:  # a new vertex counts as the least uncounted one of its class
+                free = twins & ~tally
+                tally |= free & -free
+            for interior, arr, arr_mask, arr_rep in exts:
+                next_state = (kept_rep + arr_rep, tally)
+                if next_state in seen:
                     continue
                 seq.extend(interior)
                 seq.extend(arr)
-                dfs(next_boundary, keep_mask | arr_mask, next_used, edges_so_far + 1, seq)
+                dfs(kept + arr, keep_mask | arr_mask, used | fresh, next_state, edges_so_far + 1, seq)
                 del seq[len(seq) - step:]
 
     try:
         for e in edges:
-            used = sum(1 << v for v in e)
+            used = tally = 0
+            for v in e:
+                used |= 1 << v
+                free = class_mask[v] & ~tally
+                tally |= free & -free
             for bnd in permutations(e, ell):
+                state = (tuple(rep[v] for v in bnd), tally)
+                if state in seen:
+                    continue
                 interior = sorted(v for v in e if v not in bnd)
-                dfs(bnd, sum(1 << v for v in bnd), used, 1, interior + list(bnd))
+                dfs(bnd, sum(1 << v for v in bnd), used, state, 1, interior + list(bnd))
         exact = True
     except GuardExceeded:  # budget spent: the best path so far is only a lower bound
         exact = False
@@ -286,7 +384,7 @@ def link_index(k: int, n: int, edges: Iterable[tuple[int, ...]]) -> dict[int, in
 
 
 def embed(plan: EmbeddingPlan, link: dict[int, int], allowed: list[int], image: list[int], used: int,
-          i: int, stats: dict, node_budget: int | None = None) -> bool:
+          i: int, stats: dict, node_budget: int | None = None, twins: tuple[int, ...] = ()) -> bool:
     """Backtracking injective embedding into one colour class.
 
     The class is read through its link index `link` (see `link_index`), a
@@ -303,6 +401,15 @@ def embed(plan: EmbeddingPlan, link: dict[int, int], allowed: list[int], image: 
     the rest when the step fails, so a found embedding stops the count where
     a candidate-by-candidate loop would.  Given a node_budget, it raises
     `GuardExceeded(message, stats)` on node node_budget + 1.
+
+    `twins` holds masks of host vertices such that swapping two vertices of
+    one mask fixes the colour class and every allowed mask, as
+    `find_mono_copy` hands it the twin classes; chains and engines pass
+    none.  A step then tries only the least candidate of each mask.  A
+    higher candidate fails as the least one did: swapping the two fixes
+    every placed vertex too, so it maps one subtree onto the other.  So the
+    first embedding found is unchanged.  The skipped candidates break no
+    edge and are not counted as prunes.
     """
     stats["nodes"] += 1
     if node_budget is not None and stats["nodes"] > node_budget:
@@ -318,6 +425,9 @@ def embed(plan: EmbeddingPlan, link: dict[int, int], allowed: list[int], image: 
             base |= 1 << image[u]
         good &= link[base]
     bad = cand ^ good
+    for cls in twins:  # the least candidate of a twin class stands for all of them
+        same = good & cls
+        good ^= same & (same - 1)
     tv = plan.order[i]
     counted = 0
     while good:
@@ -328,7 +438,7 @@ def embed(plan: EmbeddingPlan, link: dict[int, int], allowed: list[int], image: 
             stats["prunes"] += below - counted
             counted = below
         image[tv] = bit.bit_length() - 1
-        if embed(plan, link, allowed, image, used | bit, i + 1, stats, node_budget):
+        if embed(plan, link, allowed, image, used | bit, i + 1, stats, node_budget, twins):
             return True
     stats["prunes"] += bad.bit_count() - counted
     return False
@@ -342,6 +452,8 @@ def find_mono_copy(col: TwoColoring, target: Hypergraph, colour: str,
     target vertex, or an exhaustive absence attestation (witness None).
     Vertices in `forbidden`, which must lie in 0..n-1, are excluded from the
     image.  On node DEFAULT_NODE_BUDGET + 1 it stops with no witness, inexact.
+    `embed` gets the colouring's twin classes less the forbidden vertices:
+    twins have the same degree, so every allowed mask holds both or neither.
     """
     k = col.k
     if target.k != k:
@@ -363,9 +475,12 @@ def find_mono_copy(col: TwoColoring, target: Hypergraph, colour: str,
     # a host vertex can take a target vertex only if its degree is no smaller
     allowed = [sum(1 << hv for hv in range(col.n) if hv not in forbidden and host_deg[hv] >= tdeg[tv])
                for tv in plan.order]
+    # the twin classes outside `forbidden` with more than one vertex
+    twins = tuple(mask for mask in (sum(1 << v for v in cls if v not in forbidden) for cls in twin_classes(col))
+                  if mask & (mask - 1))
     image = [-1] * target.n
     try:
-        if embed(plan, link_index(k, col.n, edges), allowed, image, 0, 0, stats, DEFAULT_NODE_BUDGET):
+        if embed(plan, link_index(k, col.n, edges), allowed, image, 0, 0, stats, DEFAULT_NODE_BUDGET, twins):
             return Certificate(kind=f"{colour}_embedding", witness=image, stats=stats,
                                detail={"exact": True, "target": hypergraph_to_json(target)})
     except GuardExceeded:  # budget spent: absence is not attested

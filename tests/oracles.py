@@ -85,12 +85,29 @@ def naive_path_witness(col: TwoColoring, ell: int, colour: str) -> tuple[int, li
     return ell + best[0] * step, best[1]
 
 
-def naive_find_copy(col: TwoColoring, target: Hypergraph, colour: str):
-    """First monochromatic copy of the target over all injective maps."""
-    for hosts in permutations(range(col.n), target.n):
+def naive_find_copy(col: TwoColoring, target: Hypergraph, colour: str, forbidden=frozenset()):
+    """First monochromatic copy of the target over all injective maps into
+    the vertices outside `forbidden`."""
+    for hosts in permutations([v for v in range(col.n) if v not in forbidden], target.n):
         if all(has_colour(col, [hosts[v] for v in e], colour) for e in target.edges):
             return hosts
     return None
+
+
+def naive_twin_classes(col: TwoColoring) -> list[tuple[int, ...]]:
+    """The vertices grouped by which ones the transposition of the two maps
+    the colouring to itself, each group sorted, in order of least vertex."""
+    classes: list[tuple[int, ...]] = []
+    for v in range(col.n):
+        for u in range(v):
+            swap = list(range(col.n))
+            swap[u], swap[v] = v, u
+            if col.relabel(swap) == col:
+                break
+        else:
+            classes.append(tuple(w for w in range(v, col.n) if w == v or col.relabel(
+                [v if x == w else w if x == v else x for x in range(col.n)]) == col))
+    return classes
 
 
 def naive_copy_masks(target: Hypergraph, n: int) -> list[list[int]]:
@@ -208,11 +225,10 @@ def naive_free(col: TwoColoring, red_target: Hypergraph, blue_target: Hypergraph
         naive_find_copy(col, blue_target, "blue") is None
 
 
-def free_colorings_bruteforce(red_pattern: str, blue_target: Hypergraph | str, n: int) -> list[int]:
+def free_colorings_bruteforce(red_pattern: Hypergraph | str, blue_target: Hypergraph | str, n: int) -> list[int]:
     """Every red bitmap of K_n^(k) that `naive_free` accepts, by trying all
     2^C(n,k) of them; feasible for C(n,k) <= ~10 bits."""
-    red = pattern_hypergraph(red_pattern)
-    blue = pattern_hypergraph(blue_target) if isinstance(blue_target, str) else blue_target
+    red, blue = (pattern_hypergraph(side) if isinstance(side, str) else side for side in (red_pattern, blue_target))
     return [bits for bits in range(1 << comb(n, red.k))
             if naive_free(TwoColoring(red.k, n, bits), red, blue)]
 

@@ -98,14 +98,20 @@ class TestFreeColoringSearch:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_random_pairs_match_bruteforce(self, data):
-        # a red spec and a random blue hypergraph, edgeless ones included,
-        # on at most one vertex more than the host
+        # a red spec or a random red hypergraph, and a random blue one,
+        # edgeless ones included, on at most one vertex more than the host
         k = data.draw(st.sampled_from(sorted(SMALL_SPECS)), "k")
         n = data.draw(st.integers(k, 5), "n")
-        red = data.draw(st.sampled_from(SMALL_SPECS[k]), "red")
-        v = data.draw(st.integers(1, n + 1), "blue order")
-        edges = data.draw(st.lists(st.sampled_from(list(combinations(range(v), k)) or [()]), unique=True), "edges")
-        blue = Hypergraph(k, v, tuple(e for e in edges if e))
+
+        def random_side(side: str) -> Hypergraph:
+            v = data.draw(st.integers(1, n + 1), f"{side} order")
+            edges = data.draw(st.lists(st.sampled_from(list(combinations(range(v), k)) or [()]), unique=True),
+                              f"{side} edges")
+            return Hypergraph(k, v, tuple(e for e in edges if e))
+
+        red = random_side("red") if data.draw(st.booleans(), "random red") else \
+            data.draw(st.sampled_from(SMALL_SPECS[k]), "red")
+        blue = random_side("blue")
         brute = free_colorings_bruteforce(red, blue, n)
         exists, witness, _ = free_coloring_exists(red, blue, n)
         assert exists == bool(brute)
@@ -379,6 +385,29 @@ class TestRamseyExact:
         # k-1 vertices proves, not n_cap + 1
         r = ramsey_exact("path:3:2:4", "clique:3:4", 1)
         assert (r.value, r.exact, r.lower_bound, r.lower_witness.n) == (None, False, 3, 2)
+
+    def test_red_side_as_a_hypergraph(self):
+        # a red hypergraph is searched as its pattern string is
+        as_spec = ramsey_exact("clique:3:4", "clique:3:4", 7)
+        as_hypergraph = ramsey_exact(complete_hypergraph(3, 4), "clique:3:4", 7)
+        assert as_hypergraph.value == as_spec.value
+        assert (as_hypergraph.lower_witness, as_hypergraph.stats) == (as_spec.lower_witness, as_spec.stats)
+        assert free_coloring_exists(complete_hypergraph(3, 4), "clique:3:4", 5) == \
+            free_coloring_exists("clique:3:4", "clique:3:4", 5)
+
+    def test_an_order_past_the_recursion_limit_ends_the_climb(self):
+        # the DFS stacks one frame per rank: order 20 has 1 140 ranks, past
+        # the default limit of 1 000 frames, and order 19's 969 fit only on
+        # a shallow stack.  The first order refused is not searched, and the
+        # climb ends there as at a spent budget, one above the witness
+        r = ramsey_exact("edge:3", "clique:3:21", 21)
+        last = max(r.stats["levels"])
+        assert last in (19, 20)
+        assert (r.value, r.exact, r.lower_bound, r.lower_witness.n) == (None, False, last, last - 1)
+        assert r.stats["levels"][last] == {"nodes": 0, "prunes": 0}
+        with pytest.raises(GuardExceeded, match="recursion limit") as stop:
+            free_coloring_exists("edge:3", "clique:3:21", 20)
+        assert stop.value.stats == {"nodes": 0, "prunes": 0}
 
     @pytest.mark.parametrize("blue", ["clique:4:5", complete_hypergraph(2, 3)], ids=["spec", "hypergraph"])
     def test_blue_uniformity_mismatch(self, blue):

@@ -1,8 +1,11 @@
 import hashlib
+from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hyperramsey.search
 from hyperramsey.core import (
     BLUE,
     GuardExceeded,
@@ -23,6 +26,7 @@ from hyperramsey.chains import CliqueChain, validate_chain
 from hyperramsey.constructions import (
     burr_coloring,
     ell_path_lb,
+    loose_cycle_lb,
     loose_path_lb,
     non_transitive_lb,
     tau_lower_construction,
@@ -41,6 +45,7 @@ from hyperramsey.search import (
     parse_pattern,
     pattern_hypergraph,
     search_pattern,
+    twin_classes,
     validate_embedding,
     validate_mono_path,
     verify_free,
@@ -55,6 +60,7 @@ from oracles import (
     naive_link,
     naive_longest_mono_path,
     naive_path_witness,
+    naive_twin_classes,
 )
 
 
@@ -295,6 +301,108 @@ class TestFindMonoCopy:
         assert find_mono_clique(col, 4, RED) == (0, 1, 2, 3)
         assert find_mono_clique(col, 4, BLUE) is None
         assert find_mono_clique(col, 3, RED, pool=[2, 4, 5]) == (2, 4, 5)
+
+
+# small patterns of each uniformity, for the copy searches on blow-ups
+BLOW_UP_TARGETS = {2: ("edge:2", "path:2:1:4", "cycle:2:1:4", "clique:2:3"),
+                   3: ("edge:3", "path:3:2:5", "path:3:1:5", "clique:3:4", "tth:2:2"),
+                   4: ("edge:4", "path:4:2:6", "clique:4:5")}
+
+
+def singleton_twins(monkeypatch):
+    """Make every vertex its own twin class: the searches then treat every
+    vertex as distinct."""
+    monkeypatch.setattr(hyperramsey.search, "twin_classes", lambda col: [(v,) for v in range(col.n)])
+
+
+class TestTwins:
+    def test_non_transitive_classes_are_its_blocks(self):
+        inst = non_transitive_lb(3, 6)
+        assert twin_classes(inst.coloring) == [tuple(range(6)), tuple(range(6, 12))] == list(inst.partition)
+
+    def test_a_random_colouring_has_singleton_classes(self):
+        col = TwoColoring.random(3, 9, 0.5, seed=0)
+        assert twin_classes(col) == naive_twin_classes(col) == [(v,) for v in range(9)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_blow_ups_match_the_oracles(self, data):
+        # a blow-up of blocks: a k-set's colour depends only on how many of
+        # its vertices lie in each block, so each block lies in one twin
+        # class.  The blocks are spread over the vertices by a permutation.
+        k = data.draw(st.integers(2, 4), "k")
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+            lambda sizes: k <= sum(sizes) <= 7), "block sizes")
+        n = sum(sizes)
+        owner = data.draw(st.permutations([b for b, size in enumerate(sizes) for _ in range(size)]), "owners")
+        rule: dict[tuple[int, ...], bool] = {}
+        red = []
+        for e in combinations(range(n), k):
+            counts = tuple(sum(1 for v in e if owner[v] == b) for b in range(len(sizes)))
+            if counts not in rule:
+                rule[counts] = data.draw(st.booleans(), f"red {counts}")
+            if rule[counts]:
+                red.append(e)
+        col = TwoColoring.from_red_edges(k, n, red)
+        classes = twin_classes(col)
+        assert classes == naive_twin_classes(col)
+        assert all(len({next(i for i, c in enumerate(classes) if v in c) for v in range(n) if owner[v] == b}) == 1
+                   for b in range(len(sizes)))
+        for colour in (RED, BLUE):
+            for ell in range(1, k):
+                vertices, cert = longest_mono_ell_path(col, ell, colour)
+                assert (vertices, cert.witness) == naive_path_witness(col, ell, colour)
+                assert cert.detail["exact"] is True
+            forbidden = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=2), f"forbidden {colour}"))
+            for spec in BLOW_UP_TARGETS[k]:
+                target = pattern_hypergraph(spec)
+                for avoid in (frozenset(), forbidden):
+                    cert = find_mono_copy(col, target, colour, forbidden=avoid)
+                    assert cert.found == (naive_find_copy(col, target, colour, avoid) is not None)
+                    if cert.found:
+                        assert validate_embedding(col, target, cert.witness, colour)
+                        assert not set(cert.witness) & avoid
+
+    def test_singleton_classes_give_back_the_old_counts(self, monkeypatch):
+        # with every vertex its own class the searches take the counts they
+        # took before twins, and find the same witnesses
+        col = non_transitive_lb(3, 6).coloring
+        cyclic, _ = tournament_hypergraph(Tournament.cyclic_triangle(), 3)
+        path, copy = longest_mono_ell_path(col, 2, RED), find_mono_copy(col, cyclic, BLUE)
+        singleton_twins(monkeypatch)
+        old_path, old_copy = longest_mono_ell_path(col, 2, RED), find_mono_copy(col, cyclic, BLUE)
+        assert old_path[1].stats == {"nodes": 30102, "prunes": 0}
+        assert old_copy.stats == {"nodes": 19405, "prunes": 104280}
+        assert (old_path[0], old_path[1].witness, old_path[1].detail) == (path[0], path[1].witness, path[1].detail)
+        assert (old_copy.witness, old_copy.detail) == (copy.witness, copy.detail)
+        assert (path[1].stats["nodes"], copy.stats["nodes"]) == (42, 13)
+
+    @pytest.mark.parametrize("inst", [
+        burr_coloring(3, 3, 2, 9), ell_path_lb(3, 2, 8, 2), non_transitive_lb(3, 5),
+        loose_path_lb(3, 2, 11, 3, tau_lower_construction(2, 3)),
+        loose_cycle_lb(3, 2, 6, 2, "pencil", q=2)], ids=["burr", "ell_path", "non_transitive", "loose_path",
+                                                         "loose_cycle"])
+    def test_lower_bound_colourings_keep_their_witnesses(self, inst, monkeypatch):
+        # on the table's kind of colouring, twins change no vertex count,
+        # witness or detail, and no count rises
+        col = inst.coloring
+        targets = [pattern_hypergraph(spec) for spec in ("path:3:2:5", "path:3:1:5", "clique:3:4", "tth:2:2")]
+        targets.append(tournament_hypergraph(Tournament.cyclic_triangle(), 2)[0])
+
+        def outcomes():
+            for colour in (RED, BLUE):
+                for ell in (1, 2):
+                    vertices, cert = longest_mono_ell_path(col, ell, colour)
+                    yield (vertices, cert.witness, cert.detail), cert.stats
+                for target in targets:
+                    cert = find_mono_copy(col, target, colour, forbidden=frozenset({0}))
+                    yield (cert.witness, cert.detail), cert.stats
+
+        new = list(outcomes())
+        singleton_twins(monkeypatch)
+        old = list(outcomes())
+        assert [result for result, _ in new] == [result for result, _ in old]
+        assert all(a[key] <= b[key] for (_, a), (_, b) in zip(new, old) for key in ("nodes", "prunes"))
 
 
 class TestLinkIndex:
