@@ -148,7 +148,7 @@ class TestLongestPath:
         vertices, cert = longest_mono_ell_path(col, 2, RED)
         assert vertices == 10
         assert cert.witness == [6, 0, 1, 7, 2, 3, 8, 4, 5, 9]
-        assert cert.stats == {"nodes": 30102, "prunes": 0}
+        assert cert.stats == {"nodes": 42, "prunes": 0}
         assert cert.detail["exact"] is True
         assert validate_mono_path(col, cert.witness, 2, RED)
 
