@@ -213,7 +213,7 @@ class TestLongestPath:
         monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 327)
         _, cut = longest_mono_ell_path(col, 2, RED)
         assert (cut.stats["nodes"], cut.detail["exact"]) == (328, False)
-        assert digest.hexdigest() == "fc5e9b35ad499843529ce291c933056fedfab911aad3e2f9bacb2e69c70dbe23"
+        assert digest.hexdigest() == "4766fcfb4dac2768eacf46c52b6d4a8aa373d5f5d7422ad15730b9b880a071a2"
 
 
 class TestFindMonoCopy:
