@@ -293,8 +293,8 @@ class TestFindMonoCopy:
         for col, target, colour, options in runs():
             cert = find_mono_copy(col, target, colour, **options)
             digest.update(repr((cert.witness, cert.stats, cert.detail)).encode() + b"\n")
-        assert cert.stats == {"nodes": 19405, "prunes": 104280} and not cert.found
-        assert digest.hexdigest() == "ae5fcd7bc471640498acb9a9f4cc14d783a1825ffe283cc37853eb51b026117f"
+        assert cert.stats == {"nodes": 13, "prunes": 59} and not cert.found
+        assert digest.hexdigest() == "449f862e734e43461c3d69e05e0f850050edd6ac8c413026b345d66ad9cf1eae"
 
     def test_clique_finder(self):
         col = all_red(3, 6)
