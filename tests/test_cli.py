@@ -422,14 +422,14 @@ class TestConstructAllNames:
 
 class TestVerifyThenCheckRoundTrip:
     def test_spent_budget_gives_a_refused_attestation(self, tmp_path, monkeypatch, capsys):
-        # the red cycle search of the pencil colouring takes 860 nodes: at a
-        # budget of 100 verify writes an inexact free certificate, and check
+        # the red cycle search of the pencil colouring takes 19 nodes: at a
+        # budget of 10 verify writes an inexact free certificate, and check
         # refuses it
         inst = loose_cycle_lb(3, 2, 6, 2, "pencil", q=2)
         cpath = write_json(tmp_path, "c.json", coloring_to_json(inst.coloring))
         tpath = write_json(tmp_path, "t.json", hypergraph_to_json(inst.blue_target))
         cert_out = tmp_path / "cert.json"
-        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 100)
+        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 10)
         assert main(["verify", "--coloring", cpath, "--red-pattern", "cycle:3:1:6",
                      "--blue-target", tpath, "--out", str(cert_out)]) == 0
         cert = json.loads(cert_out.read_text())
