@@ -251,8 +251,8 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
             rep[v], class_mask[v] = twins[0], mask
 
     edges = [e for r, e in enumerate(colex_subsets(k, col.n)) if cls >> r & 1]
-    links: dict[int, list[tuple[int, int, tuple[int, ...], list]]] = {}
-    entries: dict[tuple[int, ...], tuple[int, int, tuple[int, ...], list]] = {}  # one per e - B
+    links: dict[int, list[tuple[int, tuple[int, ...], list]]] = {}
+    entries: dict[tuple[int, ...], tuple[int, tuple[int, ...], list]] = {}  # one per e - B
     for e in edges:
         emask = sum(1 << v for v in e)
         for bnd in combinations(e, ell):
@@ -262,9 +262,7 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
                 exts = sorted((tuple(v for v in fresh if v not in pick), arr, sum(1 << v for v in arr),
                                tuple(rep[v] for v in arr))
                               for pick in combinations(fresh, fresh_pick) for arr in permutations(pick))
-                alone = sum(1 << v for v in fresh if class_mask[v] == 1 << v)
-                entry = entries[fresh] = (sum(1 << v for v in fresh), alone,
-                                          tuple(class_mask[v] for v in fresh if not alone >> v & 1), exts)
+                entry = entries[fresh] = (sum(1 << v for v in fresh), tuple(class_mask[v] for v in fresh), exts)
             links.setdefault(emask ^ entry[0], []).append(entry)
 
     def dfs(boundary: tuple[int, ...], bmask: int, used: int, state: tuple[tuple[int, ...], int],
@@ -283,10 +281,10 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
         kept, kept_rep, keep_mask = boundary[step:], state[0][step:], bmask
         for v in boundary[:step]:
             keep_mask ^= 1 << v
-        for fresh, alone, fresh_classes, exts in links.get(bmask, ()):
+        for fresh, fresh_classes, exts in links.get(bmask, ()):
             if fresh & used:  # the boundary itself is always used
                 continue
-            tally = state[1] | alone
+            tally = state[1]
             for twins in fresh_classes:  # a new vertex counts as the least uncounted one of its class
                 free = twins & ~tally
                 tally |= free & -free
