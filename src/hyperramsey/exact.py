@@ -251,14 +251,17 @@ def free_coloring_exists(
     blue_copies = _copy_masks(blue, n)
     if red_copies is None or blue_copies is None:
         raise GuardExceeded(f"the copy lists on {n} vertices would pass {_LIST_BITS} bits", stats)
-    # the DFS stacks nbits + 1 frames on the depth frames up to this one, and
-    # its deepest stack must stay below the interpreter's recursion limit
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    if depth + nbits + 1 >= sys.getrecursionlimit():
-        raise GuardExceeded(f"the search on {n} vertices would pass the recursion limit "
-                            f"of {sys.getrecursionlimit()} frames", stats)
+    # the DFS stacks nbits + 1 frames on the ones up to this one, and its
+    # deepest stack must stay below the interpreter's recursion limit: so
+    # the stack must not reach limit - nbits - 1 frames, which it does
+    # exactly when it has a frame that many levels down, counting this one
+    limit = sys.getrecursionlimit()
+    try:
+        sys._getframe(limit - nbits - 2)
+    except ValueError:  # the stack is shallower
+        pass
+    else:
+        raise GuardExceeded(f"the search on {n} vertices would pass the recursion limit of {limit} frames", stats)
     lex = _lex_leader(k, n)
     budget = search.DEFAULT_NODE_BUDGET
 
