@@ -206,11 +206,11 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     each class.  A permutation within the classes then maps one state onto
     the other and fixes the colouring, so both have the same used count,
     hence the same number of edges, and the same longest extension.  The
-    visited set holds each state as its key: the least vertex of each
-    boundary vertex's class, in order, and the mask that holds the least u
-    vertices of each class of which the state uses u.  A child or root whose
-    key was visited is skipped; the check is made in the parent, before the
-    call.  On a colouring without twins the key is the state itself.
+    visited set holds each state as its key: the class mask of each
+    boundary vertex, in order, and the mask that holds the least u vertices
+    of each class of which the state uses u.  A child or root whose key was
+    visited is skipped; the check is made in the parent, before the call.
+    On a colouring without twins the key names the state itself.
 
     The witness is the first path in DFS preorder with the most edges, and
     skipping a state cannot change it.  A state uses more vertices than
@@ -243,12 +243,11 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
     seen: set[tuple[tuple[int, ...], int]] = set()  # states visited, up to twins
     step = k - ell
     fresh_pick = min(ell, step)  # new boundary vertices taken from each edge
-    rep = [0] * col.n         # the least vertex of each vertex's twin class
     class_mask = [0] * col.n  # the mask of each vertex's twin class
     for twins in twin_classes(col):
         mask = sum(1 << v for v in twins)
         for v in twins:
-            rep[v], class_mask[v] = twins[0], mask
+            class_mask[v] = mask
 
     edges = [e for r, e in enumerate(colex_subsets(k, col.n)) if cls >> r & 1]
     links: dict[int, list[tuple[int, tuple[int, ...], list]]] = {}
@@ -260,7 +259,7 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
             entry = entries.get(fresh)
             if entry is None:
                 exts = sorted((tuple(v for v in fresh if v not in pick), arr, sum(1 << v for v in arr),
-                               tuple(rep[v] for v in arr))
+                               tuple(class_mask[v] for v in arr))
                               for pick in combinations(fresh, fresh_pick) for arr in permutations(pick))
                 entry = entries[fresh] = (sum(1 << v for v in fresh), tuple(class_mask[v] for v in fresh), exts)
             links.setdefault(emask ^ entry[0], []).append(entry)
@@ -278,7 +277,7 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
         if edges_so_far + avail // step <= best["edges"]:
             stats["prunes"] += 1
             return
-        kept, kept_rep, keep_mask = boundary[step:], state[0][step:], bmask
+        kept, kept_classes, keep_mask = boundary[step:], state[0][step:], bmask
         for v in boundary[:step]:
             keep_mask ^= 1 << v
         for fresh, fresh_classes, exts in links.get(bmask, ()):
@@ -288,8 +287,8 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
             for twins in fresh_classes:  # a new vertex counts as the least uncounted one of its class
                 free = twins & ~tally
                 tally |= free & -free
-            for interior, arr, arr_mask, arr_rep in exts:
-                next_state = (kept_rep + arr_rep, tally)
+            for interior, arr, arr_mask, arr_classes in exts:
+                next_state = (kept_classes + arr_classes, tally)
                 if next_state in seen:
                     continue
                 seq.extend(interior)
@@ -305,7 +304,7 @@ def longest_mono_ell_path(col: TwoColoring, ell: int, colour: str) -> tuple[int,
                 free = class_mask[v] & ~tally
                 tally |= free & -free
             for bnd in permutations(e, ell):
-                state = (tuple(rep[v] for v in bnd), tally)
+                state = (tuple(class_mask[v] for v in bnd), tally)
                 if state in seen:
                     continue
                 interior = sorted(v for v in e if v not in bnd)
