@@ -47,13 +47,13 @@ ramsey_exact, tau_exact and directed_ramsey_exact climb the orders in
 `_least_order`.  An order's DFS stops after `search.DEFAULT_NODE_BUDGET`
 nodes, and the loop then ends as past n_cap: inexact, one above the largest
 order with a witness.  So does an order of the colouring DFS whose copy
-lists would pass `_LIST_BITS` bits, or whose ranks, one stack frame each,
-would reach the interpreter's recursion limit, before its first node.
+lists would pass `_LIST_BITS` bits, before its first node.  The colouring
+DFS is one loop over an explicit trail, and the tournament DFS recurses one
+frame per vertex, so no result depends on the caller's stack.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -208,6 +208,15 @@ def _hypergraph(side: Hypergraph | str) -> Hypergraph:
     return pattern_hypergraph(side) if isinstance(side, str) else side
 
 
+def _all_meet(masks: tuple[int, ...], other: int) -> bool:
+    """True iff every mask has a bit in `other`: with `other` the edges of
+    the other colour, no copy among the masks closes."""
+    for m in masks:
+        if not m & other:
+            return False
+    return True
+
+
 def free_coloring_exists(
     red_pattern: Hypergraph | str,
     blue_target: Hypergraph | str,
@@ -218,11 +227,16 @@ def free_coloring_exists(
 
     Returns (exists, witness, stats).  The DFS colours ranks 0, 1, ... in
     turn, red first, so it meets leaves in decreasing order, rank 0 most
-    significant and red above blue.  A branch is cut when the edge just
-    coloured completes a red pattern or a blue target, or when the
-    `_LexLeader` predicates find c < sigma_i(c) for an adjacent vertex
-    transposition sigma_i; that test is cheaper, so it runs first, and each
-    cut counts one prune.  The copies that rank r can complete are those
+    significant and red above blue.  It is one loop over a trail, not a
+    recursion: taking a red child pushes its rank, the red edges below it
+    and its blue sibling's undecided predicates, and a closed branch pops
+    the trail back to the nearest blue sibling not yet tried.  A child is
+    tested only when the walk reaches it, so each node counts one node and
+    each cut child one prune, as a recursive walk would count them.  A
+    branch is cut when the edge just coloured completes a red pattern or a
+    blue target, or when the `_LexLeader` predicates find c < sigma_i(c)
+    for an adjacent vertex transposition sigma_i; that test is cheaper, so
+    it runs first, and each cut counts one prune.  The copies that rank r can complete are those
     `_copy_masks` files under r: colouring r red completes one iff some
     mask m of the pattern's has no bit outside the red edges, and blue iff
     some mask of the target's has no bit among them.
@@ -234,9 +248,9 @@ def free_coloring_exists(
     predicate, and the DFS still reaches c* first.  So the search finds c*
     exactly when a free colouring exists, and a refutation stays sound.
     Past `search.DEFAULT_NODE_BUDGET` nodes it raises GuardExceeded(stats),
-    and before the first node when a copy list would pass `_LIST_BITS` bits
-    or the DFS's one frame per rank would reach the interpreter's recursion
-    limit.  Either side may be a hypergraph or a pattern string.
+    the stats counting every node and prune so far, and before the first
+    node when a copy list would pass `_LIST_BITS` bits.  Either side may be
+    a hypergraph or a pattern string.
     """
     red, blue = _hypergraph(red_pattern), _hypergraph(blue_target)
     k = red.k
@@ -251,46 +265,38 @@ def free_coloring_exists(
     blue_copies = _copy_masks(blue, n)
     if red_copies is None or blue_copies is None:
         raise GuardExceeded(f"the copy lists on {n} vertices would pass {_LIST_BITS} bits", stats)
-    # the DFS stacks nbits + 1 frames on the ones up to this one, and its
-    # deepest stack must stay below the interpreter's recursion limit: so
-    # the stack must not reach limit - nbits - 1 frames, which it does
-    # exactly when it has a frame that many levels down, counting this one
-    limit = sys.getrecursionlimit()
-    try:
-        sys._getframe(limit - nbits - 2)
-    except ValueError:  # the stack is shallower
-        pass
-    else:
-        raise GuardExceeded(f"the search on {n} vertices would pass the recursion limit of {limit} frames", stats)
     lex = _lex_leader(k, n)
     budget = search.DEFAULT_NODE_BUDGET
-
-    def dfs(r: int, bits: int, undecided: int):
-        # bits: the red edges among ranks < r; every other rank < r is blue,
-        # and undecided holds the predicates that have not yet shown
-        # c > sigma_i(c)
-        stats["nodes"] += 1
-        if stats["nodes"] > budget:
-            raise GuardExceeded(f"free-colouring search on {n} vertices passed {budget} nodes", stats)
-        if r == nbits:
-            return bits
-        red_undecided, blue_undecided = lex.split(undecided, r, bits)
-        red_bits = bits | 1 << r
-        # a copy filed under r closes when none of its edges has the other colour
-        for child, child_undecided, copies, other in ((red_bits, red_undecided, red_copies[r], ~red_bits),
-                                                      (bits, blue_undecided, blue_copies[r], bits)):
-            if child_undecided is None or not all(m & other for m in copies):
-                stats["prunes"] += 1
+    # the node (r, bits, undecided): bits holds the red edges among ranks < r,
+    # every other rank < r is blue, and undecided the predicates that have
+    # not yet shown c > sigma_i(c); the trail holds (r, bits, the blue
+    # sibling's undecided) for each red child taken
+    trail: list[tuple[int, int, int]] = []
+    r, bits, undecided = 0, 0, lex.start
+    nodes = prunes = 0
+    try:
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise GuardExceeded(f"free-colouring search on {n} vertices passed {budget} nodes", stats)
+            if r == nbits:
+                return True, TwoColoring(k, n, bits), stats
+            red_undecided, blue_undecided = lex.split(undecided, r, bits)
+            red_bits = bits | 1 << r
+            if red_undecided is not None and _all_meet(red_copies[r], ~red_bits):
+                trail.append((r, bits, blue_undecided))
+                r, bits = r + 1, red_bits
                 continue
-            got = dfs(r + 1, child, child_undecided)
-            if got is not None:
-                return got
-        return None
-
-    bits = dfs(0, 0, lex.start)
-    if bits is not None:
-        return True, TwoColoring(k, n, bits), stats
-    return False, None, stats
+            prunes += 1
+            # the blue child, else the blue sibling of the nearest red child taken
+            while not _all_meet(blue_copies[r], bits):
+                prunes += 1
+                if not trail:
+                    return False, None, stats
+                r, bits, blue_undecided = trail.pop()
+            r, undecided = r + 1, blue_undecided
+    finally:
+        stats["nodes"], stats["prunes"] = nodes, prunes
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +317,10 @@ def _least_order(first: int, n_cap: int, witness, witness_at) -> tuple:
     first..n_cap at which `witness_at(n)` -> (witness or None, stats) finds
     no witness; `witness` is on first - 1 vertices.  A spent node budget
     ends the loop as n_cap does, but with a bound at most n_cap, not
-    n_cap + 1; stats["levels"] holds every order tried."""
+    n_cap + 1, and so does an order whose copy lists would pass
+    `_LIST_BITS` bits.  Nothing else stops the loop early, so the result
+    depends on the arguments alone.  stats["levels"] holds every order
+    tried."""
     stats = {"nodes": 0, "prunes": 0, "levels": {}}
     for n in range(first, n_cap + 1):
         try:
