@@ -395,19 +395,19 @@ class TestRamseyExact:
         assert free_coloring_exists(complete_hypergraph(3, 4), "clique:3:4", 5) == \
             free_coloring_exists("clique:3:4", "clique:3:4", 5)
 
-    def test_an_order_past_the_recursion_limit_ends_the_climb(self):
-        # the DFS stacks one frame per rank: order 20 has 1 140 ranks, past
-        # the default limit of 1 000 frames, and order 19's 969 fit only on
-        # a shallow stack.  The first order refused is not searched, and the
-        # climb ends there as at a spent budget, one above the witness
+    def test_a_climb_past_a_thousand_ranks_is_the_same_at_any_stack_depth(self):
+        # order 20 has 1 140 ranks and order 21 has 1 330, past the default
+        # recursion limit of 1 000 frames: the DFS walks them in one loop,
+        # so the climb finishes wherever it is called from
+        def deeper(depth: int):
+            return deeper(depth - 1) if depth else ramsey_exact("edge:3", "clique:3:21", 21)
+
         r = ramsey_exact("edge:3", "clique:3:21", 21)
-        last = max(r.stats["levels"])
-        assert last in (19, 20)
-        assert (r.value, r.exact, r.lower_bound, r.lower_witness.n) == (None, False, last, last - 1)
-        assert r.stats["levels"][last] == {"nodes": 0, "prunes": 0}
-        with pytest.raises(GuardExceeded, match="recursion limit") as stop:
-            free_coloring_exists("edge:3", "clique:3:21", 20)
-        assert stop.value.stats == {"nodes": 0, "prunes": 0}
+        assert (r.value, r.exact, r.lower_bound, r.lower_witness.n) == (21, True, 21, 20)
+        assert verify_free(r.lower_witness, "edge:3", "clique:3:21").kind == "free"
+        deep = deeper(300)
+        assert (deep.value, deep.exact, deep.lower_witness, deep.stats) == \
+            (r.value, r.exact, r.lower_witness, r.stats)
 
     @pytest.mark.parametrize("blue", ["clique:4:5", complete_hypergraph(2, 3)], ids=["spec", "hypergraph"])
     def test_blue_uniformity_mismatch(self, blue):
