@@ -74,7 +74,7 @@ from .core import (
 )
 from . import search
 from .constructions import tau_lower_construction
-from .search import find_transitive_subtournament, pattern_hypergraph
+from .search import as_hypergraph, find_transitive_subtournament
 
 # ---------------------------------------------------------------------------
 # copy lists and lex-leader predicates for the colouring DFS
@@ -203,11 +203,6 @@ class _LexLeader:
 _lex_leader = lru_cache(maxsize=128)(_LexLeader)
 
 
-def _hypergraph(side: Hypergraph | str) -> Hypergraph:
-    """One side of a Ramsey pair, given as a hypergraph or a pattern string."""
-    return pattern_hypergraph(side) if isinstance(side, str) else side
-
-
 def _all_meet(masks: tuple[int, ...], other: int) -> bool:
     """True iff every mask has a bit in `other`: with `other` the edges of
     the other colour, no copy among the masks closes."""
@@ -252,7 +247,7 @@ def free_coloring_exists(
     node when a copy list would pass `_LIST_BITS` bits.  Either side may be
     a hypergraph or a pattern string.
     """
-    red, blue = _hypergraph(red_pattern), _hypergraph(blue_target)
+    red, blue = as_hypergraph(red_pattern), as_hypergraph(blue_target)
     k = red.k
     nbits = comb(n, k)
     if blue.k != k:
@@ -350,7 +345,7 @@ def ramsey_exact(
     The search starts at n = k, or at the order of an edgeless side if that
     is smaller: every colouring on that many vertices contains it, and the
     empty colouring on one vertex fewer contains neither side."""
-    red, blue = _hypergraph(red_pattern), _hypergraph(blue_target)
+    red, blue = as_hypergraph(red_pattern), as_hypergraph(blue_target)
     if not (red.n and blue.n):
         raise ValueError("a pattern needs at least one vertex")
     k = red.k
@@ -632,15 +627,16 @@ def _connected(hg: Hypergraph) -> bool:
     return reach == (1 << hg.n) - 1
 
 
-def goodness_gap(red_pattern: str, target: Hypergraph, result: RamseyResult,
+def goodness_gap(red_pattern: Hypergraph | str, target: Hypergraph, result: RamseyResult,
                  profile: RamseyProfile | None = None) -> GoodnessReport:
     """The Burr bound of the red pattern and the verdict of `result` against
     it; the gap is None unless `result` is exact.  The bound holds only for
     a connected pattern on at least sigma(target) vertices; for any other
-    the verdict is "n/a" and the gap None."""
+    the verdict is "n/a" and the gap None.  The pattern may be a hypergraph
+    or a pattern string."""
     if profile is None:
         profile = ramsey_profile(target)
-    red = pattern_hypergraph(red_pattern)
+    red = as_hypergraph(red_pattern)
     bb = burr_bound(red.n, profile)
     if not (bb.hypothesis_ok and _connected(red)):
         return GoodnessReport(bb.value, None, "n/a")

@@ -594,6 +594,11 @@ def pattern_hypergraph(spec: str) -> Hypergraph:
     raise AssertionError
 
 
+def as_hypergraph(side: Hypergraph | str) -> Hypergraph:
+    """One side of a Ramsey pair, given as a hypergraph or a pattern string."""
+    return pattern_hypergraph(side) if isinstance(side, str) else side
+
+
 def search_pattern(col: TwoColoring, spec: str, colour: str) -> Certificate:
     """Search one colour for the pattern; path patterns use the dedicated
     longest-path search, everything else the generic embedding search."""
@@ -614,20 +619,24 @@ def search_pattern(col: TwoColoring, spec: str, colour: str) -> Certificate:
     return cert
 
 
-def verify_free(col: TwoColoring, red_pattern: str, blue_target: Hypergraph | str) -> Certificate:
+def _search_side(col: TwoColoring, side: Hypergraph | str, colour: str) -> tuple[Certificate, str]:
+    """The certificate of a search of one colour for a side, and the side's
+    name in a `free` detail: its pattern string, or "hypergraph"."""
+    if isinstance(side, str):
+        return search_pattern(col, side, colour), side
+    return find_mono_copy(col, side, colour), "hypergraph"
+
+
+def verify_free(col: TwoColoring, red_pattern: Hypergraph | str, blue_target: Hypergraph | str) -> Certificate:
     """Certify that a colouring has no red copy of the pattern and no blue copy
     of the target (kind "free"), or return the certificate of the first copy
     found (red first): a `red_path`, `blue_embedding`, ... as `search_pattern`
-    and `find_mono_copy` give it."""
-    red_cert = search_pattern(col, red_pattern, RED)
+    and `find_mono_copy` give it.  A pattern string goes to `search_pattern`,
+    a hypergraph to `find_mono_copy`."""
+    red_cert, red_desc = _search_side(col, red_pattern, RED)
     if red_cert.found:
         return red_cert
-    if isinstance(blue_target, str):
-        blue_cert = search_pattern(col, blue_target, BLUE)
-        blue_desc = blue_target
-    else:
-        blue_cert = find_mono_copy(col, blue_target, BLUE)
-        blue_desc = "hypergraph"
+    blue_cert, blue_desc = _search_side(col, blue_target, BLUE)
     if blue_cert.found:
         return blue_cert
     exact = red_cert.detail.get("exact", True) and blue_cert.detail.get("exact", True)
@@ -636,7 +645,7 @@ def verify_free(col: TwoColoring, red_pattern: str, blue_target: Hypergraph | st
         "prunes": red_cert.stats.get("prunes", 0) + blue_cert.stats.get("prunes", 0),
     }
     return Certificate(kind="free", witness=None, stats=stats,
-                       detail={"red_pattern": red_pattern, "blue_pattern": blue_desc, "exact": exact})
+                       detail={"red_pattern": red_desc, "blue_pattern": blue_desc, "exact": exact})
 
 
 # ---------------------------------------------------------------------------

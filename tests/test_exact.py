@@ -42,7 +42,7 @@ from hyperramsey.exact import (
     tau_exact,
 )
 
-from oracles import free_colorings_bruteforce, naive_copy_masks, naive_free, naive_has_tt, naive_tau
+from oracles import all_red, free_colorings_bruteforce, naive_copy_masks, naive_free, naive_has_tt, naive_tau
 
 # a 3-graph whose only automorphism is the identity, so each of its 6!
 # relabellings is a distinct copy
@@ -394,6 +394,19 @@ class TestRamseyExact:
         assert (as_hypergraph.lower_witness, as_hypergraph.stats) == (as_spec.lower_witness, as_spec.stats)
         assert free_coloring_exists(complete_hypergraph(3, 4), "clique:3:4", 5) == \
             free_coloring_exists("clique:3:4", "clique:3:4", 5)
+
+    def test_red_hypergraph_in_goodness_gap_and_verify_free(self):
+        # both take the red side as a hypergraph as they take its pattern string
+        k4 = complete_hypergraph(3, 4)
+        result = ramsey_exact(k4, "clique:3:4", 6)
+        assert goodness_gap(k4, k4, result) == goodness_gap("clique:3:4", k4, result)
+        for col in (result.lower_witness, TwoColoring.all_blue(3, 5), all_red(3, 5)):
+            as_hypergraph = verify_free(col, k4, "clique:3:4")
+            as_spec = verify_free(col, "clique:3:4", "clique:3:4")
+            assert (as_hypergraph.kind, as_hypergraph.witness, as_hypergraph.stats) == \
+                (as_spec.kind, as_spec.witness, as_spec.stats)
+            assert as_hypergraph.detail == {**as_spec.detail, **({"red_pattern": "hypergraph"}
+                                                                 if as_spec.kind == "free" else {})}
 
     def test_a_climb_past_a_thousand_ranks_is_the_same_at_any_stack_depth(self):
         # order 20 has 1 140 ranks and order 21 has 1 330, past the default
