@@ -263,40 +263,44 @@ def loose_cycle_lb(
 # tight paths against tournament hypergraphs (3-uniform)
 
 
+def _tournament_blowup(t: Tournament, size: int) -> tuple[tuple, TwoColoring]:
+    """One block of `size` per tournament vertex; red = within-block triples
+    plus two-in-i one-in-j triples along arcs (i, j)."""
+    blocks = _blocks([size] * t.n)
+    arcs = set(t.arcs())
+    reds = ((c.index(2), c.index(1)) in arcs if 2 in c else max(c) == 3
+            for _, c in _block_counts(3, blocks))
+    return blocks, _colouring(3, size * t.n, reds)
+
+
 def non_transitive_lb(m: int, t: int) -> LowerBoundInstance:
-    """m-1 blocks of size t; a triple with two vertices in block i and one in
-    block j is red exactly when i <= j."""
+    """The blow-up of the transitive tournament on m-1 vertices, blocks of
+    size t: a triple with two vertices in block i and one in block j is red
+    exactly when i < j."""
     if m < 2 or t < 1:
         raise ValueError("need m >= 2, t >= 1")
-    blocks = _blocks([t] * (m - 1))
-    big_n = (m - 1) * t
-    reds = (c.index(2) <= c.index(1) if 2 in c else max(c) == 3 for _, c in _block_counts(3, blocks))
+    blocks, col = _tournament_blowup(Tournament.transitive(m - 1), t)
     return LowerBoundInstance(
-        coloring=_colouring(3, big_n, reds),
+        coloring=col,
         claimed_red_free=f"tight path on > t+floor(t/2)+1 = {t + t // 2 + 1} vertices",
         claimed_blue_free="any tournament hypergraph of a non-transitive tournament",
         partition=blocks,
-        parameters={"m": m, "t": t, "N": big_n},
+        parameters={"m": m, "t": t, "N": col.n},
     )
 
 
 def transitive_lb(t: Tournament, n: int) -> LowerBoundInstance:
-    """One block per tournament vertex, each of size floor(2n/3)-2; red =
-    within-block triples plus two-in-i one-in-j triples along arcs (i, j)."""
+    """The blow-up of t with blocks of size floor(2n/3)-2."""
     size = (2 * n) // 3 - 2
     if size < 1:
         raise ValueError("block size would be < 1")
-    blocks = _blocks([size] * t.n)
-    big_n = size * t.n
-    arcs = set(t.arcs())
-    reds = ((c.index(2), c.index(1)) in arcs if 2 in c else max(c) == 3
-            for _, c in _block_counts(3, blocks))
+    blocks, col = _tournament_blowup(t, size)
     return LowerBoundInstance(
-        coloring=_colouring(3, big_n, reds),
+        coloring=col,
         claimed_red_free=f"path:3:2:{n}",
         claimed_blue_free="tth:chi:m for chi with T TT_chi-free and m >= R_vec(chi)",
         partition=blocks,
-        parameters={"n": n, "block_size": size, "tournament_n": t.n, "N": big_n},
+        parameters={"n": n, "block_size": size, "tournament_n": t.n, "N": col.n},
     )
 
 

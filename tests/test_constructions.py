@@ -244,6 +244,16 @@ class TestNonTransitiveLb:
 
         assert_total_and_complementary(inst, rule)
 
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_is_the_transitive_blow_up(self, m):
+        # blocks of t are those of transitive_lb at every n with
+        # floor(2n/3) - 2 = t, the least such n being ceil(3(t+2)/2)
+        for t in range(1, 8):
+            n = -(-3 * (t + 2) // 2)
+            assert (2 * n) // 3 - 2 == t
+            ours, theirs = non_transitive_lb(m, t), transitive_lb(Tournament.transitive(m - 1), n)
+            assert (ours.coloring, ours.partition) == (theirs.coloring, theirs.partition)
+
 
 class TestTransitiveLb:
     def test_single_vertex(self):
