@@ -133,17 +133,20 @@ def test_no_function_level_reimports():
 
 def test_the_package_reads_no_environment():
     # a setting read from the environment is one no caller passes and no
-    # test of the call site sees; `os.path` and the like stay allowed
-    reads = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+    # test of the call site sees, and a rule that reads the interpreter's
+    # stack makes a result depend on where the call is made; `os.path`,
+    # `sys.argv` and the like stay allowed
+    reads = {"os": {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"},
+             "sys": {"_getframe", "getrecursionlimit", "setrecursionlimit"}}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in reads \
-                    and isinstance(node.value, ast.Name) and node.value.id == "os":
-                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
-            elif isinstance(node, ast.ImportFrom) and node.module == "os":
-                found.extend(f"{path.name}:{node.lineno} from os import {alias.name}"
-                             for alias in node.names if alias.name in reads)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.attr in reads.get(node.value.id, ()):
+                found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module in reads:
+                found.extend(f"{path.name}:{node.lineno} from {node.module} import {alias.name}"
+                             for alias in node.names if alias.name in reads[node.module])
     assert found == []
 
 
