@@ -274,9 +274,8 @@ def _tournament_blowup(t: Tournament, size: int) -> tuple[tuple, TwoColoring]:
 
 
 def non_transitive_lb(m: int, t: int) -> LowerBoundInstance:
-    """The blow-up of the transitive tournament on m-1 vertices, blocks of
-    size t: a triple with two vertices in block i and one in block j is red
-    exactly when i < j."""
+    """The blow-up of the transitive tournament on m-1 vertices with blocks
+    of size t: red = within-block triples and two-in-i one-in-j for i < j."""
     if m < 2 or t < 1:
         raise ValueError("need m >= 2, t >= 1")
     blocks, col = _tournament_blowup(Tournament.transitive(m - 1), t)

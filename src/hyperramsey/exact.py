@@ -47,9 +47,7 @@ ramsey_exact, tau_exact and directed_ramsey_exact climb the orders in
 `_least_order`.  An order's DFS stops after `search.DEFAULT_NODE_BUDGET`
 nodes, and the loop then ends as past n_cap: inexact, one above the largest
 order with a witness.  So does an order of the colouring DFS whose copy
-lists would pass `_LIST_BITS` bits, before its first node.  The colouring
-DFS is one loop over an explicit trail, and the tournament DFS recurses one
-frame per vertex, so no result depends on the caller's stack.
+lists would pass `_LIST_BITS` bits, before its first node.
 """
 
 from __future__ import annotations
@@ -204,8 +202,7 @@ _lex_leader = lru_cache(maxsize=128)(_LexLeader)
 
 
 def _all_meet(masks: tuple[int, ...], other: int) -> bool:
-    """True iff every mask has a bit in `other`: with `other` the edges of
-    the other colour, no copy among the masks closes."""
+    """True iff every mask has a bit in `other`, the other colour's edges."""
     for m in masks:
         if not m & other:
             return False
@@ -225,16 +222,15 @@ def free_coloring_exists(
     significant and red above blue.  It is one loop over a trail, not a
     recursion: taking a red child pushes its rank, the red edges below it
     and its blue sibling's undecided predicates, and a closed branch pops
-    the trail back to the nearest blue sibling not yet tried.  A child is
-    tested only when the walk reaches it, so each node counts one node and
-    each cut child one prune, as a recursive walk would count them.  A
-    branch is cut when the edge just coloured completes a red pattern or a
-    blue target, or when the `_LexLeader` predicates find c < sigma_i(c)
-    for an adjacent vertex transposition sigma_i; that test is cheaper, so
-    it runs first, and each cut counts one prune.  The copies that rank r can complete are those
-    `_copy_masks` files under r: colouring r red completes one iff some
-    mask m of the pattern's has no bit outside the red edges, and blue iff
-    some mask of the target's has no bit among them.
+    the trail back to the nearest blue sibling not yet tried.  A branch is
+    cut when the edge just coloured completes a red pattern or a blue
+    target, or when the `_LexLeader` predicates find c < sigma_i(c) for an
+    adjacent vertex transposition sigma_i; that test is cheaper, so it runs
+    first, and each cut counts one prune.  Children are tested lazily, so
+    the counts are those of a recursive walk.  The copies that rank r can
+    complete are those `_copy_masks` files under r: colouring r red
+    completes one iff some mask m of the pattern's has no bit outside the
+    red edges, and blue iff some mask of the target's has no bit among them.
 
     The predicates change neither the answer nor the witness.  Without them
     the first free leaf is the greatest free colouring c*.  Each sigma_i(c*)
@@ -256,16 +252,13 @@ def free_coloring_exists(
     if any(not t.edges and t.n <= n for t in (red, blue)):
         return False, None, stats  # every colouring on n vertices holds the edgeless side
 
-    red_copies = _copy_masks(red, n)
-    blue_copies = _copy_masks(blue, n)
+    red_copies, blue_copies = _copy_masks(red, n), _copy_masks(blue, n)
     if red_copies is None or blue_copies is None:
         raise GuardExceeded(f"the copy lists on {n} vertices would pass {_LIST_BITS} bits", stats)
     lex = _lex_leader(k, n)
     budget = search.DEFAULT_NODE_BUDGET
-    # the node (r, bits, undecided): bits holds the red edges among ranks < r,
-    # every other rank < r is blue, and undecided the predicates that have
-    # not yet shown c > sigma_i(c); the trail holds (r, bits, the blue
-    # sibling's undecided) for each red child taken
+    # at node (r, bits, undecided), bits holds the red edges among ranks < r
+    # and undecided the predicates that have not yet shown c > sigma_i(c)
     trail: list[tuple[int, int, int]] = []
     r, bits, undecided = 0, 0, lex.start
     nodes = prunes = 0
@@ -310,12 +303,10 @@ class RamseyResult:
 def _least_order(first: int, n_cap: int, witness, witness_at) -> tuple:
     """(value, lower bound, exact, witness, stats) of the least order in
     first..n_cap at which `witness_at(n)` -> (witness or None, stats) finds
-    no witness; `witness` is on first - 1 vertices.  A spent node budget
-    ends the loop as n_cap does, but with a bound at most n_cap, not
-    n_cap + 1, and so does an order whose copy lists would pass
-    `_LIST_BITS` bits.  Nothing else stops the loop early, so the result
-    depends on the arguments alone.  stats["levels"] holds every order
-    tried."""
+    no witness; `witness` is on first - 1 vertices.  A GuardExceeded (a
+    spent node budget, or copy lists past `_LIST_BITS`) ends the loop as
+    n_cap does, but with a bound at most n_cap, not n_cap + 1;
+    stats["levels"] holds every order tried."""
     stats = {"nodes": 0, "prunes": 0, "levels": {}}
     for n in range(first, n_cap + 1):
         try:

@@ -619,31 +619,22 @@ def search_pattern(col: TwoColoring, spec: str, colour: str) -> Certificate:
     return cert
 
 
-def _search_side(col: TwoColoring, side: Hypergraph | str, colour: str) -> tuple[Certificate, str]:
-    """The certificate of a search of one colour for a side, and the side's
-    name in a `free` detail: its pattern string, or "hypergraph"."""
-    if isinstance(side, str):
-        return search_pattern(col, side, colour), side
-    return find_mono_copy(col, side, colour), "hypergraph"
-
-
 def verify_free(col: TwoColoring, red_pattern: Hypergraph | str, blue_target: Hypergraph | str) -> Certificate:
     """Certify that a colouring has no red copy of the pattern and no blue copy
     of the target (kind "free"), or return the certificate of the first copy
     found (red first): a `red_path`, `blue_embedding`, ... as `search_pattern`
-    and `find_mono_copy` give it.  A pattern string goes to `search_pattern`,
-    a hypergraph to `find_mono_copy`."""
-    red_cert, red_desc = _search_side(col, red_pattern, RED)
-    if red_cert.found:
-        return red_cert
-    blue_cert, blue_desc = _search_side(col, blue_target, BLUE)
-    if blue_cert.found:
-        return blue_cert
-    exact = red_cert.detail.get("exact", True) and blue_cert.detail.get("exact", True)
-    stats = {
-        "nodes": red_cert.stats.get("nodes", 0) + blue_cert.stats.get("nodes", 0),
-        "prunes": red_cert.stats.get("prunes", 0) + blue_cert.stats.get("prunes", 0),
-    }
+    gives it for a pattern string and `find_mono_copy` for a hypergraph,
+    which the `free` detail names "hypergraph"."""
+    sides = ((red_pattern, RED), (blue_target, BLUE))
+    certs = []
+    for side, colour in sides:
+        cert = search_pattern(col, side, colour) if isinstance(side, str) else find_mono_copy(col, side, colour)
+        if cert.found:
+            return cert
+        certs.append(cert)
+    red_desc, blue_desc = (side if isinstance(side, str) else "hypergraph" for side, _ in sides)
+    exact = all(cert.detail.get("exact", True) for cert in certs)
+    stats = {key: sum(cert.stats.get(key, 0) for cert in certs) for key in ("nodes", "prunes")}
     return Certificate(kind="free", witness=None, stats=stats,
                        detail={"red_pattern": red_desc, "blue_pattern": blue_desc, "exact": exact})
 
