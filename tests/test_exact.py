@@ -387,26 +387,19 @@ class TestRamseyExact:
         assert (r.value, r.exact, r.lower_bound, r.lower_witness.n) == (None, False, 3, 2)
 
     def test_red_side_as_a_hypergraph(self):
-        # a red hypergraph is searched as its pattern string is
+        # a red hypergraph is searched, judged against Burr's bound and
+        # re-checked as its pattern string is
+        k4 = complete_hypergraph(3, 4)
         as_spec = ramsey_exact("clique:3:4", "clique:3:4", 7)
-        as_hypergraph = ramsey_exact(complete_hypergraph(3, 4), "clique:3:4", 7)
+        as_hypergraph = ramsey_exact(k4, "clique:3:4", 7)
         assert as_hypergraph.value == as_spec.value
         assert (as_hypergraph.lower_witness, as_hypergraph.stats) == (as_spec.lower_witness, as_spec.stats)
-        assert free_coloring_exists(complete_hypergraph(3, 4), "clique:3:4", 5) == \
-            free_coloring_exists("clique:3:4", "clique:3:4", 5)
-
-    def test_red_hypergraph_in_goodness_gap_and_verify_free(self):
-        # both take the red side as a hypergraph as they take its pattern string
-        k4 = complete_hypergraph(3, 4)
-        result = ramsey_exact(k4, "clique:3:4", 6)
-        assert goodness_gap(k4, k4, result) == goodness_gap("clique:3:4", k4, result)
-        for col in (result.lower_witness, TwoColoring.all_blue(3, 5), all_red(3, 5)):
-            as_hypergraph = verify_free(col, k4, "clique:3:4")
-            as_spec = verify_free(col, "clique:3:4", "clique:3:4")
-            assert (as_hypergraph.kind, as_hypergraph.witness, as_hypergraph.stats) == \
-                (as_spec.kind, as_spec.witness, as_spec.stats)
-            assert as_hypergraph.detail == {**as_spec.detail, **({"red_pattern": "hypergraph"}
-                                                                 if as_spec.kind == "free" else {})}
+        assert free_coloring_exists(k4, "clique:3:4", 5) == free_coloring_exists("clique:3:4", "clique:3:4", 5)
+        assert goodness_gap(k4, k4, as_hypergraph) == goodness_gap("clique:3:4", k4, as_spec)
+        for col in (as_spec.lower_witness, TwoColoring.all_blue(3, 5), all_red(3, 5)):
+            got, want = verify_free(col, k4, "clique:3:4"), verify_free(col, "clique:3:4", "clique:3:4")
+            assert (got.kind, got.witness, got.stats) == (want.kind, want.witness, want.stats)
+            assert got.detail == {**want.detail, **({"red_pattern": "hypergraph"} if want.kind == "free" else {})}
 
     def test_a_climb_past_a_thousand_ranks_is_the_same_at_any_stack_depth(self):
         # order 20 has 1 140 ranks and order 21 has 1 330, past the default
