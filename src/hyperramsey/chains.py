@@ -351,28 +351,6 @@ def _path_order(k: int, ell: int, q: int) -> int:
     return q * (k - ell) + ell
 
 
-class _LazyLink(dict):
-    """The red link index of a colouring restricted to a vertex mask, filled
-    in on first lookup: a (k-1)-vertex mask f maps to the mask of the
-    vertices x in `within` for which f | x is red.  A first-hit search reads
-    only the faces its branches reach."""
-
-    def __init__(self, col: TwoColoring, within: int):
-        self.bits, self.ranks, self.within = col.red_bits, mask_ranks(col.k, col.n), within
-
-    def __missing__(self, face: int) -> int:
-        bits, ranks = self.bits, self.ranks
-        link = 0
-        scan = self.within & ~face
-        while scan:
-            x = scan & -scan
-            scan ^= x
-            if bits >> ranks[face | x] & 1:
-                link |= x
-        self[face] = link
-        return link
-
-
 def find_connector(col: TwoColoring, k: int, ell: int, q: int,
                    side_a: list[int], side_b: list[int], pool: set[int]) -> tuple[int, ...] | None:
     """First red ell-path of length q whose first ell vertices lie in side_a,
@@ -381,9 +359,9 @@ def find_connector(col: TwoColoring, k: int, ell: int, q: int,
     One `embed` call on the sequential path plan: host vertices are tried in
     increasing order and each position checks the edge ending there, so the
     answer is the lexicographically first such vertex sequence.  The kernel
-    reads the red link index as it reaches each face, restricted to the
-    vertices allowed at the positions where an edge ends: it only ever
-    intersects a link with those."""
+    reads the colouring's red link index (`TwoColoring.link`), filled in as
+    its branches reach each face and shared with every other search on the
+    colouring."""
     if k != col.k:
         raise ValueError("uniformity mismatch")
     order = _path_order(k, ell, q)
@@ -403,13 +381,8 @@ def find_connector(col: TwoColoring, k: int, ell: int, q: int,
     # keep its ends apart) must lie in both sides
     allowed = [(a_mask if i < ell else pool_mask) & (b_mask if i >= order - ell else pool_mask)
                for i in range(order)]
-    plan = path_plan(k, ell, order)
-    ends = 0
-    for i, completed in enumerate(plan.completed):
-        if completed:
-            ends |= allowed[i]
     image = [-1] * order
-    if embed(plan, _LazyLink(col, ends), allowed, image, 0, 0, {"nodes": 0, "prunes": 0}):
+    if embed(path_plan(k, ell, order), col.link(RED), allowed, image, 0, 0, {"nodes": 0, "prunes": 0}):
         return tuple(image)
     return None
 

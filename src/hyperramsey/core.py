@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -76,6 +77,28 @@ def mask_ranks(k: int, n: int) -> dict[int, int]:
     the searches all read it.
     """
     return {sum(1 << v for v in s): r for r, s in enumerate(colex_subsets(k, n))}
+
+
+class _Lazy(dict):
+    """A dict that fills in a missing key with `fill(key)` on first lookup."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
+
+
+@lru_cache(maxsize=128)
+def _face_gathers(k: int, n: int) -> dict[int, itemgetter]:
+    """(k-1)-vertex mask f -> the getter of the ranks of f | x for x from n-1
+    down to 0, the pad rank C(n, k) for an x in f.  Built face by face on
+    first use and shared by every colouring of this shape."""
+    ranks, pad = mask_ranks(k, n), comb(n, k)
+    return _Lazy(lambda face: itemgetter(*[pad if face >> x & 1 else ranks[face | 1 << x]
+                                           for x in reversed(range(n))]))
 
 
 def check_permutation(perm: Sequence[int], n: int) -> None:
@@ -330,6 +353,27 @@ class TwoColoring:
     def is_red(self, edge: Iterable[int]) -> bool:
         return bool(self.red_bits >> self.rank(edge) & 1)
 
+    @cached_property
+    def _links(self) -> tuple[dict[int, int], dict[int, int]]:
+        gathers, full = _face_gathers(self.k, self.n), (1 << self.n) - 1
+        digits = format(self.red_bits, f"0{self.num_edges}b")[::-1] + "0"  # digit r: is rank r red; then the pad
+        red = _Lazy(lambda face: int("".join(gathers[face](digits)), 2))
+        return red, _Lazy(lambda face: full & ~face & ~red[face])
+
+    def link(self, colour: str) -> dict[int, int]:
+        """The link index of the colour class: each (k-1)-vertex mask f maps
+        to the mask of the vertices x for which f | x has `colour`.  Filled in
+        face by face on first lookup and kept on the colouring, so every
+        search on it shares one index.  A red face is one C-level gather of
+        the rank-indexed colour digits, read as a binary numeral; a blue
+        face is the vertices outside f and the red face.  ValueError on any
+        other colour."""
+        if colour == RED:
+            return self._links[0]
+        if colour == BLUE:
+            return self._links[1]
+        raise ValueError(f"colour must be {RED!r} or {BLUE!r}, not {colour!r}")
+
     def class_bits(self, colour: str) -> int:
         """The colour class as a bitmask over colex ranks: red is `red_bits`,
         blue its complement; ValueError on any other colour."""
@@ -490,7 +534,10 @@ def tournament_hypergraph(t: Tournament, m: int) -> tuple[Hypergraph, tuple[tupl
     return Hypergraph(3, t.n * m, tuple(edges)), classes
 
 
+@lru_cache(maxsize=128)
 def transitive_tournament_hypergraph(chi: int, m: int) -> tuple[Hypergraph, tuple[tuple[int, ...], ...]]:
+    """H(TT_chi, m) with its classes, built once per (chi, m) and shared:
+    both are frozen."""
     return tournament_hypergraph(Tournament.transitive(chi), m)
 
 

@@ -41,7 +41,6 @@ from .core import (
     Tournament,
     TwoColoring,
     hypergraph_to_json,
-    mask_ranks,
     ramsey_profile,
     transitive_tournament_hypergraph,
 )
@@ -137,18 +136,17 @@ def monochromatic_biclique(rows: list[int], p: int, q: int, t: int):
 
 def red_pair_masks(col: TwoColoring, a: list[int], b: list[int]) -> dict[tuple[int, int], int]:
     """The pair-colour table of a 3-colouring: for each pair x < y of `a`, the
-    mask of the positions in `b` of the z with {x, y, z} red.  A z inside the
+    mask of the positions in `b` of the z with {x, y, z} red, read from the
+    pair's face of the red link index (`TwoColoring.link`).  A z inside the
     pair is not a triple and never sets a bit."""
     if col.k != 3:
         raise ValueError("the pair-colour table is 3-uniform")
     if any(not 0 <= v < col.n for v in (*a, *b)):
         raise ValueError(f"vertices must lie in 0..{col.n - 1}")
-    ranks, bits = mask_ranks(3, col.n), col.red_bits
-    table = {}
+    link, table = col.link(RED), {}
     for x, y in combinations(sorted(a), 2):
-        pair = 1 << x | 1 << y
-        table[x, y] = sum(1 << idx for idx, z in enumerate(b)
-                          if not pair >> z & 1 and bits >> ranks[pair | 1 << z] & 1)
+        red = link[1 << x | 1 << y]
+        table[x, y] = sum(1 << idx for idx, z in enumerate(b) if red >> z & 1)
     return table
 
 

@@ -20,7 +20,6 @@ they search as if there were none.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -366,28 +365,14 @@ def path_plan(k: int, ell: int, order: int) -> EmbeddingPlan:
     return EmbeddingPlan(ell_path(k, ell, order), tuple(range(order)))
 
 
-def link_index(k: int, n: int, edges: Iterable[tuple[int, ...]]) -> dict[int, int]:
-    """The link index of a k-graph on 0..n-1: every (k-1)-vertex mask f maps
-    to the mask of the vertices x for which f | x is an edge, 0 when there is
-    none.  Built in one pass over the edges."""
-    link = dict.fromkeys(mask_ranks(k - 1, n), 0)
-    for e in edges:
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        for v in e:
-            link[mask ^ 1 << v] |= 1 << v
-    return link
-
-
 def embed(plan: EmbeddingPlan, link: dict[int, int], allowed: list[int], image: list[int], used: int,
           i: int, stats: dict, node_budget: int | None = None, twins: tuple[int, ...] = ()) -> bool:
     """Backtracking injective embedding into one colour class.
 
-    The class is read through its link index `link` (see `link_index`), a
-    dict from each (k-1)-vertex mask to the mask of the vertices that make a
-    class edge with it; a dict that fills in missing faces on lookup will
-    do.  The first i vertices of plan.order are already placed in `image`
+    The class is read through its link index `link` (see
+    `TwoColoring.link`), a dict from each (k-1)-vertex mask to the mask of
+    the vertices that make a class edge with it; one that fills in missing
+    faces on lookup will do.  The first i vertices of plan.order are already placed in `image`
     (target vertex -> host vertex), covering the host vertices in mask
     `used`; step j may only use host vertices in allowed[j].
     A step's candidates are one mask: allowed[i], less `used`, intersected
@@ -449,7 +434,7 @@ def find_mono_copy(col: TwoColoring, target: Hypergraph, colour: str,
     target vertex, or an exhaustive absence attestation (witness None).
     Vertices in `forbidden`, which must lie in 0..n-1, are excluded from the
     image.  On node DEFAULT_NODE_BUDGET + 1 it stops with no witness, inexact.
-    `embed` gets the colouring's twin classes less the forbidden vertices:
+    `embed` reads the colouring's link index (`TwoColoring.link`) and gets the colouring's twin classes less the forbidden vertices:
     twins have the same degree, so every allowed mask holds both or neither.
     """
     k = col.k
@@ -477,7 +462,7 @@ def find_mono_copy(col: TwoColoring, target: Hypergraph, colour: str,
                   if mask & (mask - 1))
     image = [-1] * target.n
     try:
-        if embed(plan, link_index(k, col.n, edges), allowed, image, 0, 0, stats, DEFAULT_NODE_BUDGET, twins):
+        if embed(plan, col.link(colour), allowed, image, 0, 0, stats, DEFAULT_NODE_BUDGET, twins):
             return Certificate(kind=f"{colour}_embedding", witness=image, stats=stats,
                                detail={"exact": True, "target": hypergraph_to_json(target)})
     except GuardExceeded:  # budget spent: absence is not attested
@@ -493,23 +478,23 @@ def find_mono_clique(
 ) -> tuple[int, ...] | None:
     """Lexicographically first `size`-set of `pool` whose k-subsets are all `colour`.
 
-    The colour class is a bitmask over colex ranks (red is `red_bits`, blue
-    its complement), read through `mask_ranks`.  DFS over candidate masks
-    (Carraghan & Pardalos, Oper. Res. Lett. 1990, on k-graphs): a node holds
-    the pool vertices above its last chosen vertex that make a class edge
-    with every (k-1)-subset of the chosen ones.  Taking the lowest candidate
-    v keeps the higher x for which f | v | x is a class edge for every
-    (k-2)-subset f of the chosen vertices; a node whose candidates are fewer
-    than the vertices it still needs is cut.
+    The colour class is read through the colouring's link index
+    (`TwoColoring.link`), which every search on the colouring shares.  DFS
+    over candidate masks (Carraghan & Pardalos, Oper. Res. Lett. 1990, on
+    k-graphs): a node holds the pool vertices above its last chosen vertex
+    that make a class edge with every (k-1)-subset of the chosen ones.
+    Taking the lowest candidate v keeps the higher candidates in the link of
+    f | v for every (k-2)-subset f of the chosen vertices, one AND each
+    (Ullmann's bit-vector refinement, 1976); a node whose candidates are
+    fewer than the vertices it still needs is cut.
     """
     k = col.k
     pool = sorted(range(col.n)) if pool is None else sorted(pool)
     if len(set(pool)) != len(pool) or (pool and not 0 <= pool[0] <= pool[-1] < col.n):
         raise ValueError(f"pool must hold distinct vertices of 0..{col.n - 1}")
-    cls = col.class_bits(colour)
+    link = col.link(colour)
     if size < k:
         return tuple(pool[:size]) if len(pool) >= size else None
-    ranks = mask_ranks(k, col.n)
     chosen: list[int] = []  # vertex bits
 
     def rec(cand: int) -> tuple[int, ...] | None:
@@ -523,13 +508,7 @@ def find_mono_clique(
             cand ^= bit
             rest = cand
             for f in faces:
-                base = f | bit
-                scan = rest
-                while scan:
-                    x = scan & -scan
-                    scan ^= x
-                    if not cls >> ranks[base | x] & 1:
-                        rest ^= x
+                rest &= link[f | bit]
                 if rest.bit_count() < need - 1:
                     break
             if rest.bit_count() >= need - 1:

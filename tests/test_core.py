@@ -31,6 +31,7 @@ from hyperramsey.core import (
     tournament_from_json,
     tournament_hypergraph,
     tournament_to_json,
+    transitive_tournament_hypergraph,
 )
 
 from oracles import all_red, has_colour, naive_chromatic
@@ -211,6 +212,12 @@ class TestTournamentHypergraph:
     def test_m1_is_edgeless(self):
         hg, _ = tournament_hypergraph(Tournament.cyclic_triangle(), 1)
         assert hg.num_edges == 0
+
+    def test_transitive_built_once_per_shape(self):
+        # the frozen hypergraph and its tuple classes are shared, not rebuilt
+        got = transitive_tournament_hypergraph(3, 2)
+        assert transitive_tournament_hypergraph(3, 2) is got
+        assert got == tournament_hypergraph(Tournament.transitive(3), 2)
 
 
 class TestFano:

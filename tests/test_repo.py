@@ -1,7 +1,8 @@
 """Whole-repository checks: no assert statement, no unused parameter, no
 function that only tests call, no private name imported across modules, no
-function-level re-import, no environment read, no sampling outside `core`
-and no unread CLI option in the package, no subcommand layer loaded at CLI start-up, soundness checks
+function-level re-import, no environment read, no sampling outside `core`,
+no lazily filled dict outside `core` and no unread CLI option in the
+package, no subcommand layer loaded at CLI start-up, soundness checks
 survive `python -O`, and the demos run."""
 
 import argparse
@@ -164,6 +165,21 @@ def test_only_core_imports_random():
             elif isinstance(node, ast.ImportFrom) and not node.level \
                     and (node.module or "").split(".")[0] == "random":
                 found.append(f"{path.name}:{node.lineno} from {node.module} import")
+    assert found == []
+
+
+def test_only_core_defines_a_lazy_dict():
+    # a dict that fills itself in on lookup is an index; `core` keeps the one
+    # per colouring (`TwoColoring.link`), so no second one can grow elsewhere
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) \
+                    and any(isinstance(base, ast.Name) and base.id == "dict" for base in node.bases) \
+                    and any(isinstance(fn, ast.FunctionDef) and fn.name == "__missing__" for fn in node.body):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
 
 

@@ -13,6 +13,8 @@ from hyperramsey.core import (
     RED,
     Tournament,
     TwoColoring,
+    coloring_from_json,
+    coloring_to_json,
     complete_hypergraph,
     ell_cycle,
     ell_path,
@@ -40,7 +42,6 @@ from hyperramsey.search import (
     find_transitive_subtournament,
     has_two_edge_loose_path,
     independence_number,
-    link_index,
     longest_mono_ell_path,
     parse_pattern,
     pattern_hypergraph,
@@ -412,7 +413,34 @@ class TestLinkIndex:
             for tenths in (0, 3, 6, 10):
                 col = TwoColoring.random(k, n, tenths / 10, seed=100 * k + 10 * n + tenths)
                 for colour in (RED, BLUE):
-                    assert link_index(k, n, col.edges_of(colour)) == naive_link(col, colour), (n, tenths, colour)
+                    link = col.link(colour)
+                    assert {face: link[face] for face in naive_link(col, colour)} == naive_link(col, colour), \
+                        (n, tenths, colour)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_shuffled_reads_agree(self, k):
+        # a face's mask does not depend on which faces were filled before it
+        rng = Random(k)
+        for n in (k + 1, 8):
+            col = TwoColoring.random(k, n, 0.5, seed=k * n)
+            for colour in (BLUE, RED):
+                want = naive_link(col, colour)
+                faces = list(want)
+                rng.shuffle(faces)
+                link = col.link(colour)
+                assert [link[face] for face in faces] == [want[face] for face in faces], (n, colour)
+
+    def test_filled_link_keeps_the_colouring_a_value(self):
+        filled, fresh = (TwoColoring.random(3, 8, 0.4, seed=5) for _ in range(2))
+        assert find_mono_clique(filled, 4, BLUE) == naive_find_clique(fresh, 4, BLUE)
+        assert filled.link(RED) and filled.link(BLUE)
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert coloring_to_json(filled) == coloring_to_json(fresh)
+        assert coloring_from_json(coloring_to_json(filled)) == fresh
+
+    def test_other_colour_refused(self):
+        with pytest.raises(ValueError, match="colour must be"):
+            TwoColoring.all_blue(3, 5).link("green")
 
 
 class TestFindMonoClique:
