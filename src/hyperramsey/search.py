@@ -372,9 +372,10 @@ def embed(plan: EmbeddingPlan, link: dict[int, int], allowed: list[int], image: 
     The class is read through its link index `link` (see
     `TwoColoring.link`), a dict from each (k-1)-vertex mask to the mask of
     the vertices that make a class edge with it; one that fills in missing
-    faces on lookup will do.  The first i vertices of plan.order are already placed in `image`
-    (target vertex -> host vertex), covering the host vertices in mask
-    `used`; step j may only use host vertices in allowed[j].
+    faces on lookup will do.  The first i vertices of plan.order are
+    already placed in `image` (target vertex -> host vertex), covering the
+    host vertices in mask `used`; step j may only use host vertices in
+    allowed[j].
     A step's candidates are one mask: allowed[i], less `used`, intersected
     with the link of every target edge the step completes (Ullmann's
     bit-vector refinement).  They are tried in increasing order.  Counts one
@@ -434,8 +435,9 @@ def find_mono_copy(col: TwoColoring, target: Hypergraph, colour: str,
     target vertex, or an exhaustive absence attestation (witness None).
     Vertices in `forbidden`, which must lie in 0..n-1, are excluded from the
     image.  On node DEFAULT_NODE_BUDGET + 1 it stops with no witness, inexact.
-    `embed` reads the colouring's link index (`TwoColoring.link`) and gets the colouring's twin classes less the forbidden vertices:
-    twins have the same degree, so every allowed mask holds both or neither.
+    `embed` reads the colouring's link index (`TwoColoring.link`) and gets
+    its twin classes less the forbidden vertices: twins have the same
+    degree, so every allowed mask holds both or neither.
     """
     k = col.k
     if target.k != k:

@@ -271,7 +271,7 @@ class TestColoring:
     def test_unknown_colour_rejected(self, colour):
         # a misspelt colour used to read as blue
         col = all_red(3, 5)
-        for lookup in (col.class_bits, col.edges_of):
+        for lookup in (col.class_bits, col.edges_of, col.link):
             with pytest.raises(ValueError, match="colour must be"):
                 lookup(colour)
 

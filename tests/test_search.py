@@ -438,10 +438,6 @@ class TestLinkIndex:
         assert coloring_to_json(filled) == coloring_to_json(fresh)
         assert coloring_from_json(coloring_to_json(filled)) == fresh
 
-    def test_other_colour_refused(self):
-        with pytest.raises(ValueError, match="colour must be"):
-            TwoColoring.all_blue(3, 5).link("green")
-
 
 class TestFindMonoClique:
     def test_lexicographically_first_not_colex_least(self):
