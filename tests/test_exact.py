@@ -730,6 +730,14 @@ class TestDirectedRamsey:
             assert sum(level[key] for level in levels.values()) == r.stats[key]
         assert not find_transitive_subtournament(r.witness, 4).found
 
+    def test_order_14_of_chi5_pinned(self, monkeypatch):
+        # the order R_vec(5) = 14 (Reid & Parker 1970) would refute: its
+        # first 2000 nodes, counted by the pattern-by-pattern walk
+        monkeypatch.setattr("hyperramsey.search.DEFAULT_NODE_BUDGET", 2000)
+        with pytest.raises(GuardExceeded) as stop:
+            _ttfree_tournament_exists(5, 14)
+        assert stop.value.stats == {"nodes": 2001, "prunes": 3026229}
+
     @pytest.mark.parametrize("chi,cap", [(2, 9), (3, 9), (4, 9), (5, 9)])
     def test_levels_sum_to_totals(self, chi, cap):
         r = directed_ramsey_exact(chi, cap)
