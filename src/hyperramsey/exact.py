@@ -31,8 +31,10 @@ directed_ramsey_exact grows labelled tournaments vertex by vertex.  At every
 node the tournament on 0..v-1 is TT_chi-free, so the new vertex v completes a
 TT_chi exactly when, for some transitive (chi-1)-set X, the vertices of X that
 v points to form a suffix of X's source-to-sink order (the empty suffix and X
-itself included).  A node lists those orders once and rejects every
-completing one of v's 2^v out-arc patterns in one bitset pass.  It also
+itself included).  A node rejects every completing one of v's 2^v out-arc
+patterns in one bitset: its parent's completing set, which covers every X
+that avoids v-1, with the arc to v-1 either way, and the patterns that the
+orders through v-1 complete, the only ones it lists.  It also
 rejects the patterns that fail the lex-leader predicate of the adjacent
 transposition (v-1 v), which compares the tournament with its relabelling in
 the walk's own order and needs only the patterns of v-1 and v: two intervals
@@ -407,11 +409,21 @@ class DirectedRamseyResult:
     stats: dict = field(default_factory=dict)
 
 
-def _completing_patterns(arcs_out: list[int], v: int, chi: int) -> int:
+@lru_cache(maxsize=64)
+def _pattern_ones(v: int) -> tuple[int, ...]:
+    """ones[u] for u < v: the out-arc patterns of a new vertex v with bit u
+    set, as one int over its 2^v patterns, in blocks of 2^u clear, 2^u set.
+    Built once per v."""
+    full = (1 << (1 << v)) - 1
+    return tuple(((1 << (1 << u)) - 1 << (1 << u)) * (full // ((1 << (2 << u)) - 1)) for u in range(v))
+
+
+def _completing_patterns(parent: int, arcs_out: list[int], v: int, chi: int) -> int:
     """The out-arc patterns of a new vertex v that complete a TT_chi (chi >= 2)
     through v in the tournament on 0..v-1, given by its out-neighbour masks,
     as one int with bit p set for each such pattern p (bit u of p set = arc
-    v -> u).
+    v -> u).  `parent` is the same set for v-1 in the tournament on
+    0..v-2; at v = 0 no pattern completes one.
 
     A TT_chi through v is a transitive (chi-1)-set X with v inserted into X's
     source-to-sink order: v dominates the vertices after it and is dominated
@@ -419,17 +431,26 @@ def _completing_patterns(arcs_out: list[int], v: int, chi: int) -> int:
     that p points to form a suffix of that order, the empty suffix and X
     itself included.  The orders are chains in which each vertex dominates
     all later ones, found by intersecting out-neighbourhood masks.
-    """
-    full = (1 << (1 << v)) - 1
-    # ones[u]: the patterns with bit u set, in blocks of 2^u clear, 2^u set
-    ones = [((1 << (1 << u)) - 1 << (1 << u)) * (full // ((1 << (2 << u)) - 1))
-            for u in range(v)]
-    last = chi - 2
-    bad = 0
 
-    def rec(candidates: int, depth: int, splits: list[int]) -> None:
-        # splits[i]: the patterns pointing to none of the first i vertices of
-        # the chain so far and to all the others
+    Whether p completes one through an X that avoids v-1 depends only on
+    p's bits below v-1, and the patterns of v-1 that do so are `parent`: so
+    those X give `parent` with bit v-1 of p clear and with it set.  Only the
+    chains through v-1 are listed.  Until v-1 joins one, the chain's
+    vertices are in-neighbours of v-1, and so are its candidates.
+    """
+    if not v:
+        return 0
+    top = v - 1
+    half = 1 << top
+    ones = _pattern_ones(v)
+    into = ~arcs_out[top] & half - 1 | half  # v-1 and its in-neighbours
+    last = chi - 2
+    bad = parent | parent << half
+
+    def rec(common: int, depth: int, splits: list[int], through: bool) -> None:
+        # common: the vertices every chain vertex so far dominates; splits[i]:
+        # the patterns pointing to none of the first i of them and to all the
+        # others
         nonlocal bad
         if depth == last:
             # a last vertex x joins the suffix of every split and starts one
@@ -438,24 +459,24 @@ def _completing_patterns(arcs_out: list[int], v: int, chi: int) -> int:
             any_split = 0
             for m in splits:
                 any_split |= m
-            c = candidates
+            c = common if through else common & half
             while c:
                 low = c & -c
                 c ^= low
                 on = ones[low.bit_length() - 1]
                 bad |= any_split & on | splits[-1] & ~on
             return
-        c = candidates
+        c = common if through else common & into
         while c:
             low = c & -c
             c ^= low
             x = low.bit_length() - 1
-            after = candidates & arcs_out[x]
+            after = common & arcs_out[x]
             if depth + after.bit_count() >= last:
                 on = ones[x]
-                rec(after, depth + 1, [m & on for m in splits] + [splits[-1] & ~on])
+                rec(after, depth + 1, [m & on for m in splits] + [splits[-1] & ~on], through or x == top)
 
-    rec((1 << v) - 1, 0, [full])
+    rec((1 << v) - 1, 0, [(1 << (1 << v)) - 1], False)
     return bad
 
 
@@ -481,11 +502,12 @@ def _ttfree_tournament_exists(chi: int, order: int) -> tuple[Tournament | None, 
 
     The tournament on 0..v-1 is fixed at a node and TT_chi-free, so a TT_chi
     can appear only through v.  The node rejects every completing out-arc
-    pattern of v in one pass (`_completing_patterns`) and walks the others
-    in increasing order.  A rejected pattern counts as one prune when the
-    walk passes it: the ones below a pattern are counted before recursing on
-    it, and the rest when the node returns False, so a found tournament
-    stops the count where a pattern-by-pattern loop would.
+    pattern of v in one bitset (`_completing_patterns`), grown from the one
+    its parent found for v-1 by the chains through v-1, and walks the others
+    in increasing order; a leaf computes none.  A rejected pattern counts as
+    one prune when the walk passes it: the ones below a pattern are counted
+    before recursing on it, and the rest when the node returns False, so a
+    found tournament stops the count where a pattern-by-pattern loop would.
 
     So the walk meets tournaments in increasing order of their pattern
     sequences p_1, p_2, ..., each compared as an integer (bit u of p_v set =
@@ -510,13 +532,14 @@ def _ttfree_tournament_exists(chi: int, order: int) -> tuple[Tournament | None, 
     stats = {"nodes": 0, "prunes": 0}
     budget = search.DEFAULT_NODE_BUDGET
 
-    def rec(v: int) -> bool:
+    def rec(v: int, parent: int) -> bool:
+        # parent: the patterns of v-1 that complete a TT_chi, before the cut
         stats["nodes"] += 1
         if stats["nodes"] > budget:
             raise GuardExceeded(f"TT_{chi}-free search on {order} vertices passed {budget} nodes", stats)
         if v == order:
             return True
-        bad = _completing_patterns(arcs_out, v, chi)
+        bad = completing = _completing_patterns(parent, arcs_out, v, chi)
         if v:
             bad |= _lex_leader_cut(arcs_out[v - 1], v)  # arcs_out[v-1] is p_{v-1} here
         rest = ((1 << (1 << v)) - 1) & ~bad
@@ -533,7 +556,7 @@ def _ttfree_tournament_exists(chi: int, order: int) -> tuple[Tournament | None, 
             for u in range(v):
                 if not pattern >> u & 1:
                     arcs_out[u] |= 1 << v
-            if rec(v + 1):
+            if rec(v + 1, completing):
                 return True
             for u in range(v):
                 arcs_out[u] &= ~(1 << v)
@@ -541,7 +564,7 @@ def _ttfree_tournament_exists(chi: int, order: int) -> tuple[Tournament | None, 
         arcs_out[v] = 0
         return False
 
-    if rec(0):
+    if rec(0, 0):
         arcs = [(u, v) for u in range(order) for v in range(order) if arcs_out[u] >> v & 1]
         return Tournament.from_arcs(order, arcs), stats
     return None, stats

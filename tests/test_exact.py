@@ -750,10 +750,14 @@ class TestDirectedRamsey:
     @staticmethod
     def assert_rule_matches_oracle(t: Tournament, chi: int):
         # every out-arc pattern of a new vertex t.n, against a naive search
-        # for a TT_chi through it in the extended tournament
+        # for a TT_chi through it in the extended tournament; the set is
+        # folded up from vertex 0, each step adding the chains through the
+        # newest vertex, as the DFS folds it along a branch
         n = t.n
         masks = [sum(1 << u for u in range(n) if u != v and t.has_arc(v, u)) for v in range(n)]
-        bad = _completing_patterns(masks, n, chi)
+        bad = 0
+        for v in range(n + 1):
+            bad = _completing_patterns(bad, masks, v, chi)
         assert bad >> (1 << n) == 0
         for pattern in range(1 << n):
             # bit colex_rank((u, n)) set = arc u -> n, i.e. bit u of pattern clear
@@ -766,7 +770,7 @@ class TestDirectedRamsey:
         for bits in range(1 << comb(n, 2)):
             self.assert_rule_matches_oracle(Tournament(n, bits), chi)
 
-    @pytest.mark.parametrize("chi", [3, 4])
+    @pytest.mark.parametrize("chi", [3, 4, 5])
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_rejection_rule_on_random_tournaments(self, chi, n):
         rng = Random(1000 * chi + n)
