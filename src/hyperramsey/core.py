@@ -101,6 +101,52 @@ def _face_gathers(k: int, n: int) -> dict[int, itemgetter]:
                                            for x in reversed(range(n))]))
 
 
+def _twin_classes(k: int, n: int, red_bits: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(the twin classes, the red degrees) of the colouring of the k-subsets
+    of [n] whose red edges are the ranks set in red_bits; the classes are
+    each sorted, in order of their least vertex.
+
+    u and v are twins when swapping them maps the colouring to itself: for
+    every (k-1)-set S avoiding both, S | {u} and S | {v} have the same
+    colour.  Twins have the same red degree.  Being twins is an equivalence
+    relation, since (u w) = (u v)(v w)(u v), so each vertex is compared with
+    the first vertex of each class of its red degree only.  A vertex's red
+    link, the (k-1)-sets S with S | {v} red, is a bitmask over their colex
+    ranks, so a comparison is one XOR outside the sets that hold u or v, and
+    its red degree is the link's bit count.
+    """
+    faces = mask_ranks(k - 1, n)
+    link = [0] * n     # link[v]: bit rank(S) set when S | {v} is red
+    holding = [0] * n  # holding[v]: bit rank(S) set when v is in S
+    for r, face in enumerate(colex_subsets(k - 1, n)):
+        for v in face:
+            holding[v] |= 1 << r
+    edges, red = colex_subsets(k, n), red_bits
+    while red:
+        low = red & -red
+        red ^= low
+        e = edges[low.bit_length() - 1]
+        mask = 0
+        for v in e:
+            mask |= 1 << v
+        for v in e:
+            link[v] |= 1 << faces[mask ^ 1 << v]
+    degrees = tuple(x.bit_count() for x in link)
+    classes: list[list[int]] = []
+    by_degree: dict[int, list[list[int]]] = {}
+    for v in range(n):
+        same_degree = by_degree.setdefault(degrees[v], [])
+        for cls in same_degree:
+            u = cls[0]
+            if not (link[u] ^ link[v]) & ~(holding[u] | holding[v]):
+                cls.append(v)
+                break
+        else:
+            same_degree.append([v])
+            classes.append(same_degree[-1])
+    return tuple(map(tuple, classes)), degrees
+
+
 def check_permutation(perm: Sequence[int], n: int) -> None:
     """ValueError unless perm is a permutation of 0..n-1: every relabelling
     checks its vertex map here."""
@@ -319,6 +365,13 @@ RED = "red"
 BLUE = "blue"
 
 
+def check_colour(colour: str) -> None:
+    """ValueError unless colour is RED or BLUE: every colour-class lookup
+    checks its colour here."""
+    if colour != RED and colour != BLUE:
+        raise ValueError(f"colour must be {RED!r} or {BLUE!r}, not {colour!r}")
+
+
 @dataclass(frozen=True)
 class TwoColoring:
     """A red/blue colouring of all k-subsets of [n]: bit r set = edge of rank r is red."""
@@ -368,20 +421,33 @@ class TwoColoring:
         the rank-indexed colour digits, read as a binary numeral; a blue
         face is the vertices outside f and the red face.  ValueError on any
         other colour."""
-        if colour == RED:
-            return self._links[0]
-        if colour == BLUE:
-            return self._links[1]
-        raise ValueError(f"colour must be {RED!r} or {BLUE!r}, not {colour!r}")
+        check_colour(colour)
+        return self._links[colour == BLUE]
+
+    @cached_property
+    def _twins(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+        classes, red = _twin_classes(self.k, self.n, self.red_bits)
+        total = comb(self.n - 1, self.k - 1)
+        return classes, red, tuple(total - d for d in red)
+
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices grouped into twin classes (`_twin_classes`), each
+        sorted, in order of their least vertex.  Found on first use and kept
+        on the colouring with its degrees, so every search on it shares
+        them."""
+        return self._twins[0]
+
+    def degrees(self, colour: str) -> tuple[int, ...]:
+        """Each vertex's degree in the colour class, kept on the colouring
+        with its twin classes; ValueError on any other colour."""
+        check_colour(colour)
+        return self._twins[1 if colour == RED else 2]
 
     def class_bits(self, colour: str) -> int:
         """The colour class as a bitmask over colex ranks: red is `red_bits`,
         blue its complement; ValueError on any other colour."""
-        if colour == RED:
-            return self.red_bits
-        if colour == BLUE:
-            return self.red_bits ^ ((1 << self.num_edges) - 1)
-        raise ValueError(f"colour must be {RED!r} or {BLUE!r}, not {colour!r}")
+        check_colour(colour)
+        return self.red_bits if colour == RED else self.red_bits ^ ((1 << self.num_edges) - 1)
 
     def edges_of(self, colour: str) -> list[tuple[int, ...]]:
         cls = self.class_bits(colour)

@@ -31,13 +31,13 @@ from .core import (
     RED,
     Tournament,
     TwoColoring,
+    check_colour,
     colex_subsets,
     complete_hypergraph,
     ell_cycle,
     ell_path,
     fano,
     hypergraph_to_json,
-    mask_ranks,
     single_edge,
     transitive_tournament_hypergraph,
 )
@@ -138,49 +138,14 @@ def validate_embedding(col: TwoColoring, target: Hypergraph, mapping, colour: st
 
 def twin_classes(col: TwoColoring) -> list[tuple[int, ...]]:
     """The colouring's vertices grouped into twin classes, each sorted, in
-    order of their least vertex.
-
-    u and v are twins when swapping them maps the colouring to itself: for
-    every (k-1)-set S avoiding both, S | {u} and S | {v} have the same
-    colour.  Twins have the same red degree.  Being twins is an equivalence
-    relation, since (u w) = (u v)(v w)(u v), so each vertex is compared with
-    the first vertex of each class of its red degree only.  A vertex's red
-    link, the (k-1)-sets S with S | {v} red, is a bitmask over their colex
-    ranks, so a comparison is one XOR outside the sets that hold u or v.
-    Every permutation of a class fixes the colouring, so the searches below
-    may try one vertex of a class for all of it (Freuder, "Eliminating
-    interchangeable values in constraint satisfaction problems", AAAI 1991).
+    order of their least vertex: swapping two vertices of a class maps the
+    colouring to itself (`TwoColoring.twin_classes`, found once per
+    colouring).  Every permutation of a class fixes the colouring, so the
+    searches below may try one vertex of a class for all of it (Freuder,
+    "Eliminating interchangeable values in constraint satisfaction
+    problems", AAAI 1991).
     """
-    k, n = col.k, col.n
-    faces = mask_ranks(k - 1, n)
-    link = [0] * n     # link[v]: bit rank(S) set when S | {v} is red
-    holding = [0] * n  # holding[v]: bit rank(S) set when v is in S
-    for r, face in enumerate(colex_subsets(k - 1, n)):
-        for v in face:
-            holding[v] |= 1 << r
-    edges, red = colex_subsets(k, n), col.red_bits
-    while red:
-        low = red & -red
-        red ^= low
-        e = edges[low.bit_length() - 1]
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        for v in e:
-            link[v] |= 1 << faces[mask ^ 1 << v]
-    classes: list[list[int]] = []
-    by_degree: dict[int, list[list[int]]] = {}
-    for v in range(n):
-        same_degree = by_degree.setdefault(link[v].bit_count(), [])
-        for cls in same_degree:
-            u = cls[0]
-            if not (link[u] ^ link[v]) & ~(holding[u] | holding[v]):
-                cls.append(v)
-                break
-        else:
-            same_degree.append([v])
-            classes.append(same_degree[-1])
-    return [tuple(cls) for cls in classes]
+    return list(col.twin_classes())
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +402,17 @@ def find_mono_copy(col: TwoColoring, target: Hypergraph, colour: str,
     image.  On node DEFAULT_NODE_BUDGET + 1 it stops with no witness, inexact.
     `embed` reads the colouring's link index (`TwoColoring.link`) and gets
     its twin classes less the forbidden vertices: twins have the same
-    degree, so every allowed mask holds both or neither.
+    degree, so every allowed mask holds both or neither.  The index, the
+    degrees and the twin classes are kept on the colouring, so the searches
+    on one colouring build each once, and a target larger than the host
+    builds none.
     """
     k = col.k
     if target.k != k:
         raise ValueError("uniformity mismatch")
     if any(not 0 <= v < col.n for v in forbidden):
         raise ValueError(f"forbidden vertices must lie in 0..{col.n - 1}")
-    edges = col.edges_of(colour)
+    check_colour(colour)
     stats = {"nodes": 0, "prunes": 0}
     if target.n > col.n - len(forbidden):
         return Certificate(kind=f"{colour}_embedding", witness=None, stats=stats,
@@ -452,10 +420,7 @@ def find_mono_copy(col: TwoColoring, target: Hypergraph, colour: str,
 
     plan = EmbeddingPlan(target)
     tdeg = target.degrees()
-    host_deg = [0] * col.n
-    for e in edges:
-        for v in e:
-            host_deg[v] += 1
+    host_deg = col.degrees(colour)
     # a host vertex can take a target vertex only if its degree is no smaller
     allowed = [sum(1 << hv for hv in range(col.n) if hv not in forbidden and host_deg[hv] >= tdeg[tv])
                for tv in plan.order]

@@ -325,6 +325,27 @@ class TestTwins:
         col = TwoColoring.random(3, 9, 0.5, seed=0)
         assert twin_classes(col) == naive_twin_classes(col) == [(v,) for v in range(9)]
 
+    def test_searches_on_one_colouring_find_its_twins_once(self, monkeypatch):
+        # the twin classes and degrees are kept on the colouring: a second
+        # search reuses them, a target larger than the host builds none, and
+        # the certificates are those a fresh colouring gives
+        found = []
+        find = hyperramsey.core._twin_classes
+        monkeypatch.setattr(hyperramsey.core, "_twin_classes", lambda *args: found.append(args) or find(*args))
+        fresh = lambda: non_transitive_lb(3, 6).coloring  # noqa: E731
+        cyclic, _ = tournament_hypergraph(Tournament.cyclic_triangle(), 3)
+        searches = [(cyclic, BLUE), (pattern_hypergraph("clique:3:4"), RED), (pattern_hypergraph("tth:2:2"), BLUE)]
+        col = fresh()
+        assert find_mono_copy(col, complete_hypergraph(3, 13), RED).detail["reason"] == "target larger than host"
+        assert not found
+        kept = [find_mono_copy(col, target, colour) for target, colour in searches]
+        assert len(found) == 1
+        assert kept == [find_mono_copy(fresh(), target, colour) for target, colour in searches]
+        assert [cert.found for cert in kept] == [False, True, True]
+        for colour in (RED, BLUE):
+            degrees = [sum(v in e for e in col.edges_of(colour)) for v in range(col.n)]
+            assert list(col.degrees(colour)) == degrees
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_blow_ups_match_the_oracles(self, data):
