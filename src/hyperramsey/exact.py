@@ -447,24 +447,20 @@ def _completing_patterns(parent: int, arcs_out: list[int], v: int, chi: int) -> 
     last = chi - 2
     bad = parent | parent << half
 
-    def rec(common: int, depth: int, splits: list[int], through: bool) -> None:
-        # common: the vertices every chain vertex so far dominates; splits[i]:
-        # the patterns pointing to none of the first i of them and to all the
-        # others
+    def rec(common: int, depth: int, suffix: int, none: int, through: bool) -> None:
+        # common: the vertices every chain vertex so far dominates; suffix:
+        # the patterns that point to a suffix of the chain so far, and none:
+        # those that point to none of it.  A next vertex x keeps a suffix
+        # if p points to x, and leaves one only if p points to none of it, so
+        # suffix becomes suffix & ones[x] | none & ~ones[x]
         nonlocal bad
         if depth == last:
-            # a last vertex x joins the suffix of every split and starts one
-            # more, so the union of its splits is
-            # any_split & ones[x] | splits[-1] & ~ones[x]
-            any_split = 0
-            for m in splits:
-                any_split |= m
             c = common if through else common & half
             while c:
                 low = c & -c
                 c ^= low
                 on = ones[low.bit_length() - 1]
-                bad |= any_split & on | splits[-1] & ~on
+                bad |= suffix & on | none & ~on
             return
         c = common if through else common & into
         while c:
@@ -474,9 +470,10 @@ def _completing_patterns(parent: int, arcs_out: list[int], v: int, chi: int) -> 
             after = common & arcs_out[x]
             if depth + after.bit_count() >= last:
                 on = ones[x]
-                rec(after, depth + 1, [m & on for m in splits] + [splits[-1] & ~on], through or x == top)
+                rec(after, depth + 1, suffix & on | none & ~on, none & ~on, through or x == top)
 
-    rec((1 << v) - 1, 0, [(1 << (1 << v)) - 1], False)
+    full = (1 << (1 << v)) - 1
+    rec((1 << v) - 1, 0, full, full, False)
     return bad
 
 
