@@ -447,13 +447,17 @@ def _completing_patterns(parent: int, arcs_out: list[int], v: int, chi: int) -> 
     last = chi - 2
     bad = parent | parent << half
 
-    def rec(common: int, depth: int, suffix: int, none: int, through: bool) -> None:
-        # common: the vertices every chain vertex so far dominates; suffix:
-        # the patterns that point to a suffix of the chain so far, and none:
-        # those that point to none of it.  A next vertex x keeps a suffix
-        # if p points to x, and leaves one only if p points to none of it, so
-        # suffix becomes suffix & ones[x] | none & ~ones[x]
-        nonlocal bad
+    full = (1 << (1 << v)) - 1
+    # a partial chain: (common, length, suffix, none, through).  common holds
+    # the vertices every chain vertex dominates, suffix the patterns that
+    # point to a suffix of the chain and none those that point to none of
+    # it.  A next vertex x keeps a suffix if p points to x, and leaves one
+    # only if p points to none of the chain, so suffix becomes
+    # suffix & ones[x] | none & ~ones[x].  bad is a union, so the chains may
+    # be taken in any order.
+    stack = [((1 << v) - 1, 0, full, full, False)]
+    while stack:
+        common, depth, suffix, none, through = stack.pop()
         if depth == last:
             c = common if through else common & half
             while c:
@@ -461,7 +465,7 @@ def _completing_patterns(parent: int, arcs_out: list[int], v: int, chi: int) -> 
                 c ^= low
                 on = ones[low.bit_length() - 1]
                 bad |= suffix & on | none & ~on
-            return
+            continue
         c = common if through else common & into
         while c:
             low = c & -c
@@ -470,10 +474,7 @@ def _completing_patterns(parent: int, arcs_out: list[int], v: int, chi: int) -> 
             after = common & arcs_out[x]
             if depth + after.bit_count() >= last:
                 on = ones[x]
-                rec(after, depth + 1, suffix & on | none & ~on, none & ~on, through or x == top)
-
-    full = (1 << (1 << v)) - 1
-    rec((1 << v) - 1, 0, full, full, False)
+                stack.append((after, depth + 1, suffix & on | none & ~on, none & ~on, through or x == top))
     return bad
 
 
