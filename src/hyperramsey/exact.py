@@ -436,7 +436,7 @@ def _completing_patterns(parent: int, arcs_out: list[int], v: int, chi: int) -> 
     p's bits below v-1, and the patterns of v-1 that do so are `parent`: so
     those X give `parent` with bit v-1 of p clear and with it set.  Only the
     chains through v-1 are listed.  Until v-1 joins one, the chain's
-    vertices are in-neighbours of v-1, and so are its candidates.
+    vertices are in-neighbours of v-1, so its candidates are v-1 and those.
     """
     if not v:
         return 0
@@ -445,14 +445,13 @@ def _completing_patterns(parent: int, arcs_out: list[int], v: int, chi: int) -> 
     ones = _pattern_ones(v)
     into = ~arcs_out[top] & half - 1 | half  # v-1 and its in-neighbours
     last = chi - 2
-    bad = parent | parent << half
-
     full = (1 << (1 << v)) - 1
-    # a partial chain: (common, length, suffix, none, through).  common holds
-    # the vertices every chain vertex dominates, suffix the patterns that
-    # point to a suffix of the chain and none those that point to none of
-    # it.  A next vertex x keeps a suffix if p points to x, and leaves one
-    # only if p points to none of the chain, so suffix becomes
+    bad = parent | parent << half
+    # a partial chain is (common, depth, suffix, none, through): the vertices
+    # all its depth vertices dominate, the patterns that point to a suffix of
+    # it, those that point to none of it, and whether v-1 is in it.  A next
+    # vertex x keeps a suffix if p points to x, and leaves one only if p
+    # points to none of the chain, so suffix becomes
     # suffix & ones[x] | none & ~ones[x].  bad is a union, so the chains may
     # be taken in any order.
     stack = [((1 << v) - 1, 0, full, full, False)]
