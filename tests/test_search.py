@@ -332,15 +332,15 @@ class TestTwins:
         found = []
         find = hyperramsey.core._twin_classes
         monkeypatch.setattr(hyperramsey.core, "_twin_classes", lambda *args: found.append(args) or find(*args))
-        fresh = lambda: non_transitive_lb(3, 6).coloring  # noqa: E731
         cyclic, _ = tournament_hypergraph(Tournament.cyclic_triangle(), 3)
         searches = [(cyclic, BLUE), (pattern_hypergraph("clique:3:4"), RED), (pattern_hypergraph("tth:2:2"), BLUE)]
-        col = fresh()
+        col = non_transitive_lb(3, 6).coloring
         assert find_mono_copy(col, complete_hypergraph(3, 13), RED).detail["reason"] == "target larger than host"
         assert not found
         kept = [find_mono_copy(col, target, colour) for target, colour in searches]
         assert len(found) == 1
-        assert kept == [find_mono_copy(fresh(), target, colour) for target, colour in searches]
+        assert kept == [find_mono_copy(non_transitive_lb(3, 6).coloring, target, colour)
+                        for target, colour in searches]
         assert [cert.found for cert in kept] == [False, True, True]
         for colour in (RED, BLUE):
             degrees = [sum(v in e for e in col.edges_of(colour)) for v in range(col.n)]
